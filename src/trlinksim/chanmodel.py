@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import signal as _signal
+from scipy import fft as _fft
 
 __all__ = [
     "Tap",
@@ -32,6 +32,7 @@ __all__ = [
     "read_cir_csv",
     "write_cir_csv",
     "same_grid",
+    "fft_convolve",
 ]
 
 # Relative tolerance when deciding whether two sample intervals describe
@@ -43,6 +44,20 @@ GRID_RTOL = 1e-9
 def same_grid(dt_a: float, dt_b: float) -> bool:
     """Whether two sample intervals describe the same uniform grid."""
     return math.isclose(dt_a, dt_b, rel_tol=GRID_RTOL)
+
+
+def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two complex 1-D arrays through the FFT.
+
+    Pads to the next fast transform length, so the result equals
+    ``scipy.signal.fftconvolve(a, b)`` bit for bit without importing
+    ``scipy.signal``. A single-sample input is a plain scaling, as there.
+    """
+    if a.size == 1 or b.size == 1:
+        return a * b
+    n = a.size + b.size - 1
+    m = _fft.next_fast_len(n, False)
+    return _fft.ifft(_fft.fft(a, m) * _fft.fft(b, m), m)[:n]
 
 
 @dataclass(frozen=True)
@@ -311,7 +326,7 @@ def channel_correlation(h1: Cir, h2: Cir) -> float:
     e1, e2 = h1.energy, h2.energy
     if e1 <= 0.0 or e2 <= 0.0:
         raise ValueError("CIR has zero energy")
-    cc = _signal.correlate(h1.samples, h2.samples, mode="full", method="auto")
+    cc = np.correlate(h1.samples, h2.samples, "full")
     return float(np.max(np.abs(cc)) / math.sqrt(e1 * e2))
 
 

@@ -17,6 +17,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Mapping
 
 from . import chanmodel, detector, experiments, linksim, sigchain
 
@@ -134,6 +135,11 @@ class ChannelSource:
     reverb: chanmodel.ReverbParams | None = None
     seed: int | None = None  # pins the realization across trials when set
 
+    @property
+    def fresh(self) -> bool:
+        """Whether each trial draws this channel anew (synthetic, no pinned seed)."""
+        return self.reverb is not None and self.seed is None
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -152,10 +158,7 @@ class RunConfig:
 
     @property
     def has_fresh_synthetic(self) -> bool:
-        return any(
-            src.reverb is not None and src.seed is None
-            for src in self.channel_sources.values()
-        )
+        return any(src.fresh for src in self.channel_sources.values())
 
     @property
     def effective_trials(self) -> int:
@@ -452,24 +455,35 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
     return cfg
 
 
-def realize_channels(cfg: RunConfig, channel_seed: int) -> dict[tuple[str, str], chanmodel.Cir]:
-    """Load or synthesize every configured channel.
+def realize_channels(
+    cfg: RunConfig,
+    channel_seed: int | None,
+    fixed: Mapping[tuple[str, str], chanmodel.Cir] | None = None,
+) -> dict[tuple[str, str], chanmodel.Cir]:
+    """Load or synthesize the configured channels.
 
     Synthetic channels without a pinned seed derive theirs from
     ``channel_seed`` and the channel's position in sorted pair order, so
-    sweeps can hand each trial a fresh set.
+    sweeps can hand each trial a fresh set. With ``channel_seed`` None
+    only the channels that do not depend on it are realized: files and
+    pinned synthetic channels. Pairs found in ``fixed`` are taken from
+    it as they are.
     """
     out: dict[tuple[str, str], chanmodel.Cir] = {}
     for index, pair in enumerate(sorted(cfg.channel_sources)):
         source = cfg.channel_sources[pair]
         label = f"{pair[0]}->{pair[1]}"
-        if source.file is not None:
+        if fixed is not None and pair in fixed:
+            cir = fixed[pair]
+        elif source.file is not None:
             cir = chanmodel.read_cir_csv(source.file, label=label)
             if not chanmodel.same_grid(cir.sample_interval, cfg.mod.sample_interval):
                 raise ValueError(
                     f"grid mismatch: channel file {source.file} has sample_interval "
                     f"{cir.sample_interval!r}, modulation grid is {cfg.mod.sample_interval!r}"
                 )
+        elif source.fresh and channel_seed is None:
+            continue
         else:
             seed = source.seed if source.seed is not None else experiments.derive_seed(channel_seed, index)
             cir = chanmodel.synth_reverberant(seed, source.reverb, label=label)
@@ -483,17 +497,11 @@ def _is_scatter(links: tuple[linksim.LinkSpec, ...]) -> bool:
 
 def _build_scenario(
     cfg: RunConfig,
-    channels: dict[tuple[str, str], chanmodel.Cir],
+    channels: Mapping[tuple[str, str], chanmodel.Cir],
     links: tuple[linksim.LinkSpec, ...],
     rate_per_stream: float | None = None,
-    power_value: float | None = None,
 ) -> linksim.Scenario:
-    """Assemble a scenario from config links, with optional sweep overrides.
-
-    A power override is interpreted as per-transmitter power, except for
-    scatter-style configs (several links sharing one transmitter) where
-    it is the total budget split equally across streams.
-    """
+    """Assemble a scenario from config links, with an optional per-stream rate."""
     mod = cfg.mod
     if rate_per_stream is not None:
         mod = experiments.mod_params_for_rate(
@@ -503,12 +511,6 @@ def _build_scenario(
             cfg.mod.level_one,
             cfg.mod.carrier_hz,
         )
-    if power_value is not None:
-        if _is_scatter(links):
-            per_stream = power_value - 10.0 * math.log10(len(links))
-        else:
-            per_stream = power_value
-        links = tuple(dataclasses.replace(link, tx_power_dbm=per_stream) for link in links)
     receivers = sorted({link.rx_node for link in links})
     needed = {}
     for link in links:
@@ -516,6 +518,20 @@ def _build_scenario(
             pair = (link.tx_node, rx)
             needed[pair] = channels[pair]
     return linksim.Scenario(cfg.nodes, needed, links, cfg.noise, mod)
+
+
+def _stream_powers(links: tuple[linksim.LinkSpec, ...], power_value: float) -> dict[str, float]:
+    """Per-stream dBm for a swept power value.
+
+    The value is per-transmitter power, except for scatter-style configs
+    (several links sharing one transmitter) where it is the total budget
+    split equally across streams.
+    """
+    if _is_scatter(links):
+        per_stream = power_value - 10.0 * math.log10(len(links))
+    else:
+        per_stream = power_value
+    return {link.stream_id: per_stream for link in links}
 
 
 def _sweep_rows(cfg: RunConfig, variable: str, grid: tuple, links: tuple | None = None):
@@ -528,16 +544,37 @@ def _sweep_rows(cfg: RunConfig, variable: str, grid: tuple, links: tuple | None 
         master_seed=cfg.master_seed,
         pilot_len=cfg.pilot_len,
     )
+    # Files and pinned channels are the same in every trial: realize them once.
+    fixed = realize_channels(cfg, None)
 
-    def template(value: float, channel_seed: int) -> linksim.Scenario:
-        realized = realize_channels(cfg, channel_seed)
+    def at_realization(channels) -> Callable[[float], linksim.Scenario]:
+        """Scenario per grid value over one channel realization."""
         if variable == "tx_power_dbm":
-            return _build_scenario(cfg, realized, links, power_value=float(value))
+            # Power leaves the response table alone: every value re-powers one base.
+            base = _build_scenario(cfg, channels, links)
+            return lambda value: base.with_powers(_stream_powers(links, float(value)))
         if variable == "aggregate_rate_bps":
-            return _build_scenario(cfg, realized, links, rate_per_stream=float(value) / len(links))
+            return lambda value: _build_scenario(
+                cfg, channels, links, rate_per_stream=float(value) / len(links)
+            )
         if variable == "n_links":
-            return _build_scenario(cfg, realized, cfg.links[: int(value)])
-        return _build_scenario(cfg, realized, links)
+            return lambda value: _build_scenario(cfg, channels, cfg.links[: int(value)])
+        return lambda value: _build_scenario(cfg, channels, links)
+
+    if cfg.has_fresh_synthetic:
+
+        def template(value: float, channel_seed: int) -> linksim.Scenario:
+            return at_realization(realize_channels(cfg, channel_seed, fixed))(value)
+
+    else:
+        # One realization serves every trial: one scenario per grid value.
+        build = at_realization(fixed)
+        scenarios: dict[float, linksim.Scenario] = {}
+
+        def template(value: float, channel_seed: int) -> linksim.Scenario:
+            if value not in scenarios:
+                scenarios[value] = build(value)
+            return scenarios[value]
 
     return experiments.sweep(spec, template)
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
-from scipy import signal as _signal
 
 from .chanmodel import Cir, ReverbParams, same_grid, synth_reverberant
 from .detector import BerResult, count_errors, demodulate, train_threshold, wilson_interval
@@ -26,8 +25,6 @@ from .linksim import (
     Scenario,
     SinrReport,
     compute_sinr,
-    effective_response,
-    link_filter,
     propagate,
     sinr_from_powers,
 )
@@ -208,11 +205,12 @@ def run_trial(
     """One seeded end-to-end realization of every link in the scenario.
 
     Per stream: draw pilot and payload bits, modulate, precode with the
-    link's own filter, scale to the link's power target, then superpose
-    all streams and detect each one at its receiver. The pilot (which
-    always contains both symbols) trains the threshold and is excluded
-    from the error count. Received waveforms are derotated by the phase
-    of the link's decision tap before slicing.
+    link's own filter from the scenario's response table, scale to the
+    link's power target, then superpose all streams and detect each one
+    at its receiver. The pilot (which always contains both symbols)
+    trains the threshold and is excluded from the error count. Received
+    waveforms are derotated by the phase of the link's decision tap
+    before slicing.
 
     Returns ({stream_id: SinrReport}, {stream_id: BerResult}). The same
     (scenario, seed, n_bits, pilot_len) reproduces identical results.
@@ -226,8 +224,8 @@ def run_trial(
     mod = scenario.mod_params
     sps = mod.samples_per_symbol
     links = sorted(scenario.links, key=lambda l: l.stream_id)
+    table = scenario.responses
     streams: dict[str, Waveform] = {}
-    filters = {}
     pilots = {}
     payloads = {}
     for s_index, link in enumerate(links):
@@ -235,11 +233,10 @@ def run_trial(
         pilot = rng.integers(0, 2, size=pilot_len)
         payload = rng.integers(0, 2, size=n_bits)
         pilot[0], pilot[1] = 0, 1  # guarantee both classes for training
-        g = link_filter(scenario, link)
-        shaped = precode(modulate_ask(np.concatenate([pilot, payload]), mod), g)
+        bits = np.concatenate([pilot, payload])
+        shaped = precode(modulate_ask(bits, mod), table.filters[link.stream_id])
         x = scale_to_power(shaped, link.tx_power_dbm)
         streams[link.stream_id] = Waveform(x.samples, x.sample_interval, origin=link.stream_id)
-        filters[link.stream_id] = g
         pilots[link.stream_id] = pilot
         payloads[link.stream_id] = payload
     received = propagate(scenario, streams, derive_seed(seed, 1))
@@ -247,9 +244,7 @@ def run_trial(
     errors: dict[str, BerResult] = {}
     for link in links:
         sid = link.stream_id
-        own = effective_response(
-            filters[sid], scenario.channels[(link.tx_node, link.rx_node)], mod, source=sid
-        )
+        own = table.own[sid]
         y = received[link.rx_node]
         rotated = Waveform(
             y.samples * np.exp(-1j * np.angle(own.peak)), y.sample_interval, y.origin
@@ -392,7 +387,7 @@ def focusing_report(
         h = channels[node]
         if not same_grid(h.sample_interval, g.sample_interval):
             raise ValueError(f"grid mismatch: channel toward {node!r}")
-        response = _signal.convolve(h.samples, g.samples, method="direct")
+        response = np.convolve(h.samples, g.samples)
         focused = np.abs(response) ** 2
         bare = np.abs(h.samples) ** 2
         out[node] = FocusEntry(

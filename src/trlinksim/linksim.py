@@ -10,14 +10,16 @@ each transmit chain.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
-from scipy import signal as _signal
 
-from .chanmodel import Cir, same_grid
+from .chanmodel import Cir, fft_convolve, same_grid
 from .sigchain import (
     ModParams,
     TrFilter,
@@ -32,6 +34,7 @@ __all__ = [
     "NoiseSpec",
     "LinkSpec",
     "Scenario",
+    "ResponseTable",
     "EffectiveResponse",
     "SinrReport",
     "noise_power",
@@ -118,6 +121,8 @@ class Scenario:
 
     Every transmitter must have a channel to every receiver appearing in
     the scenario, and all channels must live on the modulation grid.
+    The links' responses, which depend on the channels but not on any
+    power, are computed once per scenario on first use (``responses``).
     """
 
     nodes: tuple[str, ...]
@@ -163,6 +168,29 @@ class Scenario:
                 return link
         raise ValueError(f"link not found: {stream_id!r}")
 
+    @cached_property
+    def responses(self) -> "ResponseTable":
+        """The power-free response table of every link, built on first use."""
+        return ResponseTable.build(self)
+
+    def with_powers(self, powers_dbm: Mapping[str, float]) -> "Scenario":
+        """The same scenario with new transmit powers, keyed by stream id.
+
+        Streams left out keep their power. The response table does not
+        depend on power, so the new scenario shares this one's.
+        """
+        for stream_id in powers_dbm:
+            self.link_for_stream(stream_id)  # rejects unknown stream ids
+        links = tuple(
+            dataclasses.replace(link, tx_power_dbm=powers_dbm[link.stream_id])
+            if link.stream_id in powers_dbm
+            else link
+            for link in self.links
+        )
+        repowered = dataclasses.replace(self, links=links)
+        vars(repowered)["responses"] = self.responses
+        return repowered
+
 
 def link_filter(scenario: Scenario, link: LinkSpec) -> TrFilter:
     """The pre-filter a link transmits through (TR of its own channel, or identity)."""
@@ -207,7 +235,7 @@ def propagate(
             if x is None:
                 continue
             h = scenario.channels[(link.tx_node, rx)]
-            parts.append(_signal.fftconvolve(h.samples, x.samples))
+            parts.append(fft_convolve(h.samples, x.samples))
         length = max(p.size for p in parts)
         y = np.zeros(length, dtype=np.complex128)
         for p in parts:
@@ -295,6 +323,52 @@ def effective_response(
 
 
 @dataclass(frozen=True)
+class ResponseTable:
+    """What a scenario's links need from the channels, at unit power.
+
+    ``filters`` and ``own`` map each stream to the pre-filter it
+    transmits through and to its own effective response. ``cochannel``
+    maps each (victim, interferer) stream pair to the energy sum |q|^2
+    the interferer delivers at 1 W per symbol on the victim's symbol
+    grid, at the victim's decision phase. Every SINR component is a link
+    power times an entry here, so the table serves every power setting.
+    """
+
+    filters: Mapping[str, TrFilter]
+    own: Mapping[str, EffectiveResponse]
+    cochannel: Mapping[tuple[str, str], float]
+
+    @classmethod
+    def build(cls, scenario: Scenario) -> "ResponseTable":
+        """Compute every entry: one response per link and per (victim, interferer) pair."""
+        mod = scenario.mod_params
+        sps = mod.samples_per_symbol
+        filters = {link.stream_id: link_filter(scenario, link) for link in scenario.links}
+        own = {
+            link.stream_id: effective_response(
+                filters[link.stream_id],
+                scenario.channels[(link.tx_node, link.rx_node)],
+                mod,
+                source=f"{link.stream_id}@{link.rx_node}",
+            )
+            for link in scenario.links
+        }
+        cochannel = {}
+        for victim in scenario.links:
+            phase = own[victim.stream_id].decision_offset % sps
+            for other in scenario.links:
+                if other.stream_id == victim.stream_id:
+                    continue
+                r = full_rate_response(
+                    filters[other.stream_id], scenario.channels[(other.tx_node, victim.rx_node)], mod
+                )
+                cochannel[(victim.stream_id, other.stream_id)] = float(
+                    np.sum(np.abs(r[phase::sps]) ** 2)
+                )
+        return cls(MappingProxyType(filters), MappingProxyType(own), MappingProxyType(cochannel))
+
+
+@dataclass(frozen=True)
 class SinrReport:
     """Power bookkeeping at one link's decision instants, all in watts."""
 
@@ -327,35 +401,23 @@ def compute_sinr(scenario: Scenario, target_link: LinkSpec) -> SinrReport:
     and its channel toward this link's receiver, sampled on the victim's
     symbol grid at the victim's decision offset. Per-symbol powers equal
     each stream's transmit power target in watts, so all interference
-    terms scale with the interferer's dBm setting.
+    terms scale with the interferer's dBm setting. The responses come
+    from the scenario's response table; only the powers are applied here.
     """
     link = scenario.link_for_stream(target_link.stream_id)
     if link != target_link:
         raise ValueError(f"link not found: {target_link!r} is not part of the scenario")
-    mod = scenario.mod_params
-    sps = mod.samples_per_symbol
-    own_filter = link_filter(scenario, link)
-    own = effective_response(
-        own_filter,
-        scenario.channels[(link.tx_node, link.rx_node)],
-        mod,
-        source=f"{link.stream_id}@{link.rx_node}",
-    )
+    table = scenario.responses
+    own = table.own[link.stream_id]
     p_own = dbm_to_watts(link.tx_power_dbm)
     signal_w = p_own * abs(own.peak) ** 2
     isi_w = p_own * own.isi_energy
-    per_interferer: dict[str, float] = {}
-    for other in scenario.links:
-        if other.stream_id == link.stream_id:
-            continue
-        other_filter = link_filter(scenario, other)
-        r = full_rate_response(
-            other_filter, scenario.channels[(other.tx_node, link.rx_node)], mod
-        )
-        q = r[own.decision_offset % sps :: sps]
-        per_interferer[other.stream_id] = dbm_to_watts(other.tx_power_dbm) * float(
-            np.sum(np.abs(q) ** 2)
-        )
+    per_interferer = {
+        other.stream_id: dbm_to_watts(other.tx_power_dbm)
+        * table.cochannel[(link.stream_id, other.stream_id)]
+        for other in scenario.links
+        if other.stream_id != link.stream_id
+    }
     cochannel_w = float(sum(per_interferer.values()))
     noise_w = noise_power(scenario.noise)
     return SinrReport(

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import signal as _signal
 
-from .chanmodel import Cir, same_grid
+from .chanmodel import Cir, fft_convolve, same_grid
 
 __all__ = [
     "ModParams",
@@ -193,7 +192,7 @@ def precode(waveform: Waveform, tx_filter: TrFilter) -> Waveform:
     """
     if not same_grid(waveform.sample_interval, tx_filter.sample_interval):
         raise ValueError("grid mismatch between waveform and filter")
-    out = _signal.fftconvolve(tx_filter.samples, waveform.samples)
+    out = fft_convolve(tx_filter.samples, waveform.samples)
     return Waveform(out, waveform.sample_interval, waveform.origin)
 
 

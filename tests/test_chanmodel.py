@@ -10,6 +10,7 @@ from trlinksim.chanmodel import (
     ReverbParams,
     Tap,
     channel_correlation,
+    fft_convolve,
     import_frequency_response,
     read_cir_csv,
     read_frequency_response,
@@ -281,3 +282,17 @@ def test_frequency_csv_reader(tmp_path):
     path = tmp_path / "fr.csv"
     path.write_text("# f,re,im\n0,1,0\n1e9,0.5,-0.5\n")
     assert read_frequency_response(path) == [(0.0, 1.0, 0.0), (1e9, 0.5, -0.5)]
+
+
+@pytest.mark.parametrize(
+    "len_a, len_b",
+    [(1, 1), (1, 57), (33, 1), (2, 2), (7, 300), (401, 1604), (129, 50_000)],
+)
+def test_fft_convolve_equals_scipy_fftconvolve_bitwise(len_a, len_b):
+    from scipy.signal import fftconvolve
+
+    rng = np.random.default_rng(len_a * 7919 + len_b)
+    a = rng.standard_normal(len_a) + 1j * rng.standard_normal(len_a)
+    b = rng.standard_normal(len_b) + 1j * rng.standard_normal(len_b)
+    assert np.array_equal(fft_convolve(a, b), fftconvolve(a, b))
+    assert np.array_equal(fft_convolve(b, a), fftconvolve(b, a))

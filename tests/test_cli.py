@@ -1,12 +1,17 @@
 """Config parsing, channel realization, and the command line front end."""
 
+import os
 import re
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import trlinksim
-from trlinksim import chanmodel
+from trlinksim import chanmodel, linksim
 from trlinksim.chanmodel import Cir, read_cir_csv, write_cir_csv
 from trlinksim.cli import (
     DEFAULTS,
@@ -470,3 +475,67 @@ def test_main_strict_flag(tmp_path, capsys):
     assert "unknown section" in capsys.readouterr().err
     assert main(["run", "--config", cfg_path, "--out", str(out), "--no-strict"]) == 0
     assert "warning:" in capsys.readouterr().err
+
+
+def _counting(monkeypatch, module, name, key):
+    """Replace module.name with a wrapper that counts calls by key(*args, **kwargs)."""
+    counts = Counter()
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[key(*args, **kwargs)] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+_SWEEP_3x2 = "\n[sweep]\nvariable = tx_power_dbm\nvalues = -2, 4, 10\nn_bits = 100\nn_trials = 2\n"
+
+
+def test_power_sweep_reads_each_file_and_response_once(tmp_path, monkeypatch):
+    sections = ["[nodes]\nnames = A, B, C, D\n"]
+    for i, pair in enumerate(("A->B", "A->D", "C->B", "C->D")):
+        h = np.random.default_rng(i).standard_normal(12) + 0j
+        write_cir_csv(Cir(h, 5e-12), tmp_path / f"cir_{i}.csv")
+        sections.append(f'[channel "{pair}"]\nfile = cir_{i}.csv\n')
+    sections.append(TWO_LINK[TWO_LINK.index("[link 1]") : TWO_LINK.index("[sweep]")])
+    cfg_path = _write(tmp_path, "files.cfg", "\n".join(sections) + _SWEEP_3x2)
+    reads = _counting(monkeypatch, chanmodel, "read_cir_csv", lambda path, label=None: path)
+    responses = _counting(
+        monkeypatch,
+        linksim,
+        "full_rate_response",
+        lambda tx_filter, channel, params: (tx_filter.source_channel, channel.label),
+    )
+    assert main(["sweep-power", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    assert len(reads) == 4 and set(reads.values()) == {1}
+    # (own channel of the stream, channel toward the receiver) names a (stream, rx) pair
+    assert set(responses) == {(s, f"{s[0]}->{rx}") for s in ("A->B", "C->D") for rx in "BD"}
+    assert set(responses.values()) == {1}
+
+
+@pytest.mark.parametrize("pinned, expected", [(False, 3 * 2 * 4), (True, 4)])
+def test_power_sweep_draws_fresh_channels_only_when_unpinned(tmp_path, monkeypatch, pinned, expected):
+    text = TWO_LINK.split("[sweep]")[0]
+    if pinned:
+        text = text.replace("max_delay_s = 200e-12", "max_delay_s = 200e-12\nseed = 5")
+    cfg_path = _write(tmp_path, "synth.cfg", text + _SWEEP_3x2)
+    draws = _counting(
+        monkeypatch, chanmodel, "synth_reverberant", lambda seed, params, label="": (seed, label)
+    )
+    assert main(["sweep-power", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    assert sum(draws.values()) == expected
+    assert set(draws.values()) == {1}  # no (seed, channel) drawn twice
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    src = str(Path(trlinksim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, trlinksim.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'signal']))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from trlinksim.chanmodel import Cir, ReverbParams, synth_reverberant
+from trlinksim.experiments import build_scatter_scenario
 from trlinksim.linksim import (
     BOLTZMANN_J_PER_K,
     EffectiveResponse,
     LinkSpec,
     NoiseSpec,
     Scenario,
+    SinrReport,
     compute_sinr,
     effective_response,
     full_rate_response,
@@ -20,7 +22,7 @@ from trlinksim.linksim import (
     propagate,
     sinr_from_powers,
 )
-from trlinksim.sigchain import ModParams, Waveform, make_tr_filter, modulate_ask
+from trlinksim.sigchain import ModParams, Waveform, dbm_to_watts, make_tr_filter, modulate_ask
 
 MOD = ModParams(bit_rate=50e9, samples_per_symbol=4)
 DT = MOD.sample_interval
@@ -283,3 +285,115 @@ def test_compute_sinr_rejects_foreign_link():
     mutated = LinkSpec("A", "B", "A->B", "tr", 9.0)
     with pytest.raises(ValueError, match="not part of the scenario"):
         compute_sinr(scn, mutated)
+
+
+def _loop_sinr(scenario, link):
+    """compute_sinr as a per-link loop that rebuilds every filter and response."""
+    mod = scenario.mod_params
+    sps = mod.samples_per_symbol
+    own = effective_response(
+        link_filter(scenario, link), scenario.channels[(link.tx_node, link.rx_node)], mod
+    )
+    p_own = dbm_to_watts(link.tx_power_dbm)
+    signal_w = p_own * abs(own.peak) ** 2
+    isi_w = p_own * own.isi_energy
+    per_interferer = {}
+    for other in scenario.links:
+        if other.stream_id == link.stream_id:
+            continue
+        r = full_rate_response(
+            link_filter(scenario, other), scenario.channels[(other.tx_node, link.rx_node)], mod
+        )
+        q = r[own.decision_offset % sps :: sps]
+        per_interferer[other.stream_id] = dbm_to_watts(other.tx_power_dbm) * float(
+            np.sum(np.abs(q) ** 2)
+        )
+    cochannel_w = float(sum(per_interferer.values()))
+    noise_w = noise_power(scenario.noise)
+    return SinrReport(
+        link.stream_id,
+        link.rx_node,
+        signal_w,
+        isi_w,
+        cochannel_w,
+        noise_w,
+        sinr_from_powers(signal_w, isi_w, cochannel_w, noise_w),
+        per_interferer,
+    )
+
+
+def _multi_link_scenario(n_links, precoding):
+    txs, rxs = "ACE"[:n_links], "BDF"[:n_links]
+    channels = {
+        (tx, rx): _chan(10 * i + j, f"{tx}->{rx}")
+        for i, tx in enumerate(txs)
+        for j, rx in enumerate(rxs)
+    }
+    links = tuple(
+        LinkSpec(tx, rx, f"{tx}->{rx}", precoding, power)
+        for tx, rx, power in zip(txs, rxs, (0.0, 3.0, -7.5))
+    )
+    return Scenario(tuple(txs + rxs), channels, links, NoiseSpec.explicit(-45.0), MOD)
+
+
+def _orthogonal_scenario():
+    # The interferer's cross response toward B is [1, 0, 0, 0, -1]/2 at two
+    # samples per symbol: zero, after exact cancellation, at every sample of
+    # the victim's decision phase.
+    mod2 = ModParams(bit_rate=50e9, samples_per_symbol=2)
+    dt = mod2.sample_interval
+    channels = {
+        ("A", "B"): Cir(np.array([1.0, 1.0]) / math.sqrt(2), dt),
+        ("A", "D"): Cir(np.array([1.0, 1.0]) / math.sqrt(2), dt),
+        ("C", "B"): Cir(np.array([1.0, -1.0]) / math.sqrt(2), dt),
+        ("C", "D"): Cir(np.array([1.0, 0.0, 1.0]) / math.sqrt(2), dt),
+    }
+    links = (LinkSpec("A", "B", "A->B", "tr", 0.0), LinkSpec("C", "D", "C->D", "tr", 0.0))
+    return Scenario(("A", "B", "C", "D"), channels, links, NoiseSpec.off(), mod2)
+
+
+def _table_cases():
+    for n_links in (1, 2, 3):
+        for precoding in ("tr", "none"):
+            yield f"{n_links}-link-{precoding}", _multi_link_scenario(n_links, precoding)
+    scatter_channels = {("S", rx): _chan(20 + i, f"S->{rx}") for i, rx in enumerate("BCD")}
+    yield "scatter", build_scatter_scenario(
+        scatter_channels, "S", "BCD", 6.0, 50e9, noise=NoiseSpec.thermal(300.0, 50e9)
+    )
+    yield "orthogonal", _orthogonal_scenario()
+
+
+@pytest.mark.parametrize("name, scenario", list(_table_cases()))
+def test_compute_sinr_table_equals_per_link_loop(name, scenario):
+    for link in scenario.links:
+        assert compute_sinr(scenario, link) == _loop_sinr(scenario, link)
+
+
+def test_orthogonal_scenario_keeps_exact_null():
+    scn = _orthogonal_scenario()
+    assert scn.responses.cochannel[("A->B", "C->D")] == 0.0
+    assert compute_sinr(scn, scn.links[0]).per_interferer_w == {"C->D": 0.0}
+
+
+def test_with_powers_matches_scenario_built_at_those_powers():
+    scn = _multi_link_scenario(3, "tr")
+    powers = {"A->B": 4.0, "E->F": -2.0}
+    repowered = scn.with_powers(powers)
+    fresh = Scenario(
+        scn.nodes,
+        scn.channels,
+        tuple(
+            LinkSpec(
+                l.tx_node, l.rx_node, l.stream_id, l.precoding, powers.get(l.stream_id, l.tx_power_dbm)
+            )
+            for l in scn.links
+        ),
+        scn.noise,
+        scn.mod_params,
+    )
+    assert repowered == fresh
+    assert repowered.responses is scn.responses
+    for a, b in zip(repowered.links, fresh.links):
+        assert compute_sinr(repowered, a) == compute_sinr(fresh, b)
+    with pytest.raises(ValueError, match="link not found"):
+        scn.with_powers({"X->Y": 0.0})
