@@ -10,13 +10,13 @@ sampled in-band frequency response (for example a field-solver export).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import fft as _fft
 
 __all__ = [
     "Tap",
@@ -32,6 +32,10 @@ __all__ = [
     "read_cir_csv",
     "write_cir_csv",
     "same_grid",
+    "fast_len",
+    "block_len",
+    "block_spectra",
+    "overlap_add",
     "fft_convolve",
 ]
 
@@ -46,18 +50,86 @@ def same_grid(dt_a: float, dt_b: float) -> bool:
     return math.isclose(dt_a, dt_b, rel_tol=GRID_RTOL)
 
 
+# Largest output length fft_convolve computes with one transform; longer
+# convolutions go block by block (overlap-add).
+ONE_SHOT_MAX = 1 << 16
+
+
+@functools.lru_cache(maxsize=1024)
+def fast_len(n: int) -> int:
+    """Smallest 11-smooth integer >= n, a length the FFT handles quickly.
+
+    Equals ``scipy.fft.next_fast_len(n, False)``. Cached, because the
+    search costs tens of microseconds and the same few lengths recur.
+    """
+    if n < 1:
+        raise ValueError(f"transform length must be positive, got {n}")
+    best = 1 << (n - 1).bit_length()
+    f11 = 1
+    while f11 < best:
+        f7 = f11
+        while f7 < best:
+            f5 = f7
+            while f5 < best:
+                f3 = f5
+                while f3 < best:
+                    # Fill up with the smallest power of two that reaches n.
+                    best = min(best, f3 << (-(-n // f3) - 1).bit_length())
+                    f3 *= 3
+                f5 *= 5
+            f7 *= 7
+        f11 *= 11
+    return best
+
+
+def block_len(taps: int) -> int:
+    """Overlap-add block length for a filter of ``taps`` samples."""
+    return fast_len(max(8 * taps, 4096))
+
+
+def block_spectra(x: np.ndarray, m: int, step: int) -> np.ndarray:
+    """Cut ``x`` into blocks of ``step`` samples and transform each at length ``m``.
+
+    Returns one spectrum per row. The last block is zero-padded.
+    """
+    blocks = np.zeros((-(-x.size // step), step), dtype=np.complex128)
+    blocks.reshape(-1)[: x.size] = x
+    return np.fft.fft(blocks, m, axis=-1)
+
+
+def overlap_add(spectra: np.ndarray, step: int, n: int) -> np.ndarray:
+    """Invert block spectra and overlap-add them at ``step`` into ``n`` samples.
+
+    Each block's tail (its last m - step samples) must fit within the next
+    block, i.e. m <= 2 * step.
+    """
+    y = np.fft.ifft(spectra, axis=-1)
+    out = np.zeros((y.shape[0] + 1, step), dtype=np.complex128)
+    out[:-1] = y[:, :step]
+    out[1:, : y.shape[1] - step] += y[:, step:]
+    return out.reshape(-1)[:n]
+
+
 def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of two complex 1-D arrays through the FFT.
 
-    Pads to the next fast transform length, so the result equals
-    ``scipy.signal.fftconvolve(a, b)`` bit for bit without importing
-    ``scipy.signal``. A single-sample input is a plain scaling, as there.
+    Up to ``ONE_SHOT_MAX`` output samples it pads both inputs to the next
+    fast length and transforms once, which equals
+    ``scipy.signal.fftconvolve(a, b)`` bit for bit. Longer convolutions
+    filter the longer input block by block with the shorter one
+    (overlap-add). A single-sample input is a plain scaling.
     """
     if a.size == 1 or b.size == 1:
         return a * b
     n = a.size + b.size - 1
-    m = _fft.next_fast_len(n, False)
-    return _fft.ifft(_fft.fft(a, m) * _fft.fft(b, m), m)[:n]
+    if n <= ONE_SHOT_MAX:
+        m = fast_len(n)
+        return np.fft.ifft(np.fft.fft(a, m) * np.fft.fft(b, m))[:n]
+    if a.size < b.size:
+        a, b = b, a
+    m = block_len(b.size)
+    step = m - b.size + 1
+    return overlap_add(block_spectra(a, m, step) * np.fft.fft(b, m), step, n)
 
 
 @dataclass(frozen=True)
@@ -216,8 +288,13 @@ def _ensemble_delay_spread(decay: float, params: ReverbParams) -> float:
     return math.sqrt(max(var, 0.0))
 
 
+@functools.lru_cache(maxsize=256)
 def _solve_decay_constant(params: ReverbParams) -> float:
-    """Decay constant whose ensemble RMS delay spread matches the target."""
+    """Decay constant whose ensemble RMS delay spread matches the target.
+
+    Cached per parameter set: it depends on nothing else, and every draw
+    of a channel with the same parameters needs it.
+    """
     target = params.rms_delay_spread_target
     lo = target / 100.0
     hi = 1e9 * params.max_delay

@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .chanmodel import Cir, fft_convolve, same_grid
+from .chanmodel import Cir, block_len, block_spectra, overlap_add, same_grid
 from .sigchain import (
     ModParams,
     TrFilter,
@@ -226,20 +226,28 @@ def propagate(
             raise ValueError(f"link not found: {stream_id!r}")
         if not same_grid(waveform.sample_interval, dt):
             raise ValueError(f"grid mismatch: stream {stream_id!r} is off the modulation grid")
+    table = scenario.responses
+    m, step = table.block_size, table.block_step
+    present = [link for link in scenario.links if link.stream_id in streams]
+    # Each stream is transformed once; every receiver sums its share of
+    # the streams in the frequency domain and inverts once.
+    blocks = {
+        link.stream_id: block_spectra(streams[link.stream_id].samples, m, step)
+        for link in present
+    }
+    n_blocks = max(b.shape[0] for b in blocks.values())
     n_watts = noise_power(scenario.noise)
     received: dict[str, Waveform] = {}
     for rx_index, rx in enumerate(scenario.receivers):
-        parts = []
-        for link in scenario.links:
-            x = streams.get(link.stream_id)
-            if x is None:
-                continue
-            h = scenario.channels[(link.tx_node, rx)]
-            parts.append(fft_convolve(h.samples, x.samples))
-        length = max(p.size for p in parts)
-        y = np.zeros(length, dtype=np.complex128)
-        for p in parts:
-            y[: p.size] += p
+        acc = np.zeros((n_blocks, m), dtype=np.complex128)
+        for link in present:
+            x = blocks[link.stream_id]
+            acc[: x.shape[0]] += x * table.spectra[(link.tx_node, rx)]
+        length = max(
+            streams[link.stream_id].samples.size + scenario.channels[(link.tx_node, rx)].samples.size - 1
+            for link in present
+        )
+        y = overlap_add(acc, step, length)
         if n_watts > 0.0:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), rx_index)))
             y = y + math.sqrt(n_watts / 2.0) * (
@@ -332,15 +340,27 @@ class ResponseTable:
     the interferer delivers at 1 W per symbol on the victim's symbol
     grid, at the victim's decision phase. Every SINR component is a link
     power times an entry here, so the table serves every power setting.
+
+    ``spectra`` maps each (transmitter, receiver) channel that propagation
+    uses to its spectrum at the overlap-add block length ``block_size``,
+    which the longest of them sets. Input blocks of ``block_step`` samples
+    convolved with any of these channels fit in one block.
     """
 
     filters: Mapping[str, TrFilter]
     own: Mapping[str, EffectiveResponse]
     cochannel: Mapping[tuple[str, str], float]
+    block_size: int
+    block_step: int
+    spectra: Mapping[tuple[str, str], np.ndarray]
 
     @classmethod
     def build(cls, scenario: Scenario) -> "ResponseTable":
-        """Compute every entry: one response per link and per (victim, interferer) pair."""
+        """Compute every entry.
+
+        That is one response per link and per (victim, interferer) pair,
+        and one spectrum per channel.
+        """
         mod = scenario.mod_params
         sps = mod.samples_per_symbol
         filters = {link.stream_id: link_filter(scenario, link) for link in scenario.links}
@@ -365,7 +385,23 @@ class ResponseTable:
                 cochannel[(victim.stream_id, other.stream_id)] = float(
                     np.sum(np.abs(r[phase::sps]) ** 2)
                 )
-        return cls(MappingProxyType(filters), MappingProxyType(own), MappingProxyType(cochannel))
+        channels = {
+            (link.tx_node, rx): scenario.channels[(link.tx_node, rx)].samples
+            for link in scenario.links
+            for rx in scenario.receivers
+        }
+        taps = max(h.size for h in channels.values())
+        m = block_len(taps)
+        step = m - taps + 1
+        spectra = {pair: block_spectra(h, m, step)[0] for pair, h in channels.items()}
+        return cls(
+            MappingProxyType(filters),
+            MappingProxyType(own),
+            MappingProxyType(cochannel),
+            m,
+            step,
+            MappingProxyType(spectra),
+        )
 
 
 @dataclass(frozen=True)

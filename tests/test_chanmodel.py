@@ -5,11 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from trlinksim import chanmodel
 from trlinksim.chanmodel import (
+    ONE_SHOT_MAX,
     Cir,
     ReverbParams,
     Tap,
+    block_len,
     channel_correlation,
+    fast_len,
     fft_convolve,
     import_frequency_response,
     read_cir_csv,
@@ -109,6 +113,19 @@ def test_synth_grid_length_covers_max_delay(reverb):
 def test_synth_total_energy_scales():
     p = ReverbParams(DT, 24, 50e-12, 400e-12, total_energy=2.5)
     assert synth_reverberant(3, p).energy == pytest.approx(2.5, rel=1e-12)
+
+
+def test_decay_constant_is_solved_once_per_params(reverb):
+    chanmodel._solve_decay_constant.cache_clear()
+    first = [synth_reverberant(seed, reverb).samples for seed in range(3)]
+    again = [synth_reverberant(seed, reverb).samples for seed in range(3)]
+    other = ReverbParams(DT, 24, 60e-12, 400e-12)
+    synth_reverberant(0, other)
+    info = chanmodel._solve_decay_constant.cache_info()
+    assert (info.misses, info.hits) == (2, 5)
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    # the cached constant is the bisection's own answer, bit for bit
+    assert chanmodel._solve_decay_constant(reverb) == chanmodel._solve_decay_constant.__wrapped__(reverb)
 
 
 def test_ensemble_delay_spread_calibrated(reverb):
@@ -296,3 +313,37 @@ def test_fft_convolve_equals_scipy_fftconvolve_bitwise(len_a, len_b):
     b = rng.standard_normal(len_b) + 1j * rng.standard_normal(len_b)
     assert np.array_equal(fft_convolve(a, b), fftconvolve(a, b))
     assert np.array_equal(fft_convolve(b, a), fftconvolve(b, a))
+
+
+def test_fast_len_equals_scipy_next_fast_len():
+    from scipy.fft import next_fast_len
+
+    sample = np.random.default_rng(5).integers(5001, 2_000_001, 300)
+    for n in [*range(1, 5001), *map(int, sample), 2_000_000]:
+        assert fast_len(n) == next_fast_len(n, False), n
+    with pytest.raises(ValueError):
+        fast_len(0)
+
+
+def _block_path_lengths(k):
+    """Stream lengths just past the one-shot limit and around multiples of the block step."""
+    step = block_len(k) - k + 1
+    first = ONE_SHOT_MAX + 2 - k  # the shortest stream whose output takes the block path
+    lengths = [first, first + 1]
+    for blocks in (20, 31):
+        lengths += [blocks * step - 1, blocks * step, blocks * step + 1]
+    return lengths
+
+
+@pytest.mark.parametrize("k", [2, 101, 401])
+def test_fft_convolve_block_path_matches_direct(k):
+    rng = np.random.default_rng(k)
+    h = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    for length in _block_path_lengths(k):
+        assert length + k - 1 > ONE_SHOT_MAX
+        x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        direct = np.convolve(x, h)
+        for got in (fft_convolve(x, h), fft_convolve(h, x)):
+            assert got.shape == direct.shape
+            err = np.max(np.abs(got - direct)) / np.max(np.abs(direct))
+            assert err <= 1e-12, (length, err)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import trlinksim
-from trlinksim import chanmodel, linksim
+from trlinksim import chanmodel, experiments, linksim
 from trlinksim.chanmodel import Cir, read_cir_csv, write_cir_csv
 from trlinksim.cli import (
     DEFAULTS,
@@ -539,3 +539,87 @@ def test_cli_import_leaves_scipy_signal_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_power_sweep_transforms_each_channel_once(tmp_path, monkeypatch):
+    sections = ["[nodes]\nnames = A, B, C, D\n"]
+    channels = []
+    for i, pair in enumerate(("A->B", "A->D", "C->B", "C->D")):
+        h = np.random.default_rng(i).standard_normal(12) + 0j
+        channels.append(h.tobytes())
+        write_cir_csv(Cir(h, 5e-12), tmp_path / f"cir_{i}.csv")
+        sections.append(f'[channel "{pair}"]\nfile = cir_{i}.csv\n')
+    sections.append(TWO_LINK[TWO_LINK.index("[link 1]") : TWO_LINK.index("[sweep]")])
+    cfg_path = _write(tmp_path, "files.cfg", "\n".join(sections) + _SWEEP_3x2)
+    transforms = _counting(monkeypatch, linksim, "block_spectra", lambda x, m, step: x.tobytes())
+    assert main(["sweep-power", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    assert [transforms[h] for h in channels] == [1, 1, 1, 1]
+    # one forward transform per stream per trial: 3 points x 2 trials x 2 links
+    streams = {x: n for x, n in transforms.items() if x not in channels}
+    assert len(streams) == 12 and set(streams.values()) == {1}
+
+
+def test_run_transforms_each_stream_once_per_trial(tmp_path, monkeypatch):
+    cfg_path = _write(tmp_path, "run.cfg", TWO_LINK)
+    propagations = _counting(monkeypatch, experiments, "propagate", lambda scenario, streams, seed: seed)
+    transforms = _counting(monkeypatch, linksim, "block_spectra", lambda x, m, step: x.size)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out"), "--trials", "3"]) == 0
+    assert sum(propagations.values()) == 3
+    taps = round(200e-12 / 5e-12) + 1
+    # per trial: 4 fresh channels, then the 2 streams once each (not once per receiver)
+    assert transforms[taps] == 3 * 4
+    assert sum(n for size, n in transforms.items() if size != taps) == 3 * 2
+
+
+def test_power_sweep_solves_decay_constant_once_per_params(tmp_path):
+    text = TWO_LINK.split("[sweep]")[0]
+    # one channel with its own parameters: two distinct parameter sets
+    text = text.replace(
+        '[channel "C->D"]\nmodel = reverberant\nnum_taps = 8\nrms_delay_spread_s = 50e-12',
+        '[channel "C->D"]\nmodel = reverberant\nnum_taps = 8\nrms_delay_spread_s = 40e-12',
+    )
+    cfg_path = _write(tmp_path, "synth.cfg", text + _SWEEP_3x2)
+    chanmodel._solve_decay_constant.cache_clear()
+    assert main(["sweep-power", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    info = chanmodel._solve_decay_constant.cache_info()
+    assert (info.misses, info.hits) == (2, 3 * 2 * 4 - 2)
+
+
+def _child_env():
+    src = str(Path(trlinksim.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, trlinksim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+_NO_SCIPY = """\
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+from trlinksim.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_run_works_without_scipy(tmp_path):
+    cfg_path = _write(tmp_path, "run.cfg", TWO_LINK)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, "run", "--config", cfg_path, "--out", str(out)],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "run.csv").is_file()

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trlinksim.chanmodel import Cir, ReverbParams, synth_reverberant
 from trlinksim.experiments import build_scatter_scenario
@@ -397,3 +399,119 @@ def test_with_powers_matches_scenario_built_at_those_powers():
         assert compute_sinr(repowered, a) == compute_sinr(fresh, b)
     with pytest.raises(ValueError, match="link not found"):
         scn.with_powers({"X->Y": 0.0})
+
+
+def _direct_propagate(scenario, streams, seed):
+    """propagate as direct convolutions per (stream, receiver) plus the same noise draws."""
+    n_watts = noise_power(scenario.noise)
+    out = {}
+    for rx_index, rx in enumerate(scenario.receivers):
+        parts = [
+            np.convolve(scenario.channels[(link.tx_node, rx)].samples, streams[link.stream_id].samples)
+            for link in scenario.links
+            if link.stream_id in streams
+        ]
+        y = np.zeros(max(p.size for p in parts), dtype=np.complex128)
+        for p in parts:
+            y[: p.size] += p
+        if n_watts > 0.0:
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), rx_index)))
+            y = y + math.sqrt(n_watts / 2.0) * (
+                rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)
+            )
+        out[rx] = y
+    return out
+
+
+def _random_scenario(n_links, channel_lengths, seed, noise):
+    """n_links disjoint pairs over channels of the given lengths; length 1 is a unit tap."""
+    rng = np.random.default_rng(seed)
+    txs, rxs = "ACE"[:n_links], "BDF"[:n_links]
+    lengths = iter(channel_lengths)
+    channels = {}
+    for tx in txs:
+        for rx in rxs:
+            n = next(lengths)
+            h = np.ones(1) if n == 1 else rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            channels[(tx, rx)] = Cir(h, DT, f"{tx}->{rx}")
+    links = tuple(LinkSpec(tx, rx, f"{tx}->{rx}", "none", 0.0) for tx, rx in zip(txs, rxs))
+    return Scenario(tuple(txs + rxs), channels, links, noise, MOD)
+
+
+@st.composite
+def _propagation_cases(draw):
+    n_links = draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.integers(1, 60), min_size=n_links**2, max_size=n_links**2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scenario = _random_scenario(n_links, lengths, seed, NoiseSpec.off())
+    rng = np.random.default_rng(seed + 1)
+    present = draw(
+        st.lists(st.sampled_from([l.stream_id for l in scenario.links]), min_size=1, unique=True)
+    )
+    streams = {}
+    for sid in present:
+        n = draw(st.integers(1, 9000))
+        streams[sid] = Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), DT)
+    return scenario, streams
+
+
+def _tolerance(received):
+    """1e-12 relative to the largest received magnitude."""
+    return 1e-12 * max(np.max(np.abs(y)) for y in received.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(_propagation_cases())
+def test_propagate_matches_direct_convolution(case):
+    # Covers subsets of the streams, unequal stream lengths, and unequal
+    # channel lengths down to a 1-tap unit channel.
+    scenario, streams = case
+    got = propagate(scenario, streams, seed=3)
+    want = _direct_propagate(scenario, streams, seed=3)
+    tol = _tolerance(want)
+    for rx in scenario.receivers:
+        assert got[rx].samples.shape == want[rx].shape
+        assert np.max(np.abs(got[rx].samples - want[rx])) <= tol
+
+
+@settings(max_examples=25, deadline=None)
+@given(_propagation_cases())
+def test_propagate_superposition_is_exact_and_order_free(case):
+    scenario, streams = case
+    together = propagate(scenario, streams, seed=0)
+    reordered = propagate(scenario, dict(reversed(list(streams.items()))), seed=0)
+    tol = _tolerance({rx: w.samples for rx, w in together.items()})
+    for rx in scenario.receivers:
+        assert np.array_equal(together[rx].samples, reordered[rx].samples)
+        total = np.zeros_like(together[rx].samples)
+        for sid, waveform in streams.items():
+            part = propagate(scenario, {sid: waveform}, seed=0)[rx].samples
+            total[: part.size] += part
+        assert np.max(np.abs(together[rx].samples - total)) <= tol
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n_links=st.integers(1, 3),
+    lengths=st.lists(st.integers(1, 60), min_size=9, max_size=9),
+    stream_lengths=st.lists(st.integers(1, 5000), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_propagate_keeps_output_lengths_and_noise_draws(n_links, lengths, stream_lengths, seed):
+    scenario = _random_scenario(n_links, lengths, seed, NoiseSpec.explicit(-10.0))
+    silence = {
+        link.stream_id: Waveform(np.zeros(n), DT) for link, n in zip(scenario.links, stream_lengths)
+    }
+    got = propagate(scenario, silence, seed=seed)
+    want = _direct_propagate(scenario, silence, seed=seed)
+    for rx in scenario.receivers:
+        assert np.array_equal(got[rx].samples, want[rx])
+
+
+def test_propagate_through_unit_tap_returns_the_stream():
+    scenario = _random_scenario(2, [1, 30, 45, 1], 9, NoiseSpec.off())
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal(70_000) + 1j * rng.standard_normal(70_000)
+    got = propagate(scenario, {"A->B": Waveform(x, DT)}, seed=0)["B"].samples
+    assert got.size == x.size
+    assert np.max(np.abs(got - x)) <= 1e-12 * np.max(np.abs(x))
