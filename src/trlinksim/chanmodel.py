@@ -100,10 +100,11 @@ def block_spectra(x: np.ndarray, m: int, step: int) -> np.ndarray:
 def overlap_add(spectra: np.ndarray, step: int, n: int) -> np.ndarray:
     """Invert block spectra and overlap-add them at ``step`` into ``n`` samples.
 
-    Each block's tail (its last m - step samples) must fit within the next
+    The blocks are inverted in place, so ``spectra`` is overwritten. Each
+    block's tail (its last m - step samples) must fit within the next
     block, i.e. m <= 2 * step.
     """
-    y = np.fft.ifft(spectra, axis=-1)
+    y = np.fft.ifft(spectra, axis=-1, out=spectra)
     out = np.zeros((y.shape[0] + 1, step), dtype=np.complex128)
     out[:-1] = y[:, :step]
     out[1:, : y.shape[1] - step] += y[:, step:]
@@ -443,7 +444,7 @@ def import_frequency_response(
 
 
 def _parse_csv_rows(lines: Iterable[str], what: str) -> list[tuple[float, float, float]]:
-    """Shared three-column CSV reader; '#' lines and blanks are skipped."""
+    """Three-column CSV rows one at a time; names the first bad line."""
     rows: list[tuple[float, float, float]] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -459,26 +460,49 @@ def _parse_csv_rows(lines: Iterable[str], what: str) -> list[tuple[float, float,
     return rows
 
 
+def _read_csv_rows(path: str | Path) -> np.ndarray:
+    """Shared three-column CSV reader: an (n, 3) float array; '#' lines and blanks are skipped.
+
+    numpy parses the data lines in one pass. Where it cannot, the
+    row-by-row parser runs instead: it names the offending line, and it
+    takes the lines numpy refuses but this format allows (a number spelled
+    ``1_000``, an indented comment, a line of blanks), so both paths give
+    the same rows.
+    """
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    data = [line for line in lines if line and line[0] != "#"]
+    if data:
+        try:
+            rows = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if rows.shape[1] == 3:
+                return rows
+    return np.array(_parse_csv_rows(lines, str(path)), dtype=np.float64).reshape(-1, 3)
+
+
 def read_frequency_response(path: str | Path) -> list[tuple[float, float, float]]:
     """Read ``frequency_hz,real,imag`` records from a text file."""
-    with open(path, encoding="utf-8") as fh:
-        return _parse_csv_rows(fh, str(path))
+    return [tuple(row) for row in _read_csv_rows(path).tolist()]
 
 
 def read_cir_csv(path: str | Path, label: str | None = None) -> Cir:
     """Read a ``time_s,real,imag`` CIR file written by :func:`write_cir_csv`."""
-    with open(path, encoding="utf-8") as fh:
-        rows = _parse_csv_rows(fh, str(path))
+    rows = _read_csv_rows(path)
     if len(rows) < 2:
         raise ValueError(f"{path}: insufficient data: need at least two samples to infer the grid")
-    t = np.array([r[0] for r in rows])
-    dt_all = np.diff(t)
+    dt_all = np.diff(rows[:, 0])
     if np.any(dt_all <= 0.0):
         raise ValueError(f"{path}: irregular grid: times must be strictly increasing")
     dt = float(np.mean(dt_all))
     if float(np.max(np.abs(dt_all - dt))) > 1e-6 * dt:
         raise ValueError(f"{path}: irregular grid: time spacing is not uniform")
-    samples = np.array([complex(r[1], r[2]) for r in rows])
+    # Set both parts directly: arithmetic such as re + 1j * im can flip the
+    # sign of a zero part, which complex(re, im) keeps.
+    samples = np.empty(len(rows), dtype=np.complex128)
+    samples.real = rows[:, 1]
+    samples.imag = rows[:, 2]
     if label is None:
         label = Path(path).stem
     return Cir(samples, dt, label)

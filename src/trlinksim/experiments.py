@@ -236,7 +236,7 @@ def run_trial(
         bits = np.concatenate([pilot, payload])
         shaped = precode(modulate_ask(bits, mod), table.filters[link.stream_id])
         x = scale_to_power(shaped, link.tx_power_dbm)
-        streams[link.stream_id] = Waveform(x.samples, x.sample_interval, origin=link.stream_id)
+        streams[link.stream_id] = Waveform._wrap(x.samples, x.sample_interval, link.stream_id)
         pilots[link.stream_id] = pilot
         payloads[link.stream_id] = payload
     received = propagate(scenario, streams, derive_seed(seed, 1))
@@ -246,7 +246,7 @@ def run_trial(
         sid = link.stream_id
         own = table.own[sid]
         y = received[link.rx_node]
-        rotated = Waveform(
+        rotated = Waveform._wrap(
             y.samples * np.exp(-1j * np.angle(own.peak)), y.sample_interval, y.origin
         )
         threshold = train_threshold(rotated, pilots[sid], own.decision_offset, mod)

@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .chanmodel import Cir, block_len, block_spectra, overlap_add, same_grid
+from .chanmodel import Cir, block_len, block_spectra, fast_len, overlap_add, same_grid
 from .sigchain import (
     ModParams,
     TrFilter,
@@ -227,8 +227,16 @@ def propagate(
         if not same_grid(waveform.sample_interval, dt):
             raise ValueError(f"grid mismatch: stream {stream_id!r} is off the modulation grid")
     table = scenario.responses
-    m, step = table.block_size, table.block_step
     present = [link for link in scenario.links if link.stream_id in streams]
+    # One transform covers every output when the longest stream convolved
+    # with the longest channel fits in a block; longer streams go block by
+    # block (overlap-add).
+    longest = max(streams[link.stream_id].samples.size for link in present) + table.taps - 1
+    if longest <= table.block_size:
+        m = step = fast_len(longest)
+    else:
+        m, step = table.block_size, table.block_step
+    spectra = table.spectra(m)
     # Each stream is transformed once; every receiver sums its share of
     # the streams in the frequency domain and inverts once.
     blocks = {
@@ -242,18 +250,24 @@ def propagate(
         acc = np.zeros((n_blocks, m), dtype=np.complex128)
         for link in present:
             x = blocks[link.stream_id]
-            acc[: x.shape[0]] += x * table.spectra[(link.tx_node, rx)]
+            acc[: x.shape[0]] += x * spectra[(link.tx_node, rx)]
         length = max(
-            streams[link.stream_id].samples.size + scenario.channels[(link.tx_node, rx)].samples.size - 1
+            streams[link.stream_id].samples.size + table.channels[(link.tx_node, rx)].size - 1
             for link in present
         )
         y = overlap_add(acc, step, length)
         if n_watts > 0.0:
+            # In place, real draws then imaginary draws: bit for bit
+            # y + sqrt(N/2) * (a + 1j * b) without its complex temporaries.
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), rx_index)))
-            y = y + math.sqrt(n_watts / 2.0) * (
-                rng.standard_normal(length) + 1j * rng.standard_normal(length)
-            )
-        received[rx] = Waveform(y, dt, origin=f"rx:{rx}")
+            scale = math.sqrt(n_watts / 2.0)
+            draw = rng.standard_normal(length)
+            draw *= scale
+            y.real += draw
+            rng.standard_normal(out=draw)
+            draw *= scale
+            y.imag += draw
+        received[rx] = Waveform._wrap(y, dt, f"rx:{rx}")
     return received
 
 
@@ -341,26 +355,38 @@ class ResponseTable:
     grid, at the victim's decision phase. Every SINR component is a link
     power times an entry here, so the table serves every power setting.
 
-    ``spectra`` maps each (transmitter, receiver) channel that propagation
-    uses to its spectrum at the overlap-add block length ``block_size``,
-    which the longest of them sets. Input blocks of ``block_step`` samples
-    convolved with any of these channels fit in one block.
+    ``channels`` maps each (transmitter, receiver) channel that propagation
+    uses to its samples, and ``taps`` is the longest of them; it sets the
+    overlap-add block length ``block_size``. ``spectra(m)`` gives every
+    channel's spectrum at transform length m, computed on first use.
     """
 
     filters: Mapping[str, TrFilter]
     own: Mapping[str, EffectiveResponse]
     cochannel: Mapping[tuple[str, str], float]
+    channels: Mapping[tuple[str, str], np.ndarray]
+    taps: int
     block_size: int
-    block_step: int
-    spectra: Mapping[tuple[str, str], np.ndarray]
+    _spectra: dict[int, Mapping[tuple[str, str], np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    @property
+    def block_step(self) -> int:
+        """Input samples per block: their convolution with any channel fits in ``block_size``."""
+        return self.block_size - self.taps + 1
+
+    def spectra(self, m: int) -> Mapping[tuple[str, str], np.ndarray]:
+        """Every channel's spectrum at transform length ``m`` (at least ``taps``)."""
+        if m not in self._spectra:
+            self._spectra[m] = MappingProxyType(
+                {pair: block_spectra(h, m, m)[0] for pair, h in self.channels.items()}
+            )
+        return self._spectra[m]
 
     @classmethod
     def build(cls, scenario: Scenario) -> "ResponseTable":
-        """Compute every entry.
-
-        That is one response per link and per (victim, interferer) pair,
-        and one spectrum per channel.
-        """
+        """Compute one response per link and per (victim, interferer) pair."""
         mod = scenario.mod_params
         sps = mod.samples_per_symbol
         filters = {link.stream_id: link_filter(scenario, link) for link in scenario.links}
@@ -391,16 +417,13 @@ class ResponseTable:
             for rx in scenario.receivers
         }
         taps = max(h.size for h in channels.values())
-        m = block_len(taps)
-        step = m - taps + 1
-        spectra = {pair: block_spectra(h, m, step)[0] for pair, h in channels.items()}
         return cls(
             MappingProxyType(filters),
             MappingProxyType(own),
             MappingProxyType(cochannel),
-            m,
-            step,
-            MappingProxyType(spectra),
+            MappingProxyType(channels),
+            taps,
+            block_len(taps),
         )
 
 

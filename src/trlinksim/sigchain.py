@@ -81,20 +81,39 @@ class ModParams:
 
 @dataclass(frozen=True)
 class Waveform:
-    """A sampled complex-baseband signal."""
+    """A sampled complex-baseband signal.
+
+    The sample array is copied on construction and frozen, so the caller
+    keeps its own array and a Waveform never changes.
+    """
 
     samples: np.ndarray
     sample_interval: float
     origin: str = ""
 
     def __post_init__(self) -> None:
-        s = np.array(self.samples, dtype=np.complex128).reshape(-1)
+        self._freeze(np.array(self.samples, dtype=np.complex128).reshape(-1))
+
+    def _freeze(self, s: np.ndarray) -> None:
         if s.size < 1:
             raise ValueError("waveform must contain at least one sample")
         if not (math.isfinite(self.sample_interval) and self.sample_interval > 0.0):
             raise ValueError(f"sample_interval must be positive, got {self.sample_interval}")
         s.flags.writeable = False
         object.__setattr__(self, "samples", s)
+
+    @classmethod
+    def _wrap(cls, samples: np.ndarray, sample_interval: float, origin: str = "") -> "Waveform":
+        """A Waveform around a 1-D complex128 array this package just made.
+
+        The array is frozen in place rather than copied; nothing else may
+        hold a writeable reference to it.
+        """
+        w = cls.__new__(cls)
+        object.__setattr__(w, "sample_interval", sample_interval)
+        object.__setattr__(w, "origin", origin)
+        w._freeze(samples)
+        return w
 
     @property
     def energy(self) -> float:
@@ -182,7 +201,7 @@ def modulate_ask(bits: Sequence[int] | np.ndarray, params: ModParams) -> Wavefor
     if np.any((b != 0) & (b != 1)):
         raise ValueError("bits must be 0 or 1")
     levels = np.where(b == 1, params.level_one, params.level_zero).astype(np.complex128)
-    return Waveform(np.repeat(levels, params.samples_per_symbol), params.sample_interval)
+    return Waveform._wrap(np.repeat(levels, params.samples_per_symbol), params.sample_interval)
 
 
 def precode(waveform: Waveform, tx_filter: TrFilter) -> Waveform:
@@ -193,7 +212,7 @@ def precode(waveform: Waveform, tx_filter: TrFilter) -> Waveform:
     if not same_grid(waveform.sample_interval, tx_filter.sample_interval):
         raise ValueError("grid mismatch between waveform and filter")
     out = fft_convolve(tx_filter.samples, waveform.samples)
-    return Waveform(out, waveform.sample_interval, waveform.origin)
+    return Waveform._wrap(out, waveform.sample_interval, waveform.origin)
 
 
 def scale_to_power(waveform: Waveform, p_dbm: float) -> Waveform:
@@ -202,7 +221,7 @@ def scale_to_power(waveform: Waveform, p_dbm: float) -> Waveform:
     mean = waveform.mean_power
     if mean <= 0.0:
         raise ValueError("cannot scale silence")
-    return Waveform(
+    return Waveform._wrap(
         waveform.samples * math.sqrt(target / mean),
         waveform.sample_interval,
         waveform.origin,

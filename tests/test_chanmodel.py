@@ -1,6 +1,7 @@
 """Channel construction, synthesis, correlation, and import/export."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,50 @@ def test_cir_csv_skips_comments_and_flags_bad_rows(tmp_path):
         read_cir_csv(path)
     path.write_text("0,1,0\n1e-12,1,0\n5e-12,1,0\n")
     with pytest.raises(ValueError, match="irregular grid"):
+        read_cir_csv(path)
+
+
+def _row_parsed_cir(path):
+    """read_cir_csv's samples as the row-by-row parser builds them."""
+    with open(path, encoding="utf-8") as fh:
+        rows = chanmodel._parse_csv_rows(fh, str(path))
+    return np.array([complex(re, im) for _, re, im in rows])
+
+
+def test_cir_csv_reader_equals_row_parser_bitwise(tmp_path):
+    rng = np.random.default_rng(12)
+    h = rng.standard_normal(401) + 1j * rng.standard_normal(401)
+    h[:4] = [0.0, -0.0, complex(-0.0, -0.0), complex(1e-300, -0.0)]
+    path = tmp_path / "chan.csv"
+    write_cir_csv(Cir(h, 5e-12), path)
+    got = read_cir_csv(path).samples
+    want = _row_parsed_cir(path)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(got.view(np.int64), h.view(np.int64))
+
+
+def test_cir_csv_reader_takes_what_python_floats_take(tmp_path):
+    # numpy's parser refuses these lines; the row parser accepts them.
+    path = tmp_path / "odd.csv"
+    path.write_text("0,1_0,0\n   \n  # indented comment\n1e-12, 2 ,-0.0\n")
+    got = read_cir_csv(path).samples
+    assert np.array_equal(got.view(np.int64), _row_parsed_cir(path).view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("# a\n0,1,0\n\n# b\n   \n1e-12,oops,0\n", "line 6: fields must be numbers"),
+        ("0,1,0\n# x\n\n1e-12,1\n2e-12,1,0\n", "line 4: expected 3 comma-separated fields"),
+        ("0,1,0\n\n# x\n1e-12,1,0,\n", "line 4: expected 3 comma-separated fields"),
+        ("0,1,0\n1e-12,1,0 # trailing\n", "line 2: fields must be numbers"),
+        ("# only comments\n\n", "insufficient data"),
+    ],
+)
+def test_cir_csv_errors_name_the_line(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
         read_cir_csv(path)
 
 

@@ -559,6 +559,27 @@ def test_power_sweep_transforms_each_channel_once(tmp_path, monkeypatch):
     assert len(streams) == 12 and set(streams.values()) == {1}
 
 
+def test_file_backed_run_transforms_each_channel_once_at_one_length(tmp_path, monkeypatch):
+    sections = ["[nodes]\nnames = A, B, C, D\n"]
+    channels = []
+    for i, pair in enumerate(("A->B", "A->D", "C->B", "C->D")):
+        h = np.random.default_rng(i).standard_normal(40 + 20 * i) + 0j
+        channels.append(h.tobytes())
+        write_cir_csv(Cir(h, 5e-12), tmp_path / f"cir_{i}.csv")
+        sections.append(f'[channel "{pair}"]\nfile = cir_{i}.csv\n')
+    sections.append(TWO_LINK[TWO_LINK.index("[link 1]") : TWO_LINK.index("[sweep]")])
+    sections.append("\n[sweep]\nn_bits = 100\n")
+    cfg_path = _write(tmp_path, "files.cfg", "\n".join(sections))
+    transforms = _counting(monkeypatch, linksim, "block_spectra", lambda x, m, step: (x.tobytes(), m))
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out"), "--trials", "3"]) == 0
+    per_channel = {key: n for key, n in transforms.items() if key[0] in channels}
+    assert sorted(x for x, _ in per_channel) == sorted(channels)
+    assert set(per_channel.values()) == {1}
+    # short streams: a single transform length, below the overlap-add block
+    lengths = {m for _, m in transforms}
+    assert len(lengths) == 1 and lengths.pop() < chanmodel.block_len(100)
+
+
 def test_run_transforms_each_stream_once_per_trial(tmp_path, monkeypatch):
     cfg_path = _write(tmp_path, "run.cfg", TWO_LINK)
     propagations = _counting(monkeypatch, experiments, "propagate", lambda scenario, streams, seed: seed)

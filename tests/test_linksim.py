@@ -475,6 +475,51 @@ def test_propagate_matches_direct_convolution(case):
 
 
 @settings(max_examples=25, deadline=None)
+@given(
+    n_links=st.integers(1, 3),
+    lengths=st.lists(st.integers(1, 500), min_size=9, max_size=9),
+    stream_fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_propagate_with_long_channels_and_short_streams(n_links, lengths, stream_fractions, seed):
+    # Streams no longer than the longest channel: one transform, whose
+    # length the channel rather than the stream sets.
+    scenario = _random_scenario(n_links, lengths, seed, NoiseSpec.off())
+    taps = max(lengths[: n_links**2])
+    rng = np.random.default_rng(seed + 1)
+    streams = {}
+    for link, fraction in zip(scenario.links, stream_fractions):
+        n = 1 + int(fraction * (taps - 1))
+        streams[link.stream_id] = Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), DT)
+    got = propagate(scenario, streams, seed=0)
+    want = _direct_propagate(scenario, streams, seed=0)
+    tol = _tolerance(want)
+    for rx in scenario.receivers:
+        assert got[rx].samples.shape == want[rx].shape
+        assert np.max(np.abs(got[rx].samples - want[rx])) <= tol
+
+
+@pytest.mark.parametrize("excess", [-1, 0, 1, 2])
+def test_propagate_around_the_one_transform_limit(excess):
+    # longest stream + longest channel - 1 = block_size + excess: one
+    # transform up to the block size, overlap-add past it.
+    scenario = _random_scenario(2, [401, 7, 1, 33], 4, NoiseSpec.explicit(-10.0))
+    table = scenario.responses
+    n = table.block_size + excess - table.taps + 1
+    rng = np.random.default_rng(excess + 10)
+    streams = {
+        "A->B": Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), DT),
+        "C->D": Waveform(rng.standard_normal(n // 3) + 0j, DT),
+    }
+    got = propagate(scenario, streams, seed=8)
+    want = _direct_propagate(scenario, streams, seed=8)
+    tol = _tolerance(want)
+    for rx in scenario.receivers:
+        assert got[rx].samples.shape == want[rx].shape
+        assert np.max(np.abs(got[rx].samples - want[rx])) <= tol
+
+
+@settings(max_examples=25, deadline=None)
 @given(_propagation_cases())
 def test_propagate_superposition_is_exact_and_order_free(case):
     scenario, streams = case

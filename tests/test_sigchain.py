@@ -61,6 +61,23 @@ def test_waveform_energy_and_mean_power():
     assert w.mean_power == pytest.approx(0.5)
 
 
+def test_waveform_copies_the_callers_array():
+    x = np.array([1.0, 2.0, 3.0], dtype=np.complex128)
+    w = Waveform(x, DT)
+    x[0] = 99.0
+    assert np.array_equal(w.samples, [1.0, 2.0, 3.0])
+    assert x.flags.writeable
+    assert not w.samples.flags.writeable
+
+
+def test_chain_outputs_are_frozen():
+    params = ModParams(bit_rate=50e9)
+    x = modulate_ask([1, 0, 1], params)
+    filt = make_identity_filter(Cir(np.ones(1), params.sample_interval))
+    for w in (x, precode(x, filt), scale_to_power(x, 0.0)):
+        assert w.samples.dtype == np.complex128 and not w.samples.flags.writeable
+
+
 def test_tr_filter_enforces_unit_energy():
     TrFilter(np.array([0.6, 0.8]), DT)
     with pytest.raises(ValueError, match="unit energy"):
