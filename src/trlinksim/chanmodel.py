@@ -90,25 +90,40 @@ def block_len(taps: int) -> int:
 def block_spectra(x: np.ndarray, m: int, step: int) -> np.ndarray:
     """Cut ``x`` into blocks of ``step`` samples and transform each at length ``m``.
 
-    Returns one spectrum per row. The last block is zero-padded.
+    Returns one spectrum per row. Each block is zero-padded to ``m`` and
+    transformed in place, so the result is the only array of its size.
     """
-    blocks = np.zeros((-(-x.size // step), step), dtype=np.complex128)
-    blocks.reshape(-1)[: x.size] = x
-    return np.fft.fft(blocks, m, axis=-1)
+    full, rest = divmod(x.size, step)
+    blocks = np.zeros((full + (rest > 0), m), dtype=np.complex128)
+    blocks[:full, :step] = x[: full * step].reshape(full, step)
+    if rest:
+        blocks[full, :rest] = x[full * step :]
+    return np.fft.fft(blocks, axis=-1, out=blocks)
 
 
 def overlap_add(spectra: np.ndarray, step: int, n: int) -> np.ndarray:
     """Invert block spectra and overlap-add them at ``step`` into ``n`` samples.
 
-    The blocks are inverted in place, so ``spectra`` is overwritten. Each
-    block's tail (its last m - step samples) must fit within the next
-    block, i.e. m <= 2 * step.
+    Everything happens inside ``spectra``, which is overwritten, and the
+    result is a view of its first ``n`` samples. Each block's tail (its
+    last m - step samples) must fit within the next block, i.e.
+    m <= 2 * step, and n <= (blocks - 1) * step + m.
     """
     y = np.fft.ifft(spectra, axis=-1, out=spectra)
-    out = np.zeros((y.shape[0] + 1, step), dtype=np.complex128)
-    out[:-1] = y[:, :step]
-    out[1:, : y.shape[1] - step] += y[:, step:]
-    return out.reshape(-1)[:n]
+    n_blocks, m = y.shape
+    tail = m - step
+    flat = y.reshape(-1)
+    # Block b lands at b * step: its head adds onto the tail of block b - 1,
+    # already in place, and its remainder moves left. Moves never reach a
+    # block not yet visited.
+    for b in range(1, n_blocks):
+        src, dst = b * m, b * step
+        flat[dst : dst + tail] += flat[src : src + tail]
+        flat[dst + tail : dst + m] = flat[src + tail : src + m]
+    # Adding to zeros turns a last-tail -0.0 into 0.0, as a separate
+    # output buffer would.
+    flat[n_blocks * step : n_blocks * step + tail] += 0.0
+    return flat[:n]
 
 
 def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -130,7 +145,9 @@ def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a, b = b, a
     m = block_len(b.size)
     step = m - b.size + 1
-    return overlap_add(block_spectra(a, m, step) * np.fft.fft(b, m), step, n)
+    spectra = block_spectra(a, m, step)
+    spectra *= np.fft.fft(b, m)
+    return overlap_add(spectra, step, n)
 
 
 @dataclass(frozen=True)

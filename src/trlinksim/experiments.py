@@ -11,24 +11,35 @@ many receivers at once.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .chanmodel import Cir, ReverbParams, same_grid, synth_reverberant
+from .chanmodel import ONE_SHOT_MAX, Cir, ReverbParams, same_grid, synth_reverberant
 from .detector import BerResult, count_errors, demodulate, train_threshold, wilson_interval
 from .linksim import (
     LinkSpec,
     NoiseSpec,
     Scenario,
     SinrReport,
+    _pool_map,
     compute_sinr,
     propagate,
     sinr_from_powers,
 )
-from .sigchain import ModParams, Waveform, dbm_to_watts, make_tr_filter, modulate_ask, precode, scale_to_power
+from .sigchain import (
+    ModParams,
+    TrFilter,
+    Waveform,
+    dbm_to_watts,
+    make_tr_filter,
+    modulate_ask,
+    precode,
+    scale_to_power,
+)
 
 __all__ = [
     "DEFAULT_PAIRS",
@@ -196,6 +207,26 @@ def build_scatter_scenario(
     return Scenario(nodes, {pair: channels[pair] for pair in required}, links, noise, mod)
 
 
+def _transmit(
+    link: LinkSpec,
+    s_index: int,
+    seed: int,
+    n_bits: int,
+    pilot_len: int,
+    tx_filter: TrFilter,
+    mod: ModParams,
+) -> tuple[Waveform, np.ndarray, np.ndarray]:
+    """One stream's transmit chain: (scaled stream, pilot bits, payload bits)."""
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0, s_index)))
+    pilot = rng.integers(0, 2, size=pilot_len)
+    payload = rng.integers(0, 2, size=n_bits)
+    pilot[0], pilot[1] = 0, 1  # guarantee both classes for training
+    bits = np.concatenate([pilot, payload])
+    shaped = precode(modulate_ask(bits, mod), tx_filter)
+    x = scale_to_power(shaped, link.tx_power_dbm)
+    return Waveform._wrap(x.samples, x.sample_interval, link.stream_id), pilot, payload
+
+
 def run_trial(
     scenario: Scenario,
     seed: int,
@@ -208,12 +239,15 @@ def run_trial(
     link's own filter from the scenario's response table, scale to the
     link's power target, then superpose all streams and detect each one
     at its receiver. The pilot (which always contains both symbols)
-    trains the threshold and is excluded from the error count. Received
-    waveforms are derotated by the phase of the link's decision tap
+    trains the threshold and is excluded from the error count. Decision
+    samples are derotated by the phase of the link's decision tap
     before slicing.
 
-    Returns ({stream_id: SinrReport}, {stream_id: BerResult}). The same
-    (scenario, seed, n_bits, pilot_len) reproduces identical results.
+    Streams longer than ``ONE_SHOT_MAX`` samples are built concurrently;
+    each is seeded by its own index, so the result does not depend on
+    evaluation order. Returns ({stream_id: SinrReport},
+    {stream_id: BerResult}). The same (scenario, seed, n_bits, pilot_len)
+    reproduces identical results.
     """
     if int(seed) != seed or seed < 0:
         raise ValueError("seed must be a non-negative integer")
@@ -225,34 +259,40 @@ def run_trial(
     sps = mod.samples_per_symbol
     links = sorted(scenario.links, key=lambda l: l.stream_id)
     table = scenario.responses
+    n_symbols = pilot_len + n_bits
+    mapper = _pool_map if n_symbols * sps > ONE_SHOT_MAX else map
+    sent = mapper(
+        lambda s_index, link: _transmit(
+            link, s_index, seed, n_bits, pilot_len, table.filters[link.stream_id], mod
+        ),
+        range(len(links)),
+        links,
+    )
     streams: dict[str, Waveform] = {}
     pilots = {}
     payloads = {}
-    for s_index, link in enumerate(links):
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0, s_index)))
-        pilot = rng.integers(0, 2, size=pilot_len)
-        payload = rng.integers(0, 2, size=n_bits)
-        pilot[0], pilot[1] = 0, 1  # guarantee both classes for training
-        bits = np.concatenate([pilot, payload])
-        shaped = precode(modulate_ask(bits, mod), table.filters[link.stream_id])
-        x = scale_to_power(shaped, link.tx_power_dbm)
-        streams[link.stream_id] = Waveform._wrap(x.samples, x.sample_interval, link.stream_id)
+    for link, (stream, pilot, payload) in zip(links, sent):
+        streams[link.stream_id] = stream
         pilots[link.stream_id] = pilot
         payloads[link.stream_id] = payload
     received = propagate(scenario, streams, derive_seed(seed, 1))
+    # The detector reads one sample per symbol, so only those are derotated:
+    # a waveform of decision samples on the symbol grid.
+    symbol_mod = dataclasses.replace(mod, samples_per_symbol=1)
     reports: dict[str, SinrReport] = {}
     errors: dict[str, BerResult] = {}
     for link in links:
         sid = link.stream_id
         own = table.own[sid]
         y = received[link.rx_node]
+        # Contiguous like the whole waveform was, so numpy multiplies them
+        # the same way and every derotated sample is bit for bit the old one.
+        decisions = np.ascontiguousarray(y.samples[own.decision_offset :: sps][:n_symbols])
         rotated = Waveform._wrap(
-            y.samples * np.exp(-1j * np.angle(own.peak)), y.sample_interval, y.origin
+            decisions * np.exp(-1j * np.angle(own.peak)), symbol_mod.sample_interval, y.origin
         )
-        threshold = train_threshold(rotated, pilots[sid], own.decision_offset, mod)
-        rx_bits = demodulate(
-            rotated, own.decision_offset + pilot_len * sps, threshold, n_bits, mod
-        )
+        threshold = train_threshold(rotated, pilots[sid], 0, symbol_mod)
+        rx_bits = demodulate(rotated, pilot_len, threshold, n_bits, symbol_mod)
         errors[sid] = count_errors(payloads[sid], rx_bits)
         reports[sid] = compute_sinr(scenario, link)
     return reports, errors

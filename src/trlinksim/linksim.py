@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -200,6 +201,28 @@ def link_filter(scenario: Scenario, link: LinkSpec) -> TrFilter:
     return make_identity_filter(cir)
 
 
+@cache
+def _pool():
+    """The package's thread pool, one worker per CPU this process may run on."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        workers = os.cpu_count() or 1
+    return ThreadPoolExecutor(workers)
+
+
+def _pool_map(fn, *iterables):
+    """``map`` on the package's thread pool, created on first use.
+
+    numpy releases the GIL in its transforms, large ufuncs and random
+    draws, so independent parts of a long trial overlap. Results come
+    back in input order.
+    """
+    return _pool().map(fn, *iterables)
+
+
 def propagate(
     scenario: Scenario,
     streams: Mapping[str, Waveform],
@@ -213,7 +236,9 @@ def propagate(
     with per-sample power noise_power(scenario.noise), i.e. variance N/2
     per real dimension, drawn from a sub-seed derived from
     (seed, receiver index) so the result does not depend on evaluation
-    order. ``streams`` may cover a subset of the scenario's links.
+    order; streams long enough to go block by block are transformed, and
+    then received, concurrently on the package's thread pool.
+    ``streams`` may cover a subset of the scenario's links.
     """
     if not streams:
         raise ValueError("no streams to propagate")
@@ -230,27 +255,30 @@ def propagate(
     present = [link for link in scenario.links if link.stream_id in streams]
     # One transform covers every output when the longest stream convolved
     # with the longest channel fits in a block; longer streams go block by
-    # block (overlap-add).
+    # block (overlap-add), which is long enough work to share out across
+    # the pool: the streams' transforms, then the receivers.
     longest = max(streams[link.stream_id].samples.size for link in present) + table.taps - 1
     if longest <= table.block_size:
         m = step = fast_len(longest)
+        mapper = map
     else:
         m, step = table.block_size, table.block_step
+        mapper = _pool_map
     spectra = table.spectra(m)
     # Each stream is transformed once; every receiver sums its share of
     # the streams in the frequency domain and inverts once.
-    blocks = {
-        link.stream_id: block_spectra(streams[link.stream_id].samples, m, step)
-        for link in present
-    }
+    ids = [link.stream_id for link in present]
+    blocks = dict(zip(ids, mapper(lambda sid: block_spectra(streams[sid].samples, m, step), ids)))
     n_blocks = max(b.shape[0] for b in blocks.values())
     n_watts = noise_power(scenario.noise)
-    received: dict[str, Waveform] = {}
-    for rx_index, rx in enumerate(scenario.receivers):
+
+    def receive(rx_index: int, rx: str) -> Waveform:
         acc = np.zeros((n_blocks, m), dtype=np.complex128)
         for link in present:
-            x = blocks[link.stream_id]
-            acc[: x.shape[0]] += x * spectra[(link.tx_node, rx)]
+            # Row by row, in link order: no temporary the size of the stream.
+            h = spectra[(link.tx_node, rx)]
+            for row, x in zip(acc, blocks[link.stream_id]):
+                row += x * h
         length = max(
             streams[link.stream_id].samples.size + table.channels[(link.tx_node, rx)].size - 1
             for link in present
@@ -267,8 +295,10 @@ def propagate(
             rng.standard_normal(out=draw)
             draw *= scale
             y.imag += draw
-        received[rx] = Waveform._wrap(y, dt, f"rx:{rx}")
-    return received
+        return Waveform._wrap(y, dt, f"rx:{rx}")
+
+    rxs = scenario.receivers
+    return dict(zip(rxs, mapper(receive, range(len(rxs)), rxs)))
 
 
 @dataclass(frozen=True)

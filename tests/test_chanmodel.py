@@ -1,10 +1,13 @@
 """Channel construction, synthesis, correlation, and import/export."""
 
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trlinksim import chanmodel
 from trlinksim.chanmodel import (
@@ -13,10 +16,12 @@ from trlinksim.chanmodel import (
     ReverbParams,
     Tap,
     block_len,
+    block_spectra,
     channel_correlation,
     fast_len,
     fft_convolve,
     import_frequency_response,
+    overlap_add,
     read_cir_csv,
     read_frequency_response,
     render_taps,
@@ -392,3 +397,55 @@ def test_fft_convolve_block_path_matches_direct(k):
             assert got.shape == direct.shape
             err = np.max(np.abs(got - direct)) / np.max(np.abs(direct))
             assert err <= 1e-12, (length, err)
+
+
+def _two_buffer_overlap_add(spectra, step, n):
+    """overlap_add with a separate output buffer, one row per block step."""
+    y = np.fft.ifft(spectra, axis=-1)
+    out = np.zeros((y.shape[0] + 1, step), dtype=np.complex128)
+    out[:-1] = y[:, :step]
+    out[1:, : y.shape[1] - step] += y[:, step:]
+    return out.reshape(-1)[:n]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_blocks=st.integers(1, 6),
+    step=st.integers(1, 40),
+    tail_fraction=st.floats(0.0, 1.0),
+    n_fraction=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_overlap_add_in_place_equals_two_buffer_form_bitwise(n_blocks, step, tail_fraction, n_fraction, seed):
+    tail = round(tail_fraction * step)  # 0 <= tail <= step, i.e. step <= m <= 2 * step
+    m = step + tail
+    n = 1 + round(n_fraction * ((n_blocks - 1) * step + m - 1))
+    rng = np.random.default_rng(seed)
+    spectra = rng.standard_normal((n_blocks, m)) + 1j * rng.standard_normal((n_blocks, m))
+    want = _two_buffer_overlap_add(spectra.copy(), step, n)
+    got = overlap_add(spectra, step, n)
+    assert got.shape == (n,)
+    assert got.tobytes() == want.tobytes()
+    assert np.shares_memory(got, spectra)
+
+
+def test_overlap_add_keeps_signed_zeros_as_the_two_buffer_form():
+    # Every sign pattern of all-zero spectra, two blocks with m = 2, step = 1:
+    # some patterns invert to -0.0, in the last block's tail among others.
+    for signs in itertools.product((0.0, -0.0), repeat=8):
+        spectra = np.zeros((2, 2), dtype=np.complex128)
+        spectra.real.flat = signs[:4]
+        spectra.imag.flat = signs[4:]
+        want = _two_buffer_overlap_add(spectra.copy(), 1, 3)
+        assert overlap_add(spectra, 1, 3).tobytes() == want.tobytes(), signs
+
+
+@pytest.mark.parametrize(
+    "size, step, m", [(1, 1, 1), (5, 5, 8), (777, 100, 200), (800, 100, 128), (400356, 3996, 4096)]
+)
+def test_block_spectra_equals_padded_transform_bitwise(size, step, m):
+    rng = np.random.default_rng(size)
+    x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    blocks = np.zeros((-(-size // step), step), dtype=np.complex128)
+    blocks.reshape(-1)[:size] = x
+    assert block_spectra(x, m, step).tobytes() == np.fft.fft(blocks, m, axis=-1).tobytes()

@@ -618,6 +618,13 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_the_thread_pool_module_out():
+    code = "import sys, trlinksim.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 _NO_SCIPY = """\
 import sys
 

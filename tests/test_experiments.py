@@ -1,11 +1,13 @@
 """Scenario builders, trials, sweeps, and the focusing audit."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from trlinksim.chanmodel import Cir, ReverbParams
+from trlinksim import detector, experiments, linksim
+from trlinksim.chanmodel import ONE_SHOT_MAX, Cir, ReverbParams
 from trlinksim.experiments import (
     DEFAULT_PAIRS,
     FocusEntry,
@@ -20,6 +22,7 @@ from trlinksim.experiments import (
     synth_channel_set,
 )
 from trlinksim.linksim import BOLTZMANN_J_PER_K, NoiseSpec, noise_power
+from trlinksim.sigchain import Waveform
 
 REVERB = ReverbParams(
     sample_interval=5e-12,
@@ -160,6 +163,89 @@ def test_run_trial_validation():
         run_trial(scn, seed=0, n_bits=0)
     with pytest.raises(ValueError, match="pilot"):
         run_trial(scn, seed=0, n_bits=100, pilot_len=1)
+
+
+def _recording(monkeypatch, module, name, log):
+    """Wrap module.name so each call appends (args, result) to log."""
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        result = original(*args)
+        log.append((args, result))
+        return result
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def _one_worker_map(fn, *iterables):
+    with ThreadPoolExecutor(1) as pool:
+        return list(pool.map(fn, *iterables))
+
+
+# Streams longer than ONE_SHOT_MAX samples at 4 samples per symbol, 64 pilot bits.
+LONG_BITS = ONE_SHOT_MAX // 4
+
+
+def _long_trial(monkeypatch, seed):
+    """run_trial on long streams: (results, the streams sent, the waveforms received)."""
+    scn = build_multi_tx_scenario(_channel_set(3), 2, "tr", 0.0, 50e9)
+    log = []
+    _recording(monkeypatch, experiments, "propagate", log)
+    results = run_trial(scn, seed, LONG_BITS)
+    ((args, received),) = log
+    monkeypatch.setattr(experiments, "propagate", linksim.propagate)
+    return results, args[1], received
+
+
+@pytest.mark.parametrize("serial", [map, _one_worker_map])
+def test_run_trial_on_long_streams_pooled_equals_serial(monkeypatch, serial):
+    pool_calls = []
+    _recording(monkeypatch, experiments, "_pool_map", pool_calls)
+    pooled = _long_trial(monkeypatch, 11)
+    assert len(pool_calls) == 1  # the transmit chains took the pool
+    monkeypatch.setattr(experiments, "_pool_map", serial)
+    monkeypatch.setattr(linksim, "_pool_map", serial)
+    alone = _long_trial(monkeypatch, 11)
+    assert pooled[0] == alone[0]
+    assert sum(ber.bit_errors for ber in pooled[0][1].values()) > 0
+    for got, want in zip(pooled[1:], alone[1:]):
+        assert got.keys() == want.keys()
+        for key in got:
+            assert got[key].samples.tobytes() == want[key].samples.tobytes()
+
+
+def test_short_trials_stay_off_the_pool(monkeypatch):
+    def refuse(fn, *iterables):
+        raise AssertionError("the pool serves long streams only")
+
+    monkeypatch.setattr(experiments, "_pool_map", refuse)
+    monkeypatch.setattr(linksim, "_pool_map", refuse)
+    scn = build_multi_tx_scenario(_channel_set(3), 2, "tr", 0.0, 50e9)
+    # streams and their outputs within one overlap-add block
+    run_trial(scn, seed=7, n_bits=500)
+
+
+def test_run_trial_derotates_decision_samples_as_the_whole_waveform(monkeypatch):
+    scn = build_multi_tx_scenario(_channel_set(3), 2, "tr", 0.0, 50e9)
+    mod = scn.mod_params
+    sps = mod.samples_per_symbol
+    propagations, trainings, slicings = [], [], []
+    _recording(monkeypatch, experiments, "propagate", propagations)
+    _recording(monkeypatch, experiments, "train_threshold", trainings)
+    _recording(monkeypatch, experiments, "demodulate", slicings)
+    n_bits, pilot_len = 3000, 64
+    run_trial(scn, 4, n_bits, pilot_len)
+    ((_, received),) = propagations
+    links = sorted(scn.links, key=lambda l: l.stream_id)
+    for link, training, slicing in zip(links, trainings, slicings):
+        own = scn.responses.own[link.stream_id]
+        y = received[link.rx_node]
+        whole = Waveform(y.samples * np.exp(-1j * np.angle(own.peak)), y.sample_interval)
+        pilot = training[0][1]
+        threshold = detector.train_threshold(whole, pilot, own.decision_offset, mod)
+        bits = detector.demodulate(whole, own.decision_offset + pilot_len * sps, threshold, n_bits, mod)
+        assert training[1] == threshold
+        assert np.array_equal(slicing[1], bits)
 
 
 def test_sweep_spec_validation():

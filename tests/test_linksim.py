@@ -1,12 +1,15 @@
 """Scenario wiring, propagation, and the deterministic SINR path."""
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trlinksim import linksim
 from trlinksim.chanmodel import Cir, ReverbParams, synth_reverberant
 from trlinksim.experiments import build_scatter_scenario
 from trlinksim.linksim import (
@@ -560,3 +563,35 @@ def test_propagate_through_unit_tap_returns_the_stream():
     got = propagate(scenario, {"A->B": Waveform(x, DT)}, seed=0)["B"].samples
     assert got.size == x.size
     assert np.max(np.abs(got - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+def _one_worker_map(fn, *iterables):
+    with ThreadPoolExecutor(1) as pool:
+        return list(pool.map(fn, *iterables))
+
+
+@pytest.mark.parametrize("serial", [map, _one_worker_map])
+def test_propagate_on_the_block_path_pooled_equals_serial(monkeypatch, serial):
+    scenario = _two_link_scenario(NoiseSpec.explicit(-10.0))
+    block_step = scenario.responses.block_step
+    rng = np.random.default_rng(8)
+    streams = {
+        sid: Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), DT)
+        for sid, n in (("A->B", 5 * block_step + 17), ("C->D", 3 * block_step))
+    }
+    original = linksim._pool_map
+    calls = []
+    monkeypatch.setattr(linksim, "_pool_map", lambda fn, *it: calls.append(fn) or original(fn, *it))
+    pooled = propagate(scenario, streams, seed=5)
+    assert len(calls) == 2  # the streams' transforms, then the receivers
+    monkeypatch.setattr(linksim, "_pool_map", serial)
+    alone = propagate(scenario, streams, seed=5)
+    assert list(pooled) == list(alone) == ["B", "D"]
+    for rx in pooled:
+        assert pooled[rx].samples.tobytes() == alone[rx].samples.tobytes()
+
+
+def test_pool_has_one_worker_per_usable_cpu():
+    assert list(linksim._pool_map(abs, [-1, 2, -3])) == [1, 2, 3]
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert linksim._pool()._max_workers == usable
