@@ -104,26 +104,28 @@ def block_spectra(x: np.ndarray, m: int, step: int) -> np.ndarray:
 def overlap_add(spectra: np.ndarray, step: int, n: int) -> np.ndarray:
     """Invert block spectra and overlap-add them at ``step`` into ``n`` samples.
 
+    Blocks run along the second-to-last axis; leading axes, if any, hold
+    independent signals, all inverted in one batched transform.
     Everything happens inside ``spectra``, which is overwritten, and the
-    result is a view of its first ``n`` samples. Each block's tail (its
-    last m - step samples) must fit within the next block, i.e.
+    result is a view of each signal's first ``n`` samples. Each block's
+    tail (its last m - step samples) must fit within the next block, i.e.
     m <= 2 * step, and n <= (blocks - 1) * step + m.
     """
     y = np.fft.ifft(spectra, axis=-1, out=spectra)
-    n_blocks, m = y.shape
+    *lead, n_blocks, m = y.shape
     tail = m - step
-    flat = y.reshape(-1)
+    flat = y.reshape(*lead, -1)
     # Block b lands at b * step: its head adds onto the tail of block b - 1,
     # already in place, and its remainder moves left. Moves never reach a
     # block not yet visited.
     for b in range(1, n_blocks):
         src, dst = b * m, b * step
-        flat[dst : dst + tail] += flat[src : src + tail]
-        flat[dst + tail : dst + m] = flat[src + tail : src + m]
+        flat[..., dst : dst + tail] += flat[..., src : src + tail]
+        flat[..., dst + tail : dst + m] = flat[..., src + tail : src + m]
     # Adding to zeros turns a last-tail -0.0 into 0.0, as a separate
     # output buffer would.
-    flat[n_blocks * step : n_blocks * step + tail] += 0.0
-    return flat[:n]
+    flat[..., n_blocks * step : n_blocks * step + tail] += 0.0
+    return flat[..., :n]
 
 
 def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -11,16 +11,25 @@ each transmit chain.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chanmodel import Cir, block_len, block_spectra, fast_len, overlap_add, same_grid
+from .chanmodel import (
+    ONE_SHOT_MAX,
+    Cir,
+    block_len,
+    block_spectra,
+    fast_len,
+    overlap_add,
+    same_grid,
+)
 from .sigchain import (
     ModParams,
     TrFilter,
@@ -236,8 +245,10 @@ def propagate(
     with per-sample power noise_power(scenario.noise), i.e. variance N/2
     per real dimension, drawn from a sub-seed derived from
     (seed, receiver index) so the result does not depend on evaluation
-    order; streams long enough to go block by block are transformed, and
-    then received, concurrently on the package's thread pool.
+    order; streams are summed in stream-id order, so it does not depend on
+    the order of the links either. Streams long enough to go block by
+    block are transformed, and then received, concurrently on the
+    package's thread pool.
     ``streams`` may cover a subset of the scenario's links.
     """
     if not streams:
@@ -252,18 +263,24 @@ def propagate(
         if not same_grid(waveform.sample_interval, dt):
             raise ValueError(f"grid mismatch: stream {stream_id!r} is off the modulation grid")
     table = scenario.responses
-    present = [link for link in scenario.links if link.stream_id in streams]
+    present = sorted(
+        (link for link in scenario.links if link.stream_id in streams), key=lambda l: l.stream_id
+    )
+    rxs = scenario.receivers
     # One transform covers every output when the longest stream convolved
-    # with the longest channel fits in a block; longer streams go block by
-    # block (overlap-add), which is long enough work to share out across
-    # the pool: the streams' transforms, then the receivers.
+    # with the longest channel fits in a block, and one task receives at
+    # every receiver. Longer streams go block by block (overlap-add), which
+    # is long enough work to share out across the pool: the streams'
+    # transforms, then one task per receiver.
     longest = max(streams[link.stream_id].samples.size for link in present) + table.taps - 1
     if longest <= table.block_size:
         m = step = fast_len(longest)
         mapper = map
+        groups = [slice(0, len(rxs))]
     else:
         m, step = table.block_size, table.block_step
         mapper = _pool_map
+        groups = [slice(i, i + 1) for i in range(len(rxs))]
     spectra = table.spectra(m)
     # Each stream is transformed once; every receiver sums its share of
     # the streams in the frequency domain and inverts once.
@@ -271,34 +288,54 @@ def propagate(
     blocks = dict(zip(ids, mapper(lambda sid: block_spectra(streams[sid].samples, m, step), ids)))
     n_blocks = max(b.shape[0] for b in blocks.values())
     n_watts = noise_power(scenario.noise)
-
-    def receive(rx_index: int, rx: str) -> Waveform:
-        acc = np.zeros((n_blocks, m), dtype=np.complex128)
-        for link in present:
-            # Row by row, in link order: no temporary the size of the stream.
-            h = spectra[(link.tx_node, rx)]
-            for row, x in zip(acc, blocks[link.stream_id]):
-                row += x * h
-        length = max(
-            streams[link.stream_id].samples.size + table.channels[(link.tx_node, rx)].size - 1
+    lengths = [
+        max(
+            streams[link.stream_id].samples.size + table.channels[link.tx_node][i].size - 1
             for link in present
         )
-        y = overlap_add(acc, step, length)
-        if n_watts > 0.0:
-            # In place, real draws then imaginary draws: bit for bit
-            # y + sqrt(N/2) * (a + 1j * b) without its complex temporaries.
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), rx_index)))
-            scale = math.sqrt(n_watts / 2.0)
-            draw = rng.standard_normal(length)
-            draw *= scale
-            y.real += draw
-            rng.standard_normal(out=draw)
-            draw *= scale
-            y.imag += draw
-        return Waveform._wrap(y, dt, f"rx:{rx}")
+        for i in range(len(rxs))
+    ]
 
-    rxs = scenario.receivers
-    return dict(zip(rxs, mapper(receive, range(len(rxs)), rxs)))
+    def receive(group: slice) -> list[Waveform]:
+        """The received waveforms of a run of receivers: one accumulator, one inverse."""
+        indices = range(len(rxs))[group]
+        acc = np.zeros((len(indices), n_blocks, m), dtype=np.complex128)
+        for link in present:
+            # Block by block, in stream order: no temporary the size of the
+            # stream. Each block keeps a leading axis of one, for the reason
+            # given in _shift_add_conv.
+            h = spectra[link.tx_node][group]
+            for b, x in enumerate(blocks[link.stream_id][:, np.newaxis]):
+                acc[:, b] += x * h
+        received = []
+        for i, y in zip(indices, overlap_add(acc, step, max(lengths[group]))):
+            y = y[: lengths[i]]
+            _add_noise(y, n_watts, seed, i)
+            received.append(Waveform._wrap(y, dt, f"rx:{rxs[i]}"))
+        return received
+
+    return dict(zip(rxs, itertools.chain.from_iterable(mapper(receive, groups))))
+
+
+def _add_noise(y: np.ndarray, n_watts: float, seed: int, rx_index: int) -> None:
+    """Add receiver noise of ``n_watts`` per sample to ``y`` in place; none at 0 W.
+
+    The draws come from a sub-seed of (seed, receiver index): real parts,
+    then imaginary parts, in chunks of at most ``ONE_SHOT_MAX`` samples
+    through one scratch buffer. That is bit for bit y + sqrt(N/2) * (a + 1j * b)
+    with a and b drawn whole, without stream-sized temporaries.
+    """
+    if not n_watts > 0.0:
+        return
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), rx_index)))
+    scale = math.sqrt(n_watts / 2.0)
+    draw = np.empty(min(y.size, ONE_SHOT_MAX))
+    for part in (y.real, y.imag):
+        for start in range(0, y.size, ONE_SHOT_MAX):
+            chunk = draw[: y.size - start]
+            rng.standard_normal(out=chunk)
+            chunk *= scale
+            part[start : start + chunk.size] += chunk
 
 
 @dataclass(frozen=True)
@@ -333,30 +370,57 @@ class EffectiveResponse:
         return float(mags.sum() - mags[self.zero_index])
 
 
-def _shift_add_conv(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Linear convolution as a sum of shifted scaled copies.
+def _shift_add_conv(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
+    """Linear convolution of each pair as a sum of shifted scaled copies.
 
     Products are rounded before they are summed, so taps that cancel
     analytically cancel exactly here too. Both FFT convolution and the
     fused multiply-add kernels behind numpy's direct correlate leave
     ~1e-17 residue in that case, which matters for the orthogonal-channel
     zero-interference fixtures.
+
+    Per pair, the shorter input (the second on a tie) supplies the
+    coefficients. All pairs run in one pass, side by side along the last
+    axis and zero-padded to the longest: ``out[k : k + n] += y[k] * x``
+    with x of shape (n, P) and y of shape (k, P). The padding only adds
+    signed zeros to sums that start at +0.0, and so are never -0.0, which
+    leaves every sum as its pair alone would make it. Each coefficient row
+    keeps a leading axis of one: numpy multiplies a bare (P,) row into a
+    one-element stack without the fused multiply-add its other complex
+    products use, which would move last bits.
     """
-    if len(y) > len(x):
-        x, y = y, x
-    out = np.zeros(len(x) + len(y) - 1, dtype=np.complex128)
-    for k, coeff in enumerate(y):
+    if not pairs:
+        return []
+    spans = [(a, b) if b.size <= a.size else (b, a) for a, b in pairs]
+    x = np.zeros((max(a.size for a, _ in spans), len(spans)), dtype=np.complex128)
+    y = np.zeros((max(b.size for _, b in spans), len(spans)), dtype=np.complex128)
+    for p, (a, b) in enumerate(spans):
+        x[: a.size, p] = a
+        y[: b.size, p] = b
+    out = np.zeros((len(x) + len(y) - 1, len(spans)), dtype=np.complex128)
+    for k, coeff in enumerate(y[:, np.newaxis]):
         out[k : k + len(x)] += coeff * x
-    return out
+    return [out[: a.size + b.size - 1, p].copy() for p, (a, b) in enumerate(spans)]
+
+
+def _full_rate_responses(
+    pairs: Sequence[tuple[TrFilter, Cir]], params: ModParams
+) -> list[np.ndarray]:
+    """``full_rate_response`` of every (filter, channel) pair, in two stacked passes."""
+    dt = params.sample_interval
+    for tx_filter, channel in pairs:
+        if not (
+            same_grid(tx_filter.sample_interval, dt) and same_grid(channel.sample_interval, dt)
+        ):
+            raise ValueError("grid mismatch between filter, channel, and modulation grid")
+    pulse = np.ones(params.samples_per_symbol, dtype=np.complex128)
+    shaped = _shift_add_conv([(channel.samples, tx_filter.samples) for tx_filter, channel in pairs])
+    return _shift_add_conv([(r, pulse) for r in shaped])
 
 
 def full_rate_response(tx_filter: TrFilter, channel: Cir, params: ModParams) -> np.ndarray:
     """Full-rate pulse response: channel * filter * rect(samples_per_symbol)."""
-    dt = params.sample_interval
-    if not (same_grid(tx_filter.sample_interval, dt) and same_grid(channel.sample_interval, dt)):
-        raise ValueError("grid mismatch between filter, channel, and modulation grid")
-    pulse = np.ones(params.samples_per_symbol, dtype=np.complex128)
-    return _shift_add_conv(_shift_add_conv(channel.samples, tx_filter.samples), pulse)
+    return _full_rate_responses([(tx_filter, channel)], params)[0]
 
 
 def effective_response(
@@ -385,19 +449,20 @@ class ResponseTable:
     grid, at the victim's decision phase. Every SINR component is a link
     power times an entry here, so the table serves every power setting.
 
-    ``channels`` maps each (transmitter, receiver) channel that propagation
-    uses to its samples, and ``taps`` is the longest of them; it sets the
-    overlap-add block length ``block_size``. ``spectra(m)`` gives every
-    channel's spectrum at transform length m, computed on first use.
+    ``channels`` maps each transmitter to the samples of its channels
+    toward every receiver, in ``Scenario.receivers`` order, and ``taps``
+    is the longest of them; it sets the overlap-add block length
+    ``block_size``. ``spectra(m)`` stacks each transmitter's channel
+    spectra at transform length m, computed on first use.
     """
 
     filters: Mapping[str, TrFilter]
     own: Mapping[str, EffectiveResponse]
     cochannel: Mapping[tuple[str, str], float]
-    channels: Mapping[tuple[str, str], np.ndarray]
+    channels: Mapping[str, tuple[np.ndarray, ...]]
     taps: int
     block_size: int
-    _spectra: dict[int, Mapping[tuple[str, str], np.ndarray]] = field(
+    _spectra: dict[int, Mapping[str, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -406,12 +471,14 @@ class ResponseTable:
         """Input samples per block: their convolution with any channel fits in ``block_size``."""
         return self.block_size - self.taps + 1
 
-    def spectra(self, m: int) -> Mapping[tuple[str, str], np.ndarray]:
-        """Every channel's spectrum at transform length ``m`` (at least ``taps``)."""
+    def spectra(self, m: int) -> Mapping[str, np.ndarray]:
+        """Per transmitter, a (receivers, m) stack of its channel spectra (m >= ``taps``)."""
         if m not in self._spectra:
-            self._spectra[m] = MappingProxyType(
-                {pair: block_spectra(h, m, m)[0] for pair, h in self.channels.items()}
-            )
+            stacks = {}
+            for tx, hs in self.channels.items():
+                stacks[tx] = np.stack([block_spectra(h, m, m)[0] for h in hs])
+                stacks[tx].flags.writeable = False
+            self._spectra[m] = MappingProxyType(stacks)
         return self._spectra[m]
 
     @classmethod
@@ -429,24 +496,33 @@ class ResponseTable:
             )
             for link in scenario.links
         }
+        # Every (victim, interferer) response in one stacked pass.
+        crossings = [
+            (victim, other)
+            for victim in scenario.links
+            for other in scenario.links
+            if other.stream_id != victim.stream_id
+        ]
+        cross = _full_rate_responses(
+            [
+                (filters[other.stream_id], scenario.channels[(other.tx_node, victim.rx_node)])
+                for victim, other in crossings
+            ],
+            mod,
+        )
         cochannel = {}
-        for victim in scenario.links:
+        for (victim, other), r in zip(crossings, cross):
             phase = own[victim.stream_id].decision_offset % sps
-            for other in scenario.links:
-                if other.stream_id == victim.stream_id:
-                    continue
-                r = full_rate_response(
-                    filters[other.stream_id], scenario.channels[(other.tx_node, victim.rx_node)], mod
-                )
-                cochannel[(victim.stream_id, other.stream_id)] = float(
-                    np.sum(np.abs(r[phase::sps]) ** 2)
-                )
+            cochannel[(victim.stream_id, other.stream_id)] = float(
+                np.sum(np.abs(r[phase::sps]) ** 2)
+            )
         channels = {
-            (link.tx_node, rx): scenario.channels[(link.tx_node, rx)].samples
+            link.tx_node: tuple(
+                scenario.channels[(link.tx_node, rx)].samples for rx in scenario.receivers
+            )
             for link in scenario.links
-            for rx in scenario.receivers
         }
-        taps = max(h.size for h in channels.values())
+        taps = max(h.size for hs in channels.values() for h in hs)
         return cls(
             MappingProxyType(filters),
             MappingProxyType(own),

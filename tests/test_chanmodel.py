@@ -441,6 +441,22 @@ def test_overlap_add_keeps_signed_zeros_as_the_two_buffer_form():
 
 
 @pytest.mark.parametrize(
+    "n_signals, n_blocks, step, m", [(6, 1, 1458, 1458), (3, 4, 100, 160), (2, 3, 7, 7)]
+)
+def test_overlap_add_of_stacked_signals_equals_each_alone_bitwise(n_signals, n_blocks, step, m):
+    # One batched inverse over leading axes gives every signal's bytes.
+    rng = np.random.default_rng(n_signals * n_blocks)
+    shape = (n_signals, n_blocks, m)
+    spectra = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    n = (n_blocks - 1) * step + m
+    want = [overlap_add(s.copy(), step, n).tobytes() for s in spectra]
+    got = overlap_add(spectra, step, n)
+    assert got.shape == (n_signals, n)
+    assert [row.tobytes() for row in got] == want
+    assert np.shares_memory(got, spectra)
+
+
+@pytest.mark.parametrize(
     "size, step, m", [(1, 1, 1), (5, 5, 8), (777, 100, 200), (800, 100, 128), (400356, 3996, 4096)]
 )
 def test_block_spectra_equals_padded_transform_bitwise(size, step, m):

@@ -502,15 +502,17 @@ def test_power_sweep_reads_each_file_and_response_once(tmp_path, monkeypatch):
     sections.append(TWO_LINK[TWO_LINK.index("[link 1]") : TWO_LINK.index("[sweep]")])
     cfg_path = _write(tmp_path, "files.cfg", "\n".join(sections) + _SWEEP_3x2)
     reads = _counting(monkeypatch, chanmodel, "read_cir_csv", lambda path, label=None: path)
-    responses = _counting(
-        monkeypatch,
-        linksim,
-        "full_rate_response",
-        lambda tx_filter, channel, params: (tx_filter.source_channel, channel.label),
-    )
+    responses = Counter()
+    stacked = linksim._full_rate_responses
+
+    def counted(pairs, params):
+        # (own channel of the stream, channel toward the receiver) names a (stream, rx) pair
+        responses.update((tx_filter.source_channel, channel.label) for tx_filter, channel in pairs)
+        return stacked(pairs, params)
+
+    monkeypatch.setattr(linksim, "_full_rate_responses", counted)
     assert main(["sweep-power", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
     assert len(reads) == 4 and set(reads.values()) == {1}
-    # (own channel of the stream, channel toward the receiver) names a (stream, rx) pair
     assert set(responses) == {(s, f"{s[0]}->{rx}") for s in ("A->B", "C->D") for rx in "BD"}
     assert set(responses.values()) == {1}
 

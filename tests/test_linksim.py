@@ -1,16 +1,17 @@
 """Scenario wiring, propagation, and the deterministic SINR path."""
 
+import dataclasses
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trlinksim import linksim
-from trlinksim.chanmodel import Cir, ReverbParams, synth_reverberant
+from trlinksim.chanmodel import ONE_SHOT_MAX, Cir, ReverbParams, synth_reverberant
 from trlinksim.experiments import build_scatter_scenario
 from trlinksim.linksim import (
     BOLTZMANN_J_PER_K,
@@ -27,7 +28,14 @@ from trlinksim.linksim import (
     propagate,
     sinr_from_powers,
 )
-from trlinksim.sigchain import ModParams, Waveform, dbm_to_watts, make_tr_filter, modulate_ask
+from trlinksim.sigchain import (
+    ModParams,
+    Waveform,
+    dbm_to_watts,
+    make_identity_filter,
+    make_tr_filter,
+    modulate_ask,
+)
 
 MOD = ModParams(bit_rate=50e9, samples_per_symbol=4)
 DT = MOD.sample_interval
@@ -595,3 +603,228 @@ def test_pool_has_one_worker_per_usable_cpu():
     assert list(linksim._pool_map(abs, [-1, 2, -3])) == [1, 2, 3]
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert linksim._pool()._max_workers == usable
+
+
+def _one_pair_shift_add(x, y):
+    """The shift-add convolution of one pair: loop over the shorter input, the second on a tie."""
+    if len(y) > len(x):
+        x, y = y, x
+    out = np.zeros(len(x) + len(y) - 1, dtype=np.complex128)
+    for k, coeff in enumerate(y):
+        out[k : k + len(x)] += coeff * x
+    return out
+
+
+# Signed zeros and small integers make exact cancellations and -0.0 products
+# likely; the random values cover the general case.
+_TAP_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-2.0, 2.0))
+_TAPS = st.lists(st.builds(complex, _TAP_PARTS, _TAP_PARTS), min_size=1, max_size=40).map(
+    lambda v: np.array(v, dtype=np.complex128)
+)
+
+
+# A one-element pair whose product rounds differently with and without a
+# fused multiply-add, alone and stacked next to another pair.
+_FMA_PAIR = tuple(
+    np.array([complex(float.fromhex(re), float.fromhex(im))])
+    for re, im in [
+        ("0x1.c9d676a873e2dp-53", "0x1.4d9e2d241fb92p-201"),
+        ("0x1.22508e81fa168p-263", "0x1.673269a56220bp-163"),
+    ]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_TAPS, _TAPS), min_size=1, max_size=6))
+@example([_FMA_PAIR])
+@example([(np.zeros(1, dtype=np.complex128), np.zeros(1, dtype=np.complex128)), _FMA_PAIR])
+def test_stacked_shift_add_equals_each_pair_alone_bitwise(pairs):
+    # Unequal lengths in both roles, so each pair is padded in x, in y or both.
+    got = linksim._shift_add_conv(pairs)
+    assert len(got) == len(pairs)
+    for (x, y), r in zip(pairs, got):
+        alone = linksim._shift_add_conv([(x, y)])[0]
+        assert r.tobytes() == alone.tobytes() == _one_pair_shift_add(x, y).tobytes()
+
+
+def _response_pairs():
+    """(filter, channel) pairs: swapped roles, a 1-tap identity filter, signed zeros."""
+    short = Cir(np.array([0.5, -0.0 - 1j, 0.25]), DT, "short")
+    long = _chan(7, "long")
+    zeros = Cir(np.array([1.0, -0.0, 0.0 - 0.0j, -0.0 + 0.0j, -1.0]), DT, "zeros")
+    unit = Cir(np.ones(1), DT, "unit")
+    return [
+        (make_tr_filter(long), short),  # filter longer than the channel
+        (make_tr_filter(short), long),
+        (make_tr_filter(long), long),  # a tie: the filter is the loop operand
+        (make_identity_filter(long), long),  # a 1-tap filter
+        (make_tr_filter(zeros), zeros),
+        (make_tr_filter(unit), unit),  # a response shorter than the pulse
+    ]
+
+
+@pytest.mark.parametrize("sps", [1, 2, 4])
+def test_full_rate_responses_stacked_equal_one_pair_and_loop_bitwise(sps):
+    mod = ModParams(bit_rate=50e9 * 4 / sps, samples_per_symbol=sps)
+    pairs = _response_pairs()
+    assert pairs[3][0].samples.size == 1
+    pulse = np.ones(sps, dtype=np.complex128)
+    got = linksim._full_rate_responses(pairs, mod)
+    for (tx_filter, channel), r in zip(pairs, got):
+        loop = _one_pair_shift_add(_one_pair_shift_add(channel.samples, tx_filter.samples), pulse)
+        alone = full_rate_response(tx_filter, channel, mod)
+        assert r.tobytes() == alone.tobytes() == loop.tobytes()
+
+
+def test_orthogonal_null_survives_stacking_with_longer_pairs():
+    scn = _orthogonal_scenario()
+    mod = scn.mod_params
+    victim, other = scn.links
+    cross = (scn.responses.filters[other.stream_id], scn.channels[("C", "B")])
+    longer = Cir(_chan(4).samples, mod.sample_interval)
+    r = linksim._full_rate_responses([(make_tr_filter(longer), longer), cross], mod)[1]
+    phase = scn.responses.own[victim.stream_id].decision_offset % mod.samples_per_symbol
+    assert np.all(r[phase :: mod.samples_per_symbol] == 0)
+    assert scn.responses.cochannel[(victim.stream_id, other.stream_id)] == 0.0
+
+
+def _single_draw_noise(y, n_watts, seed, rx_index):
+    """Receiver noise drawn whole: real parts, then imaginary parts."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, rx_index)))
+    draw = rng.standard_normal(y.size)
+    draw *= math.sqrt(n_watts / 2.0)
+    y.real += draw
+    rng.standard_normal(out=draw)
+    draw *= math.sqrt(n_watts / 2.0)
+    y.imag += draw
+
+
+@pytest.mark.parametrize(
+    "n",
+    [0, 1] + [k * ONE_SHOT_MAX + d for k in (1, 2) for d in (-1, 0, 1)],
+)
+def test_chunked_noise_equals_a_single_draw_bitwise(n):
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    want = y.copy()
+    _single_draw_noise(want, 1e-3, 7, 2)
+    linksim._add_noise(y, 1e-3, 7, 2)
+    assert y.tobytes() == want.tobytes()
+
+
+def test_noise_off_leaves_the_signal_alone():
+    y = np.array([1.0 - 0.0j, -0.0 + 2j, 0.0])
+    before = y.tobytes()
+    linksim._add_noise(y, noise_power(NoiseSpec.off()), 7, 0)
+    assert y.tobytes() == before
+
+
+def _per_receiver_propagate(scenario, streams, seed):
+    """The one-transform path receiver by receiver, with 1-D transforms and single noise draws."""
+    present = sorted(
+        (l for l in scenario.links if l.stream_id in streams), key=lambda l: l.stream_id
+    )
+    taps = max(c.samples.size for c in scenario.channels.values())
+    m = linksim.fast_len(max(streams[l.stream_id].samples.size for l in present) + taps - 1)
+    out = {}
+    for i, rx in enumerate(scenario.receivers):
+        acc = np.zeros(m, dtype=np.complex128)
+        for link in present:
+            acc += np.fft.fft(streams[link.stream_id].samples, m) * np.fft.fft(
+                scenario.channels[(link.tx_node, rx)].samples, m
+            )
+        length = max(
+            streams[l.stream_id].samples.size + scenario.channels[(l.tx_node, rx)].samples.size - 1
+            for l in present
+        )
+        y = np.fft.ifft(acc)[:length]
+        _single_draw_noise(y, noise_power(scenario.noise), seed, i)
+        out[rx] = y
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_links, channel_lengths, stream_lengths",
+    [
+        (1, [401], [900]),
+        (2, [401, 7, 1, 33], [900, 1300]),
+        (3, [401, 7, 1, 33, 200, 64, 1, 9, 150], [900, 1300, 17]),
+        # One-sample streams through unit taps: transforms of length one.
+        (1, [1], [1]),
+        (3, [1] * 9, [1, 1, 1]),
+    ],
+)
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_propagate_in_one_transform_receives_as_each_receiver_alone(
+    n_links, channel_lengths, stream_lengths, seed
+):
+    # The stacked accumulate and the batched inverse give every receiver the
+    # bytes of a 1-D transform per receiver.
+    scenario = _random_scenario(n_links, channel_lengths, seed, NoiseSpec.explicit(-10.0))
+    if set(channel_lengths) == {1}:
+        scenario = dataclasses.replace(
+            scenario,
+            channels={
+                pair: Cir(np.exp(1j * (seed + k)), DT) for k, pair in enumerate(scenario.channels)
+            },
+        )
+    rng = np.random.default_rng(seed)
+    streams = {
+        link.stream_id: Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), DT)
+        for link, n in zip(scenario.links, stream_lengths)
+    }
+    assert max(stream_lengths) + max(channel_lengths) - 1 <= scenario.responses.block_size
+    got = propagate(scenario, streams, seed=11)
+    want = _per_receiver_propagate(scenario, streams, 11)
+    assert list(got) == list(scenario.receivers)
+    for rx in got:
+        assert got[rx].samples.tobytes() == want[rx].tobytes()
+
+
+@st.composite
+def _reordered_scenarios(draw):
+    """A scenario, and the same scenario with its links and channel dict permuted."""
+    n_links = draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.integers(1, 80), min_size=n_links**2, max_size=n_links**2))
+    precodings = draw(st.lists(st.sampled_from(["tr", "none"]), min_size=n_links, max_size=n_links))
+    seed = draw(st.integers(0, 2**32 - 1))
+    base = _random_scenario(n_links, lengths, seed, NoiseSpec.explicit(-10.0))
+    links = tuple(dataclasses.replace(l, precoding=p) for l, p in zip(base.links, precodings))
+    scenario = dataclasses.replace(base, links=links)
+    channel_order = draw(st.permutations(list(base.channels)))
+    reordered = Scenario(
+        base.nodes,
+        {pair: base.channels[pair] for pair in channel_order},
+        tuple(draw(st.permutations(links))),
+        base.noise,
+        base.mod_params,
+    )
+    rng = np.random.default_rng(seed + 1)
+    streams = {}
+    for link in links:
+        n = draw(st.integers(1, 6000))
+        streams[link.stream_id] = Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), DT)
+    return scenario, reordered, streams
+
+
+@settings(max_examples=30, deadline=None)
+@given(_reordered_scenarios())
+def test_results_do_not_depend_on_link_or_channel_order(case):
+    scenario, reordered, streams = case
+    a, b = scenario.responses, reordered.responses
+    assert set(a.own) == set(b.own) and set(a.cochannel) == set(b.cochannel)
+    for sid, own in a.own.items():
+        other = b.own[sid]
+        assert own.taps.tobytes() == other.taps.tobytes()
+        assert (own.zero_index, own.decision_offset, own.source) == (
+            other.zero_index,
+            other.decision_offset,
+            other.source,
+        )
+    for pair, energy in a.cochannel.items():
+        assert np.float64(energy).tobytes() == np.float64(b.cochannel[pair]).tobytes()
+    got = propagate(scenario, streams, seed=4)
+    again = propagate(reordered, dict(reversed(list(streams.items()))), seed=4)
+    assert list(got) == list(again)
+    for rx in got:
+        assert got[rx].samples.tobytes() == again[rx].samples.tobytes()
