@@ -3,15 +3,17 @@
 Channels between nodes of the package are modeled as tapped delay lines:
 a sparse set of multipath components, each with an amplitude, a phase,
 and a propagation delay, rendered onto a uniform complex-baseband sample
-grid. CIRs can be built from explicit taps, synthesized as reverberant
-realizations with a prescribed RMS delay spread, or imported from a
-sampled in-band frequency response (for example a field-solver export).
+grid. CIRs can be synthesized as reverberant realizations with a
+prescribed RMS delay spread, imported from a sampled in-band frequency
+response (for example a field-solver export), or read from CSV files.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -19,16 +21,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "Tap",
     "Cir",
     "ReverbParams",
-    "render_taps",
     "synth_reverberant",
     "synth_correlated_pair",
     "import_frequency_response",
     "rms_delay_spread",
     "channel_correlation",
-    "read_frequency_response",
     "read_cir_csv",
     "write_cir_csv",
     "same_grid",
@@ -153,28 +152,6 @@ def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Tap:
-    """One multipath component: linear amplitude, phase (rad), delay (s)."""
-
-    amplitude: float
-    phase: float
-    delay: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
-            raise ValueError(f"tap amplitude must be finite and >= 0, got {self.amplitude}")
-        if not math.isfinite(self.phase):
-            raise ValueError(f"tap phase must be finite, got {self.phase}")
-        if not (math.isfinite(self.delay) and self.delay >= 0.0):
-            raise ValueError(f"tap delay must be finite and >= 0, got {self.delay}")
-
-    @property
-    def gain(self) -> complex:
-        """Complex gain, amplitude * exp(j*phase)."""
-        return self.amplitude * complex(math.cos(self.phase), math.sin(self.phase))
-
-
-@dataclass(frozen=True)
 class Cir:
     """Uniformly sampled complex-baseband channel impulse response.
 
@@ -205,35 +182,6 @@ class Cir:
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.samples.size) * self.sample_interval
-
-
-def render_taps(
-    taps: Iterable[Tap],
-    sample_interval: float,
-    duration: float,
-    label: str = "",
-) -> Cir:
-    """Render a tap list onto a uniform grid of the given duration.
-
-    Each tap deposits its complex gain on the sample index nearest its
-    delay; taps that land on the same index add coherently.
-    """
-    tap_list = list(taps)
-    if not tap_list:
-        raise ValueError("no taps")
-    if sample_interval <= 0.0:
-        raise ValueError("sample_interval must be positive")
-    if duration < max(t.delay for t in tap_list):
-        raise ValueError("tap beyond duration")
-    n = max(int(round(duration / sample_interval)), 1)
-    out = np.zeros(n, dtype=np.complex128)
-    for tap in tap_list:
-        idx = int(round(tap.delay / sample_interval))
-        if idx >= n:
-            # A delay within half a sample of the grid end rounds past it.
-            raise ValueError("tap beyond duration")
-        out[idx] += tap.gain
-    return Cir(out, sample_interval, label)
 
 
 @dataclass(frozen=True)
@@ -479,36 +427,23 @@ def _parse_csv_rows(lines: Iterable[str], what: str) -> list[tuple[float, float,
     return rows
 
 
-def _read_csv_rows(path: str | Path) -> np.ndarray:
-    """Shared three-column CSV reader: an (n, 3) float array; '#' lines and blanks are skipped.
+def read_cir_csv(path: str | Path, label: str | None = None) -> Cir:
+    """Read a ``time_s,real,imag`` CIR file written by :func:`write_cir_csv`.
 
-    numpy parses the data lines in one pass. Where it cannot, the
-    row-by-row parser runs instead: it names the offending line, and it
-    takes the lines numpy refuses but this format allows (a number spelled
-    ``1_000``, an indented comment, a line of blanks), so both paths give
-    the same rows.
+    Lines starting with '#' and blank lines are skipped. numpy parses the
+    data lines in one pass. Where it cannot, the row-by-row parser runs
+    instead: it names the offending line, and it takes the lines numpy
+    refuses but this format allows (a number spelled ``1_000``, an
+    indented comment, a line of blanks), so both paths give the same rows.
     """
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     data = [line for line in lines if line and line[0] != "#"]
-    if data:
-        try:
-            rows = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if rows.shape[1] == 3:
-                return rows
-    return np.array(_parse_csv_rows(lines, str(path)), dtype=np.float64).reshape(-1, 3)
-
-
-def read_frequency_response(path: str | Path) -> list[tuple[float, float, float]]:
-    """Read ``frequency_hz,real,imag`` records from a text file."""
-    return [tuple(row) for row in _read_csv_rows(path).tolist()]
-
-
-def read_cir_csv(path: str | Path, label: str | None = None) -> Cir:
-    """Read a ``time_s,real,imag`` CIR file written by :func:`write_cir_csv`."""
-    rows = _read_csv_rows(path)
+    try:
+        rows = np.loadtxt(data, delimiter=",", comments=None, ndmin=2) if data else None
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape[1] != 3:
+        rows = np.array(_parse_csv_rows(lines, str(path)), dtype=np.float64).reshape(-1, 3)
     if len(rows) < 2:
         raise ValueError(f"{path}: insufficient data: need at least two samples to infer the grid")
     dt_all = np.diff(rows[:, 0])
@@ -527,9 +462,31 @@ def read_cir_csv(path: str | Path, label: str | None = None) -> Cir:
     return Cir(samples, dt, label)
 
 
+def _atomic_write(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in the same directory.
+
+    Readers see the old file or the whole new one, never a partial write.
+    Missing parent directories are created.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_cir_csv(cir: Cir, path: str | Path) -> None:
-    """Write a CIR as ``time_s,real,imag`` rows (full float precision)."""
-    lines = ["# time_s,real,imag"]
+    """Write a CIR as ``time_s,real,imag`` rows (full float precision), atomically.
+
+    The first line is the comment ``# cir LABEL sample_interval_s=DT``.
+    """
+    lines = [f"# cir {cir.label} sample_interval_s={cir.sample_interval:.17g}"]
     for t, v in zip(cir.times, cir.samples):
         lines.append(f"{t:.17g},{v.real:.17g},{v.imag:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _atomic_write(path, "\n".join(lines) + "\n")

@@ -2,7 +2,7 @@
 
 Reads an INI-like run configuration, builds scenarios, and writes
 deterministic CSV results. Every output-affecting setting comes either
-from the config file or from a documented default (see DEFAULTS below);
+from the config file or from a documented default (see SCHEMA below);
 unknown sections or keys are rejected unless --no-strict is given.
 """
 
@@ -10,43 +10,26 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
-import os
 import re
 import sys
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
-from . import chanmodel, detector, experiments, linksim, sigchain
+from . import chanmodel, experiments, linksim, sigchain
 
 __all__ = [
     "ConfigError",
     "ChannelSource",
+    "Key",
     "RunConfig",
+    "SCHEMA",
     "parse_config",
     "realize_channels",
     "main",
 ]
-
-# Documented defaults for optional settings. Everything else that can
-# change the numbers must appear in the config or as a CLI flag.
-DEFAULTS = {
-    "bit_rate_bps": 50e9,
-    "samples_per_symbol": 4,
-    "level_zero": 0.0,
-    "level_one": 1.0,
-    "carrier_hz": 140e9,
-    "precoding": "tr",
-    "power_dbm": 0.0,
-    "rician_k": 0.0,
-    "total_energy": 1.0,
-    "n_bits": 1000,
-    "master_seed": 0,
-    "pilot_bits": 64,
-    "output_dir": "out",
-}
 
 SWEEP_HEADER = (
     "variable,value,link,sinr_db,signal_w,isi_w,cochannel_w,noise_w,"
@@ -103,34 +86,183 @@ def _parse_sections(text: str) -> dict[str, tuple[int, dict[str, _Entry]]]:
     return sections
 
 
-def _as_float(entry: _Entry, what: str) -> float:
+# Value parsers: (text, key name) -> value. A ValueError's message gets
+# the line number in front.
+
+
+def _number(text: str, key: str) -> float:
     try:
-        return float(entry.value)
+        return float(text)
     except ValueError:
-        raise ConfigError(f"line {entry.lineno}: {what} must be a number, got {entry.value!r}") from None
+        raise ValueError(f"{key} must be a number, got {text!r}") from None
 
 
-def _as_int(entry: _Entry, what: str) -> int:
-    value = _as_float(entry, what)
-    if int(value) != value:
-        raise ConfigError(f"line {entry.lineno}: {what} must be an integer, got {entry.value!r}")
+def _integer(text: str, key: str) -> int:
+    try:
+        return int(text)  # exact at any size, where a float would round
+    except ValueError:
+        value = _number(text, key)
+    if not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {text!r}")
     return int(value)
 
 
-def _check_keys(name: str, lineno: int, body: dict[str, _Entry], allowed: set[str], strict: bool) -> None:
-    for key, entry in body.items():
-        if key not in allowed:
-            message = f"line {entry.lineno}: unknown key {key!r} in [{name}]"
-            if strict:
-                raise ConfigError(message)
-            print(f"warning: {message}", file=sys.stderr)
+def _at_least(low: int) -> Callable[[str, str], int]:
+    def parse(text: str, key: str) -> int:
+        value = _integer(text, key)
+        if value < low:
+            raise ValueError(f"{key} must be " + (f"at least {low}" if low else "non-negative"))
+        return value
+
+    return parse
+
+
+def _one_of(choices: tuple[str, ...], refusal: str) -> Callable[[str, str], str]:
+    def parse(text: str, key: str) -> str:
+        if text not in choices:
+            raise ValueError(refusal.format(text))
+        return text
+
+    return parse
+
+
+def _names(text: str, key: str) -> tuple[str, ...]:
+    names = tuple(n.strip() for n in text.split(",") if n.strip())
+    if not names:
+        raise ValueError(f"[nodes] {key} is empty")
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate node names")
+    return names
+
+
+def _numbers(text: str, key: str) -> tuple[float, ...]:
+    try:
+        values = tuple(float(v.strip()) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise ValueError(f"{key} must be comma-separated numbers") from None
+    if not values:
+        raise ValueError(f"{key} is empty")
+    return values
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: its parser, what holds when it is absent, and where it goes.
+
+    ``default`` is config text, parsed as if written; None leaves the key
+    unset for the code that reads it. ``field`` names the attribute the
+    value fills, when it differs from the key. A key with ``when`` set
+    applies only to that kind of section (a channel's ``file`` or
+    ``model``, a noise ``mode``) and must be absent from the others.
+    """
+
+    name: str
+    parse: Callable[[str, str], object] = lambda text, key: text
+    default: str | None = None
+    required: bool = False
+    when: str | None = None
+    field: str | None = None
+
+
+_MODES = ("thermal", "explicit")
+_VARIABLES = experiments._SWEEP_VARIABLES
+
+# One table per kind of section, keys in the order they are read. The
+# README's config reference lists the same keys and defaults.
+SCHEMA: dict[str, tuple[Key, ...]] = {
+    "nodes": (Key("names", _names, required=True),),
+    "channel": (
+        Key("file", when="file"),
+        Key("model", _one_of(("reverberant",), "unknown channel model {!r}"), when="model"),
+        Key("sample_interval_s", _number, when="model", field="sample_interval"),
+        Key("num_taps", _integer, required=True, when="model"),
+        Key("rms_delay_spread_s", _number, required=True, when="model", field="rms_delay_spread_target"),
+        Key("max_delay_s", _number, required=True, when="model", field="max_delay"),
+        Key("rician_k", _number, "0", when="model"),
+        Key("total_energy", _number, "1", when="model"),
+        Key("seed", _at_least(0), when="model"),
+    ),
+    "link": (
+        Key("tx", required=True, field="tx_node"),
+        Key("rx", required=True, field="rx_node"),
+        Key("precoding", default="tr"),
+        Key("power_dbm", _number, "0", field="tx_power_dbm"),
+    ),
+    "modulation": (
+        Key("bit_rate_bps", _number, "50e9", field="bit_rate"),
+        Key("samples_per_symbol", _integer, "4"),
+        Key("level_zero", _number, "0"),
+        Key("level_one", _number, "1"),
+        Key("carrier_hz", _number, "140e9"),
+    ),
+    "noise": (
+        Key("mode", _one_of(_MODES, "noise mode must be 'thermal' or 'explicit', got {!r}"), required=True),
+        Key("temperature_k", _number, required=True, when="thermal"),
+        Key("bandwidth_hz", _number, required=True, when="thermal"),
+        Key("power_dbm", _number, required=True, when="explicit"),
+    ),
+    "sweep": (
+        Key(
+            "variable",
+            _one_of(_VARIABLES, f"variable must be one of {_VARIABLES}, got {{!r}}"),
+            field="sweep_variable",
+        ),
+        Key("values", _numbers, field="sweep_values"),
+        Key("n_bits", _at_least(100), "1000"),
+        Key("n_trials", _at_least(1)),
+        Key("master_seed", _at_least(0), "0"),
+        Key("pilot_bits", _at_least(2), "64", field="pilot_len"),
+    ),
+    "output": (Key("dir", default="out", field="out_dir"),),
+}
+
+# What a section is called where a key with ``when`` set does not apply.
+_NOT_FOR = {"file": "a file-backed channel", "thermal": "thermal noise", "explicit": "explicit noise"}
+
+_CHANNEL_SECTION = re.compile(r'^channel\s+"([^"]+)"$')
+_LINK_SECTION = re.compile(r"^link\s+(\d+)$")
+
+
+def _kind(name: str) -> str | None:
+    """The schema a section follows; None for an unknown section."""
+    for kind, pattern in (("channel", _CHANNEL_SECTION), ("link", _LINK_SECTION)):
+        if pattern.match(name):
+            return kind
+    return name if name in ("nodes", "modulation", "noise", "sweep", "output") else None
+
+
+def _read(
+    section: str, lineno: int, body: dict[str, _Entry], keys: tuple[Key, ...], when: str | None = None
+) -> dict[str, object]:
+    """Each key that applies ``when``, parsed or defaulted, by its field name."""
+    for key in keys:
+        if key.when not in (None, when) and key.name in body:
+            raise ConfigError(
+                f"line {body[key.name].lineno}: {key.name!r} does not apply to {_NOT_FOR[when]}"
+            )
+    values = {}
+    for key in (k for k in keys if k.when in (None, when)):
+        entry = body.get(key.name)
+        if entry is None and key.required:
+            raise ConfigError(f"line {lineno}: missing required key {key.name!r} in [{section}]")
+        text = key.default if entry is None else entry.value
+        try:
+            values[key.field or key.name] = None if text is None else key.parse(text, key.name)
+        except ValueError as exc:
+            raise ConfigError(f"line {entry.lineno}: {exc}") from None
+    return values
+
+
+def _warn_or_raise(message: str, strict: bool) -> None:
+    if strict:
+        raise ConfigError(message)
+    print(f"warning: {message}", file=sys.stderr)
 
 
 @dataclass(frozen=True)
 class ChannelSource:
     """Where one channel comes from: a CIR file or the reverberant model."""
 
-    pair: tuple[str, str]
     file: str | None = None
     reverb: chanmodel.ReverbParams | None = None
     seed: int | None = None  # pins the realization across trials when set
@@ -167,37 +299,7 @@ class RunConfig:
         return 10 if self.has_fresh_synthetic else 1
 
 
-_CHANNEL_SECTION = re.compile(r'^channel\s+"([^"]+)"$')
-_LINK_SECTION = re.compile(r"^link\s+(\d+)$")
-
-_NODE_KEYS = {"names"}
-_CHANNEL_KEYS = {
-    "file",
-    "model",
-    "num_taps",
-    "rms_delay_spread_s",
-    "max_delay_s",
-    "rician_k",
-    "total_energy",
-    "sample_interval_s",
-    "seed",
-}
-_LINK_KEYS = {"tx", "rx", "precoding", "power_dbm"}
-_MOD_KEYS = {"bit_rate_bps", "samples_per_symbol", "level_zero", "level_one", "carrier_hz"}
-_NOISE_KEYS = {"mode", "temperature_k", "bandwidth_hz", "power_dbm"}
-_SWEEP_KEYS = {"variable", "values", "n_bits", "n_trials", "master_seed", "pilot_bits"}
-_OUTPUT_KEYS = {"dir"}
-
-_SWEEP_VARIABLE_NAMES = ("tx_power_dbm", "aggregate_rate_bps", "n_links")
-
-
-def _require(body: dict[str, _Entry], key: str, section: str, lineno: int) -> _Entry:
-    if key not in body:
-        raise ConfigError(f"line {lineno}: missing required key {key!r} in [{section}]")
-    return body[key]
-
-
-def _parse_pair(pair_text: str, nodes: set[str], lineno: int) -> tuple[str, str]:
+def _parse_pair(pair_text: str, nodes: tuple[str, ...], lineno: int) -> tuple[str, str]:
     parts = [p.strip() for p in pair_text.split("->")]
     if len(parts) != 2 or not all(parts):
         raise ConfigError(f'line {lineno}: channel name must look like "A->B", got {pair_text!r}')
@@ -209,59 +311,50 @@ def _parse_pair(pair_text: str, nodes: set[str], lineno: int) -> tuple[str, str]
     return parts[0], parts[1]
 
 
+def _check_sweep_value(
+    variable: str, value: float, links: list[linksim.LinkSpec], mod: sigchain.ModParams
+) -> None:
+    """Refuse a grid value that the sweep over ``variable`` could not run."""
+    if variable == "tx_power_dbm" and not math.isfinite(value):
+        raise ValueError(f"tx_power_dbm sweep value {value!r} must be finite")
+    if variable == "aggregate_rate_bps":
+        if not value > 0.0:
+            raise ValueError(f"aggregate_rate_bps sweep value {value!r} must be positive")
+        experiments.mod_params_for_rate(value / len(links), mod.sample_interval)
+    if variable == "n_links" and not (value.is_integer() and 1 <= value <= len(links)):
+        raise ValueError(f"n_links sweep value {value!r} must be an integer in [1, {len(links)}]")
+
+
 def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConfig:
     """Parse and validate a run configuration.
 
     ``base_dir`` anchors relative channel file paths (normally the
     directory containing the config file). Semantic errors name the line
-    they come from.
+    they come from. ``SCHEMA`` parses each key; the rules that tie keys
+    and sections together follow here.
     """
     sections = _parse_sections(text)
-
-    known_simple = {"nodes", "modulation", "noise", "sweep", "output"}
-    for name, (lineno, _) in sections.items():
-        if name in known_simple or _CHANNEL_SECTION.match(name) or _LINK_SECTION.match(name):
+    for name, (lineno, body) in sections.items():
+        kind = _kind(name)
+        if kind is None:
+            _warn_or_raise(f"line {lineno}: unknown section [{name}]", strict)
             continue
-        message = f"line {lineno}: unknown section [{name}]"
-        if strict:
-            raise ConfigError(message)
-        print(f"warning: {message}", file=sys.stderr)
+        for key, entry in body.items():
+            if key not in {k.name for k in SCHEMA[kind]}:
+                _warn_or_raise(f"line {entry.lineno}: unknown key {key!r} in [{name}]", strict)
+
+    def read(name: str, keys: tuple[Key, ...], when: str | None = None) -> dict[str, object]:
+        return _read(name, *sections.get(name, (0, {})), keys, when)
 
     if "nodes" not in sections:
         raise ConfigError("missing required section [nodes]")
-    nodes_line, nodes_body = sections["nodes"]
-    _check_keys("nodes", nodes_line, nodes_body, _NODE_KEYS, strict)
-    names_entry = _require(nodes_body, "names", "nodes", nodes_line)
-    node_list = [n.strip() for n in names_entry.value.split(",") if n.strip()]
-    if not node_list:
-        raise ConfigError(f"line {names_entry.lineno}: [nodes] names is empty")
-    if len(set(node_list)) != len(node_list):
-        raise ConfigError(f"line {names_entry.lineno}: duplicate node names")
-    node_set = set(node_list)
+    nodes = read("nodes", SCHEMA["nodes"])["names"]
 
     # Modulation first: synthetic channels default onto its sample grid.
-    mod_line, mod_body = sections.get("modulation", (0, {}))
-    if "modulation" in sections:
-        _check_keys("modulation", mod_line, mod_body, _MOD_KEYS, strict)
     try:
-        mod = sigchain.ModParams(
-            bit_rate=_as_float(mod_body["bit_rate_bps"], "bit_rate_bps")
-            if "bit_rate_bps" in mod_body
-            else DEFAULTS["bit_rate_bps"],
-            samples_per_symbol=_as_int(mod_body["samples_per_symbol"], "samples_per_symbol")
-            if "samples_per_symbol" in mod_body
-            else DEFAULTS["samples_per_symbol"],
-            level_zero=_as_float(mod_body["level_zero"], "level_zero")
-            if "level_zero" in mod_body
-            else DEFAULTS["level_zero"],
-            level_one=_as_float(mod_body["level_one"], "level_one")
-            if "level_one" in mod_body
-            else DEFAULTS["level_one"],
-            carrier_hz=_as_float(mod_body["carrier_hz"], "carrier_hz")
-            if "carrier_hz" in mod_body
-            else DEFAULTS["carrier_hz"],
-        )
+        mod = sigchain.ModParams(**read("modulation", SCHEMA["modulation"]))
     except ValueError as exc:
+        mod_line = sections.get("modulation", (0,))[0]
         raise ConfigError(f"line {mod_line}: invalid [modulation]: {exc}") from None
 
     channel_sources: dict[tuple[str, str], ChannelSource] = {}
@@ -269,81 +362,41 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
         match = _CHANNEL_SECTION.match(name)
         if not match:
             continue
-        pair = _parse_pair(match.group(1), node_set, lineno)
+        pair = _parse_pair(match.group(1), nodes, lineno)
         if pair in channel_sources:
             raise ConfigError(f"line {lineno}: duplicate channel {pair[0]}->{pair[1]}")
-        _check_keys(name, lineno, body, _CHANNEL_KEYS, strict)
-        has_file = "file" in body
-        has_model = "model" in body
-        if has_file == has_model:
+        if ("file" in body) == ("model" in body):
             raise ConfigError(f"line {lineno}: [{name}] needs exactly one of 'file' or 'model'")
-        if has_file:
-            for key in body:
-                if key not in ("file",) and key in _CHANNEL_KEYS:
-                    raise ConfigError(
-                        f"line {body[key].lineno}: {key!r} does not apply to a file-backed channel"
-                    )
-            path = Path(base_dir) / body["file"].value
+        params = read(name, SCHEMA["channel"], "file" if "file" in body else "model")
+        if "file" in body:
+            path = Path(base_dir) / params["file"]
             if not path.is_file():
                 raise ConfigError(f"line {body['file'].lineno}: channel file not found: {path}")
-            channel_sources[pair] = ChannelSource(pair, file=str(path))
+            channel_sources[pair] = ChannelSource(file=str(path))
             continue
-        model = body["model"].value
-        if model != "reverberant":
-            raise ConfigError(f"line {body['model'].lineno}: unknown channel model {model!r}")
+        # What is left after the model and seed are ReverbParams fields.
+        del params["model"]
+        seed = params.pop("seed")
+        if params["sample_interval"] is None:
+            params["sample_interval"] = mod.sample_interval
         try:
-            reverb = chanmodel.ReverbParams(
-                sample_interval=_as_float(body["sample_interval_s"], "sample_interval_s")
-                if "sample_interval_s" in body
-                else mod.sample_interval,
-                num_taps=_as_int(_require(body, "num_taps", name, lineno), "num_taps"),
-                rms_delay_spread_target=_as_float(
-                    _require(body, "rms_delay_spread_s", name, lineno), "rms_delay_spread_s"
-                ),
-                max_delay=_as_float(_require(body, "max_delay_s", name, lineno), "max_delay_s"),
-                rician_k=_as_float(body["rician_k"], "rician_k")
-                if "rician_k" in body
-                else DEFAULTS["rician_k"],
-                total_energy=_as_float(body["total_energy"], "total_energy")
-                if "total_energy" in body
-                else DEFAULTS["total_energy"],
-            )
+            channel_sources[pair] = ChannelSource(reverb=chanmodel.ReverbParams(**params), seed=seed)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: invalid [{name}]: {exc}") from None
-        seed = _as_int(body["seed"], "seed") if "seed" in body else None
-        if seed is not None and seed < 0:
-            raise ConfigError(f"line {body['seed'].lineno}: seed must be non-negative")
-        channel_sources[pair] = ChannelSource(pair, reverb=reverb, seed=seed)
 
-    link_sections = []
-    for name, (lineno, body) in sections.items():
-        match = _LINK_SECTION.match(name)
-        if match:
-            link_sections.append((int(match.group(1)), name, lineno, body))
-    link_sections.sort()
-    links = []
-    seen_streams = set()
-    for _, name, lineno, body in link_sections:
-        _check_keys(name, lineno, body, _LINK_KEYS, strict)
-        tx_entry = _require(body, "tx", name, lineno)
-        rx_entry = _require(body, "rx", name, lineno)
-        for entry in (tx_entry, rx_entry):
-            if entry.value not in node_set:
-                raise ConfigError(f"line {entry.lineno}: undefined node {entry.value!r}")
-        precoding = body["precoding"].value if "precoding" in body else DEFAULTS["precoding"]
-        power = (
-            _as_float(body["power_dbm"], "power_dbm")
-            if "power_dbm" in body
-            else DEFAULTS["power_dbm"]
-        )
-        stream_id = f"{tx_entry.value}->{rx_entry.value}"
-        if stream_id in seen_streams:
+    links: list[linksim.LinkSpec] = []
+    numbered = [(int(m.group(1)), name) for name in sections if (m := _LINK_SECTION.match(name))]
+    for _, name in sorted(numbered):
+        lineno, body = sections[name]
+        spec = read(name, SCHEMA["link"])
+        for end, node in (("tx", spec["tx_node"]), ("rx", spec["rx_node"])):
+            if node not in nodes:
+                raise ConfigError(f"line {body[end].lineno}: undefined node {node!r}")
+        stream_id = f"{spec['tx_node']}->{spec['rx_node']}"
+        if any(link.stream_id == stream_id for link in links):
             raise ConfigError(f"line {lineno}: duplicate link {stream_id}")
-        seen_streams.add(stream_id)
         try:
-            links.append(
-                linksim.LinkSpec(tx_entry.value, rx_entry.value, stream_id, precoding, power)
-            )
+            links.append(linksim.LinkSpec(stream_id=stream_id, **spec))
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: invalid [{name}]: {exc}") from None
     if not links:
@@ -351,108 +404,34 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
 
     if "noise" not in sections:
         raise ConfigError("missing required section [noise]")
-    noise_line, noise_body = sections["noise"]
-    _check_keys("noise", noise_line, noise_body, _NOISE_KEYS, strict)
-    mode_entry = _require(noise_body, "mode", "noise", noise_line)
+    # The mode says which of the other keys apply.
+    mode = read("noise", SCHEMA["noise"][:1])["mode"]
     try:
-        if mode_entry.value == "thermal":
-            for key in ("power_dbm",):
-                if key in noise_body:
-                    raise ConfigError(
-                        f"line {noise_body[key].lineno}: {key!r} does not apply to thermal noise"
-                    )
-            noise = linksim.NoiseSpec.thermal(
-                _as_float(_require(noise_body, "temperature_k", "noise", noise_line), "temperature_k"),
-                _as_float(_require(noise_body, "bandwidth_hz", "noise", noise_line), "bandwidth_hz"),
-            )
-        elif mode_entry.value == "explicit":
-            for key in ("temperature_k", "bandwidth_hz"):
-                if key in noise_body:
-                    raise ConfigError(
-                        f"line {noise_body[key].lineno}: {key!r} does not apply to explicit noise"
-                    )
-            noise = linksim.NoiseSpec.explicit(
-                _as_float(_require(noise_body, "power_dbm", "noise", noise_line), "power_dbm")
-            )
-        else:
-            raise ConfigError(
-                f"line {mode_entry.lineno}: noise mode must be 'thermal' or 'explicit', got {mode_entry.value!r}"
-            )
+        noise = linksim.NoiseSpec(**read("noise", SCHEMA["noise"], mode))
     except ValueError as exc:
-        raise ConfigError(f"line {noise_line}: invalid [noise]: {exc}") from None
+        raise ConfigError(f"line {sections['noise'][0]}: invalid [noise]: {exc}") from None
 
-    sweep_line, sweep_body = sections.get("sweep", (0, {}))
-    if "sweep" in sections:
-        _check_keys("sweep", sweep_line, sweep_body, _SWEEP_KEYS, strict)
-    sweep_variable = None
-    if "variable" in sweep_body:
-        sweep_variable = sweep_body["variable"].value
-        if sweep_variable not in _SWEEP_VARIABLE_NAMES:
-            raise ConfigError(
-                f"line {sweep_body['variable'].lineno}: variable must be one of "
-                f"{_SWEEP_VARIABLE_NAMES}, got {sweep_variable!r}"
-            )
-    sweep_values = None
-    if "values" in sweep_body:
-        entry = sweep_body["values"]
-        if sweep_variable is None:
-            raise ConfigError(f"line {entry.lineno}: values requires variable to say what is swept")
+    sweep = read("sweep", SCHEMA["sweep"])
+    if sweep["sweep_values"] is not None:
+        values_line = sections["sweep"][1]["values"].lineno
+        if sweep["sweep_variable"] is None:
+            raise ConfigError(f"line {values_line}: values requires variable to say what is swept")
         try:
-            sweep_values = tuple(float(v.strip()) for v in entry.value.split(",") if v.strip())
-        except ValueError:
-            raise ConfigError(f"line {entry.lineno}: values must be comma-separated numbers") from None
-        if not sweep_values:
-            raise ConfigError(f"line {entry.lineno}: values is empty")
-    n_bits = _as_int(sweep_body["n_bits"], "n_bits") if "n_bits" in sweep_body else DEFAULTS["n_bits"]
-    if n_bits < 100:
-        raise ConfigError(f"line {sweep_body['n_bits'].lineno}: n_bits must be at least 100")
-    n_trials = _as_int(sweep_body["n_trials"], "n_trials") if "n_trials" in sweep_body else None
-    if n_trials is not None and n_trials < 1:
-        raise ConfigError(f"line {sweep_body['n_trials'].lineno}: n_trials must be at least 1")
-    master_seed = (
-        _as_int(sweep_body["master_seed"], "master_seed")
-        if "master_seed" in sweep_body
-        else DEFAULTS["master_seed"]
-    )
-    if master_seed < 0:
-        raise ConfigError(f"line {sweep_body['master_seed'].lineno}: master_seed must be non-negative")
-    pilot_len = (
-        _as_int(sweep_body["pilot_bits"], "pilot_bits")
-        if "pilot_bits" in sweep_body
-        else DEFAULTS["pilot_bits"]
-    )
-    if pilot_len < 2:
-        raise ConfigError(f"line {sweep_body['pilot_bits'].lineno}: pilot_bits must be at least 2")
-
-    out_line, out_body = sections.get("output", (0, {}))
-    if "output" in sections:
-        _check_keys("output", out_line, out_body, _OUTPUT_KEYS, strict)
-    out_dir = out_body["dir"].value if "dir" in out_body else DEFAULTS["output_dir"]
-
-    cfg = RunConfig(
-        nodes=tuple(node_list),
-        channel_sources=channel_sources,
-        links=tuple(links),
-        mod=mod,
-        noise=noise,
-        sweep_variable=sweep_variable,
-        sweep_values=sweep_values,
-        n_bits=n_bits,
-        n_trials=n_trials,
-        master_seed=master_seed,
-        pilot_len=pilot_len,
-        out_dir=out_dir,
-    )
+            for value in sweep["sweep_values"]:
+                _check_sweep_value(sweep["sweep_variable"], value, links, mod)
+        except ValueError as exc:
+            raise ConfigError(f"line {values_line}: {exc}") from None
 
     # Links must be able to reach every receiver in the full configuration.
-    receivers = sorted({link.rx_node for link in cfg.links})
-    for link in cfg.links:
+    receivers = sorted({link.rx_node for link in links})
+    for link in links:
         for rx in receivers:
             if (link.tx_node, rx) not in channel_sources:
                 raise ConfigError(
                     f'missing section [channel "{link.tx_node}->{rx}"] required by the links'
                 )
-    return cfg
+    output = read("output", SCHEMA["output"])
+    return RunConfig(nodes, channel_sources, tuple(links), mod, noise, **sweep, **output)
 
 
 def realize_channels(
@@ -491,10 +470,6 @@ def realize_channels(
     return out
 
 
-def _is_scatter(links: tuple[linksim.LinkSpec, ...]) -> bool:
-    return len(links) > 1 and len({link.tx_node for link in links}) == 1
-
-
 def _build_scenario(
     cfg: RunConfig,
     channels: Mapping[tuple[str, str], chanmodel.Cir],
@@ -504,20 +479,9 @@ def _build_scenario(
     """Assemble a scenario from config links, with an optional per-stream rate."""
     mod = cfg.mod
     if rate_per_stream is not None:
-        mod = experiments.mod_params_for_rate(
-            rate_per_stream,
-            cfg.mod.sample_interval,
-            cfg.mod.level_zero,
-            cfg.mod.level_one,
-            cfg.mod.carrier_hz,
-        )
-    receivers = sorted({link.rx_node for link in links})
-    needed = {}
-    for link in links:
-        for rx in receivers:
-            pair = (link.tx_node, rx)
-            needed[pair] = channels[pair]
-    return linksim.Scenario(cfg.nodes, needed, links, cfg.noise, mod)
+        fit = experiments.mod_params_for_rate(rate_per_stream, mod.sample_interval)
+        mod = dataclasses.replace(mod, bit_rate=fit.bit_rate, samples_per_symbol=fit.samples_per_symbol)
+    return linksim.Scenario(cfg.nodes, channels, links, cfg.noise, mod)
 
 
 def _stream_powers(links: tuple[linksim.LinkSpec, ...], power_value: float) -> dict[str, float]:
@@ -527,15 +491,13 @@ def _stream_powers(links: tuple[linksim.LinkSpec, ...], power_value: float) -> d
     (several links sharing one transmitter) where it is the total budget
     split equally across streams.
     """
-    if _is_scatter(links):
-        per_stream = power_value - 10.0 * math.log10(len(links))
-    else:
-        per_stream = power_value
-    return {link.stream_id: per_stream for link in links}
+    if len(links) > 1 and len({link.tx_node for link in links}) == 1:
+        power_value = experiments.split_power_dbm(power_value, len(links))
+    return {link.stream_id: power_value for link in links}
 
 
-def _sweep_rows(cfg: RunConfig, variable: str, grid: tuple, links: tuple | None = None):
-    links = cfg.links if links is None else links
+def _sweep_rows(cfg: RunConfig, variable: str, grid: tuple) -> list[experiments.SweepRow]:
+    links = cfg.links
     spec = experiments.SweepSpec(
         variable=variable,
         grid=grid,
@@ -557,9 +519,7 @@ def _sweep_rows(cfg: RunConfig, variable: str, grid: tuple, links: tuple | None 
             return lambda value: _build_scenario(
                 cfg, channels, links, rate_per_stream=float(value) / len(links)
             )
-        if variable == "n_links":
-            return lambda value: _build_scenario(cfg, channels, cfg.links[: int(value)])
-        return lambda value: _build_scenario(cfg, channels, links)
+        return lambda value: _build_scenario(cfg, channels, links[: int(value)])
 
     if cfg.has_fresh_synthetic:
 
@@ -568,50 +528,53 @@ def _sweep_rows(cfg: RunConfig, variable: str, grid: tuple, links: tuple | None 
 
     else:
         # One realization serves every trial: one scenario per grid value.
-        build = at_realization(fixed)
-        scenarios: dict[float, linksim.Scenario] = {}
+        build = functools.cache(at_realization(fixed))
 
         def template(value: float, channel_seed: int) -> linksim.Scenario:
-            if value not in scenarios:
-                scenarios[value] = build(value)
-            return scenarios[value]
+            return build(value)
 
     return experiments.sweep(spec, template)
 
 
-def cmd_run(cfg: RunConfig) -> list[experiments.SweepRow]:
-    """Monte Carlo over the configured links exactly as written."""
-    return _sweep_rows(cfg, "config", (0.0,))
+def _sweep_csv(cfg: RunConfig, command: str, variable: str, default: tuple, path: Path) -> list[Path]:
+    """Sweep ``variable`` over the config's values, or ``default`` when it names none.
+
+    A config that names a sweep variable serves only the command sweeping it.
+    """
+    if cfg.sweep_variable not in (None, variable):
+        raise ConfigError(
+            f"config sweep variable {cfg.sweep_variable!r} does not match command "
+            f"{command!r} (expected {variable!r})"
+        )
+    write_sweep_csv(_sweep_rows(cfg, variable, cfg.sweep_values or default), path)
+    return [path]
 
 
-def _grid_for(cfg: RunConfig, variable: str, default: tuple[float, ...]) -> tuple[float, ...]:
-    if cfg.sweep_values and cfg.sweep_variable == variable:
-        return cfg.sweep_values
-    return default
+def cmd_run(cfg: RunConfig, path: Path) -> list[Path]:
+    """Monte Carlo over the configured links exactly as written.
+
+    That is the link-count sweep's point at every link, written as the
+    one row per link labelled ``config,0``.
+    """
+    rows = _sweep_rows(cfg, "n_links", (float(len(cfg.links)),))
+    write_sweep_csv([dataclasses.replace(row, variable="config", value=0.0) for row in rows], path)
+    return [path]
 
 
-def cmd_sweep_power(cfg: RunConfig) -> list[experiments.SweepRow]:
-    grid = _grid_for(cfg, "tx_power_dbm", _POWER_GRID_DEFAULT)
-    return _sweep_rows(cfg, "tx_power_dbm", grid)
+def cmd_sweep_power(cfg: RunConfig, path: Path) -> list[Path]:
+    return _sweep_csv(cfg, "sweep-power", "tx_power_dbm", _POWER_GRID_DEFAULT, path)
 
 
-def cmd_sweep_rate(cfg: RunConfig) -> list[experiments.SweepRow]:
-    grid = _grid_for(cfg, "aggregate_rate_bps", _RATE_GRID_DEFAULT)
-    return _sweep_rows(cfg, "aggregate_rate_bps", grid)
+def cmd_sweep_rate(cfg: RunConfig, path: Path) -> list[Path]:
+    return _sweep_csv(cfg, "sweep-rate", "aggregate_rate_bps", _RATE_GRID_DEFAULT, path)
 
 
-def cmd_sweep_links(cfg: RunConfig) -> list[experiments.SweepRow]:
-    default = tuple(float(n) for n in range(1, len(cfg.links) + 1))
-    grid = _grid_for(cfg, "n_links", default)
-    for value in grid:
-        if int(value) != value or not 1 <= int(value) <= len(cfg.links):
-            raise ConfigError(
-                f"n_links sweep value {value!r} must be an integer in [1, {len(cfg.links)}]"
-            )
-    return _sweep_rows(cfg, "n_links", tuple(grid))
+def cmd_sweep_links(cfg: RunConfig, path: Path) -> list[Path]:
+    counts = tuple(float(n) for n in range(1, len(cfg.links) + 1))
+    return _sweep_csv(cfg, "sweep-links", "n_links", counts, path)
 
 
-def cmd_focusing(cfg: RunConfig) -> dict[str, experiments.FocusEntry]:
+def cmd_focusing(cfg: RunConfig, path: Path) -> list[Path]:
     """Focusing audit probed from the first configured link.
 
     Reports every node the probe transmitter has a configured channel to;
@@ -625,88 +588,54 @@ def cmd_focusing(cfg: RunConfig) -> dict[str, experiments.FocusEntry]:
         for node in cfg.nodes
         if (probe.tx_node, node) in channels
     }
-    return experiments.focusing_report(node_map, probe.rx_node, probe.tx_power_dbm)
+    write_focusing_csv(experiments.focusing_report(node_map, probe.rx_node, probe.tx_power_dbm), path)
+    return [path]
+
+
+def cmd_gen_channel(cfg: RunConfig, pattern: Path) -> list[Path]:
+    """Write every configured channel realization as a CIR CSV, named by its endpoints."""
+    channels = realize_channels(cfg, cfg.master_seed)
+    written = []
+    for pair in sorted(channels):
+        written.append(pattern.with_name(pattern.name.format(*pair)))
+        chanmodel.write_cir_csv(channels[pair], written[-1])
+    return written
 
 
 def _fmt(value: float) -> str:
     return format(float(value), ".9g")
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _write_csv(path: Path, header: str, rows: Iterable[list[str]]) -> None:
+    chanmodel._atomic_write(path, "\n".join([header, *(",".join(row) for row in rows)]) + "\n")
 
 
 def write_sweep_csv(rows: list[experiments.SweepRow], path: Path) -> None:
-    lines = [SWEEP_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    row.variable,
-                    _fmt(row.value),
-                    row.link,
-                    _fmt(row.sinr_db),
-                    _fmt(row.signal_w),
-                    _fmt(row.isi_w),
-                    _fmt(row.cochannel_w),
-                    _fmt(row.noise_w),
-                    _fmt(row.ber),
-                    _fmt(row.ber_ci[0]),
-                    _fmt(row.ber_ci[1]),
-                    str(row.bits),
-                    str(row.errors),
-                ]
-            )
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    lines = []
+    for r in rows:
+        numbers = (r.sinr_db, r.signal_w, r.isi_w, r.cochannel_w, r.noise_w, r.ber, *r.ber_ci)
+        lines.append([r.variable, _fmt(r.value), r.link, *map(_fmt, numbers), str(r.bits), str(r.errors)])
+    _write_csv(path, SWEEP_HEADER, lines)
 
 
 def write_focusing_csv(entries: dict[str, experiments.FocusEntry], path: Path) -> None:
-    lines = [FOCUSING_HEADER]
+    lines = []
     for node in sorted(entries):
         e = entries[node]
-        lines.append(
-            ",".join(
-                [node, _fmt(e.tr_peak_w), _fmt(e.tr_total_w), _fmt(e.nontr_peak_w), _fmt(e.nontr_total_w)]
-            )
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+        lines.append([node, *map(_fmt, (e.tr_peak_w, e.tr_total_w, e.nontr_peak_w, e.nontr_total_w))])
+    _write_csv(path, FOCUSING_HEADER, lines)
 
 
-def _safe_name(pair: tuple[str, str]) -> str:
-    return f"cir_{pair[0]}_to_{pair[1]}.csv"
-
-
-def cmd_gen_channel(cfg: RunConfig, out_dir: Path) -> list[Path]:
-    """Write every configured channel realization as a CIR CSV."""
-    channels = realize_channels(cfg, cfg.master_seed)
-    written = []
-    for pair in sorted(channels):
-        path = out_dir / _safe_name(pair)
-        cir = channels[pair]
-        lines = [f"# cir {pair[0]}->{pair[1]} sample_interval_s={cir.sample_interval:.17g}"]
-        for t, v in zip(cir.times, cir.samples):
-            lines.append(f"{t:.17g},{v.real:.17g},{v.imag:.17g}")
-        _atomic_write(path, "\n".join(lines) + "\n")
-        written.append(path)
-    return written
-
-
-_COMMANDS = ("run", "sweep-power", "sweep-rate", "sweep-links", "focusing", "gen-channel")
-
-_VARIABLE_OF_COMMAND = {
-    "sweep-power": "tx_power_dbm",
-    "sweep-rate": "aggregate_rate_bps",
-    "sweep-links": "n_links",
+# Each command: the function that writes its output, given the config and
+# the output path, and the output file name (for gen-channel a pattern
+# filled in with each channel's endpoints).
+_COMMANDS = {
+    "run": (cmd_run, "run.csv"),
+    "sweep-power": (cmd_sweep_power, "sweep_power.csv"),
+    "sweep-rate": (cmd_sweep_rate, "sweep_rate.csv"),
+    "sweep-links": (cmd_sweep_links, "sweep_links.csv"),
+    "focusing": (cmd_focusing, "focusing.csv"),
+    "gen-channel": (cmd_gen_channel, "cir_{}_to_{}.csv"),
 }
 
 
@@ -715,7 +644,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         prog="trlinksim",
         description="Link-level simulator for time-reversal precoded on-package wireless links.",
     )
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=tuple(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the run configuration")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument("--out", default=None, help="override the output directory")
@@ -734,59 +663,18 @@ def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         cfg = parse_config(text, strict=args.strict, base_dir=str(Path(args.config).parent))
-        overrides = {}
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be non-negative")
-            overrides["master_seed"] = args.seed
-        if args.out is not None:
-            overrides["out_dir"] = args.out
-        if args.n_bits is not None:
-            if args.n_bits < 100:
-                raise ConfigError("--n-bits must be at least 100")
-            overrides["n_bits"] = args.n_bits
-        if args.trials is not None:
-            if args.trials < 1:
-                raise ConfigError("--trials must be at least 1")
-            overrides["n_trials"] = args.trials
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
-        expected = _VARIABLE_OF_COMMAND.get(args.command)
-        if expected and cfg.sweep_variable and cfg.sweep_variable != expected:
-            raise ConfigError(
-                f"config sweep variable {cfg.sweep_variable!r} does not match command "
-                f"{args.command!r} (expected {expected!r})"
-            )
-        out_dir = Path(cfg.out_dir)
-        written: list[Path]
-        if args.command == "run":
-            rows = cmd_run(cfg)
-            written = [out_dir / "run.csv"]
-            write_sweep_csv(rows, written[0])
-        elif args.command == "sweep-power":
-            rows = cmd_sweep_power(cfg)
-            written = [out_dir / "sweep_power.csv"]
-            write_sweep_csv(rows, written[0])
-        elif args.command == "sweep-rate":
-            rows = cmd_sweep_rate(cfg)
-            written = [out_dir / "sweep_rate.csv"]
-            write_sweep_csv(rows, written[0])
-        elif args.command == "sweep-links":
-            rows = cmd_sweep_links(cfg)
-            written = [out_dir / "sweep_links.csv"]
-            write_sweep_csv(rows, written[0])
-        elif args.command == "focusing":
-            entries = cmd_focusing(cfg)
-            written = [out_dir / "focusing.csv"]
-            write_focusing_csv(entries, written[0])
-        else:
-            written = cmd_gen_channel(cfg, out_dir)
-        for path in written:
+        overrides = {} if args.out is None else {"out_dir": args.out}
+        # A flag that overrides a [sweep] key follows that key's rule.
+        sweep_keys = {key.name: key for key in SCHEMA["sweep"]}
+        for flag, name in (("--seed", "master_seed"), ("--n-bits", "n_bits"), ("--trials", "n_trials")):
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if value is not None:
+                sweep_keys[name].parse(str(value), flag)
+                overrides[name] = value
+        cfg = dataclasses.replace(cfg, **overrides)
+        command, name = _COMMANDS[args.command]
+        for path in command(cfg, Path(cfg.out_dir) / name):
             print(path)
         return 0
     except (ConfigError, ValueError, OSError) as exc:

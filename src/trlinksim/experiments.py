@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -26,7 +27,6 @@ from .linksim import (
     Scenario,
     SinrReport,
     _pool_map,
-    compute_sinr,
     propagate,
     sinr_from_powers,
 )
@@ -49,6 +49,7 @@ __all__ = [
     "derive_seed",
     "synth_channel_set",
     "mod_params_for_rate",
+    "split_power_dbm",
     "build_multi_tx_scenario",
     "build_scatter_scenario",
     "run_trial",
@@ -58,7 +59,7 @@ __all__ = [
 
 DEFAULT_PAIRS = (("A", "B"), ("C", "D"), ("E", "F"))
 
-_SWEEP_VARIABLES = ("tx_power_dbm", "aggregate_rate_bps", "n_links", "config")
+_SWEEP_VARIABLES = ("tx_power_dbm", "aggregate_rate_bps", "n_links")
 
 
 def derive_seed(*parts: int) -> int:
@@ -85,17 +86,13 @@ def synth_channel_set(
     return out
 
 
-def mod_params_for_rate(
-    rate_bps: float,
-    sample_interval: float,
-    level_zero: float = 0.0,
-    level_one: float = 1.0,
-    carrier_hz: float = 140e9,
-) -> ModParams:
+def mod_params_for_rate(rate_bps: float, sample_interval: float) -> ModParams:
     """Modulation parameters whose symbol grid rides on an existing channel grid.
 
     The bit rate must divide the grid: samples_per_symbol has to come out
     an integer, because channels stay fixed while the symbol rate moves.
+    Levels and carrier keep their defaults; ``dataclasses.replace`` sets
+    others.
     """
     sps = 1.0 / (rate_bps * sample_interval)
     sps_int = int(round(sps))
@@ -104,27 +101,42 @@ def mod_params_for_rate(
             f"bit rate {rate_bps:g} b/s does not fit the grid of {sample_interval:g} s "
             f"(samples per symbol would be {sps:g})"
         )
-    return ModParams(
-        bit_rate=rate_bps,
-        samples_per_symbol=sps_int,
-        level_zero=level_zero,
-        level_one=level_one,
-        carrier_hz=carrier_hz,
-    )
+    return ModParams(bit_rate=rate_bps, samples_per_symbol=sps_int)
 
 
-def _common_grid(channels: Mapping[tuple[str, str], Cir], pairs: Iterable[tuple[str, str]]) -> float:
-    dt = None
-    for pair in pairs:
-        if pair not in channels:
-            raise ValueError(f"missing channel {pair[0]}->{pair[1]}")
-        cir = channels[pair]
-        if dt is None:
-            dt = cir.sample_interval
-        elif not same_grid(cir.sample_interval, dt):
-            raise ValueError(f"grid mismatch: channel {pair[0]}->{pair[1]} is off the common grid")
-    assert dt is not None
-    return dt
+def split_power_dbm(total_dbm: float, n_streams: int) -> float:
+    """Per-stream dBm when ``n_streams`` streams share a ``total_dbm`` budget equally."""
+    return total_dbm - 10.0 * math.log10(n_streams)
+
+
+def _scenario(
+    channels: Mapping[tuple[str, str], Cir],
+    pairs: Iterable[tuple[str, str]],
+    mode: str,
+    power_dbm: float,
+    rate_bps: float,
+    noise: NoiseSpec | None,
+) -> Scenario:
+    """One ``mode`` link per (tx, rx) pair, each at ``power_dbm`` and ``rate_bps``.
+
+    ``channels`` must cover every transmitter toward every receiver.
+    Noise defaults to thermal at 300 K over a bandwidth equal to the bit
+    rate.
+    """
+    if mode not in ("tr", "none"):
+        raise ValueError(f"mode must be 'tr' or 'none', got {mode!r}")
+    pairs = tuple(pairs)
+    required = list(dict.fromkeys((tx, rx) for tx, _ in pairs for _, rx in pairs))
+    for tx, rx in required:
+        if (tx, rx) not in channels:
+            raise ValueError(f"missing channel {tx}->{rx}")
+    # The first channel sets the grid; Scenario rejects any channel off it.
+    mod = mod_params_for_rate(rate_bps, channels[required[0]].sample_interval)
+    if noise is None:
+        noise = NoiseSpec.thermal(300.0, rate_bps)
+    links = tuple(LinkSpec(tx, rx, f"{tx}->{rx}", mode, power_dbm) for tx, rx in pairs)
+    nodes = tuple(sorted({node for pair in required for node in pair}))
+    return Scenario(nodes, channels, links, noise, mod)
 
 
 def build_multi_tx_scenario(
@@ -135,9 +147,6 @@ def build_multi_tx_scenario(
     rate_bps: float,
     noise: NoiseSpec | None = None,
     pairs: tuple[tuple[str, str], ...] = DEFAULT_PAIRS,
-    level_zero: float = 0.0,
-    level_one: float = 1.0,
-    carrier_hz: float = 140e9,
 ) -> Scenario:
     """Scenario with ``n_links`` disjoint pairs transmitting concurrently.
 
@@ -146,23 +155,9 @@ def build_multi_tx_scenario(
     every active receiver. Noise defaults to thermal at 300 K over a
     bandwidth equal to the bit rate.
     """
-    if mode not in ("tr", "none"):
-        raise ValueError(f"mode must be 'tr' or 'none', got {mode!r}")
     if not 1 <= n_links <= len(pairs):
         raise ValueError(f"n_links must lie in [1, {len(pairs)}], got {n_links}")
-    active = tuple(pairs[:n_links])
-    receivers = [rx for _, rx in active]
-    required = [(tx, rx) for tx, _ in active for rx in receivers]
-    dt = _common_grid(channels, required)
-    mod = mod_params_for_rate(rate_bps, dt, level_zero, level_one, carrier_hz)
-    if noise is None:
-        noise = NoiseSpec.thermal(300.0, rate_bps)
-    links = tuple(
-        LinkSpec(tx, rx, stream_id=f"{tx}->{rx}", precoding=mode, tx_power_dbm=power_dbm)
-        for tx, rx in active
-    )
-    nodes = tuple(sorted({node for pair in required for node in pair}))
-    return Scenario(nodes, {pair: channels[pair] for pair in required}, links, noise, mod)
+    return _scenario(channels, pairs[:n_links], mode, power_dbm, rate_bps, noise)
 
 
 def build_scatter_scenario(
@@ -173,9 +168,6 @@ def build_scatter_scenario(
     rate_bps: float,
     noise: NoiseSpec | None = None,
     mode: str = "tr",
-    level_zero: float = 0.0,
-    level_one: float = 1.0,
-    carrier_hz: float = 140e9,
 ) -> Scenario:
     """One transmitter, one precoded stream per receiver, equal power split.
 
@@ -191,20 +183,8 @@ def build_scatter_scenario(
         raise ValueError("duplicate receivers in scatter scenario")
     if tx_node in rx_list:
         raise ValueError("receivers must differ from the transmitter")
-    if mode not in ("tr", "none"):
-        raise ValueError(f"mode must be 'tr' or 'none', got {mode!r}")
-    per_stream_dbm = total_power_dbm - 10.0 * math.log10(len(rx_list))
-    required = [(tx_node, rx) for rx in rx_list]
-    dt = _common_grid(channels, required)
-    mod = mod_params_for_rate(rate_bps, dt, level_zero, level_one, carrier_hz)
-    if noise is None:
-        noise = NoiseSpec.thermal(300.0, rate_bps)
-    links = tuple(
-        LinkSpec(tx_node, rx, stream_id=f"{tx_node}->{rx}", precoding=mode, tx_power_dbm=per_stream_dbm)
-        for rx in rx_list
-    )
-    nodes = tuple(sorted({tx_node, *rx_list}))
-    return Scenario(nodes, {pair: channels[pair] for pair in required}, links, noise, mod)
+    per_stream_dbm = split_power_dbm(total_power_dbm, len(rx_list))
+    return _scenario(channels, [(tx_node, rx) for rx in rx_list], mode, per_stream_dbm, rate_bps, noise)
 
 
 def _transmit(
@@ -241,7 +221,8 @@ def run_trial(
     at its receiver. The pilot (which always contains both symbols)
     trains the threshold and is excluded from the error count. Decision
     samples are derotated by the phase of the link's decision tap
-    before slicing.
+    before slicing. The SINR reports are the scenario's own
+    (``Scenario.sinr``), computed once per scenario.
 
     Streams longer than ``ONE_SHOT_MAX`` samples are built concurrently;
     each is seeded by its own index, so the result does not depend on
@@ -268,13 +249,8 @@ def run_trial(
         range(len(links)),
         links,
     )
-    streams: dict[str, Waveform] = {}
-    pilots = {}
-    payloads = {}
-    for link, (stream, pilot, payload) in zip(links, sent):
-        streams[link.stream_id] = stream
-        pilots[link.stream_id] = pilot
-        payloads[link.stream_id] = payload
+    chains = {link.stream_id: chain for link, chain in zip(links, sent)}
+    streams = {sid: stream for sid, (stream, _, _) in chains.items()}
     received = propagate(scenario, streams, derive_seed(seed, 1))
     # The detector reads one sample per symbol, so only those are derotated:
     # a waveform of decision samples on the symbol grid.
@@ -291,10 +267,11 @@ def run_trial(
         rotated = Waveform._wrap(
             decisions * np.exp(-1j * np.angle(own.peak)), symbol_mod.sample_interval, y.origin
         )
-        threshold = train_threshold(rotated, pilots[sid], 0, symbol_mod)
+        _, pilot, payload = chains[sid]
+        threshold = train_threshold(rotated, pilot, 0, symbol_mod)
         rx_bits = demodulate(rotated, pilot_len, threshold, n_bits, symbol_mod)
-        errors[sid] = count_errors(payloads[sid], rx_bits)
-        reports[sid] = compute_sinr(scenario, link)
+        errors[sid] = count_errors(payload, rx_bits)
+        reports[sid] = scenario.sinr[sid]
     return reports, errors
 
 
@@ -358,23 +335,21 @@ def sweep(
     """
     rows: list[SweepRow] = []
     for p_index, value in enumerate(spec.grid):
-        power_acc: dict[str, np.ndarray] = {}
-        error_acc: dict[str, int] = {}
-        bit_acc: dict[str, int] = {}
+        watts: dict[str, np.ndarray] = {}
+        errors: Counter[str] = Counter()
+        bits: Counter[str] = Counter()
         for t_index in range(spec.n_trials):
             channel_seed = derive_seed(spec.master_seed, p_index, t_index, 0)
             trial_seed = derive_seed(spec.master_seed, p_index, t_index, 1)
             scenario = scenario_template(value, channel_seed)
             reports, bers = run_trial(scenario, trial_seed, spec.n_bits, pilot_len=spec.pilot_len)
             for sid, report in reports.items():
-                acc = power_acc.setdefault(sid, np.zeros(4))
+                acc = watts.setdefault(sid, np.zeros(4))
                 acc += (report.signal_w, report.isi_w, report.cochannel_w, report.noise_w)
-                error_acc[sid] = error_acc.get(sid, 0) + bers[sid].bit_errors
-                bit_acc[sid] = bit_acc.get(sid, 0) + bers[sid].bits_total
-        for sid in sorted(power_acc):
-            signal_w, isi_w, cochannel_w, noise_w = power_acc[sid] / spec.n_trials
-            bits = bit_acc[sid]
-            n_err = error_acc[sid]
+                errors[sid] += bers[sid].bit_errors
+                bits[sid] += bers[sid].bits_total
+        for sid in sorted(watts):
+            signal_w, isi_w, cochannel_w, noise_w = watts[sid] / spec.n_trials
             rows.append(
                 SweepRow(
                     variable=spec.variable,
@@ -385,10 +360,10 @@ def sweep(
                     isi_w=float(isi_w),
                     cochannel_w=float(cochannel_w),
                     noise_w=float(noise_w),
-                    ber=n_err / bits,
-                    ber_ci=wilson_interval(n_err, bits),
-                    bits=bits,
-                    errors=n_err,
+                    ber=errors[sid] / bits[sid],
+                    ber_ci=wilson_interval(errors[sid], bits[sid]),
+                    bits=bits[sid],
+                    errors=errors[sid],
                 )
             )
     return rows

@@ -130,9 +130,11 @@ class Scenario:
     """Immutable description of one concurrent-transmission setup.
 
     Every transmitter must have a channel to every receiver appearing in
-    the scenario, and all channels must live on the modulation grid.
+    the scenario, on the modulation grid; the scenario keeps those
+    channels and drops any others it is given.
     The links' responses, which depend on the channels but not on any
-    power, are computed once per scenario on first use (``responses``).
+    power, are computed once per scenario on first use (``responses``),
+    and so are their SINR reports (``sinr``).
     """
 
     nodes: tuple[str, ...]
@@ -144,7 +146,6 @@ class Scenario:
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "links", tuple(self.links))
-        object.__setattr__(self, "channels", dict(self.channels))
         if not self.links:
             raise ValueError("scenario needs at least one link")
         ids = [link.stream_id for link in self.links]
@@ -155,11 +156,11 @@ class Scenario:
             for node in (link.tx_node, link.rx_node):
                 if node not in known:
                     raise ValueError(f"link {link.stream_id!r} references unknown node {node!r}")
-        receivers = sorted({link.rx_node for link in self.links})
-        for link in self.links:
-            for rx in receivers:
-                if (link.tx_node, rx) not in self.channels:
-                    raise ValueError(f"missing channel {link.tx_node}->{rx}")
+        needed = [(link.tx_node, rx) for link in self.links for rx in self.receivers]
+        for tx, rx in needed:
+            if (tx, rx) not in self.channels:
+                raise ValueError(f"missing channel {tx}->{rx}")
+        object.__setattr__(self, "channels", {pair: self.channels[pair] for pair in needed})
         dt = self.mod_params.sample_interval
         for (tx, rx), cir in self.channels.items():
             if not same_grid(cir.sample_interval, dt):
@@ -183,11 +184,17 @@ class Scenario:
         """The power-free response table of every link, built on first use."""
         return ResponseTable.build(self)
 
+    @cached_property
+    def sinr(self) -> Mapping[str, "SinrReport"]:
+        """Every link's ``compute_sinr`` report by stream id, computed on first use."""
+        return MappingProxyType({link.stream_id: compute_sinr(self, link) for link in self.links})
+
     def with_powers(self, powers_dbm: Mapping[str, float]) -> "Scenario":
         """The same scenario with new transmit powers, keyed by stream id.
 
         Streams left out keep their power. The response table does not
-        depend on power, so the new scenario shares this one's.
+        depend on power, so the new scenario shares this one's; its SINR
+        reports are its own.
         """
         for stream_id in powers_dbm:
             self.link_for_stream(stream_id)  # rejects unknown stream ids

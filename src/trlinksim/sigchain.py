@@ -27,18 +27,11 @@ __all__ = [
     "precode",
     "scale_to_power",
     "dbm_to_watts",
-    "watts_to_dbm",
 ]
 
 
 def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(p_watts: float) -> float:
-    if p_watts <= 0.0:
-        raise ValueError("power must be positive to express in dBm")
-    return 10.0 * math.log10(p_watts) + 30.0
 
 
 @dataclass(frozen=True)
@@ -146,45 +139,17 @@ class TrFilter:
         object.__setattr__(self, "samples", s)
 
 
-def _shortest_energy_window(g: np.ndarray, fraction: float) -> np.ndarray:
-    """Shortest contiguous slice holding at least ``fraction`` of the energy."""
-    p = np.abs(g) ** 2
-    total = float(p.sum())
-    # Back off by a few ulps so fraction=1.0 still accepts the full window.
-    target = fraction * total * (1.0 - 1e-12)
-    n = p.size
-    best_lo, best_hi = 0, n
-    acc = 0.0
-    hi = 0
-    for lo in range(n):
-        while hi < n and acc < target:
-            acc += float(p[hi])
-            hi += 1
-        if acc >= target and (hi - lo) < (best_hi - best_lo):
-            best_lo, best_hi = lo, hi
-        acc -= float(p[lo])
-    return g[best_lo:best_hi].copy()
-
-
-def make_tr_filter(cir: Cir, energy_keep: float | None = None) -> TrFilter:
+def make_tr_filter(cir: Cir) -> TrFilter:
     """Conjugate time-reversed, unit-energy copy of a channel response.
 
     Convolving the filter with its source channel produces a matched
     filter peak of sqrt(channel energy) at the alignment lag, which is
-    what concentrates energy at the intended receiver. ``energy_keep``
-    optionally truncates the filter to the shortest contiguous window
-    holding at least that fraction of its energy, then renormalizes;
-    by default no truncation is applied.
+    what concentrates energy at the intended receiver.
     """
     energy = cir.energy
     if energy <= 0.0:
         raise ValueError("degenerate channel: zero energy")
     g = np.conj(cir.samples[::-1]) / math.sqrt(energy)
-    if energy_keep is not None:
-        if not 0.0 < energy_keep <= 1.0:
-            raise ValueError(f"energy_keep must lie in (0, 1], got {energy_keep}")
-        g = _shortest_energy_window(g, energy_keep)
-        g = g / math.sqrt(float(np.sum(np.abs(g) ** 2)))
     return TrFilter(g, cir.sample_interval, cir.label)
 
 

@@ -14,7 +14,6 @@ from trlinksim.chanmodel import (
     ONE_SHOT_MAX,
     Cir,
     ReverbParams,
-    Tap,
     block_len,
     block_spectra,
     channel_correlation,
@@ -23,8 +22,6 @@ from trlinksim.chanmodel import (
     import_frequency_response,
     overlap_add,
     read_cir_csv,
-    read_frequency_response,
-    render_taps,
     rms_delay_spread,
     synth_correlated_pair,
     synth_reverberant,
@@ -32,46 +29,6 @@ from trlinksim.chanmodel import (
 )
 
 DT = 1e-12
-
-
-def test_tap_gain_matches_polar_form():
-    tap = Tap(amplitude=2.0, phase=math.pi / 2, delay=0.0)
-    assert tap.gain == pytest.approx(2j, abs=1e-15)
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"amplitude": -1.0, "phase": 0.0, "delay": 0.0},
-        {"amplitude": float("nan"), "phase": 0.0, "delay": 0.0},
-        {"amplitude": 1.0, "phase": float("inf"), "delay": 0.0},
-        {"amplitude": 1.0, "phase": 0.0, "delay": -1e-12},
-    ],
-)
-def test_tap_rejects_bad_fields(kwargs):
-    with pytest.raises(ValueError):
-        Tap(**kwargs)
-
-
-def test_render_places_tap_on_nearest_sample():
-    # 3.4 sample intervals rounds down to index 3
-    cir = render_taps([Tap(1.0, 0.0, 3.4 * DT)], DT, 10 * DT)
-    assert np.argmax(np.abs(cir.samples)) == 3
-    assert cir.samples[3] == pytest.approx(1.0)
-
-
-def test_render_adds_colliding_taps_coherently():
-    taps = [Tap(1.0, 0.0, 5 * DT), Tap(1.0, math.pi, 5.2 * DT)]
-    cir = render_taps(taps, DT, 10 * DT)
-    # opposite phases land on the same cell and cancel
-    assert abs(cir.samples[5]) < 1e-12
-
-
-def test_render_rejects_empty_and_out_of_range():
-    with pytest.raises(ValueError, match="no taps"):
-        render_taps([], DT, 10 * DT)
-    with pytest.raises(ValueError, match="tap beyond duration"):
-        render_taps([Tap(1.0, 0.0, 20 * DT)], DT, 10 * DT)
 
 
 def test_cir_energy_and_times():
@@ -301,6 +258,23 @@ def test_cir_csv_skips_comments_and_flags_bad_rows(tmp_path):
         read_cir_csv(path)
 
 
+def test_write_cir_csv_header_and_atomic_replace(tmp_path, monkeypatch):
+    path = tmp_path / "new" / "chan.csv"
+    write_cir_csv(Cir(np.array([1.0, 0.5j]), 5e-12, "A->B"), path)
+    before = path.read_bytes()
+    assert before == b"# cir A->B sample_interval_s=4.9999999999999997e-12\n0,1,0\n4.9999999999999997e-12,0,0.5\n"
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(chanmodel.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_cir_csv(Cir(np.zeros(3), 5e-12, "A->B"), path)
+    # The old file stands whole and no temporary file is left behind.
+    assert path.read_bytes() == before
+    assert list(path.parent.iterdir()) == [path]
+
+
 def _row_parsed_cir(path):
     """read_cir_csv's samples as the row-by-row parser builds them."""
     with open(path, encoding="utf-8") as fh:
@@ -343,12 +317,6 @@ def test_cir_csv_errors_name_the_line(tmp_path, body, message):
     path.write_text(body)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
         read_cir_csv(path)
-
-
-def test_frequency_csv_reader(tmp_path):
-    path = tmp_path / "fr.csv"
-    path.write_text("# f,re,im\n0,1,0\n1e9,0.5,-0.5\n")
-    assert read_frequency_response(path) == [(0.0, 1.0, 0.0), (1e9, 0.5, -0.5)]
 
 
 @pytest.mark.parametrize(

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import trlinksim
-from trlinksim import chanmodel, experiments, linksim
+from trlinksim import chanmodel, cli, experiments, linksim
 from trlinksim.chanmodel import Cir, read_cir_csv, write_cir_csv
 from trlinksim.cli import (
-    DEFAULTS,
     FOCUSING_HEADER,
+    SCHEMA,
     SWEEP_HEADER,
     ConfigError,
     main,
@@ -98,14 +98,12 @@ def test_package_reexports_the_working_surface():
 def test_parse_minimal_config_applies_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.nodes == ("A", "B")
-    assert cfg.mod.bit_rate == DEFAULTS["bit_rate_bps"]
-    assert cfg.mod.samples_per_symbol == DEFAULTS["samples_per_symbol"]
+    assert (cfg.mod.bit_rate, cfg.mod.samples_per_symbol) == (50e9, 4)
+    assert (cfg.mod.level_zero, cfg.mod.level_one, cfg.mod.carrier_hz) == (0.0, 1.0, 140e9)
     link = cfg.links[0]
     assert (link.precoding, link.tx_power_dbm) == ("tr", 0.0)
-    assert cfg.n_bits == DEFAULTS["n_bits"]
-    assert cfg.master_seed == DEFAULTS["master_seed"]
-    assert cfg.pilot_len == DEFAULTS["pilot_bits"]
-    assert cfg.out_dir == DEFAULTS["output_dir"]
+    assert (cfg.n_bits, cfg.n_trials, cfg.master_seed, cfg.pilot_len) == (1000, None, 0, 64)
+    assert cfg.out_dir == "out"
     assert cfg.sweep_variable is None and cfg.sweep_values is None
     # synthetic channel inherits the modulation sample grid
     src = cfg.channel_sources[("A", "B")]
@@ -268,6 +266,70 @@ def test_sweep_section_rules():
         parse_config(MINIMAL + "\n[sweep]\npilot_bits = 1\n")
 
 
+@pytest.mark.parametrize(
+    "variable, values, message",
+    [
+        ("tx_power_dbm", "nan, 0", "tx_power_dbm sweep value nan must be finite"),
+        ("aggregate_rate_bps", "3e9", "bit rate 1.5e+09 b/s does not fit the grid of 5e-12 s"),
+        ("aggregate_rate_bps", "100e9, 0", "aggregate_rate_bps sweep value 0.0 must be positive"),
+        ("n_links", "1.5", "n_links sweep value 1.5 must be an integer in [1, 2]"),
+        ("n_links", "1, 3", "n_links sweep value 3.0 must be an integer in [1, 2]"),
+    ],
+)
+def test_bad_sweep_values_name_their_line(variable, values, message):
+    text = TWO_LINK + f"variable = {variable}\nvalues = {values}\n"
+    line = text.splitlines().index(f"values = {values}") + 1
+    with pytest.raises(ConfigError, match=re.escape(f"line {line}: {message}")):
+        parse_config(text)
+
+
+def test_bad_sweep_values_stop_run_as_well_as_the_sweep(tmp_path, capsys):
+    text = TWO_LINK + "variable = n_links\nvalues = 1.5\n"
+    cfg_path = _write(tmp_path, "v.cfg", text)
+    line = text.splitlines().index("values = 1.5") + 1
+    for command in ("sweep-links", "run"):
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+        assert f"error: line {line}: n_links sweep value 1.5" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_integer_keys_refuse_non_finite_text():
+    for value in ("nan", "inf"):
+        text = MINIMAL + f"\n[sweep]\nn_bits = {value}\n"
+        line = text.splitlines().index(f"n_bits = {value}") + 1
+        with pytest.raises(ConfigError, match=f"line {line}: n_bits must be an integer, got '{value}'"):
+            parse_config(text)
+
+
+def _readme_config_reference():
+    """(section, key) -> default cell of the README's config reference table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Config reference\n\n", 1)[1].split("\n\n", 1)[0]
+    cells = [[c.strip() for c in row.strip("|").split("|")] for row in table.splitlines()[2:]]
+    rows = {(section, key): default for section, key, default, _ in cells}
+    assert len(rows) == len(cells), "a (section, key) row appears twice"
+    return rows
+
+
+def test_readme_config_reference_equals_the_schema():
+    sections = {"channel": '`[channel "A->B"]`', "link": "`[link N]`"}
+    rows = _readme_config_reference()
+    expected = {
+        (sections.get(kind, f"`[{kind}]`"), f"`{key.name}`"): key
+        for kind, keys in SCHEMA.items()
+        for key in keys
+    }
+    assert set(rows) == set(expected)
+    for row, key in expected.items():
+        if key.required:
+            assert rows[row] == "required", row
+        elif key.default is not None:
+            assert rows[row] == f"`{key.default}`", row
+        else:
+            # Unset by default: the cell says in words what applies instead.
+            assert rows[row] and rows[row] != "required" and not rows[row].startswith("`"), row
+
+
 def test_strict_mode_rejects_unknown_names(capsys):
     unknown_section = MINIMAL + "\n[plotting]\nstyle = fancy\n"
     with pytest.raises(ConfigError, match="unknown section"):
@@ -327,7 +389,7 @@ def test_main_run_writes_csv(tmp_path):
     header, rows = _read_rows(out / "run.csv")
     assert header == SWEEP_HEADER
     assert [r[2] for r in rows] == ["A->B", "C->D"]
-    assert all(r[0] == "config" for r in rows)
+    assert all(r[:2] == ["config", "0"] for r in rows)
     assert all(len(r) == len(SWEEP_HEADER.split(",")) for r in rows)
     assert all(int(r[11]) == 100 for r in rows)
 
@@ -467,6 +529,28 @@ def test_main_gen_channel_round_trips(tmp_path):
     assert main(["run", "--config", cfg2, "--out", str(tmp_path / "r2")]) == 0
 
 
+def test_rate_sweep_keeps_the_configured_levels_and_carrier():
+    text = TWO_LINK + "\n[modulation]\nlevel_zero = 0.1\nlevel_one = 0.7\ncarrier_hz = 300e9\n"
+    cfg = parse_config(text)
+    scenario = cli._build_scenario(cfg, realize_channels(cfg, 0), cfg.links, rate_per_stream=25e9)
+    mod = scenario.mod_params
+    assert (mod.bit_rate, mod.samples_per_symbol) == (25e9, 8)
+    assert (mod.level_zero, mod.level_one, mod.carrier_hz) == (0.1, 0.7, 300e9)
+
+
+def test_gen_channel_files_are_write_cir_csv_output(tmp_path):
+    cfg_path = _write(tmp_path, "g.cfg", TWO_LINK)
+    out = tmp_path / "chans"
+    assert main(["gen-channel", "--config", cfg_path, "--out", str(out)]) == 0
+    channels = realize_channels(parse_config(TWO_LINK), 0)
+    assert sorted(p.name for p in out.iterdir()) == [f"cir_{tx}_to_{rx}.csv" for tx, rx in sorted(channels)]
+    for (tx, rx), cir in channels.items():
+        written = (out / f"cir_{tx}_to_{rx}.csv").read_bytes()
+        assert written.startswith(f"# cir {tx}->{rx} sample_interval_s=4.9999999999999997e-12\n".encode())
+        write_cir_csv(cir, tmp_path / "ref.csv")
+        assert written == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_main_strict_flag(tmp_path, capsys):
     loose = TWO_LINK + "\n[plotting]\nstyle = fancy\n"
     cfg_path = _write(tmp_path, "s.cfg", loose)
@@ -493,14 +577,19 @@ def _counting(monkeypatch, module, name, key):
 _SWEEP_3x2 = "\n[sweep]\nvariable = tx_power_dbm\nvalues = -2, 4, 10\nn_bits = 100\nn_trials = 2\n"
 
 
-def test_power_sweep_reads_each_file_and_response_once(tmp_path, monkeypatch):
+def _file_backed_power_sweep(tmp_path):
+    """TWO_LINK over four CIR files, swept over 3 powers with 2 trials each."""
     sections = ["[nodes]\nnames = A, B, C, D\n"]
     for i, pair in enumerate(("A->B", "A->D", "C->B", "C->D")):
         h = np.random.default_rng(i).standard_normal(12) + 0j
         write_cir_csv(Cir(h, 5e-12), tmp_path / f"cir_{i}.csv")
         sections.append(f'[channel "{pair}"]\nfile = cir_{i}.csv\n')
     sections.append(TWO_LINK[TWO_LINK.index("[link 1]") : TWO_LINK.index("[sweep]")])
-    cfg_path = _write(tmp_path, "files.cfg", "\n".join(sections) + _SWEEP_3x2)
+    return _write(tmp_path, "files.cfg", "\n".join(sections) + _SWEEP_3x2)
+
+
+def test_power_sweep_reads_each_file_and_response_once(tmp_path, monkeypatch):
+    cfg_path = _file_backed_power_sweep(tmp_path)
     reads = _counting(monkeypatch, chanmodel, "read_cir_csv", lambda path, label=None: path)
     responses = Counter()
     stacked = linksim._full_rate_responses
@@ -515,6 +604,17 @@ def test_power_sweep_reads_each_file_and_response_once(tmp_path, monkeypatch):
     assert len(reads) == 4 and set(reads.values()) == {1}
     assert set(responses) == {(s, f"{s[0]}->{rx}") for s in ("A->B", "C->D") for rx in "BD"}
     assert set(responses.values()) == {1}
+
+
+def test_power_sweep_computes_each_sinr_report_once_per_point(tmp_path, monkeypatch):
+    cfg_path = _file_backed_power_sweep(tmp_path)
+    reports = _counting(
+        monkeypatch, linksim, "compute_sinr", lambda scenario, link: (link.stream_id, link.tx_power_dbm)
+    )
+    assert main(["sweep-power", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    # 3 points x 2 links, each once although every point runs 2 trials
+    assert sorted(reports) == [(sid, p) for sid in ("A->B", "C->D") for p in (-2.0, 4.0, 10.0)]
+    assert set(reports.values()) == {1}
 
 
 @pytest.mark.parametrize("pinned, expected", [(False, 3 * 2 * 4), (True, 4)])

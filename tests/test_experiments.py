@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from trlinksim import detector, experiments, linksim
+from trlinksim import cli, detector, experiments, linksim
 from trlinksim.chanmodel import ONE_SHOT_MAX, Cir, ReverbParams
 from trlinksim.experiments import (
     DEFAULT_PAIRS,
@@ -54,9 +54,9 @@ def test_mod_params_for_rate_fits_the_grid():
     mod = mod_params_for_rate(50e9, 5e-12)
     assert mod.samples_per_symbol == 4
     assert mod.bit_rate == 50e9
-    mod2 = mod_params_for_rate(100e9, 5e-12, level_zero=0.1, level_one=0.7)
+    mod2 = mod_params_for_rate(100e9, 5e-12)
     assert mod2.samples_per_symbol == 2
-    assert mod2.level_zero == 0.1
+    assert (mod2.level_zero, mod2.level_one) == (0.0, 1.0)
     with pytest.raises(ValueError, match="does not fit the grid"):
         mod_params_for_rate(30e9, 5e-12)
     with pytest.raises(ValueError, match="does not fit the grid"):
@@ -119,6 +119,27 @@ def test_build_scatter_validation():
         build_scatter_scenario(channels, "A", ["B", "B"], 0.0, 50e9)
     with pytest.raises(ValueError, match="differ from the transmitter"):
         build_scatter_scenario(channels, "A", ["A", "B"], 0.0, 50e9)
+
+
+def test_run_trial_returns_the_scenarios_own_reports(monkeypatch):
+    scn = build_multi_tx_scenario(_channel_set(), 2, "tr", 0.0, 50e9)
+    calls = []
+    original = linksim.compute_sinr
+    monkeypatch.setattr(
+        linksim, "compute_sinr", lambda scenario, link: calls.append(link) or original(scenario, link)
+    )
+    for seed in (1, 2):
+        reports, _ = run_trial(scn, seed, 200)
+        assert list(reports) == ["A->B", "C->D"]
+        assert all(reports[sid] is scn.sinr[sid] for sid in reports)
+    assert calls == list(scn.links)
+
+
+def test_cli_and_builder_split_a_scatter_budget_alike():
+    channels = _channel_set(pairs=[("A", rx) for rx in "BCD"])
+    links = build_scatter_scenario(channels, "A", "BCD", 10.0, 50e9).links
+    assert {l.tx_power_dbm for l in links} == {experiments.split_power_dbm(10.0, 3)}
+    assert cli._stream_powers(links, 10.0) == {l.stream_id: l.tx_power_dbm for l in links}
 
 
 def _single_tap_scenario(power_dbm, noise_dbm=-30.0):

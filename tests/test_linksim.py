@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trlinksim import linksim
-from trlinksim.chanmodel import ONE_SHOT_MAX, Cir, ReverbParams, synth_reverberant
-from trlinksim.experiments import build_scatter_scenario
+from trlinksim.chanmodel import ONE_SHOT_MAX, Cir, ReverbParams, same_grid, synth_reverberant
+from trlinksim.experiments import build_multi_tx_scenario, build_scatter_scenario
 from trlinksim.linksim import (
     BOLTZMANN_J_PER_K,
     EffectiveResponse,
@@ -410,6 +410,85 @@ def test_with_powers_matches_scenario_built_at_those_powers():
         assert compute_sinr(repowered, a) == compute_sinr(fresh, b)
     with pytest.raises(ValueError, match="link not found"):
         scn.with_powers({"X->Y": 0.0})
+
+
+def test_scenario_computes_each_sinr_report_once(monkeypatch):
+    scn = _multi_link_scenario(3, "tr")
+    calls = []
+    original = linksim.compute_sinr
+    monkeypatch.setattr(
+        linksim, "compute_sinr", lambda scenario, link: calls.append(link) or original(scenario, link)
+    )
+    assert dict(scn.sinr) == {link.stream_id: original(scn, link) for link in scn.links}
+    assert scn.sinr is scn.sinr
+    assert calls == list(scn.links)
+    # A re-powered scenario shares the response table, not the reports.
+    repowered = scn.with_powers({"A->B": 4.0})
+    assert repowered.responses is scn.responses
+    assert repowered.sinr["A->B"] == original(repowered, repowered.links[0]) != scn.sinr["A->B"]
+    assert repowered.sinr["C->D"].per_interferer_w != scn.sinr["C->D"].per_interferer_w
+
+
+def _at_powers(scenario, powers):
+    """The scenario rebuilt with these link powers, response table included."""
+    links = tuple(dataclasses.replace(l, tx_power_dbm=p) for l, p in zip(scenario.links, powers))
+    return dataclasses.replace(scenario, links=links)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_links=st.integers(1, 3),
+    precoding=st.sampled_from(["tr", "none"]),
+    powers=st.lists(st.floats(-30.0, 30.0), min_size=3, max_size=3),
+    mover=st.integers(0, 2),
+    step_db=st.floats(-20.0, 20.0),
+)
+def test_sinr_components_scale_with_the_power_behind_them(n_links, precoding, powers, mover, step_db):
+    base = _multi_link_scenario(n_links, precoding)
+    mover %= n_links
+    moved = base.links[mover].stream_id
+    before = _at_powers(base, powers)
+    after = _at_powers(base, [p + step_db * (i == mover) for i, p in enumerate(powers)])
+    gain = dbm_to_watts(powers[mover] + step_db) / dbm_to_watts(powers[mover])
+    for link in base.links:
+        r0, r1 = before.sinr[link.stream_id], after.sinr[link.stream_id]
+        # Signal and ISI follow the link's own power ...
+        own = gain if link.stream_id == moved else 1.0
+        assert r1.signal_w == pytest.approx(own * r0.signal_w, rel=1e-12)
+        assert r1.isi_w == pytest.approx(own * r0.isi_w, rel=1e-12)
+        # ... each interferer term follows that interferer's power alone ...
+        assert r1.per_interferer_w.keys() == r0.per_interferer_w.keys()
+        for other, w in r0.per_interferer_w.items():
+            assert r1.per_interferer_w[other] == pytest.approx((gain if other == moved else 1.0) * w, rel=1e-12)
+        # ... and noise follows none of them.
+        assert r1.noise_w == r0.noise_w
+
+
+_OFF_GRID = st.floats(0.25, 4.0).filter(lambda f: not same_grid(f * DT, DT)) | st.sampled_from(
+    [1.0 + 1e-8, 1.0 - 1e-8, 2.0, 0.5]
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(factor=_OFF_GRID, which=st.integers(0, 3))
+def test_off_grid_channels_and_streams_are_rejected(factor, which):
+    scn = _two_link_scenario()
+    pair = sorted(scn.channels)[which]
+    channels = dict(scn.channels)
+    channels[pair] = Cir(channels[pair].samples, factor * DT, "off-grid")
+    with pytest.raises(ValueError, match="grid mismatch"):
+        Scenario(scn.nodes, channels, scn.links, scn.noise, MOD)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        propagate(scn, {scn.links[which % 2].stream_id: Waveform(np.ones(16), factor * DT)}, 0)
+    # The builders take the grid from the first channel they need; an
+    # off-grid channel fails either that grid's rate fit or the mismatch.
+    with pytest.raises(ValueError, match="grid"):
+        build_multi_tx_scenario(channels, 2, "tr", 0.0, 50e9, pairs=(("A", "B"), ("C", "D")))
+    scatter = dict(scn.channels)
+    scatter_pair = (("A", "B"), ("A", "D"))[which % 2]
+    scatter[scatter_pair] = Cir(scatter[scatter_pair].samples, factor * DT, "off-grid")
+    with pytest.raises(ValueError, match="grid"):
+        build_scatter_scenario(scatter, "A", ["B", "D"], 0.0, 50e9)
 
 
 def _direct_propagate(scenario, streams, seed):

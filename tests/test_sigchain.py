@@ -16,7 +16,6 @@ from trlinksim.sigchain import (
     modulate_ask,
     precode,
     scale_to_power,
-    watts_to_dbm,
 )
 
 DT = 1e-12
@@ -25,9 +24,6 @@ DT = 1e-12
 def test_dbm_watt_conversions():
     assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-15)
     assert dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-12)
-    assert watts_to_dbm(dbm_to_watts(-17.3)) == pytest.approx(-17.3, abs=1e-12)
-    with pytest.raises(ValueError):
-        watts_to_dbm(0.0)
 
 
 def test_mod_params_grid_and_power():
@@ -109,33 +105,6 @@ def test_matched_filter_peak_is_sqrt_channel_energy():
 def test_make_tr_filter_rejects_silent_channel():
     with pytest.raises(ValueError, match="degenerate channel"):
         make_tr_filter(Cir(np.zeros(4), DT))
-
-
-def test_energy_keep_truncates_to_shortest_window():
-    # g = [0.6, 0.8]; the single tap 0.8 already holds 64% of the energy
-    f = make_tr_filter(Cir(np.array([4.0, 3.0]), DT), energy_keep=0.64)
-    assert np.allclose(f.samples, [1.0])
-    # g = [2, 2, 1]/3; first two taps hold 8/9, renormalized to unit energy
-    f2 = make_tr_filter(Cir(np.array([1.0, 2.0, 2.0]), DT), energy_keep=8 / 9)
-    assert np.allclose(f2.samples, np.array([1.0, 1.0]) / math.sqrt(2), atol=1e-12)
-
-
-def test_energy_keep_one_trims_only_silent_edges():
-    cir = synth_reverberant(3, ReverbParams(DT, 24, 50e-12, 400e-12))
-    full = make_tr_filter(cir)
-    kept = make_tr_filter(cir, energy_keep=1.0)
-    # grid cells with no tap are exact zeros; dropping them loses nothing
-    live = np.flatnonzero(np.abs(full.samples) > 0.0)
-    trimmed = full.samples[live[0] : live[-1] + 1]
-    assert len(kept.samples) == len(trimmed)
-    assert np.allclose(kept.samples, trimmed, atol=1e-12)
-
-
-def test_energy_keep_range_check():
-    cir = Cir(np.array([1.0, 0.5]), DT)
-    for bad in (0.0, -0.2, 1.1):
-        with pytest.raises(ValueError, match="energy_keep"):
-            make_tr_filter(cir, energy_keep=bad)
 
 
 def test_identity_filter_is_single_unit_tap():
