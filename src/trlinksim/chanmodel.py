@@ -11,6 +11,7 @@ response (for example a field-solver export), or read from CSV files.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import tempfile
@@ -35,7 +36,7 @@ __all__ = [
     "block_len",
     "block_spectra",
     "overlap_add",
-    "fft_convolve",
+    "convolve_sum",
 ]
 
 # Relative tolerance when deciding whether two sample intervals describe
@@ -49,7 +50,7 @@ def same_grid(dt_a: float, dt_b: float) -> bool:
     return math.isclose(dt_a, dt_b, rel_tol=GRID_RTOL)
 
 
-# Largest output length fft_convolve computes with one transform; longer
+# Largest output length precode computes with one transform; longer
 # convolutions go block by block (overlap-add).
 ONE_SHOT_MAX = 1 << 16
 
@@ -127,28 +128,43 @@ def overlap_add(spectra: np.ndarray, step: int, n: int) -> np.ndarray:
     return flat[..., :n]
 
 
-def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two complex 1-D arrays through the FFT.
+def convolve_sum(inputs, spectra, taps: int, limit: int, mapper, finish=lambda r, y: y) -> list:
+    """Every output y_r = sum over s of inputs[s] * f[s, r], full linear convolutions.
 
-    Up to ``ONE_SHOT_MAX`` output samples it pads both inputs to the next
-    fast length and transforms once, which equals
-    ``scipy.signal.fftconvolve(a, b)`` bit for bit. Longer convolutions
-    filter the longer input block by block with the shorter one
-    (overlap-add). A single-sample input is a plain scaling.
+    ``spectra(m)`` gives each input's (outputs, m) stack of filter spectra at
+    transform length m; ``taps`` is the longest filter. Up to ``limit`` output
+    samples, one transform of the next fast length serves all, on the calling
+    thread, with one accumulator and one batched inverse. Longer outputs go
+    by blocks (overlap-add): ``mapper`` runs each input's transform, then each
+    output's sum, inverse and ``finish(r, y)``, which makes the result listed
+    for output r from y, a view nothing else holds. Inputs add in order.
     """
-    if a.size == 1 or b.size == 1:
-        return a * b
-    n = a.size + b.size - 1
-    if n <= ONE_SHOT_MAX:
-        m = fast_len(n)
-        return np.fft.ifft(np.fft.fft(a, m) * np.fft.fft(b, m))[:n]
-    if a.size < b.size:
-        a, b = b, a
-    m = block_len(b.size)
-    step = m - b.size + 1
-    spectra = block_spectra(a, m, step)
-    spectra *= np.fft.fft(b, m)
-    return overlap_add(spectra, step, n)
+    n = max(x.size for x in inputs) + taps - 1
+    one_shot = n <= limit
+    m = fast_len(n) if one_shot else block_len(taps)
+    step = m if one_shot else m - taps + 1
+    mapper = map if one_shot else mapper
+    stacks = spectra(m)
+    blocks = list(mapper(lambda x: block_spectra(x, m, step), inputs))
+    outputs = range(len(stacks[0]))
+
+    def receive(rows: slice) -> list:
+        if len(blocks) == len(outputs) == 1 and m > 1:
+            # One input to one output: multiplied inside its own blocks. Not at
+            # m = 1, where numpy rounds a product in place differently.
+            acc = blocks[0][np.newaxis]
+            acc *= stacks[0]
+        else:
+            acc = np.zeros((len(outputs[rows]), max(map(len, blocks)), m), dtype=np.complex128)
+            # Block by block: no temporary the size of an input. Each block
+            # keeps a leading axis of one, for the reason _shift_add_conv gives.
+            for x, h in zip(blocks, (stack[rows] for stack in stacks)):
+                for b, xb in enumerate(x[:, np.newaxis]):
+                    acc[:, b] += xb * h
+        return [finish(r, y) for r, y in zip(outputs[rows], overlap_add(acc, step, n))]
+
+    rows = [slice(None)] if one_shot else [slice(r, r + 1) for r in outputs]
+    return list(itertools.chain.from_iterable(mapper(receive, rows)))
 
 
 @dataclass(frozen=True)

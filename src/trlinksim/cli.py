@@ -16,7 +16,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import chanmodel, experiments, linksim, sigchain
 
@@ -312,7 +312,7 @@ def _parse_pair(pair_text: str, nodes: tuple[str, ...], lineno: int) -> tuple[st
 
 
 def _check_sweep_value(
-    variable: str, value: float, links: list[linksim.LinkSpec], mod: sigchain.ModParams
+    variable: str, value: float, links: Sequence[linksim.LinkSpec], mod: sigchain.ModParams
 ) -> None:
     """Refuse a grid value that the sweep over ``variable`` could not run."""
     if variable == "tx_power_dbm" and not math.isfinite(value):
@@ -540,12 +540,19 @@ def _sweep_csv(cfg: RunConfig, command: str, variable: str, default: tuple, path
     """Sweep ``variable`` over the config's values, or ``default`` when it names none.
 
     A config that names a sweep variable serves only the command sweeping it.
+    The default grid is checked, as the parser checks values, before any trial.
     """
     if cfg.sweep_variable not in (None, variable):
         raise ConfigError(
             f"config sweep variable {cfg.sweep_variable!r} does not match command "
             f"{command!r} (expected {variable!r})"
         )
+    try:
+        for value in () if cfg.sweep_values else default:
+            _check_sweep_value(variable, value, cfg.links, cfg.mod)
+    except ValueError as exc:
+        fix = "name a grid that fits with [sweep] variable and values"
+        raise ConfigError(f"default {command} grid value {value:g}: {exc}; {fix}") from None
     write_sweep_csv(_sweep_rows(cfg, variable, cfg.sweep_values or default), path)
     return [path]
 

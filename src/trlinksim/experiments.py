@@ -203,8 +203,7 @@ def _transmit(
     pilot[0], pilot[1] = 0, 1  # guarantee both classes for training
     bits = np.concatenate([pilot, payload])
     shaped = precode(modulate_ask(bits, mod), tx_filter)
-    x = scale_to_power(shaped, link.tx_power_dbm)
-    return Waveform._wrap(x.samples, x.sample_interval, link.stream_id), pilot, payload
+    return scale_to_power(shaped, link.tx_power_dbm), pilot, payload
 
 
 def run_trial(
@@ -264,9 +263,7 @@ def run_trial(
         # Contiguous like the whole waveform was, so numpy multiplies them
         # the same way and every derotated sample is bit for bit the old one.
         decisions = np.ascontiguousarray(y.samples[own.decision_offset :: sps][:n_symbols])
-        rotated = Waveform._wrap(
-            decisions * np.exp(-1j * np.angle(own.peak)), symbol_mod.sample_interval, y.origin
-        )
+        rotated = Waveform._wrap(decisions * np.exp(-1j * np.angle(own.peak)), symbol_mod.sample_interval)
         _, pilot, payload = chains[sid]
         threshold = train_threshold(rotated, pilot, 0, symbol_mod)
         rx_bits = demodulate(rotated, pilot_len, threshold, n_bits, symbol_mod)

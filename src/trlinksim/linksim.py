@@ -11,7 +11,6 @@ each transmit chain.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -26,8 +25,7 @@ from .chanmodel import (
     Cir,
     block_len,
     block_spectra,
-    fast_len,
-    overlap_add,
+    convolve_sum,
     same_grid,
 )
 from .sigchain import (
@@ -273,55 +271,23 @@ def propagate(
     present = sorted(
         (link for link in scenario.links if link.stream_id in streams), key=lambda l: l.stream_id
     )
-    rxs = scenario.receivers
-    # One transform covers every output when the longest stream convolved
-    # with the longest channel fits in a block, and one task receives at
-    # every receiver. Longer streams go block by block (overlap-add), which
-    # is long enough work to share out across the pool: the streams'
-    # transforms, then one task per receiver.
-    longest = max(streams[link.stream_id].samples.size for link in present) + table.taps - 1
-    if longest <= table.block_size:
-        m = step = fast_len(longest)
-        mapper = map
-        groups = [slice(0, len(rxs))]
-    else:
-        m, step = table.block_size, table.block_step
-        mapper = _pool_map
-        groups = [slice(i, i + 1) for i in range(len(rxs))]
-    spectra = table.spectra(m)
-    # Each stream is transformed once; every receiver sums its share of
-    # the streams in the frequency domain and inverts once.
-    ids = [link.stream_id for link in present]
-    blocks = dict(zip(ids, mapper(lambda sid: block_spectra(streams[sid].samples, m, step), ids)))
-    n_blocks = max(b.shape[0] for b in blocks.values())
     n_watts = noise_power(scenario.noise)
-    lengths = [
-        max(
-            streams[link.stream_id].samples.size + table.channels[link.tx_node][i].size - 1
-            for link in present
-        )
-        for i in range(len(rxs))
-    ]
 
-    def receive(group: slice) -> list[Waveform]:
-        """The received waveforms of a run of receivers: one accumulator, one inverse."""
-        indices = range(len(rxs))[group]
-        acc = np.zeros((len(indices), n_blocks, m), dtype=np.complex128)
-        for link in present:
-            # Block by block, in stream order: no temporary the size of the
-            # stream. Each block keeps a leading axis of one, for the reason
-            # given in _shift_add_conv.
-            h = spectra[link.tx_node][group]
-            for b, x in enumerate(blocks[link.stream_id][:, np.newaxis]):
-                acc[:, b] += x * h
-        received = []
-        for i, y in zip(indices, overlap_add(acc, step, max(lengths[group]))):
-            y = y[: lengths[i]]
-            _add_noise(y, n_watts, seed, i)
-            received.append(Waveform._wrap(y, dt, f"rx:{rxs[i]}"))
-        return received
+    def finish(i: int, y: np.ndarray) -> Waveform:
+        """Receiver i's waveform: cut to its own length, with its noise added."""
+        n = max(streams[l.stream_id].samples.size + table.channels[l.tx_node][i].size for l in present)
+        y = y[: n - 1]
+        _add_noise(y, n_watts, seed, i)
+        return Waveform._wrap(y, dt)
 
-    return dict(zip(rxs, itertools.chain.from_iterable(mapper(receive, groups))))
+    # One transform while the output fits in one overlap-add block; longer
+    # streams share the work out across the pool.
+    received = convolve_sum(
+        [streams[link.stream_id].samples for link in present],
+        lambda m: [table.spectra(m)[link.tx_node] for link in present],
+        table.taps, block_len(table.taps), _pool_map, finish,
+    )
+    return dict(zip(scenario.receivers, received))
 
 
 def _add_noise(y: np.ndarray, n_watts: float, seed: int, rx_index: int) -> None:
@@ -458,9 +424,9 @@ class ResponseTable:
 
     ``channels`` maps each transmitter to the samples of its channels
     toward every receiver, in ``Scenario.receivers`` order, and ``taps``
-    is the longest of them; it sets the overlap-add block length
-    ``block_size``. ``spectra(m)`` stacks each transmitter's channel
-    spectra at transform length m, computed on first use.
+    is the longest of them. ``spectra(m)`` stacks each transmitter's
+    channel spectra at transform length m, computed on first use, in the
+    form ``convolve_sum`` takes them; ``propagate`` asks for them there.
     """
 
     filters: Mapping[str, TrFilter]
@@ -468,15 +434,9 @@ class ResponseTable:
     cochannel: Mapping[tuple[str, str], float]
     channels: Mapping[str, tuple[np.ndarray, ...]]
     taps: int
-    block_size: int
     _spectra: dict[int, Mapping[str, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-
-    @property
-    def block_step(self) -> int:
-        """Input samples per block: their convolution with any channel fits in ``block_size``."""
-        return self.block_size - self.taps + 1
 
     def spectra(self, m: int) -> Mapping[str, np.ndarray]:
         """Per transmitter, a (receivers, m) stack of its channel spectra (m >= ``taps``)."""
@@ -536,7 +496,6 @@ class ResponseTable:
             MappingProxyType(cochannel),
             MappingProxyType(channels),
             taps,
-            block_len(taps),
         )
 
 

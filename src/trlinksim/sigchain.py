@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chanmodel import Cir, fft_convolve, same_grid
+from .chanmodel import ONE_SHOT_MAX, Cir, block_spectra, convolve_sum, same_grid
 
 __all__ = [
     "ModParams",
@@ -82,7 +82,6 @@ class Waveform:
 
     samples: np.ndarray
     sample_interval: float
-    origin: str = ""
 
     def __post_init__(self) -> None:
         self._freeze(np.array(self.samples, dtype=np.complex128).reshape(-1))
@@ -96,7 +95,7 @@ class Waveform:
         object.__setattr__(self, "samples", s)
 
     @classmethod
-    def _wrap(cls, samples: np.ndarray, sample_interval: float, origin: str = "") -> "Waveform":
+    def _wrap(cls, samples: np.ndarray, sample_interval: float) -> "Waveform":
         """A Waveform around a 1-D complex128 array this package just made.
 
         The array is frozen in place rather than copied; nothing else may
@@ -104,7 +103,6 @@ class Waveform:
         """
         w = cls.__new__(cls)
         object.__setattr__(w, "sample_interval", sample_interval)
-        object.__setattr__(w, "origin", origin)
         w._freeze(samples)
         return w
 
@@ -172,12 +170,19 @@ def modulate_ask(bits: Sequence[int] | np.ndarray, params: ModParams) -> Wavefor
 def precode(waveform: Waveform, tx_filter: TrFilter) -> Waveform:
     """Full linear convolution of the waveform with the pre-filter.
 
-    FFT-based; output length is len(waveform) + len(filter) - 1.
+    Output length is len(waveform) + len(filter) - 1. A single-sample
+    operand is a plain product; otherwise ``convolve_sum`` with one
+    transform up to ``ONE_SHOT_MAX`` output samples, which equals
+    ``scipy.signal.fftconvolve(waveform, filter)`` bit for bit, and
+    overlap-add above it, all on the calling thread.
     """
     if not same_grid(waveform.sample_interval, tx_filter.sample_interval):
         raise ValueError("grid mismatch between waveform and filter")
-    out = fft_convolve(tx_filter.samples, waveform.samples)
-    return Waveform._wrap(out, waveform.sample_interval, waveform.origin)
+    x, g = waveform.samples, tx_filter.samples
+    if x.size == 1 or g.size == 1:
+        return Waveform._wrap(x * g, waveform.sample_interval)
+    (out,) = convolve_sum([x], lambda m: [block_spectra(g, m, m)], g.size, ONE_SHOT_MAX, map)
+    return Waveform._wrap(out, waveform.sample_interval)
 
 
 def scale_to_power(waveform: Waveform, p_dbm: float) -> Waveform:
@@ -186,8 +191,4 @@ def scale_to_power(waveform: Waveform, p_dbm: float) -> Waveform:
     mean = waveform.mean_power
     if mean <= 0.0:
         raise ValueError("cannot scale silence")
-    return Waveform._wrap(
-        waveform.samples * math.sqrt(target / mean),
-        waveform.sample_interval,
-        waveform.origin,
-    )
+    return Waveform._wrap(waveform.samples * math.sqrt(target / mean), waveform.sample_interval)

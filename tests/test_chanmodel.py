@@ -17,8 +17,8 @@ from trlinksim.chanmodel import (
     block_len,
     block_spectra,
     channel_correlation,
+    convolve_sum,
     fast_len,
-    fft_convolve,
     import_frequency_response,
     overlap_add,
     read_cir_csv,
@@ -27,6 +27,7 @@ from trlinksim.chanmodel import (
     synth_reverberant,
     write_cir_csv,
 )
+from trlinksim.sigchain import TrFilter, Waveform, precode
 
 DT = 1e-12
 
@@ -323,14 +324,30 @@ def test_cir_csv_errors_name_the_line(tmp_path, body, message):
     "len_a, len_b",
     [(1, 1), (1, 57), (33, 1), (2, 2), (7, 300), (401, 1604), (129, 50_000)],
 )
-def test_fft_convolve_equals_scipy_fftconvolve_bitwise(len_a, len_b):
+def test_convolution_equals_scipy_fftconvolve_bitwise(len_a, len_b):
     from scipy.signal import fftconvolve
 
     rng = np.random.default_rng(len_a * 7919 + len_b)
-    a = rng.standard_normal(len_a) + 1j * rng.standard_normal(len_a)
-    b = rng.standard_normal(len_b) + 1j * rng.standard_normal(len_b)
-    assert np.array_equal(fft_convolve(a, b), fftconvolve(a, b))
-    assert np.array_equal(fft_convolve(b, a), fftconvolve(b, a))
+    # Unit energy, so either input can be a pre-filter.
+    a, b = (_unit(rng.standard_normal(n) + 1j * rng.standard_normal(n)) for n in (len_a, len_b))
+    # A single-sample operand is precode's plain product; the rest is one transform.
+    conv = _precode if 1 in (len_a, len_b) else _convolve_one
+    assert np.array_equal(conv(a, b), fftconvolve(a, b))
+    assert np.array_equal(conv(b, a), fftconvolve(b, a))
+
+
+def _unit(x):
+    return x / math.sqrt(np.sum(np.abs(x) ** 2))
+
+
+def _precode(x, g):
+    return precode(Waveform(x, DT), TrFilter(g, DT)).samples
+
+
+def _convolve_one(x, h):
+    """x * h through convolve_sum: one input, one output."""
+    (y,) = convolve_sum([x], lambda m: [block_spectra(h, m, m)], h.size, ONE_SHOT_MAX, map)
+    return y
 
 
 def test_fast_len_equals_scipy_next_fast_len():
@@ -354,17 +371,17 @@ def _block_path_lengths(k):
 
 
 @pytest.mark.parametrize("k", [2, 101, 401])
-def test_fft_convolve_block_path_matches_direct(k):
+def test_convolve_sum_block_path_matches_direct(k):
     rng = np.random.default_rng(k)
     h = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     for length in _block_path_lengths(k):
         assert length + k - 1 > ONE_SHOT_MAX
         x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
         direct = np.convolve(x, h)
-        for got in (fft_convolve(x, h), fft_convolve(h, x)):
-            assert got.shape == direct.shape
-            err = np.max(np.abs(got - direct)) / np.max(np.abs(direct))
-            assert err <= 1e-12, (length, err)
+        got = _convolve_one(x, h)
+        assert got.shape == direct.shape
+        err = np.max(np.abs(got - direct)) / np.max(np.abs(direct))
+        assert err <= 1e-12, (length, err)
 
 
 def _two_buffer_overlap_add(spectra, step, n):

@@ -529,6 +529,43 @@ def test_main_gen_channel_round_trips(tmp_path):
     assert main(["run", "--config", cfg2, "--out", str(tmp_path / "r2")]) == 0
 
 
+_CHANNEL = "model = reverberant\nnum_taps = 8\nrms_delay_spread_s = 50e-12\nmax_delay_s = 200e-12\n"
+# One transmitter, three receivers.
+_SCATTER_3 = (
+    "[nodes]\nnames = A, B, C, D\n\n"
+    + "".join(f'[channel "A->{rx}"]\n{_CHANNEL}\n' for rx in "BCD")
+    + "".join(f"[link {i}]\ntx = A\nrx = {rx}\n\n" for i, rx in enumerate("BCD", 1))
+    + MINIMAL[MINIMAL.index("[noise]") :]
+)
+
+
+@pytest.mark.parametrize(
+    "text, per_link",
+    [
+        # one link at 5 ps: 80 Gb/s would be 2.5 samples per symbol
+        (MINIMAL, "bit rate 8e+10 b/s does not fit the grid of 5e-12 s (samples per symbol would be 2.5)"),
+        # three links: 80 Gb/s split three ways would be 7.5
+        (_SCATTER_3, "bit rate 2.66667e+10 b/s does not fit the grid of 5e-12 s (samples per symbol would be 7.5)"),
+    ],
+)
+def test_rate_sweep_refuses_a_default_grid_that_does_not_fit_before_any_trial(
+    tmp_path, monkeypatch, capsys, text, per_link
+):
+    cfg_path = _write(tmp_path, "rate.cfg", text + "\n[sweep]\nn_bits = 100\n")
+    trials = _counting(monkeypatch, experiments, "run_trial", lambda *args, **kwargs: None)
+    out = tmp_path / "out"
+    assert main(["sweep-rate", "--config", cfg_path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: default sweep-rate grid value 8e+10: {per_link}; "
+        "name a grid that fits with [sweep] variable and values\n"
+    )
+    assert not trials and not out.exists()
+    # the same config with values that fit runs
+    text += "\n[sweep]\nn_bits = 100\nvariable = aggregate_rate_bps\nvalues = 10e9, 20e9\n"
+    assert main(["sweep-rate", "--config", _write(tmp_path, "fit.cfg", text), "--out", str(out)]) == 0
+    assert (out / "sweep_rate.csv").is_file()
+
+
 def test_rate_sweep_keeps_the_configured_levels_and_carrier():
     text = TWO_LINK + "\n[modulation]\nlevel_zero = 0.1\nlevel_one = 0.7\ncarrier_hz = 300e9\n"
     cfg = parse_config(text)
@@ -562,16 +599,26 @@ def test_main_strict_flag(tmp_path, capsys):
 
 
 def _counting(monkeypatch, module, name, key):
-    """Replace module.name with a wrapper that counts calls by key(*args, **kwargs)."""
+    """Replace module.name with a wrapper that counts calls by key(*args, **kwargs).
+
+    ``module`` may be a tuple of modules that all bind the same function.
+    """
     counts = Counter()
-    original = getattr(module, name)
+    modules = module if isinstance(module, tuple) else (module,)
+    original = getattr(modules[0], name)
 
     def counted(*args, **kwargs):
         counts[key(*args, **kwargs)] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counted)
+    for m in modules:
+        monkeypatch.setattr(m, name, counted)
     return counts
+
+
+# Where block_spectra is called: the response table transforms the channels
+# (linksim), convolve_sum the streams before and after precoding (chanmodel).
+_TRANSFORMS = (linksim, chanmodel)
 
 
 _SWEEP_3x2 = "\n[sweep]\nvariable = tx_power_dbm\nvalues = -2, 4, 10\nn_bits = 100\nn_trials = 2\n"
@@ -653,12 +700,13 @@ def test_power_sweep_transforms_each_channel_once(tmp_path, monkeypatch):
         sections.append(f'[channel "{pair}"]\nfile = cir_{i}.csv\n')
     sections.append(TWO_LINK[TWO_LINK.index("[link 1]") : TWO_LINK.index("[sweep]")])
     cfg_path = _write(tmp_path, "files.cfg", "\n".join(sections) + _SWEEP_3x2)
-    transforms = _counting(monkeypatch, linksim, "block_spectra", lambda x, m, step: x.tobytes())
+    transforms = _counting(monkeypatch, _TRANSFORMS, "block_spectra", lambda x, m, step: x.tobytes())
     assert main(["sweep-power", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
     assert [transforms[h] for h in channels] == [1, 1, 1, 1]
-    # one forward transform per stream per trial: 3 points x 2 trials x 2 links
+    # one forward transform per stream per trial, before and after precoding:
+    # 2 x 3 points x 2 trials x 2 links
     streams = {x: n for x, n in transforms.items() if x not in channels}
-    assert len(streams) == 12 and set(streams.values()) == {1}
+    assert len(streams) == 2 * 12 and set(streams.values()) == {1}
 
 
 def test_file_backed_run_transforms_each_channel_once_at_one_length(tmp_path, monkeypatch):
@@ -672,26 +720,28 @@ def test_file_backed_run_transforms_each_channel_once_at_one_length(tmp_path, mo
     sections.append(TWO_LINK[TWO_LINK.index("[link 1]") : TWO_LINK.index("[sweep]")])
     sections.append("\n[sweep]\nn_bits = 100\n")
     cfg_path = _write(tmp_path, "files.cfg", "\n".join(sections))
-    transforms = _counting(monkeypatch, linksim, "block_spectra", lambda x, m, step: (x.tobytes(), m))
+    transforms = _counting(monkeypatch, _TRANSFORMS, "block_spectra", lambda x, m, step: (x.tobytes(), m))
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out"), "--trials", "3"]) == 0
     per_channel = {key: n for key, n in transforms.items() if key[0] in channels}
     assert sorted(x for x, _ in per_channel) == sorted(channels)
     assert set(per_channel.values()) == {1}
-    # short streams: a single transform length, below the overlap-add block
-    lengths = {m for _, m in transforms}
-    assert len(lengths) == 1 and lengths.pop() < chanmodel.block_len(100)
+    # short streams: the channels at a single transform length, and every
+    # transform, the streams' too, below the overlap-add block
+    assert len({m for _, m in per_channel}) == 1
+    assert max(m for _, m in transforms) < chanmodel.block_len(100)
 
 
 def test_run_transforms_each_stream_once_per_trial(tmp_path, monkeypatch):
     cfg_path = _write(tmp_path, "run.cfg", TWO_LINK)
     propagations = _counting(monkeypatch, experiments, "propagate", lambda scenario, streams, seed: seed)
-    transforms = _counting(monkeypatch, linksim, "block_spectra", lambda x, m, step: x.size)
+    transforms = _counting(monkeypatch, _TRANSFORMS, "block_spectra", lambda x, m, step: x.size)
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out"), "--trials", "3"]) == 0
     assert sum(propagations.values()) == 3
     taps = round(200e-12 / 5e-12) + 1
-    # per trial: 4 fresh channels, then the 2 streams once each (not once per receiver)
+    # per trial: 4 fresh channels, then the 2 streams once each (not once per
+    # receiver), before and after precoding
     assert transforms[taps] == 3 * 4
-    assert sum(n for size, n in transforms.items() if size != taps) == 3 * 2
+    assert sum(n for size, n in transforms.items() if size != taps) == 3 * 2 * 2
 
 
 def test_power_sweep_solves_decay_constant_once_per_params(tmp_path):

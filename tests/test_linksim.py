@@ -11,7 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trlinksim import linksim
-from trlinksim.chanmodel import ONE_SHOT_MAX, Cir, ReverbParams, same_grid, synth_reverberant
+from trlinksim.chanmodel import (
+    ONE_SHOT_MAX,
+    Cir,
+    ReverbParams,
+    block_len,
+    fast_len,
+    same_grid,
+    synth_reverberant,
+)
 from trlinksim.experiments import build_multi_tx_scenario, build_scatter_scenario
 from trlinksim.linksim import (
     BOLTZMANN_J_PER_K,
@@ -591,11 +599,11 @@ def test_propagate_with_long_channels_and_short_streams(n_links, lengths, stream
 
 @pytest.mark.parametrize("excess", [-1, 0, 1, 2])
 def test_propagate_around_the_one_transform_limit(excess):
-    # longest stream + longest channel - 1 = block_size + excess: one
-    # transform up to the block size, overlap-add past it.
+    # longest stream + longest channel - 1 = block length + excess: one
+    # transform up to one overlap-add block, overlap-add past it.
     scenario = _random_scenario(2, [401, 7, 1, 33], 4, NoiseSpec.explicit(-10.0))
-    table = scenario.responses
-    n = table.block_size + excess - table.taps + 1
+    taps = scenario.responses.taps
+    n = block_len(taps) + excess - taps + 1
     rng = np.random.default_rng(excess + 10)
     streams = {
         "A->B": Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), DT),
@@ -660,7 +668,8 @@ def _one_worker_map(fn, *iterables):
 @pytest.mark.parametrize("serial", [map, _one_worker_map])
 def test_propagate_on_the_block_path_pooled_equals_serial(monkeypatch, serial):
     scenario = _two_link_scenario(NoiseSpec.explicit(-10.0))
-    block_step = scenario.responses.block_step
+    taps = scenario.responses.taps
+    block_step = block_len(taps) - taps + 1
     rng = np.random.default_rng(8)
     streams = {
         sid: Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), DT)
@@ -804,7 +813,7 @@ def _per_receiver_propagate(scenario, streams, seed):
         (l for l in scenario.links if l.stream_id in streams), key=lambda l: l.stream_id
     )
     taps = max(c.samples.size for c in scenario.channels.values())
-    m = linksim.fast_len(max(streams[l.stream_id].samples.size for l in present) + taps - 1)
+    m = fast_len(max(streams[l.stream_id].samples.size for l in present) + taps - 1)
     out = {}
     for i, rx in enumerate(scenario.receivers):
         acc = np.zeros(m, dtype=np.complex128)
@@ -852,7 +861,7 @@ def test_propagate_in_one_transform_receives_as_each_receiver_alone(
         link.stream_id: Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), DT)
         for link, n in zip(scenario.links, stream_lengths)
     }
-    assert max(stream_lengths) + max(channel_lengths) - 1 <= scenario.responses.block_size
+    assert max(stream_lengths) + max(channel_lengths) - 1 <= block_len(scenario.responses.taps)
     got = propagate(scenario, streams, seed=11)
     want = _per_receiver_propagate(scenario, streams, 11)
     assert list(got) == list(scenario.receivers)

@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from trlinksim.chanmodel import Cir, ReverbParams, synth_reverberant
+from trlinksim.chanmodel import (
+    ONE_SHOT_MAX,
+    Cir,
+    ReverbParams,
+    block_len,
+    block_spectra,
+    overlap_add,
+    synth_reverberant,
+)
 from trlinksim.sigchain import (
     ModParams,
     TrFilter,
@@ -145,6 +153,42 @@ def test_precode_matches_direct_convolution():
     direct = np.convolve(f.samples, w.samples)
     assert len(out.samples) == len(w.samples) + len(f.samples) - 1
     assert np.max(np.abs(out.samples - direct)) < 1e-12
+
+
+def _former_block_convolve(a, b):
+    """The block branch of the former chanmodel.fft_convolve, kept as an oracle.
+
+    The longer input goes block by block, each block multiplied by the
+    shorter input's spectrum inside its own buffer, then overlap-added.
+    """
+    if a.size < b.size:
+        a, b = b, a
+    m = block_len(b.size)
+    step = m - b.size + 1
+    spectra = block_spectra(a, m, step)
+    spectra *= np.fft.fft(b, m)
+    return overlap_add(spectra, step, a.size + b.size - 1)
+
+
+@pytest.mark.parametrize(
+    "n, taps",
+    [(7, 3), (1000, 41), (ONE_SHOT_MAX - 40, 41), (ONE_SHOT_MAX - 39, 41)]
+    + [(100_000, 41), (200_001, 401), (70_000, 2)],
+)
+def test_precode_bits_on_both_paths(n, taps):
+    # Up to ONE_SHOT_MAX output samples: scipy's fftconvolve(stream, filter).
+    # Above it: the overlap-add the package used before convolve_sum.
+    from scipy.signal import fftconvolve
+
+    rng = np.random.default_rng(n + taps)
+    g = make_tr_filter(Cir(rng.standard_normal(taps) + 1j * rng.standard_normal(taps), DT))
+    x = Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), DT)
+    got = precode(x, g).samples
+    if n + taps - 1 <= ONE_SHOT_MAX:
+        want = fftconvolve(x.samples, g.samples)
+    else:
+        want = _former_block_convolve(g.samples, x.samples)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_precode_demands_matching_grids():
