@@ -261,10 +261,8 @@ def propagate(
     if int(seed) != seed or seed < 0:
         raise ValueError("seed must be a non-negative integer")
     dt = scenario.mod_params.sample_interval
-    known = {link.stream_id for link in scenario.links}
     for stream_id, waveform in streams.items():
-        if stream_id not in known:
-            raise ValueError(f"link not found: {stream_id!r}")
+        scenario.link_for_stream(stream_id)  # rejects unknown stream ids
         if not same_grid(waveform.sample_interval, dt):
             raise ValueError(f"grid mismatch: stream {stream_id!r} is off the modulation grid")
     table = scenario.responses

@@ -66,11 +66,6 @@ class ModParams:
     def sample_interval(self) -> float:
         return 1.0 / (self.bit_rate * self.samples_per_symbol)
 
-    @property
-    def mean_symbol_power(self) -> float:
-        """E[a^2] for equiprobable bits."""
-        return 0.5 * (self.level_zero**2 + self.level_one**2)
-
 
 @dataclass(frozen=True)
 class Waveform:
@@ -171,17 +166,18 @@ def precode(waveform: Waveform, tx_filter: TrFilter) -> Waveform:
     """Full linear convolution of the waveform with the pre-filter.
 
     Output length is len(waveform) + len(filter) - 1. A single-sample
-    operand is a plain product; otherwise ``convolve_sum`` with one
-    transform up to ``ONE_SHOT_MAX`` output samples, which equals
-    ``scipy.signal.fftconvolve(waveform, filter)`` bit for bit, and
-    overlap-add above it, all on the calling thread.
+    operand is a plain product; else ``convolve_sum``, on the calling thread,
+    cuts the longer operand (the filter on a tie): one transform, bitwise
+    ``scipy.signal.fftconvolve(longer, shorter)``, up to ``ONE_SHOT_MAX``
+    output samples, and blocks of ``block_len(shorter)`` above it.
     """
     if not same_grid(waveform.sample_interval, tx_filter.sample_interval):
         raise ValueError("grid mismatch between waveform and filter")
     x, g = waveform.samples, tx_filter.samples
     if x.size == 1 or g.size == 1:
         return Waveform._wrap(x * g, waveform.sample_interval)
-    (out,) = convolve_sum([x], lambda m: [block_spectra(g, m, m)], g.size, ONE_SHOT_MAX, map)
+    a, b = (x, g) if x.size > g.size else (g, x)
+    (out,) = convolve_sum([a], lambda m: [block_spectra(b, m, m)], b.size, ONE_SHOT_MAX, map)
     return Waveform._wrap(out, waveform.sample_interval)
 
 
