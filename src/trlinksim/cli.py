@@ -193,7 +193,6 @@ SCHEMA: dict[str, tuple[Key, ...]] = {
         Key("samples_per_symbol", _integer, "4"),
         Key("level_zero", _number, "0"),
         Key("level_one", _number, "1"),
-        Key("carrier_hz", _number, "140e9"),
     ),
     "noise": (
         Key("mode", _one_of(_MODES, "noise mode must be 'thermal' or 'explicit', got {!r}"), required=True),
@@ -392,13 +391,13 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
         for end, node in (("tx", spec["tx_node"]), ("rx", spec["rx_node"])):
             if node not in nodes:
                 raise ConfigError(f"line {body[end].lineno}: undefined node {node!r}")
-        stream_id = f"{spec['tx_node']}->{spec['rx_node']}"
-        if any(link.stream_id == stream_id for link in links):
-            raise ConfigError(f"line {lineno}: duplicate link {stream_id}")
         try:
-            links.append(linksim.LinkSpec(stream_id=stream_id, **spec))
+            link = linksim.LinkSpec(**spec)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: invalid [{name}]: {exc}") from None
+        if any(other.stream_id == link.stream_id for other in links):
+            raise ConfigError(f"line {lineno}: duplicate link {link.stream_id}")
+        links.append(link)
     if not links:
         raise ConfigError("config defines no [link N] sections")
 
@@ -481,7 +480,7 @@ def _build_scenario(
     if rate_per_stream is not None:
         fit = experiments.mod_params_for_rate(rate_per_stream, mod.sample_interval)
         mod = dataclasses.replace(mod, bit_rate=fit.bit_rate, samples_per_symbol=fit.samples_per_symbol)
-    return linksim.Scenario(cfg.nodes, channels, links, cfg.noise, mod)
+    return linksim.Scenario(channels, links, cfg.noise, mod)
 
 
 def _stream_powers(links: tuple[linksim.LinkSpec, ...], power_value: float) -> dict[str, float]:

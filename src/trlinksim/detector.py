@@ -8,8 +8,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .sigchain import ModParams, Waveform
-
 __all__ = [
     "BerResult",
     "train_threshold",
@@ -30,17 +28,17 @@ class BerResult:
     wilson_ci95: tuple[float, float]
 
 
-def wilson_interval(errors: int, total: int, z: float = Z_95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(errors: int, total: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion."""
     if total < 1:
         raise ValueError("total must be at least 1")
     if not 0 <= errors <= total:
         raise ValueError("errors must lie in [0, total]")
     p = errors / total
-    z2 = z * z
+    z2 = Z_95 * Z_95
     denom = 1.0 + z2 / total
     center = (p + z2 / (2.0 * total)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total)) / denom
+    half = Z_95 * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total)) / denom
     # The bound is exactly 0 (or 1) at the degenerate counts; rounding in
     # center-half would otherwise leave a ~1e-18 residue that excludes p=0.
     lo = 0.0 if errors == 0 else max(center - half, 0.0)
@@ -48,45 +46,25 @@ def wilson_interval(errors: int, total: int, z: float = Z_95) -> tuple[float, fl
     return (lo, hi)
 
 
-def _decision_samples(rx: Waveform, offset: int, count: int, sps: int) -> np.ndarray:
-    if offset < 0:
-        raise ValueError("offset must be non-negative")
-    last = offset + (count - 1) * sps
-    if last >= rx.samples.size:
-        raise ValueError("insufficient samples for the requested decisions")
-    return rx.samples[offset : last + 1 : sps].real
+def train_threshold(decisions: np.ndarray, pilot_bits: Sequence[int] | np.ndarray) -> float:
+    """Midpoint of the two classes' mean decision values over the pilot.
 
-
-def train_threshold(
-    rx: Waveform,
-    pilot_bits: Sequence[int] | np.ndarray,
-    offset: int,
-    params: ModParams,
-) -> float:
-    """Midpoint of the two classes' mean decision samples over the pilot.
-
-    The waveform is expected to be phase-derotated already, so the real
-    part at the decision instants carries the signal.
+    ``decisions`` holds one real, phase-derotated decision value per pilot
+    bit.
     """
     pilot = np.asarray(pilot_bits, dtype=np.int64).reshape(-1)
     if pilot.size == 0 or not (np.any(pilot == 0) and np.any(pilot == 1)):
         raise ValueError("pilot lacks both symbols")
-    vals = _decision_samples(rx, offset, pilot.size, params.samples_per_symbol)
-    return float(0.5 * (vals[pilot == 0].mean() + vals[pilot == 1].mean()))
+    if decisions.shape != pilot.shape:
+        raise ValueError(
+            f"need one decision value per pilot bit, got {decisions.size} for {pilot.size}"
+        )
+    return float(0.5 * (decisions[pilot == 0].mean() + decisions[pilot == 1].mean()))
 
 
-def demodulate(
-    rx: Waveform,
-    offset: int,
-    threshold: float,
-    n_bits: int,
-    params: ModParams,
-) -> np.ndarray:
-    """Slice the real part at symbol-spaced decision instants."""
-    if n_bits < 1:
-        raise ValueError("n_bits must be at least 1")
-    vals = _decision_samples(rx, offset, n_bits, params.samples_per_symbol)
-    return (vals > threshold).astype(np.int64)
+def demodulate(decisions: np.ndarray, threshold: float) -> np.ndarray:
+    """Slice real decision values, one per bit, at ``threshold``."""
+    return (decisions > threshold).astype(np.int64)
 
 
 def count_errors(tx_bits: Sequence[int] | np.ndarray, rx_bits: Sequence[int] | np.ndarray) -> BerResult:

@@ -11,7 +11,6 @@ many receivers at once.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -91,8 +90,7 @@ def mod_params_for_rate(rate_bps: float, sample_interval: float) -> ModParams:
 
     The bit rate must divide the grid: samples_per_symbol has to come out
     an integer, because channels stay fixed while the symbol rate moves.
-    Levels and carrier keep their defaults; ``dataclasses.replace`` sets
-    others.
+    Levels keep their defaults; ``dataclasses.replace`` sets others.
     """
     sps = 1.0 / (rate_bps * sample_interval)
     sps_int = int(round(sps))
@@ -134,9 +132,8 @@ def _scenario(
     mod = mod_params_for_rate(rate_bps, channels[required[0]].sample_interval)
     if noise is None:
         noise = NoiseSpec.thermal(300.0, rate_bps)
-    links = tuple(LinkSpec(tx, rx, f"{tx}->{rx}", mode, power_dbm) for tx, rx in pairs)
-    nodes = tuple(sorted({node for pair in required for node in pair}))
-    return Scenario(nodes, channels, links, noise, mod)
+    links = tuple(LinkSpec(tx, rx, mode, power_dbm) for tx, rx in pairs)
+    return Scenario(channels, links, noise, mod)
 
 
 def build_multi_tx_scenario(
@@ -251,23 +248,20 @@ def run_trial(
     chains = {link.stream_id: chain for link, chain in zip(links, sent)}
     streams = {sid: stream for sid, (stream, _, _) in chains.items()}
     received = propagate(scenario, streams, derive_seed(seed, 1))
-    # The detector reads one sample per symbol, so only those are derotated:
-    # a waveform of decision samples on the symbol grid.
-    symbol_mod = dataclasses.replace(mod, samples_per_symbol=1)
     reports: dict[str, SinrReport] = {}
     errors: dict[str, BerResult] = {}
     for link in links:
         sid = link.stream_id
         own = table.own[sid]
         y = received[link.rx_node]
+        # The detector reads one sample per symbol, so only those are derotated.
         # Contiguous like the whole waveform was, so numpy multiplies them
         # the same way and every derotated sample is bit for bit the old one.
         decisions = np.ascontiguousarray(y.samples[own.decision_offset :: sps][:n_symbols])
-        rotated = Waveform._wrap(decisions * np.exp(-1j * np.angle(own.peak)), symbol_mod.sample_interval)
+        rotated = (decisions * np.exp(-1j * np.angle(own.peak))).real
         _, pilot, payload = chains[sid]
-        threshold = train_threshold(rotated, pilot, 0, symbol_mod)
-        rx_bits = demodulate(rotated, pilot_len, threshold, n_bits, symbol_mod)
-        errors[sid] = count_errors(payload, rx_bits)
+        threshold = train_threshold(rotated[:pilot_len], pilot)
+        errors[sid] = count_errors(payload, demodulate(rotated[pilot_len:], threshold))
         reports[sid] = scenario.sinr[sid]
     return reports, errors
 

@@ -1,6 +1,6 @@
 """Superposition of concurrent streams, receiver noise, and deterministic SINR.
 
-A scenario couples a node set, a channel matrix, the concurrent links,
+A scenario couples a channel matrix, the concurrent links,
 a noise model, and the shared modulation grid. Propagation convolves
 every transmitted stream with its channel toward each receiver and
 superposes the results; the deterministic SINR path never draws bits or
@@ -110,7 +110,6 @@ class LinkSpec:
 
     tx_node: str
     rx_node: str
-    stream_id: str
     precoding: str = "tr"
     tx_power_dbm: float = 0.0
 
@@ -121,6 +120,11 @@ class LinkSpec:
             raise ValueError(f"precoding must be one of {_PRECODINGS}, got {self.precoding!r}")
         if not math.isfinite(self.tx_power_dbm):
             raise ValueError("tx_power_dbm must be finite")
+
+    @property
+    def stream_id(self) -> str:
+        """The stream's name, ``"tx->rx"``; a scenario has one link per (tx, rx)."""
+        return f"{self.tx_node}->{self.rx_node}"
 
 
 @dataclass(frozen=True)
@@ -135,25 +139,18 @@ class Scenario:
     and so are their SINR reports (``sinr``).
     """
 
-    nodes: tuple[str, ...]
     channels: Mapping[tuple[str, str], Cir]
     links: tuple[LinkSpec, ...]
     noise: NoiseSpec
     mod_params: ModParams
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "links", tuple(self.links))
         if not self.links:
             raise ValueError("scenario needs at least one link")
         ids = [link.stream_id for link in self.links]
         if len(set(ids)) != len(ids):
-            raise ValueError("stream ids must be unique")
-        known = set(self.nodes)
-        for link in self.links:
-            for node in (link.tx_node, link.rx_node):
-                if node not in known:
-                    raise ValueError(f"link {link.stream_id!r} references unknown node {node!r}")
+            raise ValueError("stream ids must be unique: one link per (tx, rx)")
         needed = [(link.tx_node, rx) for link in self.links for rx in self.receivers]
         for tx, rx in needed:
             if (tx, rx) not in self.channels:
@@ -321,7 +318,6 @@ class EffectiveResponse:
     taps: np.ndarray
     zero_index: int
     decision_offset: int
-    source: str = ""
 
     def __post_init__(self) -> None:
         t = np.array(self.taps, dtype=np.complex128).reshape(-1)
@@ -394,19 +390,14 @@ def full_rate_response(tx_filter: TrFilter, channel: Cir, params: ModParams) -> 
     return _full_rate_responses([(tx_filter, channel)], params)[0]
 
 
-def effective_response(
-    tx_filter: TrFilter,
-    channel: Cir,
-    params: ModParams,
-    source: str = "",
-) -> EffectiveResponse:
+def effective_response(tx_filter: TrFilter, channel: Cir, params: ModParams) -> EffectiveResponse:
     """Sample the full-rate response at symbol spacing around its strongest instant."""
     r = full_rate_response(tx_filter, channel, params)
     offset = int(np.argmax(np.abs(r)))
     sps = params.samples_per_symbol
     phase = offset % sps
     taps = r[phase::sps]
-    return EffectiveResponse(taps, (offset - phase) // sps, offset, source)
+    return EffectiveResponse(taps, (offset - phase) // sps, offset)
 
 
 @dataclass(frozen=True)
@@ -454,10 +445,7 @@ class ResponseTable:
         filters = {link.stream_id: link_filter(scenario, link) for link in scenario.links}
         own = {
             link.stream_id: effective_response(
-                filters[link.stream_id],
-                scenario.channels[(link.tx_node, link.rx_node)],
-                mod,
-                source=f"{link.stream_id}@{link.rx_node}",
+                filters[link.stream_id], scenario.channels[(link.tx_node, link.rx_node)], mod
             )
             for link in scenario.links
         }

@@ -39,15 +39,13 @@ class ModParams:
     """Amplitude-shift-keying parameters on a uniform baseband grid.
 
     The grid is implied: sample_interval = 1 / (bit_rate * samples_per_symbol).
-    ``carrier_hz`` is carried as metadata only; all processing happens in
-    complex baseband.
+    All processing happens in complex baseband.
     """
 
     bit_rate: float
     samples_per_symbol: int = 4
     level_zero: float = 0.0
     level_one: float = 1.0
-    carrier_hz: float = 140e9
 
     def __post_init__(self) -> None:
         if not self.bit_rate > 0.0:
@@ -59,8 +57,6 @@ class ModParams:
         object.__setattr__(self, "samples_per_symbol", int(self.samples_per_symbol))
         if not 0.0 <= self.level_zero < self.level_one:
             raise ValueError("need 0 <= level_zero < level_one")
-        if not self.carrier_hz > 0.0:
-            raise ValueError("carrier_hz must be positive")
 
     @property
     def sample_interval(self) -> float:
@@ -117,7 +113,6 @@ class TrFilter:
 
     samples: np.ndarray
     sample_interval: float
-    source_channel: str = ""
 
     def __post_init__(self) -> None:
         s = np.array(self.samples, dtype=np.complex128).reshape(-1)
@@ -143,12 +138,12 @@ def make_tr_filter(cir: Cir) -> TrFilter:
     if energy <= 0.0:
         raise ValueError("degenerate channel: zero energy")
     g = np.conj(cir.samples[::-1]) / math.sqrt(energy)
-    return TrFilter(g, cir.sample_interval, cir.label)
+    return TrFilter(g, cir.sample_interval)
 
 
 def make_identity_filter(cir: Cir) -> TrFilter:
     """Single unit tap on the channel's grid: the no-precoding baseline."""
-    return TrFilter(np.ones(1, dtype=np.complex128), cir.sample_interval, cir.label)
+    return TrFilter(np.ones(1, dtype=np.complex128), cir.sample_interval)
 
 
 def modulate_ask(bits: Sequence[int] | np.ndarray, params: ModParams) -> Waveform:

@@ -103,8 +103,8 @@ def test_criterion_03_hand_computed_sinr():
     h = Cir(np.array([1.0, 0.5]), mod.sample_interval, "A->B")
     from trlinksim.linksim import LinkSpec, Scenario
 
-    link = LinkSpec("A", "B", "A->B", "tr", 0.0)
-    scenario = Scenario(("A", "B"), {("A", "B"): h}, (link,), NoiseSpec.off(), mod)
+    link = LinkSpec("A", "B", "tr", 0.0)
+    scenario = Scenario({("A", "B"): h}, (link,), NoiseSpec.off(), mod)
     got = compute_sinr(scenario, link).sinr_db
     expected = 10.0 * math.log10(1.25 / 0.4)
     ok = abs(got - expected) <= 1e-6

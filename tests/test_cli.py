@@ -99,7 +99,7 @@ def test_parse_minimal_config_applies_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.nodes == ("A", "B")
     assert (cfg.mod.bit_rate, cfg.mod.samples_per_symbol) == (50e9, 4)
-    assert (cfg.mod.level_zero, cfg.mod.level_one, cfg.mod.carrier_hz) == (0.0, 1.0, 140e9)
+    assert (cfg.mod.level_zero, cfg.mod.level_one) == (0.0, 1.0)
     link = cfg.links[0]
     assert (link.precoding, link.tx_power_dbm) == ("tr", 0.0)
     assert (cfg.n_bits, cfg.n_trials, cfg.master_seed, cfg.pilot_len) == (1000, None, 0, 64)
@@ -566,13 +566,13 @@ def test_rate_sweep_refuses_a_default_grid_that_does_not_fit_before_any_trial(
     assert (out / "sweep_rate.csv").is_file()
 
 
-def test_rate_sweep_keeps_the_configured_levels_and_carrier():
-    text = TWO_LINK + "\n[modulation]\nlevel_zero = 0.1\nlevel_one = 0.7\ncarrier_hz = 300e9\n"
+def test_rate_sweep_keeps_the_configured_levels():
+    text = TWO_LINK + "\n[modulation]\nlevel_zero = 0.1\nlevel_one = 0.7\n"
     cfg = parse_config(text)
     scenario = cli._build_scenario(cfg, realize_channels(cfg, 0), cfg.links, rate_per_stream=25e9)
     mod = scenario.mod_params
     assert (mod.bit_rate, mod.samples_per_symbol) == (25e9, 8)
-    assert (mod.level_zero, mod.level_one, mod.carrier_hz) == (0.1, 0.7, 300e9)
+    assert (mod.level_zero, mod.level_one) == (0.1, 0.7)
 
 
 def test_gen_channel_files_are_write_cir_csv_output(tmp_path):
@@ -639,13 +639,20 @@ def test_power_sweep_reads_each_file_and_response_once(tmp_path, monkeypatch):
     cfg_path = _file_backed_power_sweep(tmp_path)
     reads = _counting(monkeypatch, chanmodel, "read_cir_csv", lambda path, label=None: path)
     responses = Counter()
+    made, owners = linksim.link_filter, {}
     stacked = linksim._full_rate_responses
 
+    def owned(scenario, link):
+        tx_filter = made(scenario, link)
+        owners[id(tx_filter)] = (tx_filter, link.stream_id)  # held, so no id is reused
+        return tx_filter
+
     def counted(pairs, params):
-        # (own channel of the stream, channel toward the receiver) names a (stream, rx) pair
-        responses.update((tx_filter.source_channel, channel.label) for tx_filter, channel in pairs)
+        # (stream the filter was made for, channel toward the receiver) names a (stream, rx) pair
+        responses.update((owners[id(tx_filter)][1], channel.label) for tx_filter, channel in pairs)
         return stacked(pairs, params)
 
+    monkeypatch.setattr(linksim, "link_filter", owned)
     monkeypatch.setattr(linksim, "_full_rate_responses", counted)
     assert main(["sweep-power", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
     assert len(reads) == 4 and set(reads.values()) == {1}

@@ -10,7 +10,7 @@ from trlinksim.detector import (
     train_threshold,
     wilson_interval,
 )
-from trlinksim.sigchain import ModParams, Waveform, modulate_ask
+from trlinksim.sigchain import ModParams, modulate_ask
 
 MOD = ModParams(bit_rate=50e9, samples_per_symbol=4)
 
@@ -52,53 +52,58 @@ def test_z95_is_the_two_sided_quantile():
     assert Z_95 == pytest.approx(norm.isf(0.025), abs=1e-12)
 
 
+def _decisions(bits, mod, offset=0):
+    """The real part of a modulated waveform at one sample per symbol."""
+    return modulate_ask(bits, mod).samples[offset :: mod.samples_per_symbol].real
+
+
 def test_train_threshold_is_class_midpoint():
     pilot = [0, 1, 1, 0, 1, 0]
     mod = ModParams(bit_rate=50e9, samples_per_symbol=4, level_zero=0.2, level_one=0.8)
-    rx = modulate_ask(pilot, mod)
-    assert train_threshold(rx, pilot, 0, mod) == pytest.approx(0.5, rel=1e-12)
+    assert train_threshold(_decisions(pilot, mod), pilot) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_train_threshold_ignores_imaginary_part():
     pilot = [0, 1]
-    rx0 = modulate_ask(pilot, MOD)
-    rx = Waveform(rx0.samples + 5j, MOD.sample_interval)
-    assert train_threshold(rx, pilot, 0, MOD) == pytest.approx(0.5, rel=1e-12)
+    rx = modulate_ask(pilot, MOD).samples + 5j
+    decisions = rx[:: MOD.samples_per_symbol].real
+    assert train_threshold(decisions, pilot) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_train_threshold_needs_both_classes():
-    rx = modulate_ask([1, 1, 1], MOD)
+    decisions = _decisions([1, 1, 1], MOD)
     with pytest.raises(ValueError, match="pilot lacks both symbols"):
-        train_threshold(rx, [1, 1, 1], 0, MOD)
+        train_threshold(decisions, [1, 1, 1])
     with pytest.raises(ValueError, match="pilot lacks both symbols"):
-        train_threshold(rx, [], 0, MOD)
+        train_threshold(decisions[:0], [])
 
 
 def test_decision_window_must_fit():
-    rx = modulate_ask([0, 1], MOD)
-    with pytest.raises(ValueError, match="insufficient samples"):
-        train_threshold(rx, [0, 1, 1], 0, MOD)
-    with pytest.raises(ValueError, match="offset"):
-        train_threshold(rx, [0, 1], -1, MOD)
+    decisions = _decisions([0, 1], MOD)
+    with pytest.raises(ValueError, match="one decision value per pilot bit"):
+        train_threshold(decisions, [0, 1, 1])
+    with pytest.raises(ValueError, match="one decision value per pilot bit"):
+        train_threshold(np.concatenate([decisions, [0.0]]), [0, 1])
 
 
 def test_demodulate_recovers_clean_bits():
     rng = np.random.default_rng(3)
     bits = rng.integers(0, 2, 200)
-    rx = modulate_ask(bits, MOD)
-    out = demodulate(rx, 0, 0.5, 200, MOD)
+    out = demodulate(_decisions(bits, MOD), 0.5)
     assert np.array_equal(out, bits)
     # any in-symbol offset sees the same held level
-    out2 = demodulate(rx, 3, 0.5, 199, MOD)
-    assert np.array_equal(out2, bits[:199])
+    out2 = demodulate(_decisions(bits, MOD, offset=3), 0.5)
+    assert np.array_equal(out2, bits)
 
 
 def test_demodulate_validation():
-    rx = modulate_ask([0, 1], MOD)
-    with pytest.raises(ValueError, match="n_bits"):
-        demodulate(rx, 0, 0.5, 0, MOD)
-    with pytest.raises(ValueError, match="insufficient samples"):
-        demodulate(rx, 0, 0.5, 3, MOD)
+    # The slicer makes one bit per decision value; the error count refuses
+    # a payload of any other length, or none.
+    decisions = _decisions([0, 1], MOD)
+    with pytest.raises(ValueError, match="empty"):
+        count_errors([], demodulate(decisions[:0], 0.5))
+    with pytest.raises(ValueError, match="length mismatch"):
+        count_errors([0, 1, 1], demodulate(decisions, 0.5))
 
 
 def test_count_errors_hand_case():

@@ -22,7 +22,6 @@ from trlinksim.experiments import (
     synth_channel_set,
 )
 from trlinksim.linksim import BOLTZMANN_J_PER_K, NoiseSpec, noise_power
-from trlinksim.sigchain import Waveform
 
 REVERB = ReverbParams(
     sample_interval=5e-12,
@@ -248,8 +247,7 @@ def test_short_trials_stay_off_the_pool(monkeypatch):
 
 def test_run_trial_derotates_decision_samples_as_the_whole_waveform(monkeypatch):
     scn = build_multi_tx_scenario(_channel_set(3), 2, "tr", 0.0, 50e9)
-    mod = scn.mod_params
-    sps = mod.samples_per_symbol
+    sps = scn.mod_params.samples_per_symbol
     propagations, trainings, slicings = [], [], []
     _recording(monkeypatch, experiments, "propagate", propagations)
     _recording(monkeypatch, experiments, "train_threshold", trainings)
@@ -261,10 +259,11 @@ def test_run_trial_derotates_decision_samples_as_the_whole_waveform(monkeypatch)
     for link, training, slicing in zip(links, trainings, slicings):
         own = scn.responses.own[link.stream_id]
         y = received[link.rx_node]
-        whole = Waveform(y.samples * np.exp(-1j * np.angle(own.peak)), y.sample_interval)
+        whole = y.samples * np.exp(-1j * np.angle(own.peak))
+        decisions = whole[own.decision_offset :: sps].real
         pilot = training[0][1]
-        threshold = detector.train_threshold(whole, pilot, own.decision_offset, mod)
-        bits = detector.demodulate(whole, own.decision_offset + pilot_len * sps, threshold, n_bits, mod)
+        threshold = detector.train_threshold(decisions[:pilot_len], pilot)
+        bits = detector.demodulate(decisions[pilot_len : pilot_len + n_bits], threshold)
         assert training[1] == threshold
         assert np.array_equal(slicing[1], bits)
 

@@ -63,10 +63,10 @@ def _two_link_scenario(noise=None):
         ("C", "D"): _chan(4, "C->D"),
     }
     links = (
-        LinkSpec("A", "B", "A->B", "tr", 0.0),
-        LinkSpec("C", "D", "C->D", "tr", 0.0),
+        LinkSpec("A", "B", "tr", 0.0),
+        LinkSpec("C", "D", "tr", 0.0),
     )
-    return Scenario(("A", "B", "C", "D"), channels, links, noise or NoiseSpec.off(), MOD)
+    return Scenario(channels, links, noise or NoiseSpec.off(), MOD)
 
 
 def test_thermal_noise_power():
@@ -92,33 +92,30 @@ def test_noise_spec_modes():
 
 def test_link_spec_validation():
     with pytest.raises(ValueError, match="tx and rx must differ"):
-        LinkSpec("A", "A", "loop")
+        LinkSpec("A", "A")
     with pytest.raises(ValueError, match="precoding"):
-        LinkSpec("A", "B", "s", precoding="zf")
+        LinkSpec("A", "B", precoding="zf")
     with pytest.raises(ValueError, match="finite"):
-        LinkSpec("A", "B", "s", tx_power_dbm=float("inf"))
+        LinkSpec("A", "B", tx_power_dbm=float("inf"))
 
 
 def test_scenario_validation():
     scn = _two_link_scenario()
     with pytest.raises(ValueError, match="missing channel C->B"):
         Scenario(
-            scn.nodes,
             {k: v for k, v in scn.channels.items() if k != ("C", "B")},
             scn.links,
             scn.noise,
             MOD,
         )
-    with pytest.raises(ValueError, match="unknown node"):
-        Scenario(("A", "B"), scn.channels, scn.links, scn.noise, MOD)
     with pytest.raises(ValueError, match="stream ids must be unique"):
-        Scenario(scn.nodes, scn.channels, (scn.links[0], scn.links[0]), scn.noise, MOD)
+        Scenario(scn.channels, (scn.links[0], scn.links[0]), scn.noise, MOD)
     with pytest.raises(ValueError, match="at least one link"):
-        Scenario(scn.nodes, scn.channels, (), scn.noise, MOD)
+        Scenario(scn.channels, (), scn.noise, MOD)
     with pytest.raises(ValueError, match="grid mismatch"):
         bad = dict(scn.channels)
         bad[("A", "B")] = Cir(bad[("A", "B")].samples, 2 * DT, "off-grid")
-        Scenario(scn.nodes, bad, scn.links, scn.noise, MOD)
+        Scenario(bad, scn.links, scn.noise, MOD)
 
 
 def test_scenario_receivers_and_lookup():
@@ -133,7 +130,7 @@ def test_link_filter_selects_precoding():
     scn = _two_link_scenario()
     tr = link_filter(scn, scn.links[0])
     assert len(tr.samples) == len(scn.channels[("A", "B")].samples)
-    plain = LinkSpec("A", "B", "A->B", "none", 0.0)
+    plain = LinkSpec("A", "B", "none", 0.0)
     ident = link_filter(scn, plain)
     assert np.array_equal(ident.samples, np.array([1.0 + 0.0j]))
 
@@ -248,8 +245,8 @@ def test_compute_sinr_hand_fixture():
     # single TR link over h=[1, 0.5], no noise: SINR = 1.25/0.4
     mod1 = ModParams(bit_rate=50e9, samples_per_symbol=1)
     h = Cir(np.array([1.0, 0.5]), mod1.sample_interval)
-    link = LinkSpec("A", "B", "A->B", "tr", 0.0)
-    scn = Scenario(("A", "B"), {("A", "B"): h}, (link,), NoiseSpec.off(), mod1)
+    link = LinkSpec("A", "B", "tr", 0.0)
+    scn = Scenario({("A", "B"): h}, (link,), NoiseSpec.off(), mod1)
     rep = compute_sinr(scn, link)
     assert rep.signal_w == pytest.approx(1e-3 * 1.25, rel=1e-12)
     assert rep.isi_w == pytest.approx(1e-3 * 0.4, rel=1e-9)
@@ -263,10 +260,10 @@ def test_compute_sinr_power_shifts_track_dbm():
     # signal and self-interference scale together with transmit power
     mod1 = ModParams(bit_rate=50e9, samples_per_symbol=1)
     h = Cir(np.array([1.0, 0.5]), mod1.sample_interval)
-    base = LinkSpec("A", "B", "A->B", "tr", 0.0)
-    hot = LinkSpec("A", "B", "A->B", "tr", 10.0)
-    scn_base = Scenario(("A", "B"), {("A", "B"): h}, (base,), NoiseSpec.explicit(-40), mod1)
-    scn_hot = Scenario(("A", "B"), {("A", "B"): h}, (hot,), NoiseSpec.explicit(-40), mod1)
+    base = LinkSpec("A", "B", "tr", 0.0)
+    hot = LinkSpec("A", "B", "tr", 10.0)
+    scn_base = Scenario({("A", "B"): h}, (base,), NoiseSpec.explicit(-40), mod1)
+    scn_hot = Scenario({("A", "B"): h}, (hot,), NoiseSpec.explicit(-40), mod1)
     r0 = compute_sinr(scn_base, base)
     r1 = compute_sinr(scn_hot, hot)
     assert r1.signal_w == pytest.approx(10.0 * r0.signal_w, rel=1e-12)
@@ -287,9 +284,8 @@ def test_compute_sinr_accounts_every_interferer():
         }
     )
     three = Scenario(
-        ("A", "B", "C", "D", "E", "F"),
         channels,
-        scn.links + (LinkSpec("E", "F", "E->F", "tr", 3.0),),
+        scn.links + (LinkSpec("E", "F", "tr", 3.0),),
         NoiseSpec.off(),
         MOD,
     )
@@ -302,8 +298,8 @@ def test_compute_sinr_accounts_every_interferer():
 def test_compute_sinr_rejects_foreign_link():
     scn = _two_link_scenario()
     with pytest.raises(ValueError, match="link not found"):
-        compute_sinr(scn, LinkSpec("A", "B", "other", "tr", 0.0))
-    mutated = LinkSpec("A", "B", "A->B", "tr", 9.0)
+        compute_sinr(scn, LinkSpec("A", "D", "tr", 0.0))
+    mutated = LinkSpec("A", "B", "tr", 9.0)
     with pytest.raises(ValueError, match="not part of the scenario"):
         compute_sinr(scn, mutated)
 
@@ -351,10 +347,10 @@ def _multi_link_scenario(n_links, precoding):
         for j, rx in enumerate(rxs)
     }
     links = tuple(
-        LinkSpec(tx, rx, f"{tx}->{rx}", precoding, power)
+        LinkSpec(tx, rx, precoding, power)
         for tx, rx, power in zip(txs, rxs, (0.0, 3.0, -7.5))
     )
-    return Scenario(tuple(txs + rxs), channels, links, NoiseSpec.explicit(-45.0), MOD)
+    return Scenario(channels, links, NoiseSpec.explicit(-45.0), MOD)
 
 
 def _orthogonal_scenario():
@@ -369,8 +365,8 @@ def _orthogonal_scenario():
         ("C", "B"): Cir(np.array([1.0, -1.0]) / math.sqrt(2), dt),
         ("C", "D"): Cir(np.array([1.0, 0.0, 1.0]) / math.sqrt(2), dt),
     }
-    links = (LinkSpec("A", "B", "A->B", "tr", 0.0), LinkSpec("C", "D", "C->D", "tr", 0.0))
-    return Scenario(("A", "B", "C", "D"), channels, links, NoiseSpec.off(), mod2)
+    links = (LinkSpec("A", "B", "tr", 0.0), LinkSpec("C", "D", "tr", 0.0))
+    return Scenario(channels, links, NoiseSpec.off(), mod2)
 
 
 def _table_cases():
@@ -401,12 +397,9 @@ def test_with_powers_matches_scenario_built_at_those_powers():
     powers = {"A->B": 4.0, "E->F": -2.0}
     repowered = scn.with_powers(powers)
     fresh = Scenario(
-        scn.nodes,
         scn.channels,
         tuple(
-            LinkSpec(
-                l.tx_node, l.rx_node, l.stream_id, l.precoding, powers.get(l.stream_id, l.tx_power_dbm)
-            )
+            LinkSpec(l.tx_node, l.rx_node, l.precoding, powers.get(l.stream_id, l.tx_power_dbm))
             for l in scn.links
         ),
         scn.noise,
@@ -485,7 +478,7 @@ def test_off_grid_channels_and_streams_are_rejected(factor, which):
     channels = dict(scn.channels)
     channels[pair] = Cir(channels[pair].samples, factor * DT, "off-grid")
     with pytest.raises(ValueError, match="grid mismatch"):
-        Scenario(scn.nodes, channels, scn.links, scn.noise, MOD)
+        Scenario(channels, scn.links, scn.noise, MOD)
     with pytest.raises(ValueError, match="grid mismatch"):
         propagate(scn, {scn.links[which % 2].stream_id: Waveform(np.ones(16), factor * DT)}, 0)
     # The builders take the grid from the first channel they need; an
@@ -532,8 +525,8 @@ def _random_scenario(n_links, channel_lengths, seed, noise):
             n = next(lengths)
             h = np.ones(1) if n == 1 else rng.standard_normal(n) + 1j * rng.standard_normal(n)
             channels[(tx, rx)] = Cir(h, DT, f"{tx}->{rx}")
-    links = tuple(LinkSpec(tx, rx, f"{tx}->{rx}", "none", 0.0) for tx, rx in zip(txs, rxs))
-    return Scenario(tuple(txs + rxs), channels, links, noise, MOD)
+    links = tuple(LinkSpec(tx, rx, "none", 0.0) for tx, rx in zip(txs, rxs))
+    return Scenario(channels, links, noise, MOD)
 
 
 @st.composite
@@ -881,7 +874,6 @@ def _reordered_scenarios(draw):
     scenario = dataclasses.replace(base, links=links)
     channel_order = draw(st.permutations(list(base.channels)))
     reordered = Scenario(
-        base.nodes,
         {pair: base.channels[pair] for pair in channel_order},
         tuple(draw(st.permutations(links))),
         base.noise,
@@ -904,11 +896,7 @@ def test_results_do_not_depend_on_link_or_channel_order(case):
     for sid, own in a.own.items():
         other = b.own[sid]
         assert own.taps.tobytes() == other.taps.tobytes()
-        assert (own.zero_index, own.decision_offset, own.source) == (
-            other.zero_index,
-            other.decision_offset,
-            other.source,
-        )
+        assert (own.zero_index, own.decision_offset) == (other.zero_index, other.decision_offset)
     for pair, energy in a.cochannel.items():
         assert np.float64(energy).tobytes() == np.float64(b.cochannel[pair]).tobytes()
     got = propagate(scenario, streams, seed=4)

@@ -47,7 +47,6 @@ def test_mod_params_grid():
         {"bit_rate": 50e9, "samples_per_symbol": 2.5},
         {"bit_rate": 50e9, "level_zero": 1.0, "level_one": 1.0},
         {"bit_rate": 50e9, "level_zero": -0.1},
-        {"bit_rate": 50e9, "carrier_hz": 0.0},
     ],
 )
 def test_mod_params_validation(kwargs):
@@ -91,7 +90,6 @@ def test_make_tr_filter_is_conjugate_reverse():
     expected = np.conj(h[::-1]) / math.sqrt(np.sum(np.abs(h) ** 2))
     assert np.allclose(f.samples, expected, atol=1e-15)
     assert f.sample_interval == DT
-    assert f.source_channel == "ab"
 
 
 def test_matched_filter_peak_is_sqrt_channel_energy():
@@ -116,7 +114,6 @@ def test_identity_filter_is_single_unit_tap():
     f = make_identity_filter(cir)
     assert np.array_equal(f.samples, np.array([1.0 + 0.0j]))
     assert f.sample_interval == 7e-12
-    assert f.source_channel == "xy"
 
 
 def test_modulate_ask_holds_levels():
