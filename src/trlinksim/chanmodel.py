@@ -15,7 +15,7 @@ import itertools
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -221,6 +221,9 @@ class ReverbParams:
     total_energy: float = 1.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if not self.sample_interval > 0.0:
             raise ValueError("sample_interval must be positive")
         if int(self.num_taps) != self.num_taps or self.num_taps < 1:
@@ -427,7 +430,7 @@ def import_frequency_response(
 
 
 def _parse_csv_rows(lines: Iterable[str], what: str) -> list[tuple[float, float, float]]:
-    """Three-column CSV rows one at a time; names the first bad line."""
+    """Three-column CSV rows of finite numbers, one at a time; names the first bad line."""
     rows: list[tuple[float, float, float]] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -437,9 +440,12 @@ def _parse_csv_rows(lines: Iterable[str], what: str) -> list[tuple[float, float,
         if len(parts) != 3:
             raise ValueError(f"{what}: line {lineno}: expected 3 comma-separated fields")
         try:
-            rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
+            row = (float(parts[0]), float(parts[1]), float(parts[2]))
         except ValueError:
             raise ValueError(f"{what}: line {lineno}: fields must be numbers") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{what}: line {lineno}: times and samples must be finite")
+        rows.append(row)
     return rows
 
 
@@ -447,10 +453,11 @@ def read_cir_csv(path: str | Path, label: str | None = None) -> Cir:
     """Read a ``time_s,real,imag`` CIR file written by :func:`write_cir_csv`.
 
     Lines starting with '#' and blank lines are skipped. numpy parses the
-    data lines in one pass. Where it cannot, the row-by-row parser runs
-    instead: it names the offending line, and it takes the lines numpy
-    refuses but this format allows (a number spelled ``1_000``, an
-    indented comment, a line of blanks), so both paths give the same rows.
+    data lines in one pass. Where it cannot, or a value is not finite, the
+    row-by-row parser runs instead: it names the offending line, and it
+    takes the lines numpy refuses but this format allows (a number spelled
+    ``1_000``, an indented comment, a line of blanks), so both paths give
+    the same rows.
     """
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     data = [line for line in lines if line and line[0] != "#"]
@@ -458,7 +465,7 @@ def read_cir_csv(path: str | Path, label: str | None = None) -> Cir:
         rows = np.loadtxt(data, delimiter=",", comments=None, ndmin=2) if data else None
     except ValueError:
         rows = None
-    if rows is None or rows.shape[1] != 3:
+    if rows is None or rows.shape[1] != 3 or not np.isfinite(rows).all():
         rows = np.array(_parse_csv_rows(lines, str(path)), dtype=np.float64).reshape(-1, 3)
     if len(rows) < 2:
         raise ValueError(f"{path}: insufficient data: need at least two samples to infer the grid")

@@ -314,8 +314,10 @@ def _check_sweep_value(
     variable: str, value: float, links: Sequence[linksim.LinkSpec], mod: sigchain.ModParams
 ) -> None:
     """Refuse a grid value that the sweep over ``variable`` could not run."""
-    if variable == "tx_power_dbm" and not math.isfinite(value):
-        raise ValueError(f"tx_power_dbm sweep value {value!r} must be finite")
+    if variable == "tx_power_dbm":
+        if not math.isfinite(value):
+            raise ValueError(f"tx_power_dbm sweep value {value!r} must be finite")
+        sigchain.dbm_to_watts(value)
     if variable == "aggregate_rate_bps":
         if not value > 0.0:
             raise ValueError(f"aggregate_rate_bps sweep value {value!r} must be positive")

@@ -78,9 +78,12 @@ class NoiseSpec:
                 raise ValueError("thermal noise needs a positive temperature")
             if not self.bandwidth_hz > 0.0:
                 raise ValueError("thermal noise needs a positive bandwidth")
+            if not math.isfinite(self.temperature_k * self.bandwidth_hz):
+                raise ValueError("thermal noise needs a finite temperature and bandwidth")
         elif self.mode == "explicit":
             if math.isnan(self.power_dbm):
                 raise ValueError("explicit noise needs a power level in dBm")
+            dbm_to_watts(self.power_dbm)  # refuses a level whose watts overflow
         else:
             raise ValueError(f"unknown noise mode {self.mode!r}")
 
@@ -120,6 +123,7 @@ class LinkSpec:
             raise ValueError(f"precoding must be one of {_PRECODINGS}, got {self.precoding!r}")
         if not math.isfinite(self.tx_power_dbm):
             raise ValueError("tx_power_dbm must be finite")
+        dbm_to_watts(self.tx_power_dbm)  # refuses a level whose watts overflow
 
     @property
     def stream_id(self) -> str:

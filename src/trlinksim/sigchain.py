@@ -10,7 +10,7 @@ so power comparisons between the two are at equal transmit energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +31,14 @@ __all__ = [
 
 
 def dbm_to_watts(p_dbm: float) -> float:
-    return 10.0 ** ((p_dbm - 30.0) / 10.0)
+    """Power in watts; -inf dBm is 0 W, and a level whose watts are not finite is refused."""
+    try:
+        watts = 10.0 ** ((p_dbm - 30.0) / 10.0)
+    except OverflowError:
+        watts = math.inf
+    if not math.isfinite(watts):
+        raise ValueError(f"{p_dbm!r} dBm is not a finite power in watts")
+    return watts
 
 
 @dataclass(frozen=True)
@@ -48,6 +55,9 @@ class ModParams:
     level_one: float = 1.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if not self.bit_rate > 0.0:
             raise ValueError("bit_rate must be positive")
         if int(self.samples_per_symbol) != self.samples_per_symbol or self.samples_per_symbol < 1:

@@ -116,6 +116,16 @@ def test_spread_target_must_be_reachable():
         ReverbParams(DT, 24, 500e-12, 400e-12)
 
 
+@pytest.mark.parametrize(
+    "field", ["sample_interval", "num_taps", "rms_delay_spread_target", "max_delay", "rician_k", "total_energy"]
+)
+def test_reverb_params_refuse_non_finite_values(field):
+    good = {"sample_interval": DT, "num_taps": 24, "rms_delay_spread_target": 50e-12, "max_delay": 400e-12}
+    ReverbParams(**good)
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got inf$"):
+        ReverbParams(**{**good, field: float("inf")})
+
+
 def test_rms_delay_spread_hand_value():
     # equal power at t=0 and t=4dt: mean 2dt, std 2dt
     cir = Cir(np.array([1.0, 0.0, 0.0, 0.0, 1.0]), DT, "x")
@@ -311,6 +321,12 @@ def test_cir_csv_reader_takes_what_python_floats_take(tmp_path):
         ("0,1,0\n\n# x\n1e-12,1,0,\n", "line 4: expected 3 comma-separated fields"),
         ("0,1,0\n1e-12,1,0 # trailing\n", "line 2: fields must be numbers"),
         ("# only comments\n\n", "insufficient data"),
+        ("0,1,0\n1e-12,nan,0\n2e-12,1,0\n", "line 2: times and samples must be finite"),
+        ("# c\n0,1,0\n1e-12,0,-inf\n2e-12,1,0\n", "line 3: times and samples must be finite"),
+        ("0,1,0\nnan,1,0\n2e-12,1,0\n", "line 2: times and samples must be finite"),
+        ("0,1,0\n1e-12,1,0\ninf,1,0\n", "line 3: times and samples must be finite"),
+        # a line numpy refuses sends the file to the row parser, which refuses the same
+        ("0,1_0,0\n  # x\n1e-12,nan,0\n2e-12,1,0\n", "line 3: times and samples must be finite"),
     ],
 )
 def test_cir_csv_errors_name_the_line(tmp_path, body, message):

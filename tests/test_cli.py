@@ -301,6 +301,55 @@ def test_integer_keys_refuse_non_finite_text():
             parse_config(text)
 
 
+_SHORT_RUN = MINIMAL + "\n[sweep]\nn_bits = 100\nn_trials = 1\n"
+
+
+@pytest.mark.parametrize(
+    "command, old, new, named, message",
+    [
+        pytest.param(
+            "run", "rx = B", "rx = B\npower_dbm = 4000", "[link 1]",
+            "invalid [link 1]: 4000.0 dBm is not a finite power in watts", id="link-power",
+        ),
+        pytest.param(
+            "sweep-power", "n_trials = 1", "n_trials = 1\nvariable = tx_power_dbm\nvalues = 10, 4000",
+            "values = 10, 4000", "4000.0 dBm is not a finite power in watts", id="swept-power",
+        ),
+        pytest.param(
+            "run", "power_dbm = -40", "power_dbm = inf", "[noise]",
+            "invalid [noise]: inf dBm is not a finite power in watts", id="explicit-noise",
+        ),
+        pytest.param(
+            "run", "mode = explicit\npower_dbm = -40", "mode = thermal\ntemperature_k = inf\nbandwidth_hz = 50e9",
+            "[noise]", "invalid [noise]: thermal noise needs a finite temperature and bandwidth", id="thermal-noise",
+        ),
+        pytest.param(
+            "run", "[sweep]", "[modulation]\nlevel_one = inf\n\n[sweep]", "[modulation]",
+            "invalid [modulation]: level_one must be finite, got inf", id="level_one",
+        ),
+        pytest.param(
+            "run", "max_delay_s = 200e-12", "max_delay_s = inf", '[channel "A->B"]',
+            'invalid [channel "A->B"]: max_delay must be finite, got inf', id="max_delay_s",
+        ),
+        pytest.param(
+            "run", "max_delay_s = 200e-12", "max_delay_s = 200e-12\nsample_interval_s = inf", '[channel "A->B"]',
+            'invalid [channel "A->B"]: sample_interval must be finite, got inf', id="sample_interval_s",
+        ),
+        pytest.param(
+            "run", "max_delay_s = 200e-12", "max_delay_s = 200e-12\ntotal_energy = inf", '[channel "A->B"]',
+            'invalid [channel "A->B"]: total_energy must be finite, got inf', id="total_energy",
+        ),
+    ],
+)
+def test_main_refuses_non_finite_values_by_line(tmp_path, capsys, command, old, new, named, message):
+    text = _SHORT_RUN.replace(old, new)
+    line = text.splitlines().index(named) + 1
+    out = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path, "inf.cfg", text), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+    assert not out.exists()
+
+
 def _readme_config_reference():
     """(section, key) -> default cell of the README's config reference table."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -768,6 +817,20 @@ def test_power_sweep_solves_decay_constant_once_per_params(tmp_path):
 def _child_env():
     src = str(Path(trlinksim.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_readme_python_examples_run(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 2
+    # The second block saves a channel the first one drew, so they run as one script.
+    out = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", "\n".join(blocks)],
+        cwd=tmp_path, env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.count("\n") == 2
+    assert (tmp_path / "cir_A_to_B.csv").is_file()
 
 
 def test_cli_import_loads_no_scipy():

@@ -32,6 +32,10 @@ DT = 1e-12
 def test_dbm_watt_conversions():
     assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-15)
     assert dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-12)
+    assert dbm_to_watts(float("-inf")) == 0.0
+    for p_dbm in (4000.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"{p_dbm!r} dBm is not a finite power in watts"):
+            dbm_to_watts(p_dbm)
 
 
 def test_mod_params_grid():
@@ -47,6 +51,9 @@ def test_mod_params_grid():
         {"bit_rate": 50e9, "samples_per_symbol": 2.5},
         {"bit_rate": 50e9, "level_zero": 1.0, "level_one": 1.0},
         {"bit_rate": 50e9, "level_zero": -0.1},
+        {"bit_rate": float("inf")},
+        {"bit_rate": 50e9, "samples_per_symbol": float("inf")},
+        {"bit_rate": 50e9, "level_one": float("inf")},
     ],
 )
 def test_mod_params_validation(kwargs):
