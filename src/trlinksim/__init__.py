@@ -1,113 +1,15 @@
 """Link-level simulator for time-reversal precoded on-package wireless links."""
 
-from .chanmodel import (
-    Cir,
-    ReverbParams,
-    channel_correlation,
-    import_frequency_response,
-    read_cir_csv,
-    rms_delay_spread,
-    synth_correlated_pair,
-    synth_reverberant,
-    write_cir_csv,
-)
-from .detector import (
-    BerResult,
-    count_errors,
-    demodulate,
-    train_threshold,
-    wilson_interval,
-)
-from .experiments import (
-    FocusEntry,
-    SweepRow,
-    SweepSpec,
-    build_multi_tx_scenario,
-    build_scatter_scenario,
-    derive_seed,
-    focusing_report,
-    mod_params_for_rate,
-    run_trial,
-    sweep,
-    synth_channel_set,
-)
-from .linksim import (
-    BOLTZMANN_J_PER_K,
-    EffectiveResponse,
-    LinkSpec,
-    NoiseSpec,
-    ResponseTable,
-    Scenario,
-    SinrReport,
-    compute_sinr,
-    effective_response,
-    full_rate_response,
-    link_filter,
-    noise_power,
-    propagate,
-    sinr_from_powers,
-)
-from .sigchain import (
-    ModParams,
-    TrFilter,
-    Waveform,
-    dbm_to_watts,
-    make_identity_filter,
-    make_tr_filter,
-    modulate_ask,
-    precode,
-    scale_to_power,
-)
+from . import chanmodel, detector, experiments, linksim, sigchain
+from .chanmodel import *  # noqa: F403
+from .detector import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .linksim import *  # noqa: F403
+from .sigchain import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOLTZMANN_J_PER_K",
-    "BerResult",
-    "Cir",
-    "EffectiveResponse",
-    "FocusEntry",
-    "LinkSpec",
-    "ModParams",
-    "NoiseSpec",
-    "ResponseTable",
-    "ReverbParams",
-    "Scenario",
-    "SinrReport",
-    "SweepRow",
-    "SweepSpec",
-    "TrFilter",
-    "Waveform",
-    "build_multi_tx_scenario",
-    "build_scatter_scenario",
-    "channel_correlation",
-    "compute_sinr",
-    "count_errors",
-    "dbm_to_watts",
-    "demodulate",
-    "derive_seed",
-    "effective_response",
-    "focusing_report",
-    "full_rate_response",
-    "import_frequency_response",
-    "link_filter",
-    "make_identity_filter",
-    "make_tr_filter",
-    "mod_params_for_rate",
-    "modulate_ask",
-    "noise_power",
-    "precode",
-    "propagate",
-    "read_cir_csv",
-    "rms_delay_spread",
-    "run_trial",
-    "scale_to_power",
-    "sinr_from_powers",
-    "sweep",
-    "synth_channel_set",
-    "synth_correlated_pair",
-    "synth_reverberant",
-    "train_threshold",
-    "wilson_interval",
-    "write_cir_csv",
-]
+# The package exports what its modules export.
+__all__ = sorted(
+    {name for module in (chanmodel, detector, experiments, linksim, sigchain) for name in module.__all__}
+)

@@ -22,7 +22,6 @@ from . import chanmodel, experiments, linksim, sigchain
 
 __all__ = [
     "ConfigError",
-    "ChannelSource",
     "Key",
     "RunConfig",
     "SCHEMA",
@@ -259,43 +258,21 @@ def _warn_or_raise(message: str, strict: bool) -> None:
 
 
 @dataclass(frozen=True)
-class ChannelSource:
-    """Where one channel comes from: a CIR file or the reverberant model."""
-
-    file: str | None = None
-    reverb: chanmodel.ReverbParams | None = None
-    seed: int | None = None  # pins the realization across trials when set
-
-    @property
-    def fresh(self) -> bool:
-        """Whether each trial draws this channel anew (synthetic, no pinned seed)."""
-        return self.reverb is not None and self.seed is None
-
-
-@dataclass(frozen=True)
 class RunConfig:
     nodes: tuple[str, ...]
-    channel_sources: dict[tuple[str, str], ChannelSource]
+    # A file or pinned-seed channel is realized when the config is read; a
+    # fresh synthetic one keeps its parameters, for each trial to draw anew.
+    channels: dict[tuple[str, str], chanmodel.Cir | chanmodel.ReverbParams]
     links: tuple[linksim.LinkSpec, ...]
     mod: sigchain.ModParams
     noise: linksim.NoiseSpec
     sweep_variable: str | None
     sweep_values: tuple[float, ...] | None
     n_bits: int
-    n_trials: int | None  # None -> 10 with fresh synthetic channels, else 1
+    n_trials: int
     master_seed: int
     pilot_len: int
     out_dir: str
-
-    @property
-    def has_fresh_synthetic(self) -> bool:
-        return any(src.fresh for src in self.channel_sources.values())
-
-    @property
-    def effective_trials(self) -> int:
-        if self.n_trials is not None:
-            return self.n_trials
-        return 10 if self.has_fresh_synthetic else 1
 
 
 def _parse_pair(pair_text: str, nodes: tuple[str, ...], lineno: int) -> tuple[str, str]:
@@ -330,7 +307,8 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
     """Parse and validate a run configuration.
 
     ``base_dir`` anchors relative channel file paths (normally the
-    directory containing the config file). Semantic errors name the line
+    directory containing the config file). Channel files are read and
+    pinned-seed channels drawn here, once. Semantic errors name the line
     they come from. ``SCHEMA`` parses each key; the rules that tie keys
     and sections together follow here.
     """
@@ -358,33 +336,6 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
         mod_line = sections.get("modulation", (0,))[0]
         raise ConfigError(f"line {mod_line}: invalid [modulation]: {exc}") from None
 
-    channel_sources: dict[tuple[str, str], ChannelSource] = {}
-    for name, (lineno, body) in sections.items():
-        match = _CHANNEL_SECTION.match(name)
-        if not match:
-            continue
-        pair = _parse_pair(match.group(1), nodes, lineno)
-        if pair in channel_sources:
-            raise ConfigError(f"line {lineno}: duplicate channel {pair[0]}->{pair[1]}")
-        if ("file" in body) == ("model" in body):
-            raise ConfigError(f"line {lineno}: [{name}] needs exactly one of 'file' or 'model'")
-        params = read(name, SCHEMA["channel"], "file" if "file" in body else "model")
-        if "file" in body:
-            path = Path(base_dir) / params["file"]
-            if not path.is_file():
-                raise ConfigError(f"line {body['file'].lineno}: channel file not found: {path}")
-            channel_sources[pair] = ChannelSource(file=str(path))
-            continue
-        # What is left after the model and seed are ReverbParams fields.
-        del params["model"]
-        seed = params.pop("seed")
-        if params["sample_interval"] is None:
-            params["sample_interval"] = mod.sample_interval
-        try:
-            channel_sources[pair] = ChannelSource(reverb=chanmodel.ReverbParams(**params), seed=seed)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: invalid [{name}]: {exc}") from None
-
     links: list[linksim.LinkSpec] = []
     numbered = [(int(m.group(1)), name) for name in sections if (m := _LINK_SECTION.match(name))]
     for _, name in sorted(numbered):
@@ -402,6 +353,53 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
         links.append(link)
     if not links:
         raise ConfigError("config defines no [link N] sections")
+
+    # Links before channels: a channel file that is a link's own must carry energy.
+    own = {(link.tx_node, link.rx_node) for link in links}
+    channels: dict[tuple[str, str], chanmodel.Cir | chanmodel.ReverbParams] = {}
+    for name, (lineno, body) in sections.items():
+        match = _CHANNEL_SECTION.match(name)
+        if not match:
+            continue
+        pair = _parse_pair(match.group(1), nodes, lineno)
+        label = f"{pair[0]}->{pair[1]}"
+        if pair in channels:
+            raise ConfigError(f"line {lineno}: duplicate channel {label}")
+        if ("file" in body) == ("model" in body):
+            raise ConfigError(f"line {lineno}: [{name}] needs exactly one of 'file' or 'model'")
+        params = read(name, SCHEMA["channel"], "file" if "file" in body else "model")
+        if "file" in body:
+            path, file_line = Path(base_dir) / params["file"], body["file"].lineno
+            if not path.is_file():
+                raise ConfigError(f"line {file_line}: channel file not found: {path}")
+            try:
+                cir = chanmodel.read_cir_csv(path, label=label)
+            except (ValueError, OSError) as exc:
+                raise ConfigError(f"line {file_line}: {exc}") from None
+            if not chanmodel.same_grid(cir.sample_interval, mod.sample_interval):
+                raise ConfigError(
+                    f"line {file_line}: grid mismatch: channel file {path} has sample_interval "
+                    f"{cir.sample_interval!r}, modulation grid is {mod.sample_interval!r}"
+                )
+            if pair in own and cir.energy == 0.0:
+                raise ConfigError(
+                    f"line {file_line}: channel {label} in {path} has zero energy; "
+                    "a link's own channel must carry signal (an interference path may be silent)"
+                )
+            channels[pair] = cir
+            continue
+        # What is left after the model and seed are ReverbParams fields.
+        del params["model"]
+        seed = params.pop("seed")
+        if params["sample_interval"] is None:
+            params["sample_interval"] = mod.sample_interval
+        try:
+            channels[pair] = chanmodel.ReverbParams(**params)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: invalid [{name}]: {exc}") from None
+        if seed is not None:
+            # A pinned seed fixes the realization for every trial.
+            channels[pair] = chanmodel.synth_reverberant(seed, channels[pair], label=label)
 
     if "noise" not in sections:
         raise ConfigError("missing required section [noise]")
@@ -427,47 +425,32 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
     receivers = sorted({link.rx_node for link in links})
     for link in links:
         for rx in receivers:
-            if (link.tx_node, rx) not in channel_sources:
+            if (link.tx_node, rx) not in channels:
                 raise ConfigError(
                     f'missing section [channel "{link.tx_node}->{rx}"] required by the links'
                 )
+    if sweep["n_trials"] is None:
+        fresh = any(isinstance(c, chanmodel.ReverbParams) for c in channels.values())
+        sweep["n_trials"] = 10 if fresh else 1
     output = read("output", SCHEMA["output"])
-    return RunConfig(nodes, channel_sources, tuple(links), mod, noise, **sweep, **output)
+    return RunConfig(nodes, channels, tuple(links), mod, noise, **sweep, **output)
 
 
-def realize_channels(
-    cfg: RunConfig,
-    channel_seed: int | None,
-    fixed: Mapping[tuple[str, str], chanmodel.Cir] | None = None,
-) -> dict[tuple[str, str], chanmodel.Cir]:
-    """Load or synthesize the configured channels.
+def realize_channels(cfg: RunConfig, channel_seed: int) -> dict[tuple[str, str], chanmodel.Cir]:
+    """The configured channels, each fresh synthetic one drawn anew.
 
-    Synthetic channels without a pinned seed derive theirs from
-    ``channel_seed`` and the channel's position in sorted pair order, so
-    sweeps can hand each trial a fresh set. With ``channel_seed`` None
-    only the channels that do not depend on it are realized: files and
-    pinned synthetic channels. Pairs found in ``fixed`` are taken from
-    it as they are.
+    A fresh channel derives its seed from ``channel_seed`` and its
+    position in sorted order over all configured pairs, so sweeps can
+    hand each trial a fresh set. Files and pinned channels were realized
+    when the config was read and come back as they are.
     """
-    out: dict[tuple[str, str], chanmodel.Cir] = {}
-    for index, pair in enumerate(sorted(cfg.channel_sources)):
-        source = cfg.channel_sources[pair]
-        label = f"{pair[0]}->{pair[1]}"
-        if fixed is not None and pair in fixed:
-            cir = fixed[pair]
-        elif source.file is not None:
-            cir = chanmodel.read_cir_csv(source.file, label=label)
-            if not chanmodel.same_grid(cir.sample_interval, cfg.mod.sample_interval):
-                raise ValueError(
-                    f"grid mismatch: channel file {source.file} has sample_interval "
-                    f"{cir.sample_interval!r}, modulation grid is {cfg.mod.sample_interval!r}"
-                )
-        elif source.fresh and channel_seed is None:
-            continue
-        else:
-            seed = source.seed if source.seed is not None else experiments.derive_seed(channel_seed, index)
-            cir = chanmodel.synth_reverberant(seed, source.reverb, label=label)
-        out[pair] = cir
+    out = {}
+    for index, pair in enumerate(sorted(cfg.channels)):
+        channel = cfg.channels[pair]
+        if isinstance(channel, chanmodel.ReverbParams):
+            seed = experiments.derive_seed(channel_seed, index)
+            channel = chanmodel.synth_reverberant(seed, channel, label=f"{pair[0]}->{pair[1]}")
+        out[pair] = channel
     return out
 
 
@@ -503,12 +486,10 @@ def _sweep_rows(cfg: RunConfig, variable: str, grid: tuple) -> list[experiments.
         variable=variable,
         grid=grid,
         n_bits=cfg.n_bits,
-        n_trials=cfg.effective_trials,
+        n_trials=cfg.n_trials,
         master_seed=cfg.master_seed,
         pilot_len=cfg.pilot_len,
     )
-    # Files and pinned channels are the same in every trial: realize them once.
-    fixed = realize_channels(cfg, None)
 
     def at_realization(channels) -> Callable[[float], linksim.Scenario]:
         """Scenario per grid value over one channel realization."""
@@ -522,19 +503,11 @@ def _sweep_rows(cfg: RunConfig, variable: str, grid: tuple) -> list[experiments.
             )
         return lambda value: _build_scenario(cfg, channels, links[: int(value)])
 
-    if cfg.has_fresh_synthetic:
-
-        def template(value: float, channel_seed: int) -> linksim.Scenario:
-            return at_realization(realize_channels(cfg, channel_seed, fixed))(value)
-
-    else:
-        # One realization serves every trial: one scenario per grid value.
-        build = functools.cache(at_realization(fixed))
-
-        def template(value: float, channel_seed: int) -> linksim.Scenario:
-            return build(value)
-
-    return experiments.sweep(spec, template)
+    if any(isinstance(c, chanmodel.ReverbParams) for c in cfg.channels.values()):
+        return experiments.sweep(spec, lambda value, seed: at_realization(realize_channels(cfg, seed))(value))
+    # One realization serves every trial: one scenario per grid value.
+    build = functools.cache(at_realization(realize_channels(cfg, cfg.master_seed)))
+    return experiments.sweep(spec, lambda value, seed: build(value))
 
 
 def _sweep_csv(cfg: RunConfig, command: str, variable: str, default: tuple, path: Path) -> list[Path]:
@@ -590,12 +563,8 @@ def cmd_focusing(cfg: RunConfig, path: Path) -> list[Path]:
     out rather than demanded.
     """
     probe = cfg.links[0]
-    channels = realize_channels(cfg, cfg.master_seed)
-    node_map = {
-        node: channels[(probe.tx_node, node)]
-        for node in cfg.nodes
-        if (probe.tx_node, node) in channels
-    }
+    channels = realize_channels(cfg, cfg.master_seed).items()
+    node_map = {rx: cir for (tx, rx), cir in channels if tx == probe.tx_node}
     write_focusing_csv(experiments.focusing_report(node_map, probe.rx_node, probe.tx_power_dbm), path)
     return [path]
 

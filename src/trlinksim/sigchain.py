@@ -146,7 +146,7 @@ def make_tr_filter(cir: Cir) -> TrFilter:
     """
     energy = cir.energy
     if energy <= 0.0:
-        raise ValueError("degenerate channel: zero energy")
+        raise ValueError(f"degenerate channel {cir.label!r}: zero energy")
     g = np.conj(cir.samples[::-1]) / math.sqrt(energy)
     return TrFilter(g, cir.sample_interval)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import trlinksim
-from trlinksim import chanmodel, cli, experiments, linksim
+from trlinksim import chanmodel, cli, detector, experiments, linksim, sigchain
 from trlinksim.chanmodel import Cir, read_cir_csv, write_cir_csv
 from trlinksim.cli import (
     FOCUSING_HEADER,
@@ -95,6 +95,26 @@ def test_package_reexports_the_working_surface():
     assert callable(main)
 
 
+# The 48 names the package listed one by one before it took its modules' __all__ lists.
+_LISTED_NAMES = """
+BOLTZMANN_J_PER_K BerResult Cir EffectiveResponse FocusEntry LinkSpec ModParams NoiseSpec
+ResponseTable ReverbParams Scenario SinrReport SweepRow SweepSpec TrFilter Waveform
+build_multi_tx_scenario build_scatter_scenario channel_correlation compute_sinr count_errors
+dbm_to_watts demodulate derive_seed effective_response focusing_report full_rate_response
+import_frequency_response link_filter make_identity_filter make_tr_filter mod_params_for_rate
+modulate_ask noise_power precode propagate read_cir_csv rms_delay_spread run_trial
+scale_to_power sinr_from_powers sweep synth_channel_set synth_correlated_pair
+synth_reverberant train_threshold wilson_interval write_cir_csv
+""".split()
+
+
+def test_package_exports_the_union_of_its_modules_names():
+    assert len(_LISTED_NAMES) == 48 and set(_LISTED_NAMES) <= set(trlinksim.__all__)
+    modules = (chanmodel, detector, experiments, linksim, sigchain)
+    assert trlinksim.__all__ == sorted({name for m in modules for name in m.__all__})
+    assert all(getattr(trlinksim, name) is getattr(m, name) for m in modules for name in m.__all__)
+
+
 def test_parse_minimal_config_applies_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.nodes == ("A", "B")
@@ -102,27 +122,28 @@ def test_parse_minimal_config_applies_defaults():
     assert (cfg.mod.level_zero, cfg.mod.level_one) == (0.0, 1.0)
     link = cfg.links[0]
     assert (link.precoding, link.tx_power_dbm) == ("tr", 0.0)
-    assert (cfg.n_bits, cfg.n_trials, cfg.master_seed, cfg.pilot_len) == (1000, None, 0, 64)
+    # a fresh synthetic channel: 10 trials
+    assert (cfg.n_bits, cfg.n_trials, cfg.master_seed, cfg.pilot_len) == (1000, 10, 0, 64)
     assert cfg.out_dir == "out"
     assert cfg.sweep_variable is None and cfg.sweep_values is None
-    # synthetic channel inherits the modulation sample grid
-    src = cfg.channel_sources[("A", "B")]
-    assert src.reverb.sample_interval == pytest.approx(5e-12, rel=1e-12)
-    assert src.seed is None
+    # synthetic channel inherits the modulation sample grid; no pinned seed keeps it unrealized
+    params = cfg.channels[("A", "B")]
+    assert isinstance(params, chanmodel.ReverbParams)
+    assert params.sample_interval == pytest.approx(5e-12, rel=1e-12)
 
 
 def test_effective_trials_depend_on_channel_freshness(tmp_path):
-    assert parse_config(MINIMAL).effective_trials == 10
+    assert parse_config(MINIMAL).n_trials == 10
     pinned = MINIMAL.replace("max_delay_s = 200e-12", "max_delay_s = 200e-12\nseed = 7")
-    assert parse_config(pinned).effective_trials == 1
+    assert parse_config(pinned).n_trials == 1
     write_cir_csv(Cir(np.array([1.0, 0.0]), 5e-12), tmp_path / "chan.csv")
     file_cfg = MINIMAL.replace(
         "model = reverberant\nnum_taps = 8\nrms_delay_spread_s = 50e-12\nmax_delay_s = 200e-12",
         "file = chan.csv",
     )
-    assert parse_config(file_cfg, base_dir=str(tmp_path)).effective_trials == 1
+    assert parse_config(file_cfg, base_dir=str(tmp_path)).n_trials == 1
     explicit = MINIMAL + "\n[sweep]\nn_trials = 4\n"
-    assert parse_config(explicit).effective_trials == 4
+    assert parse_config(explicit).n_trials == 4
 
 
 def test_raw_parse_errors_name_the_line():
@@ -187,7 +208,8 @@ def test_file_channel_rules(tmp_path):
         "file = chan.csv",
     )
     cfg = parse_config(base, base_dir=str(tmp_path))
-    assert cfg.channel_sources[("A", "B")].file == str(tmp_path / "chan.csv")
+    cir = cfg.channels[("A", "B")]
+    assert np.array_equal(cir.samples, [1.0, 0.0]) and cir.label == "A->B"
     with pytest.raises(ConfigError, match="does not apply to a file-backed channel"):
         parse_config(base.replace("file = chan.csv", "file = chan.csv\nnum_taps = 4"),
                      base_dir=str(tmp_path))
@@ -409,15 +431,13 @@ def test_realize_channels_pins_and_refreshes(tmp_path):
 
 def test_realize_channels_checks_file_grid(tmp_path):
     write_cir_csv(Cir(np.array([1.0, 0.0]), 1e-12), tmp_path / "chan.csv")
-    cfg = parse_config(
-        MINIMAL.replace(
-            "model = reverberant\nnum_taps = 8\nrms_delay_spread_s = 50e-12\nmax_delay_s = 200e-12",
-            "file = chan.csv",
-        ),
-        base_dir=str(tmp_path),
+    text = MINIMAL.replace(
+        "model = reverberant\nnum_taps = 8\nrms_delay_spread_s = 50e-12\nmax_delay_s = 200e-12",
+        "file = chan.csv",
     )
-    with pytest.raises(ValueError, match="grid mismatch"):
-        realize_channels(cfg, 0)
+    line = text.splitlines().index("file = chan.csv") + 1
+    with pytest.raises(ConfigError, match=f"line {line}: grid mismatch: channel file"):
+        parse_config(text, base_dir=str(tmp_path))
 
 
 def _write(tmp_path, name, text):
@@ -564,9 +584,8 @@ def test_main_gen_channel_round_trips(tmp_path):
     cir = read_cir_csv(cir_path)
     assert cir.sample_interval == pytest.approx(5e-12, rel=1e-9)
     assert cir.energy == pytest.approx(1.0, rel=1e-9)
-    reference = chanmodel.synth_reverberant(
-        7, parse_config(pinned).channel_sources[("A", "B")].reverb
-    )
+    # the unpinned config keeps the channel's parameters
+    reference = chanmodel.synth_reverberant(7, parse_config(MINIMAL).channels[("A", "B")])
     assert np.array_equal(cir.samples, reference.samples)
     # the generated file can feed a file-backed run unchanged
     file_cfg = pinned.replace(
@@ -635,6 +654,54 @@ def test_gen_channel_files_are_write_cir_csv_output(tmp_path):
         assert written.startswith(f"# cir {tx}->{rx} sample_interval_s=4.9999999999999997e-12\n".encode())
         write_cir_csv(cir, tmp_path / "ref.csv")
         assert written == (tmp_path / "ref.csv").read_bytes()
+
+
+def _file_channel(text, pair, name):
+    """``text`` with the synthetic channel ``pair`` read from the CIR file ``name`` instead."""
+    section = f'[channel "{pair}"]\n'
+    assert section + _CHANNEL in text
+    return text.replace(section + _CHANNEL, f"{section}file = {name}\n")
+
+
+_ZERO_CIR = "0,0,0\n5e-12,0,0\n1e-11,0,0\n"
+
+
+@pytest.mark.parametrize("command", ["run", "focusing"])
+@pytest.mark.parametrize("precoding", ["tr", "none"])
+def test_main_refuses_a_silent_own_channel_by_line(tmp_path, capsys, precoding, command):
+    (tmp_path / "zero.csv").write_text(_ZERO_CIR, encoding="utf-8")
+    text = _file_channel(TWO_LINK, "A->B", "zero.csv").replace("rx = B", f"rx = B\nprecoding = {precoding}")
+    line = text.splitlines().index("file = zero.csv") + 1
+    out = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path, "z.cfg", text), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: line {line}: channel A->B in {tmp_path / 'zero.csv'} has zero energy; "
+        "a link's own channel must carry signal (an interference path may be silent)\n"
+    )
+    assert not out.exists()
+
+
+def test_main_runs_with_a_silent_interference_path(tmp_path):
+    (tmp_path / "zero.csv").write_text(_ZERO_CIR, encoding="utf-8")
+    text = _file_channel(TWO_LINK, "A->D", "zero.csv")
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, "z.cfg", text), "--out", str(out)]) == 0
+    _, rows = _read_rows(out / "run.csv")
+    cochannel_w = {r[2]: float(r[6]) for r in rows}
+    # A reaches D through the silent path only
+    assert cochannel_w["C->D"] == 0.0 and cochannel_w["A->B"] > 0.0
+
+
+def test_main_names_the_cir_file_and_line_of_a_bad_row(tmp_path, capsys):
+    (tmp_path / "bad.csv").write_text("0,1,0\n5e-12,nan,0\n1e-11,0,0\n", encoding="utf-8")
+    text = _file_channel(MINIMAL, "A->B", "bad.csv") + "\n[sweep]\nn_bits = 100\n"
+    line = text.splitlines().index("file = bad.csv") + 1
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, "bad.cfg", text), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: line {line}: {tmp_path / 'bad.csv'}: line 2: times and samples must be finite\n"
+    )
+    assert not out.exists()
 
 
 def test_main_strict_flag(tmp_path, capsys):

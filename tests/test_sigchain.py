@@ -114,6 +114,8 @@ def test_matched_filter_peak_is_sqrt_channel_energy():
 def test_make_tr_filter_rejects_silent_channel():
     with pytest.raises(ValueError, match="degenerate channel"):
         make_tr_filter(Cir(np.zeros(4), DT))
+    with pytest.raises(ValueError, match="degenerate channel 'A->B': zero energy"):
+        make_tr_filter(Cir(np.zeros(4), DT, "A->B"))
 
 
 def test_identity_filter_is_single_unit_tap():
