@@ -11,7 +11,6 @@ response (for example a field-solver export), or read from CSV files.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import tempfile
@@ -135,9 +134,10 @@ def convolve_sum(inputs, spectra, taps: int, limit: int, mapper, finish=lambda r
     transform length m; ``taps`` is the longest filter. Up to ``limit`` output
     samples, one transform of the next fast length serves all, on the calling
     thread, with one accumulator and one batched inverse. Longer outputs go
-    by blocks (overlap-add): ``mapper`` runs each input's transform, then each
-    output's sum, inverse and ``finish(r, y)``, which makes the result listed
-    for output r from y, a view nothing else holds. Inputs add in order.
+    by blocks (overlap-add): ``mapper`` runs each input's transform, then the
+    sums over runs of blocks, then each output's inverse and ``finish(r, y)``,
+    which makes the result listed for output r from y, a view nothing else
+    holds. Inputs add in order.
     """
     n = max(x.size for x in inputs) + taps - 1
     one_shot = n <= limit
@@ -148,23 +148,45 @@ def convolve_sum(inputs, spectra, taps: int, limit: int, mapper, finish=lambda r
     blocks = list(mapper(lambda x: block_spectra(x, m, step), inputs))
     outputs = range(len(stacks[0]))
 
-    def receive(rows: slice) -> list:
-        if len(blocks) == len(outputs) == 1 and m > 1:
-            # One input to one output: multiplied inside its own blocks. Not at
-            # m = 1, where numpy rounds a product in place differently.
-            acc = blocks[0][np.newaxis]
-            acc *= stacks[0]
-        else:
-            acc = np.zeros((len(outputs[rows]), max(map(len, blocks)), m), dtype=np.complex128)
-            # Block by block: no temporary the size of an input. Each block
-            # keeps a leading axis of one, for the reason _shift_add_conv gives.
-            for x, h in zip(blocks, (stack[rows] for stack in stacks)):
-                for b, xb in enumerate(x[:, np.newaxis]):
-                    acc[:, b] += xb * h
-        return [finish(r, y) for r, y in zip(outputs[rows], overlap_add(acc, step, n))]
+    if len(blocks) == len(outputs) == 1 and m > 1:
+        # One input to one output: multiplied inside its own blocks. Not at
+        # m = 1, where numpy rounds a product in place differently.
+        acc = blocks[0][np.newaxis]
+        acc *= stacks[0]
+        sums = [acc[0]]
+    elif one_shot:
+        acc = np.zeros((len(outputs), 1, m), dtype=np.complex128)
+        # Each block keeps a leading axis of one, for the reason
+        # _shift_add_conv gives.
+        for x, h in zip(blocks, stacks):
+            acc[:, 0] += x[:1] * h
+        return [finish(r, y) for r, y in zip(outputs, overlap_add(acc, step, n))]
+    else:
+        # Each output's sum is written over an input's blocks, or over zeros
+        # where no input of its index has them all. Block b of every input
+        # is read before block b of any output is written, so no
+        # accumulator the size of an output is needed.
+        count = max(map(len, blocks))
+        sums = [
+            blocks[r] if r < len(blocks) and len(blocks[r]) == count
+            else np.zeros((count, m), dtype=np.complex128)
+            for r in outputs
+        ]
 
-    rows = [slice(None)] if one_shot else [slice(r, r + 1) for r in outputs]
-    return list(itertools.chain.from_iterable(mapper(receive, rows)))
+        def accumulate(run: range) -> None:
+            acc = np.empty((len(outputs), m), dtype=np.complex128)
+            for b in run:
+                acc[...] = 0.0
+                for x, h in zip(blocks, stacks):
+                    if b < len(x):
+                        acc += x[b][np.newaxis] * h
+                for y, row in zip(sums, acc):
+                    y[b] = row
+
+        # One run of blocks per output, as many pool tasks as outputs.
+        k = len(outputs)
+        list(mapper(accumulate, [range(count * i // k, count * (i + 1) // k) for i in range(k)]))
+    return list(mapper(lambda r: finish(r, overlap_add(sums[r], step, n)), outputs))
 
 
 @dataclass(frozen=True)

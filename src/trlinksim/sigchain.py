@@ -10,7 +10,7 @@ so power comparisons between the two are at equal transmit energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -119,10 +119,17 @@ class Waveform:
 
 @dataclass(frozen=True)
 class TrFilter:
-    """Unit-energy transmit pre-filter (time-reversal or identity)."""
+    """Unit-energy transmit pre-filter (time-reversal or identity).
+
+    ``spectra(m)`` is the filter's spectrum at transform length m, computed
+    the first time it is asked for, in the form ``convolve_sum`` takes it.
+    """
 
     samples: np.ndarray
     sample_interval: float
+    _spectra: dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         s = np.array(self.samples, dtype=np.complex128).reshape(-1)
@@ -135,6 +142,14 @@ class TrFilter:
             raise ValueError(f"filter must have unit energy, got {energy!r}")
         s.flags.writeable = False
         object.__setattr__(self, "samples", s)
+
+    def spectra(self, m: int) -> np.ndarray:
+        """A read-only (1, m) stack holding the filter's spectrum at length m (m >= taps)."""
+        if m not in self._spectra:
+            spectrum = block_spectra(self.samples, m, m)
+            spectrum.flags.writeable = False
+            self._spectra[m] = spectrum
+        return self._spectra[m]
 
 
 def make_tr_filter(cir: Cir) -> TrFilter:
@@ -174,7 +189,8 @@ def precode(waveform: Waveform, tx_filter: TrFilter) -> Waveform:
     operand is a plain product; else ``convolve_sum``, on the calling thread,
     cuts the longer operand (the filter on a tie): one transform, bitwise
     ``scipy.signal.fftconvolve(longer, shorter)``, up to ``ONE_SHOT_MAX``
-    output samples, and blocks of ``block_len(shorter)`` above it.
+    output samples, and blocks of ``block_len(shorter)`` above it. A filter
+    transformed whole comes from its own cache (``TrFilter.spectra``).
     """
     if not same_grid(waveform.sample_interval, tx_filter.sample_interval):
         raise ValueError("grid mismatch between waveform and filter")
@@ -182,7 +198,8 @@ def precode(waveform: Waveform, tx_filter: TrFilter) -> Waveform:
     if x.size == 1 or g.size == 1:
         return Waveform._wrap(x * g, waveform.sample_interval)
     a, b = (x, g) if x.size > g.size else (g, x)
-    (out,) = convolve_sum([a], lambda m: [block_spectra(b, m, m)], b.size, ONE_SHOT_MAX, map)
+    spectrum = tx_filter.spectra if b is g else lambda m: block_spectra(b, m, m)
+    (out,) = convolve_sum([a], lambda m: [spectrum(m)], b.size, ONE_SHOT_MAX, map)
     return Waveform._wrap(out, waveform.sample_interval)
 
 

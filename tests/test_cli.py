@@ -776,6 +776,20 @@ def test_power_sweep_reads_each_file_and_response_once(tmp_path, monkeypatch):
     assert set(responses.values()) == {1}
 
 
+def test_power_sweep_transforms_each_filter_once_per_length(tmp_path, monkeypatch):
+    # The streams are longer than the filters, so precode transforms each
+    # filter whole: once per transform length for the sweep, not per trial.
+    cfg_path = _file_backed_power_sweep(tmp_path)
+    transforms = _counting(monkeypatch, sigchain, "block_spectra", lambda x, m, step: (x.tobytes(), m))
+    assert main(["sweep-power", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    filters = {
+        sigchain.make_tr_filter(read_cir_csv(tmp_path / f"cir_{i}.csv")).samples.tobytes() for i in (0, 3)
+    }
+    assert {x for x, _ in transforms} == filters
+    assert len({m for _, m in transforms}) == 1
+    assert set(transforms.values()) == {1}
+
+
 def test_power_sweep_computes_each_sinr_report_once_per_point(tmp_path, monkeypatch):
     cfg_path = _file_backed_power_sweep(tmp_path)
     reports = _counting(

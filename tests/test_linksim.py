@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,7 +17,9 @@ from trlinksim.chanmodel import (
     Cir,
     ReverbParams,
     block_len,
+    block_spectra,
     fast_len,
+    overlap_add,
     same_grid,
     synth_reverberant,
 )
@@ -43,6 +46,7 @@ from trlinksim.sigchain import (
     make_identity_filter,
     make_tr_filter,
     modulate_ask,
+    precode,
 )
 
 MOD = ModParams(bit_rate=50e9, samples_per_symbol=4)
@@ -664,20 +668,131 @@ def test_propagate_on_the_block_path_pooled_equals_serial(monkeypatch, serial):
     taps = scenario.responses.taps
     block_step = block_len(taps) - taps + 1
     rng = np.random.default_rng(8)
-    streams = {
-        sid: Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), DT)
-        for sid, n in (("A->B", 5 * block_step + 17), ("C->D", 3 * block_step))
-    }
     original = linksim._pool_map
-    calls = []
-    monkeypatch.setattr(linksim, "_pool_map", lambda fn, *it: calls.append(fn) or original(fn, *it))
-    pooled = propagate(scenario, streams, seed=5)
-    assert len(calls) == 2  # the streams' transforms, then the receivers
-    monkeypatch.setattr(linksim, "_pool_map", serial)
-    alone = propagate(scenario, streams, seed=5)
-    assert list(pooled) == list(alone) == ["B", "D"]
-    for rx in pooled:
-        assert pooled[rx].samples.tobytes() == alone[rx].samples.tobytes()
+    # Unequal lengths, then equal ones, where each receiver's sum is written
+    # over a stream's own blocks.
+    for lengths in ((5 * block_step + 17, 3 * block_step), (4 * block_step + 17,) * 2):
+        streams = {
+            sid: Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), DT)
+            for sid, n in zip(("A->B", "C->D"), lengths)
+        }
+        calls = []
+        monkeypatch.setattr(linksim, "_pool_map", lambda fn, *it: calls.append(fn) or original(fn, *it))
+        pooled = propagate(scenario, streams, seed=5)
+        assert len(calls) == 3  # the streams' transforms, the sums over runs of blocks, the receivers
+        monkeypatch.setattr(linksim, "_pool_map", serial)
+        alone = propagate(scenario, streams, seed=5)
+        assert list(pooled) == list(alone) == ["B", "D"]
+        for rx in pooled:
+            assert pooled[rx].samples.tobytes() == alone[rx].samples.tobytes()
+
+
+def _per_receiver_block_sums(scenario, streams, seed):
+    """propagate on the block path, each receiver summed in an accumulator of its own.
+
+    Block by block, in stream-id order, with the products and shapes
+    ``convolve_sum`` uses; then the same inverse, cut and noise.
+    """
+    table = scenario.responses
+    m = block_len(table.taps)
+    step = m - table.taps + 1
+    present = [scenario.link_for_stream(sid) for sid in sorted(streams)]
+    xs = [streams[link.stream_id].samples for link in present]
+    blocks = [block_spectra(x, m, step) for x in xs]
+    n = max(x.size for x in xs) + table.taps - 1
+    out = {}
+    for r, rx in enumerate(scenario.receivers):
+        acc = np.zeros((1, max(map(len, blocks)), m), dtype=np.complex128)
+        for link, x in zip(present, blocks):
+            h = table.spectra(m)[link.tx_node][r : r + 1]
+            for b in range(len(x)):
+                acc[:, b] += x[b : b + 1] * h
+        y = overlap_add(acc, step, n)[0]
+        y = y[: max(x.size + table.channels[l.tx_node][r].size for l, x in zip(present, xs)) - 1]
+        linksim._add_noise(y, noise_power(scenario.noise), seed, r)
+        out[rx] = y
+    return out
+
+
+def _three_link_scenario(precoding, noise):
+    nodes = [("A", "B"), ("C", "D"), ("E", "F")]
+    channels = {
+        (tx, rx): _chan(11 + 3 * i + j) for i, (tx, _) in enumerate(nodes) for j, (_, rx) in enumerate(nodes)
+    }
+    links = tuple(LinkSpec(tx, rx, precoding, 0.0) for tx, rx in nodes)
+    return Scenario(channels, links, noise, MOD)
+
+
+def _scatter_scenario(precoding, noise):
+    channels = {("A", rx): _chan(30 + i) for i, rx in enumerate("BCD")}
+    return build_scatter_scenario(channels, "A", "BCD", 0.0, MOD.bit_rate, noise, precoding)
+
+
+# (scenario, blocks per present stream, in stream-id order); a block count
+# b stands for a stream b * step - 5 samples long.
+_RECEIVE_CASES = {
+    "equal-2": (_three_link_scenario, (2, 2, 2)),
+    "equal-3": (_three_link_scenario, (3, 3, 3)),
+    "equal-5": (_three_link_scenario, (5, 5, 5)),
+    "unequal": (_three_link_scenario, (2, 5, 3)),
+    "subset": (_three_link_scenario, (4, None, 4)),
+    "scatter": (_scatter_scenario, (3, 3, 2)),
+}
+
+
+@pytest.mark.parametrize("mapper", ["pool", "map", "one-worker"])
+@pytest.mark.parametrize("noise", [NoiseSpec.off(), NoiseSpec.explicit(-10.0)], ids=["quiet", "noisy"])
+@pytest.mark.parametrize("precoding", ["tr", "none"])
+@pytest.mark.parametrize("case", sorted(_RECEIVE_CASES))
+def test_block_path_receive_in_place_equals_per_receiver_sums_by_bytes(
+    monkeypatch, case, precoding, noise, mapper
+):
+    # The receivers' sums overwrite the streams' own blocks (equal lengths),
+    # or zeros: for a receiver past the present streams (subset), a shorter
+    # stream (unequal) and a 3-receiver scatter of unequal streams.
+    make, counts = _RECEIVE_CASES[case]
+    scenario = make(precoding, noise)
+    table = scenario.responses
+    step = block_len(table.taps) - table.taps + 1
+    rng = np.random.default_rng(len(case))
+    streams = {}
+    for link, count in zip(sorted(scenario.links, key=lambda l: l.stream_id), counts):
+        if count is not None:
+            tx_filter = table.filters[link.stream_id]
+            n = count * step - 4 - tx_filter.samples.size
+            x = Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), DT)
+            streams[link.stream_id] = precode(x, tx_filter)
+    assert len(scenario.receivers) == 3
+    assert max(s.samples.size for s in streams.values()) + table.taps - 1 > block_len(table.taps)
+    want = _per_receiver_block_sums(scenario, streams, seed=6)
+    if mapper != "pool":
+        monkeypatch.setattr(linksim, "_pool_map", map if mapper == "map" else _one_worker_map)
+    got = propagate(scenario, streams, seed=6)
+    assert list(got) == list(scenario.receivers)
+    for rx in got:
+        assert got[rx].samples.tobytes() == want[rx].tobytes()
+
+
+def test_block_path_receive_holds_no_accumulator_per_receiver():
+    # Two equal streams of 40 blocks to 2 receivers: their block spectra plus
+    # at most 1 MiB of per-block scratch, not a third and fourth array of
+    # their size for the receivers' sums.
+    scenario = _two_link_scenario()
+    taps = scenario.responses.taps
+    m = block_len(taps)
+    n = 40 * (m - taps + 1)
+    rng = np.random.default_rng(4)
+    streams = {
+        sid: Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), DT) for sid in ("A->B", "C->D")
+    }
+    scenario.responses.spectra(m)
+    tracemalloc.start()
+    try:
+        propagate(scenario, streams, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (40 * m * 16) + 2**20
 
 
 def test_pool_has_one_worker_per_usable_cpu():

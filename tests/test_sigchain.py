@@ -195,6 +195,23 @@ def test_precode_bits_on_both_paths(n, taps):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [1000, 200_001])
+def test_precode_takes_a_filter_spectrum_from_its_cache_with_the_same_bits(n):
+    # One transform (short stream) and blocks (long stream): a second call
+    # reads the filter's cached spectrum and gives the same bytes.
+    rng = np.random.default_rng(n)
+    g = make_tr_filter(Cir(rng.standard_normal(41) + 1j * rng.standard_normal(41), DT))
+    x = Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), DT)
+    first = precode(x, g).samples
+    assert len(g._spectra) == 1
+    (m,) = g._spectra
+    spectrum = g.spectra(m)
+    assert spectrum is g.spectra(m) and not spectrum.flags.writeable
+    assert spectrum.tobytes() == block_spectra(g.samples, m, m).tobytes()
+    assert precode(x, g).samples.tobytes() == first.tobytes()
+    assert len(g._spectra) == 1
+
+
 def test_precode_demands_matching_grids():
     mod = ModParams(bit_rate=50e9)
     w = modulate_ask([1, 0], mod)
