@@ -49,8 +49,8 @@ def same_grid(dt_a: float, dt_b: float) -> bool:
     return math.isclose(dt_a, dt_b, rel_tol=GRID_RTOL)
 
 
-# Largest output length precode computes with one transform; longer
-# convolutions go block by block (overlap-add).
+# Longest stream whose transmit chain stays on the calling thread, and the
+# chunk size of receiver noise draws. Convolution geometry does not use it.
 ONE_SHOT_MAX = 1 << 16
 
 
@@ -127,20 +127,20 @@ def overlap_add(spectra: np.ndarray, step: int, n: int) -> np.ndarray:
     return flat[..., :n]
 
 
-def convolve_sum(inputs, spectra, taps: int, limit: int, mapper, finish=lambda r, y: y) -> list:
+def convolve_sum(inputs, spectra, taps: int, mapper, finish=lambda r, y: y) -> list:
     """Every output y_r = sum over s of inputs[s] * f[s, r], full linear convolutions.
 
     ``spectra(m)`` gives each input's (outputs, m) stack of filter spectra at
-    transform length m; ``taps`` is the longest filter. Up to ``limit`` output
-    samples, one transform of the next fast length serves all, on the calling
-    thread, with one accumulator and one batched inverse. Longer outputs go
-    by blocks (overlap-add): ``mapper`` runs each input's transform, then the
-    sums over runs of blocks, then each output's inverse and ``finish(r, y)``,
-    which makes the result listed for output r from y, a view nothing else
-    holds. Inputs add in order.
+    transform length m; ``taps`` is the longest filter. Up to ``block_len(taps)``
+    output samples, one transform of the next fast length serves all, on the
+    calling thread, with one accumulator and one batched inverse. Longer
+    outputs go by blocks of ``block_len(taps)`` (overlap-add): ``mapper`` runs
+    each input's transform, then the sums over runs of blocks, then each
+    output's inverse and ``finish(r, y)``, which makes the result listed for
+    output r from y, a view nothing else holds. Inputs add in order.
     """
     n = max(x.size for x in inputs) + taps - 1
-    one_shot = n <= limit
+    one_shot = n <= block_len(taps)
     m = fast_len(n) if one_shot else block_len(taps)
     step = m if one_shot else m - taps + 1
     mapper = map if one_shot else mapper
@@ -209,6 +209,9 @@ class Cir:
             raise ValueError(f"sample_interval must be positive, got {self.sample_interval}")
         if not np.all(np.isfinite(s.view(np.float64))):
             raise ValueError("CIR samples must be finite")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.sum(np.abs(s) ** 2)):
+                raise ValueError("CIR energy must be finite: samples too large")
         s.flags.writeable = False
         object.__setattr__(self, "samples", s)
 

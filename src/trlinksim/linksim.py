@@ -23,7 +23,6 @@ import numpy as np
 from .chanmodel import (
     ONE_SHOT_MAX,
     Cir,
-    block_len,
     block_spectra,
     convolve_sum,
     same_grid,
@@ -284,7 +283,7 @@ def propagate(
     received = convolve_sum(
         [streams[link.stream_id].samples for link in present],
         lambda m: [table.spectra(m)[link.tx_node] for link in present],
-        table.taps, block_len(table.taps), _pool_map, finish,
+        table.taps, _pool_map, finish,
     )
     return dict(zip(scenario.receivers, received))
 

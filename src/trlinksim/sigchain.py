@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chanmodel import ONE_SHOT_MAX, Cir, block_spectra, convolve_sum, same_grid
+from .chanmodel import Cir, block_spectra, convolve_sum, same_grid
 
 __all__ = [
     "ModParams",
@@ -67,6 +67,10 @@ class ModParams:
         object.__setattr__(self, "samples_per_symbol", int(self.samples_per_symbol))
         if not 0.0 <= self.level_zero < self.level_one:
             raise ValueError("need 0 <= level_zero < level_one")
+        # Power scaling keeps only level_zero / level_one; past these bounds
+        # the stream's power overflows or underflows before it is scaled.
+        if not 1e-100 <= self.level_one <= 1e100:
+            raise ValueError(f"level_one must lie in [1e-100, 1e100], got {self.level_one!r}")
 
     @property
     def sample_interval(self) -> float:
@@ -187,19 +191,17 @@ def precode(waveform: Waveform, tx_filter: TrFilter) -> Waveform:
 
     Output length is len(waveform) + len(filter) - 1. A single-sample
     operand is a plain product; else ``convolve_sum``, on the calling thread,
-    cuts the longer operand (the filter on a tie): one transform, bitwise
-    ``scipy.signal.fftconvolve(longer, shorter)``, up to ``ONE_SHOT_MAX``
-    output samples, and blocks of ``block_len(shorter)`` above it. A filter
-    transformed whole comes from its own cache (``TrFilter.spectra``).
+    with the waveform as its input and the filter's cached spectrum
+    (``TrFilter.spectra``): one transform, bitwise
+    ``scipy.signal.fftconvolve(waveform, filter)``, up to
+    ``block_len(len(filter))`` output samples, and blocks of that length above.
     """
     if not same_grid(waveform.sample_interval, tx_filter.sample_interval):
         raise ValueError("grid mismatch between waveform and filter")
     x, g = waveform.samples, tx_filter.samples
     if x.size == 1 or g.size == 1:
         return Waveform._wrap(x * g, waveform.sample_interval)
-    a, b = (x, g) if x.size > g.size else (g, x)
-    spectrum = tx_filter.spectra if b is g else lambda m: block_spectra(b, m, m)
-    (out,) = convolve_sum([a], lambda m: [spectrum(m)], b.size, ONE_SHOT_MAX, map)
+    (out,) = convolve_sum([x], lambda m: [tx_filter.spectra(m)], g.size, map)
     return Waveform._wrap(out, waveform.sample_interval)
 
 

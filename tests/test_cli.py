@@ -349,6 +349,15 @@ _SHORT_RUN = MINIMAL + "\n[sweep]\nn_bits = 100\nn_trials = 1\n"
             "run", "[sweep]", "[modulation]\nlevel_one = inf\n\n[sweep]", "[modulation]",
             "invalid [modulation]: level_one must be finite, got inf", id="level_one",
         ),
+        *(
+            pytest.param(
+                "run", "[sweep]", f"[modulation]\nlevel_one = {level}\n\n[sweep]", "[modulation]",
+                f"invalid [modulation]: level_one must lie in [1e-100, 1e100], got {float(level)!r}",
+                id=f"level_one-{level}",
+            )
+            # stream powers that overflow or underflow
+            for level in ("1e153", "1e-158", "1e-200")
+        ),
         pytest.param(
             "run", "max_delay_s = 200e-12", "max_delay_s = inf", '[channel "A->B"]',
             'invalid [channel "A->B"]: max_delay must be finite, got inf', id="max_delay_s",
@@ -370,6 +379,17 @@ def test_main_refuses_non_finite_values_by_line(tmp_path, capsys, command, old, 
     assert main([command, "--config", _write(tmp_path, "inf.cfg", text), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: line {line}: {message}\n"
     assert not out.exists()
+
+
+def test_level_one_within_its_bounds_leaves_the_error_counts_alone(tmp_path):
+    # Power scaling keeps only level_zero / level_one.
+    errors = []
+    for level_one in ("1e-100", "1", "1e100"):
+        text = _SHORT_RUN.replace("[sweep]", f"[modulation]\nlevel_one = {level_one}\n\n[sweep]")
+        out = tmp_path / level_one
+        assert main(["run", "--config", _write(tmp_path, "level.cfg", text), "--out", str(out)]) == 0
+        errors.append([row[-1] for row in _read_rows(out / "run.csv")[1]])
+    assert errors[0] == errors[1] == errors[2]
 
 
 def _readme_config_reference():
@@ -678,6 +698,18 @@ def test_main_refuses_a_silent_own_channel_by_line(tmp_path, capsys, precoding, 
         f"error: line {line}: channel A->B in {tmp_path / 'zero.csv'} has zero energy; "
         "a link's own channel must carry signal (an interference path may be silent)\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("precoding", ["tr", "none"])
+def test_main_refuses_a_cir_file_whose_energy_overflows_by_line(tmp_path, capsys, precoding):
+    # Finite samples whose energy is not: no traceback, no warning.
+    (tmp_path / "big.csv").write_text("0,1e160,0\n5e-12,0,-1e160\n1e-11,1e160,0\n", encoding="utf-8")
+    text = _file_channel(TWO_LINK, "A->B", "big.csv").replace("rx = B", f"rx = B\nprecoding = {precoding}")
+    line = text.splitlines().index("file = big.csv") + 1
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, "big.cfg", text), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: line {line}: CIR energy must be finite: samples too large\n"
     assert not out.exists()
 
 

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from trlinksim.chanmodel import (
-    ONE_SHOT_MAX,
     Cir,
     ReverbParams,
     block_len,
     block_spectra,
-    overlap_add,
     synth_reverberant,
 )
 from trlinksim.sigchain import (
@@ -54,6 +52,10 @@ def test_mod_params_grid():
         {"bit_rate": float("inf")},
         {"bit_rate": 50e9, "samples_per_symbol": float("inf")},
         {"bit_rate": 50e9, "level_one": float("inf")},
+        # a stream power that overflows or underflows
+        {"bit_rate": 50e9, "level_one": 1e153},
+        {"bit_rate": 50e9, "level_one": 1e-158},
+        {"bit_rate": 50e9, "level_one": 1e-200},
     ],
 )
 def test_mod_params_validation(kwargs):
@@ -157,50 +159,30 @@ def test_precode_matches_direct_convolution():
     assert np.max(np.abs(out.samples - direct)) < 1e-12
 
 
-def _former_block_convolve(a, b):
-    """The block branch of the former chanmodel.fft_convolve, kept as an oracle.
-
-    The longer input goes block by block, each block multiplied by the
-    shorter input's spectrum inside its own buffer, then overlap-added.
-    """
-    if a.size < b.size:
-        a, b = b, a
-    m = block_len(b.size)
-    step = m - b.size + 1
-    spectra = block_spectra(a, m, step)
-    spectra *= np.fft.fft(b, m)
-    return overlap_add(spectra, step, a.size + b.size - 1)
-
-
 @pytest.mark.parametrize(
     "n, taps",
-    [(7, 3), (1000, 41), (ONE_SHOT_MAX - 40, 41), (ONE_SHOT_MAX - 39, 41)]
+    [(7, 3), (1000, 41), (block_len(41) - 40, 41), (block_len(41) - 39, 41)]
     + [(100_000, 41), (200_001, 401), (70_000, 2)]
     + [(7, 300), (1000, 1000), (100, 70_000), (40_000, 40_000)],
 )
-def test_precode_bits_on_both_paths(n, taps):
-    # Up to ONE_SHOT_MAX output samples: scipy's fftconvolve(longer, shorter),
-    # the filter counting as longer on a tie. Above it: the overlap-add the
-    # package used before convolve_sum, which cut the longer operand.
-    from scipy.signal import fftconvolve
-
+def test_precode_bits_on_both_paths(n, taps, convolution_oracle):
+    # Up to block_len(taps) output samples, one transform: scipy's
+    # fftconvolve(stream, filter). Above it: the overlap-add the package used
+    # before convolve_sum. The pair at block_len(41) straddles the switch.
     rng = np.random.default_rng(n + taps)
     g = make_tr_filter(Cir(rng.standard_normal(taps) + 1j * rng.standard_normal(taps), DT))
     x = Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), DT)
     got = precode(x, g).samples
-    if n + taps - 1 <= ONE_SHOT_MAX:
-        want = fftconvolve(*((x.samples, g.samples) if n > taps else (g.samples, x.samples)))
-    else:
-        want = _former_block_convolve(g.samples, x.samples)
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == convolution_oracle(x.samples, g.samples).tobytes()
 
 
-@pytest.mark.parametrize("n", [1000, 200_001])
-def test_precode_takes_a_filter_spectrum_from_its_cache_with_the_same_bits(n):
-    # One transform (short stream) and blocks (long stream): a second call
-    # reads the filter's cached spectrum and gives the same bytes.
+@pytest.mark.parametrize("n, taps", [(1000, 41), (200_001, 41), (7, 300)])
+def test_precode_takes_a_filter_spectrum_from_its_cache_with_the_same_bits(n, taps):
+    # One transform (short stream), blocks (long stream) and a filter longer
+    # than the stream: a second call reads the filter's cached spectrum and
+    # gives the same bytes.
     rng = np.random.default_rng(n)
-    g = make_tr_filter(Cir(rng.standard_normal(41) + 1j * rng.standard_normal(41), DT))
+    g = make_tr_filter(Cir(rng.standard_normal(taps) + 1j * rng.standard_normal(taps), DT))
     x = Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), DT)
     first = precode(x, g).samples
     assert len(g._spectra) == 1
