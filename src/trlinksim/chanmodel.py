@@ -189,6 +189,20 @@ def convolve_sum(inputs, spectra, taps: int, mapper, finish=lambda r, y: y) -> l
     return list(mapper(lambda r: finish(r, overlap_add(sums[r], step, n)), outputs))
 
 
+def _frozen_samples(samples, sample_interval: float, what: str, copy: bool = True) -> np.ndarray:
+    """A read-only, non-empty 1-D complex128 copy of ``samples`` on a finite positive interval.
+
+    Without ``copy``, a 1-D complex128 array is frozen as it is, not copied.
+    """
+    s = np.array(samples, dtype=np.complex128, copy=True if copy else None).reshape(-1)
+    if s.size < 1:
+        raise ValueError(f"{what} must contain at least one sample")
+    if not (math.isfinite(sample_interval) and sample_interval > 0.0):
+        raise ValueError(f"sample_interval must be positive, got {sample_interval}")
+    s.flags.writeable = False
+    return s
+
+
 @dataclass(frozen=True)
 class Cir:
     """Uniformly sampled complex-baseband channel impulse response.
@@ -202,17 +216,12 @@ class Cir:
     label: str = ""
 
     def __post_init__(self) -> None:
-        s = np.array(self.samples, dtype=np.complex128).reshape(-1)
-        if s.size < 1:
-            raise ValueError("CIR must contain at least one sample")
-        if not (math.isfinite(self.sample_interval) and self.sample_interval > 0.0):
-            raise ValueError(f"sample_interval must be positive, got {self.sample_interval}")
+        s = _frozen_samples(self.samples, self.sample_interval, "CIR")
         if not np.all(np.isfinite(s.view(np.float64))):
             raise ValueError("CIR samples must be finite")
         with np.errstate(over="ignore"):
             if not np.isfinite(np.sum(np.abs(s) ** 2)):
                 raise ValueError("CIR energy must be finite: samples too large")
-        s.flags.writeable = False
         object.__setattr__(self, "samples", s)
 
     @property
@@ -419,6 +428,25 @@ def channel_correlation(h1: Cir, h2: Cir) -> float:
     return float(np.max(np.abs(cc)) / math.sqrt(e1 * e2))
 
 
+def _uniform_grid(rows: np.ndarray, where: str, name: str) -> tuple[float, np.ndarray]:
+    """The step of the ``name`` axis of (axis, real, imag) rows, and their complex samples.
+
+    The grid rule: at least two rows, on an axis strictly increasing and
+    uniform within 1e-6. Both parts are set directly, so signed zeros survive.
+    """
+    if len(rows) < 2:
+        raise ValueError(f"{where}insufficient data: need at least two {name} samples")
+    steps = np.diff(rows[:, 0])
+    if np.any(steps <= 0.0):
+        raise ValueError(f"{where}irregular grid: {name} samples must be strictly increasing")
+    step = float(np.mean(steps))
+    if float(np.max(np.abs(steps - step))) > 1e-6 * step:
+        raise ValueError(f"{where}irregular grid: {name} spacing is not uniform")
+    samples = np.empty(len(rows), dtype=np.complex128)
+    samples.real, samples.imag = rows[:, 1], rows[:, 2]
+    return step, samples
+
+
 def import_frequency_response(
     records: Sequence[tuple[float, float, float]],
     window: str = "rectangular",
@@ -432,17 +460,8 @@ def import_frequency_response(
     before the inverse DFT. The returned grid has
     sample_interval = 1 / (N * spacing).
     """
-    rows = list(records)
-    if len(rows) < 2:
-        raise ValueError("insufficient data: need at least two frequency samples")
-    freq = np.array([float(r[0]) for r in rows])
-    resp = np.array([complex(float(r[1]), float(r[2])) for r in rows])
-    df = np.diff(freq)
-    if np.any(df <= 0.0):
-        raise ValueError("irregular grid: frequencies must be strictly increasing")
-    step = float(np.mean(df))
-    if float(np.max(np.abs(df - step))) > 1e-6 * step:
-        raise ValueError("irregular grid: frequency spacing is not uniform")
+    rows = np.array([(float(r[0]), float(r[1]), float(r[2])) for r in records]).reshape(-1, 3)
+    step, resp = _uniform_grid(rows, "", "frequency")
     n = len(rows)
     if window == "rectangular":
         w = np.ones(n)
@@ -454,60 +473,47 @@ def import_frequency_response(
     return Cir(cir, 1.0 / (n * step), label)
 
 
-def _parse_csv_rows(lines: Iterable[str], what: str) -> list[tuple[float, float, float]]:
-    """Three-column CSV rows of finite numbers, one at a time; names the first bad line."""
-    rows: list[tuple[float, float, float]] = []
+def _bad_line(lines: Iterable[str], what: str) -> ValueError:
+    """The refusal of the first data line that is not three finite numbers."""
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 3:
-            raise ValueError(f"{what}: line {lineno}: expected 3 comma-separated fields")
+        fields = line.split(",")
+        if len(fields) != 3:
+            return ValueError(f"{what}: line {lineno}: expected 3 comma-separated fields")
         try:
-            row = (float(parts[0]), float(parts[1]), float(parts[2]))
+            if not all(map(math.isfinite, [float(f) for f in fields])):
+                return ValueError(f"{what}: line {lineno}: times and samples must be finite")
         except ValueError:
-            raise ValueError(f"{what}: line {lineno}: fields must be numbers") from None
-        if not all(map(math.isfinite, row)):
-            raise ValueError(f"{what}: line {lineno}: times and samples must be finite")
-        rows.append(row)
-    return rows
+            return ValueError(f"{what}: line {lineno}: fields must be numbers")
+    raise AssertionError(f"{what}: no bad line")
 
 
 def read_cir_csv(path: str | Path, label: str | None = None) -> Cir:
     """Read a ``time_s,real,imag`` CIR file written by :func:`write_cir_csv`.
 
-    Lines starting with '#' and blank lines are skipped. numpy parses the
-    data lines in one pass. Where it cannot, or a value is not finite, the
-    row-by-row parser runs instead: it names the offending line, and it
-    takes the lines numpy refuses but this format allows (a number spelled
-    ``1_000``, an indented comment, a line of blanks), so both paths give
-    the same rows.
+    Stripped lines that are blank or start with '#' are skipped. One numpy
+    call reads every field of the others as Python's ``float`` does (so
+    ``1_000`` and padded fields are numbers); only when it refuses the
+    file are the lines scanned again, to name the first bad one.
     """
     lines = Path(path).read_text(encoding="utf-8").split("\n")
-    data = [line for line in lines if line and line[0] != "#"]
-    try:
-        rows = np.loadtxt(data, delimiter=",", comments=None, ndmin=2) if data else None
-    except ValueError:
-        rows = None
-    if rows is None or rows.shape[1] != 3 or not np.isfinite(rows).all():
-        rows = np.array(_parse_csv_rows(lines, str(path)), dtype=np.float64).reshape(-1, 3)
-    if len(rows) < 2:
-        raise ValueError(f"{path}: insufficient data: need at least two samples to infer the grid")
-    dt_all = np.diff(rows[:, 0])
-    if np.any(dt_all <= 0.0):
-        raise ValueError(f"{path}: irregular grid: times must be strictly increasing")
-    dt = float(np.mean(dt_all))
-    if float(np.max(np.abs(dt_all - dt))) > 1e-6 * dt:
-        raise ValueError(f"{path}: irregular grid: time spacing is not uniform")
-    # Set both parts directly: arithmetic such as re + 1j * im can flip the
-    # sign of a zero part, which complex(re, im) keeps.
-    samples = np.empty(len(rows), dtype=np.complex128)
-    samples.real = rows[:, 1]
-    samples.imag = rows[:, 2]
-    if label is None:
-        label = Path(path).stem
-    return Cir(samples, dt, label)
+    data = [line for raw in lines if (line := raw.strip()) and line[0] != "#"]
+    # Joined with a '#' field between lines, every line has three fields
+    # exactly when each fourth field is that '#', which never converts.
+    fields = ",#,".join(data).split(",") if data else []
+    rows = None
+    if fields[3::4] == ["#"] * (len(data) - 1):
+        del fields[3::4]
+        try:
+            rows = np.array(fields, dtype=np.float64).reshape(len(data), 3)
+        except ValueError:
+            pass
+    if rows is None or not np.isfinite(rows).all():
+        raise _bad_line(lines, str(path))
+    dt, samples = _uniform_grid(rows, f"{path}: ", "time")
+    return Cir(samples, dt, Path(path).stem if label is None else label)
 
 
 def _atomic_write(path: str | Path, text: str) -> None:

@@ -9,6 +9,7 @@ unknown sections or keys are rejected unless --no-strict is given.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import math
@@ -38,6 +39,11 @@ FOCUSING_HEADER = "node,tr_peak_w,tr_total_w,nontr_peak_w,nontr_total_w"
 
 _POWER_GRID_DEFAULT = tuple(float(p) for p in range(-5, 11))
 _RATE_GRID_DEFAULT = (10e9, 20e9, 40e9, 80e9)
+
+# Largest samples_per_symbol^2 x channel energy x max(power, 1 W) a config may
+# set: it bounds a received symbol's squared peak at a link's power and at unit
+# power, an eighth below the largest float, to leave room for ISI and noise.
+_HEADROOM_MAX = 2.0**1021
 
 
 class ConfigError(Exception):
@@ -229,6 +235,15 @@ def _kind(name: str) -> str | None:
     return name if name in ("nodes", "modulation", "noise", "sweep", "output") else None
 
 
+@contextlib.contextmanager
+def _at_line(lineno: int, prefix: str = ""):
+    """Raise a ValueError or OSError from the block as a ConfigError naming ``lineno``."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"line {lineno}: {prefix}{exc}") from None
+
+
 def _read(
     section: str, lineno: int, body: dict[str, _Entry], keys: tuple[Key, ...], when: str | None = None
 ) -> dict[str, object]:
@@ -244,10 +259,8 @@ def _read(
         if entry is None and key.required:
             raise ConfigError(f"line {lineno}: missing required key {key.name!r} in [{section}]")
         text = key.default if entry is None else entry.value
-        try:
+        with _at_line(lineno if entry is None else entry.lineno):
             values[key.field or key.name] = None if text is None else key.parse(text, key.name)
-        except ValueError as exc:
-            raise ConfigError(f"line {entry.lineno}: {exc}") from None
     return values
 
 
@@ -287,18 +300,35 @@ def _parse_pair(pair_text: str, nodes: tuple[str, ...], lineno: int) -> tuple[st
     return parts[0], parts[1]
 
 
+def _check_headroom(samples_per_symbol: int, energy: float, watts: float = 1.0) -> None:
+    """Refuse a symbol length, channel energy and power past ``_HEADROOM_MAX``."""
+    if not samples_per_symbol**2 * energy * max(watts, 1.0) <= _HEADROOM_MAX:
+        raise ValueError(
+            f"samples_per_symbol^2 x channel energy x max(power, 1 W) must not exceed {_HEADROOM_MAX:.6g}, "
+            f"got {samples_per_symbol}^2 x {energy:.6g} x {max(watts, 1.0):.6g} W"
+        )
+
+
+def _largest_energy(channels: Mapping[tuple[str, str], object]) -> float:
+    """The largest configured channel energy; a fresh channel's is its total_energy."""
+    fresh = chanmodel.ReverbParams
+    return max((c.total_energy if isinstance(c, fresh) else c.energy for c in channels.values()), default=0.0)
+
+
 def _check_sweep_value(
-    variable: str, value: float, links: Sequence[linksim.LinkSpec], mod: sigchain.ModParams
+    variable: str, value: float, links: Sequence[linksim.LinkSpec], mod: sigchain.ModParams, energy: float
 ) -> None:
-    """Refuse a grid value that the sweep over ``variable`` could not run."""
+    """Refuse a grid value that the sweep over ``variable`` could not run at channel ``energy``."""
     if variable == "tx_power_dbm":
         if not math.isfinite(value):
             raise ValueError(f"tx_power_dbm sweep value {value!r} must be finite")
-        sigchain.dbm_to_watts(value)
+        _check_headroom(mod.samples_per_symbol, energy, sigchain.dbm_to_watts(value))
     if variable == "aggregate_rate_bps":
         if not value > 0.0:
             raise ValueError(f"aggregate_rate_bps sweep value {value!r} must be positive")
-        experiments.mod_params_for_rate(value / len(links), mod.sample_interval)
+        fit = experiments.mod_params_for_rate(value / len(links), mod.sample_interval)
+        watts = max(sigchain.dbm_to_watts(link.tx_power_dbm) for link in links)
+        _check_headroom(fit.samples_per_symbol, energy, watts)
     if variable == "n_links" and not (value.is_integer() and 1 <= value <= len(links)):
         raise ValueError(f"n_links sweep value {value!r} must be an integer in [1, {len(links)}]")
 
@@ -330,11 +360,8 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
     nodes = read("nodes", SCHEMA["nodes"])["names"]
 
     # Modulation first: synthetic channels default onto its sample grid.
-    try:
+    with _at_line(sections.get("modulation", (0,))[0], "invalid [modulation]: "):
         mod = sigchain.ModParams(**read("modulation", SCHEMA["modulation"]))
-    except ValueError as exc:
-        mod_line = sections.get("modulation", (0,))[0]
-        raise ConfigError(f"line {mod_line}: invalid [modulation]: {exc}") from None
 
     links: list[linksim.LinkSpec] = []
     numbered = [(int(m.group(1)), name) for name in sections if (m := _LINK_SECTION.match(name))]
@@ -344,10 +371,8 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
         for end, node in (("tx", spec["tx_node"]), ("rx", spec["rx_node"])):
             if node not in nodes:
                 raise ConfigError(f"line {body[end].lineno}: undefined node {node!r}")
-        try:
+        with _at_line(lineno, f"invalid [{name}]: "):
             link = linksim.LinkSpec(**spec)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: invalid [{name}]: {exc}") from None
         if any(other.stream_id == link.stream_id for other in links):
             raise ConfigError(f"line {lineno}: duplicate link {link.stream_id}")
         links.append(link)
@@ -369,23 +394,22 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
             raise ConfigError(f"line {lineno}: [{name}] needs exactly one of 'file' or 'model'")
         params = read(name, SCHEMA["channel"], "file" if "file" in body else "model")
         if "file" in body:
-            path, file_line = Path(base_dir) / params["file"], body["file"].lineno
-            if not path.is_file():
-                raise ConfigError(f"line {file_line}: channel file not found: {path}")
-            try:
+            path = Path(base_dir) / params["file"]
+            with _at_line(body["file"].lineno):
+                if not path.is_file():
+                    raise ValueError(f"channel file not found: {path}")
                 cir = chanmodel.read_cir_csv(path, label=label)
-            except (ValueError, OSError) as exc:
-                raise ConfigError(f"line {file_line}: {exc}") from None
-            if not chanmodel.same_grid(cir.sample_interval, mod.sample_interval):
-                raise ConfigError(
-                    f"line {file_line}: grid mismatch: channel file {path} has sample_interval "
-                    f"{cir.sample_interval!r}, modulation grid is {mod.sample_interval!r}"
-                )
-            if pair in own and cir.energy == 0.0:
-                raise ConfigError(
-                    f"line {file_line}: channel {label} in {path} has zero energy; "
-                    "a link's own channel must carry signal (an interference path may be silent)"
-                )
+                if not chanmodel.same_grid(cir.sample_interval, mod.sample_interval):
+                    raise ValueError(
+                        f"grid mismatch: channel file {path} has sample_interval "
+                        f"{cir.sample_interval!r}, modulation grid is {mod.sample_interval!r}"
+                    )
+                if pair in own and cir.energy == 0.0:
+                    raise ValueError(
+                        f"channel {label} in {path} has zero energy; "
+                        "a link's own channel must carry signal (an interference path may be silent)"
+                    )
+                _check_headroom(mod.samples_per_symbol, cir.energy)
             channels[pair] = cir
             continue
         # What is left after the model and seed are ReverbParams fields.
@@ -393,33 +417,36 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
         seed = params.pop("seed")
         if params["sample_interval"] is None:
             params["sample_interval"] = mod.sample_interval
-        try:
+        with _at_line(lineno, f"invalid [{name}]: "):
             channels[pair] = chanmodel.ReverbParams(**params)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: invalid [{name}]: {exc}") from None
+        with _at_line(body["total_energy"].lineno if "total_energy" in body else lineno):
+            _check_headroom(mod.samples_per_symbol, params["total_energy"])
         if seed is not None:
             # A pinned seed fixes the realization for every trial.
             channels[pair] = chanmodel.synth_reverberant(seed, channels[pair], label=label)
+
+    # Each channel met the headroom rule at 1 W; each power meets it with the largest energy.
+    energy = _largest_energy(channels)
+    for link, (_, name) in zip(links, sorted(numbered)):
+        if "power_dbm" in sections[name][1]:
+            with _at_line(sections[name][1]["power_dbm"].lineno):
+                _check_headroom(mod.samples_per_symbol, energy, sigchain.dbm_to_watts(link.tx_power_dbm))
 
     if "noise" not in sections:
         raise ConfigError("missing required section [noise]")
     # The mode says which of the other keys apply.
     mode = read("noise", SCHEMA["noise"][:1])["mode"]
-    try:
+    with _at_line(sections["noise"][0], "invalid [noise]: "):
         noise = linksim.NoiseSpec(**read("noise", SCHEMA["noise"], mode))
-    except ValueError as exc:
-        raise ConfigError(f"line {sections['noise'][0]}: invalid [noise]: {exc}") from None
 
     sweep = read("sweep", SCHEMA["sweep"])
     if sweep["sweep_values"] is not None:
         values_line = sections["sweep"][1]["values"].lineno
         if sweep["sweep_variable"] is None:
             raise ConfigError(f"line {values_line}: values requires variable to say what is swept")
-        try:
+        with _at_line(values_line):
             for value in sweep["sweep_values"]:
-                _check_sweep_value(sweep["sweep_variable"], value, links, mod)
-        except ValueError as exc:
-            raise ConfigError(f"line {values_line}: {exc}") from None
+                _check_sweep_value(sweep["sweep_variable"], value, links, mod, energy)
 
     # Links must be able to reach every receiver in the full configuration.
     receivers = sorted({link.rx_node for link in links})
@@ -521,9 +548,10 @@ def _sweep_csv(cfg: RunConfig, command: str, variable: str, default: tuple, path
             f"config sweep variable {cfg.sweep_variable!r} does not match command "
             f"{command!r} (expected {variable!r})"
         )
+    energy = _largest_energy(cfg.channels)
     try:
         for value in () if cfg.sweep_values else default:
-            _check_sweep_value(variable, value, cfg.links, cfg.mod)
+            _check_sweep_value(variable, value, cfg.links, cfg.mod, energy)
     except ValueError as exc:
         fix = "name a grid that fits with [sweep] variable and values"
         raise ConfigError(f"default {command} grid value {value:g}: {exc}; {fix}") from None

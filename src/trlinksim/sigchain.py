@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chanmodel import Cir, block_spectra, convolve_sum, same_grid
+from .chanmodel import Cir, _frozen_samples, block_spectra, convolve_sum, same_grid
 
 __all__ = [
     "ModParams",
@@ -89,26 +89,17 @@ class Waveform:
     sample_interval: float
 
     def __post_init__(self) -> None:
-        self._freeze(np.array(self.samples, dtype=np.complex128).reshape(-1))
-
-    def _freeze(self, s: np.ndarray) -> None:
-        if s.size < 1:
-            raise ValueError("waveform must contain at least one sample")
-        if not (math.isfinite(self.sample_interval) and self.sample_interval > 0.0):
-            raise ValueError(f"sample_interval must be positive, got {self.sample_interval}")
-        s.flags.writeable = False
-        object.__setattr__(self, "samples", s)
+        object.__setattr__(self, "samples", _frozen_samples(self.samples, self.sample_interval, "waveform"))
 
     @classmethod
     def _wrap(cls, samples: np.ndarray, sample_interval: float) -> "Waveform":
-        """A Waveform around a 1-D complex128 array this package just made.
+        """A Waveform around a 1-D complex128 array this package just made, frozen in place.
 
-        The array is frozen in place rather than copied; nothing else may
-        hold a writeable reference to it.
+        Nothing else may hold a writeable reference to the array.
         """
         w = cls.__new__(cls)
-        object.__setattr__(w, "sample_interval", sample_interval)
-        w._freeze(samples)
+        samples = _frozen_samples(samples, sample_interval, "waveform", copy=False)
+        vars(w).update(samples=samples, sample_interval=sample_interval)
         return w
 
     @property
@@ -136,15 +127,10 @@ class TrFilter:
     )
 
     def __post_init__(self) -> None:
-        s = np.array(self.samples, dtype=np.complex128).reshape(-1)
-        if s.size < 1:
-            raise ValueError("filter must contain at least one tap")
-        if not (math.isfinite(self.sample_interval) and self.sample_interval > 0.0):
-            raise ValueError(f"sample_interval must be positive, got {self.sample_interval}")
+        s = _frozen_samples(self.samples, self.sample_interval, "filter")
         energy = float(np.sum(np.abs(s) ** 2))
         if not math.isclose(energy, 1.0, rel_tol=1e-9):
             raise ValueError(f"filter must have unit energy, got {energy!r}")
-        s.flags.writeable = False
         object.__setattr__(self, "samples", s)
 
     def spectra(self, m: int) -> np.ndarray:

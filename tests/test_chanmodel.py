@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trlinksim import chanmodel
+from trlinksim import chanmodel, cli
 from trlinksim.chanmodel import (
     Cir,
     ReverbParams,
@@ -294,31 +294,60 @@ def test_write_cir_csv_header_and_atomic_replace(tmp_path, monkeypatch):
     assert list(path.parent.iterdir()) == [path]
 
 
-def _row_parsed_cir(path):
-    """read_cir_csv's samples as the row-by-row parser builds them."""
-    with open(path, encoding="utf-8") as fh:
-        rows = chanmodel._parse_csv_rows(fh, str(path))
-    return np.array([complex(re, im) for _, re, im in rows])
-
-
-def test_cir_csv_reader_equals_row_parser_bitwise(tmp_path):
+def test_cir_csv_reader_returns_the_written_bits(tmp_path):
     rng = np.random.default_rng(12)
     h = rng.standard_normal(401) + 1j * rng.standard_normal(401)
     h[:4] = [0.0, -0.0, complex(-0.0, -0.0), complex(1e-300, -0.0)]
     path = tmp_path / "chan.csv"
     write_cir_csv(Cir(h, 5e-12), path)
-    got = read_cir_csv(path).samples
-    want = _row_parsed_cir(path)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert np.array_equal(got.view(np.int64), h.view(np.int64))
+    assert read_cir_csv(path).samples.tobytes() == h.tobytes()
 
 
 def test_cir_csv_reader_takes_what_python_floats_take(tmp_path):
-    # numpy's parser refuses these lines; the row parser accepts them.
+    # An underscore in a number, a line of blanks, an indented comment, padded fields.
     path = tmp_path / "odd.csv"
     path.write_text("0,1_0,0\n   \n  # indented comment\n1e-12, 2 ,-0.0\n")
-    got = read_cir_csv(path).samples
-    assert np.array_equal(got.view(np.int64), _row_parsed_cir(path).view(np.int64))
+    cir = read_cir_csv(path)
+    assert cir.samples.tobytes() == np.array([complex(10.0, 0.0), complex(2.0, -0.0)]).tobytes()
+    assert cir.sample_interval == 1e-12
+
+
+# Values up to the largest whose 40-sample CIR stays within the headroom rule at
+# one sample per symbol, with signed zeros and subnormals among them.
+_PART_MAX = math.sqrt(cli._HEADROOM_MAX / 80)
+_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, _PART_MAX, -_PART_MAX]),
+    st.floats(-_PART_MAX, _PART_MAX),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=st.lists(st.tuples(_parts, _parts), min_size=2, max_size=40))
+def test_cir_csv_write_then_read_keeps_every_sample_bit(tmp_path_factory, parts):
+    h = np.array([complex(re, im) for re, im in parts])
+    path = tmp_path_factory.mktemp("cir") / "chan.csv"
+    write_cir_csv(Cir(h, 5e-12), path)
+    assert read_cir_csv(path).samples.tobytes() == h.tobytes()
+
+
+_GRID_DEFECTS = {
+    "not increasing": ([0.0, 2.0, 1.0], "irregular grid: {} samples must be strictly increasing"),
+    "repeated": ([0.0, 1.0, 1.0], "irregular grid: {} samples must be strictly increasing"),
+    "not uniform": ([0.0, 1.0, 3.0], "irregular grid: {} spacing is not uniform"),
+    "one sample": ([0.0], "insufficient data: need at least two {} samples"),
+    "no sample": ([], "insufficient data: need at least two {} samples"),
+}
+
+
+@pytest.mark.parametrize("defect", _GRID_DEFECTS)
+def test_cir_reader_and_frequency_import_refuse_the_same_grid_defects(tmp_path, defect):
+    axis, message = _GRID_DEFECTS[defect]
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format('frequency'))}$"):
+        import_frequency_response([(1e9 * x, 1.0, 0.0) for x in axis])
+    path = tmp_path / "grid.csv"
+    path.write_text("".join(f"{1e-12 * x},1,0\n" for x in axis))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: ' + message.format('time'))}$"):
+        read_cir_csv(path)
 
 
 @pytest.mark.parametrize(
@@ -333,8 +362,16 @@ def test_cir_csv_reader_takes_what_python_floats_take(tmp_path):
         ("# c\n0,1,0\n1e-12,0,-inf\n2e-12,1,0\n", "line 3: times and samples must be finite"),
         ("0,1,0\nnan,1,0\n2e-12,1,0\n", "line 2: times and samples must be finite"),
         ("0,1,0\n1e-12,1,0\ninf,1,0\n", "line 3: times and samples must be finite"),
-        # a line numpy refuses sends the file to the row parser, which refuses the same
         ("0,1_0,0\n  # x\n1e-12,nan,0\n2e-12,1,0\n", "line 3: times and samples must be finite"),
+        # field counts that add up to three per line, and a field that is the line mark
+        ("0,1\n1e-12,1,0,0\n", "line 1: expected 3 comma-separated fields"),
+        ("0,1,0\n1e-12,1,0,0\n2e-12,1\n", "line 2: expected 3 comma-separated fields"),
+        ("0,1,0\n1e-12\n", "line 2: expected 3 comma-separated fields"),
+        ("0,1,0\n1e-12,1\n", "line 2: expected 3 comma-separated fields"),
+        ("0,1,0\n1e-12,1,0,7\n", "line 2: expected 3 comma-separated fields"),
+        ("0,1,0\n1e-12,1,0,2e-12,1,0\n", "line 2: expected 3 comma-separated fields"),
+        ("0,#,0\n1e-12,1,0\n", "line 1: fields must be numbers"),
+        ("0,1,0\n1e-12,1,0,#\n2e-12,1,0\n", "line 2: expected 3 comma-separated fields"),
     ],
 )
 def test_cir_csv_errors_name_the_line(tmp_path, body, message):

@@ -713,6 +713,90 @@ def test_main_refuses_a_cir_file_whose_energy_overflows_by_line(tmp_path, capsys
     assert not out.exists()
 
 
+def _run_warnings_as_errors(tmp_path, text):
+    """``trlinksim run`` of ``text`` at 200 bits, in a child under ``-X dev -W error``."""
+    args = ["run", "--config", _write(tmp_path, "h.cfg", text), "--out", str(tmp_path / "out"), "--n-bits", "200"]
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "trlinksim.cli", *args],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+
+
+def _headroom_refusal(line, energy, watts):
+    return (
+        f"error: line {line}: samples_per_symbol^2 x channel energy x max(power, 1 W) must not exceed "
+        f"2.24712e+307, got 4^2 x {energy:.6g} x {watts:.6g} W\n"
+    )
+
+
+@pytest.mark.parametrize("energy, precoding", [(1.7e308, "tr"), (1.7e308, "none"), (4.4e307, "tr")])
+def test_main_refuses_a_cir_file_past_the_headroom_rule_by_line(tmp_path, energy, precoding):
+    # 26 samples whose energy is finite, but not 4^2 times it.
+    h = np.array([1.0, 1j]) @ np.random.default_rng(26).standard_normal((2, 26))
+    write_cir_csv(Cir(h * np.sqrt(energy / np.sum(np.abs(h) ** 2)), 5e-12), tmp_path / "big.csv")
+    text = _file_channel(MINIMAL, "A->B", "big.csv").replace("rx = B", f"rx = B\nprecoding = {precoding}")
+    proc = _run_warnings_as_errors(tmp_path, text)
+    assert proc.returncode == 1
+    assert proc.stderr == _headroom_refusal(text.splitlines().index("file = big.csv") + 1, energy, 1.0)
+    assert not (tmp_path / "out").exists()
+
+
+def _readme_demo():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
+    return block
+
+
+@pytest.mark.parametrize("power_dbm", [3090, 3110])
+def test_readme_demo_runs_up_to_the_headroom_rule_and_is_refused_past_it(tmp_path, power_dbm):
+    # 4^2 x unit energy x 1e306 W is within the rule; x 1e308 W is not.
+    text = _readme_demo().replace("power_dbm = 10", f"power_dbm = {power_dbm}")
+    proc = _run_warnings_as_errors(tmp_path, text)
+    if power_dbm == 3090:
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "run.csv").is_file()
+    else:
+        assert proc.returncode == 1
+        assert proc.stderr == _headroom_refusal(text.splitlines().index("power_dbm = 3110") + 1, 1.0, 1e308)
+
+
+@pytest.mark.parametrize(
+    "old, new, named, energy, watts",
+    [
+        pytest.param(
+            "max_delay_s = 200e-12", "max_delay_s = 200e-12\ntotal_energy = 1.5e306",
+            "total_energy = 1.5e306", 1.5e306, 1.0, id="total_energy",
+        ),
+        pytest.param("rx = B", "rx = B\npower_dbm = 3100", "power_dbm = 3100", 1.0, 1e307, id="power_dbm"),
+        pytest.param(
+            "power_dbm = -40", "power_dbm = -40\n\n[sweep]\nvariable = tx_power_dbm\nvalues = 0, 3100",
+            "values = 0, 3100", 1.0, 1e307, id="tx_power_dbm-sweep",
+        ),
+    ],
+)
+def test_headroom_rule_refusals_name_their_line(old, new, named, energy, watts):
+    text = MINIMAL.replace(old, new)
+    message = _headroom_refusal(text.splitlines().index(named) + 1, energy, watts)[len("error: ") : -1]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "old, new, got",
+    [
+        ("rx = B", "rx = B\npower_dbm = 3090", "8^2 x 1 x 1e+306 W"),
+        # below 1 W, the response table's unit power is what the rule holds
+        ("max_delay_s = 200e-12", "max_delay_s = 200e-12\ntotal_energy = 1e306", "8^2 x 1e+306 x 1 W"),
+    ],
+)
+def test_headroom_rule_holds_at_each_swept_symbol_length(old, new, got):
+    # Within the rule at 4 samples per symbol, not at 8 (25 Gb/s on the 5 ps grid).
+    text = MINIMAL.replace(old, new) + "\n[sweep]\nvariable = aggregate_rate_bps\n"
+    parse_config(text + "values = 50e9\n")
+    with pytest.raises(ConfigError, match=re.escape(f"got {got}")):
+        parse_config(text + "values = 50e9, 25e9\n")
+
+
 def test_main_runs_with_a_silent_interference_path(tmp_path):
     (tmp_path / "zero.csv").write_text(_ZERO_CIR, encoding="utf-8")
     text = _file_channel(TWO_LINK, "A->D", "zero.csv")
