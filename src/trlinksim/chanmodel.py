@@ -496,9 +496,10 @@ def read_cir_csv(path: str | Path, label: str | None = None) -> Cir:
     Stripped lines that are blank or start with '#' are skipped. One numpy
     call reads every field of the others as Python's ``float`` does (so
     ``1_000`` and padded fields are numbers); only when it refuses the
-    file are the lines scanned again, to name the first bad one.
+    file are the lines scanned again, to name the first bad one. A UTF-8
+    byte-order mark in front of the first line is dropped.
     """
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
     data = [line for raw in lines if (line := raw.strip()) and line[0] != "#"]
     # Joined with a '#' field between lines, every line has three fields
     # exactly when each fourth field is that '#', which never converts.

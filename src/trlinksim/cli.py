@@ -40,10 +40,11 @@ FOCUSING_HEADER = "node,tr_peak_w,tr_total_w,nontr_peak_w,nontr_total_w"
 _POWER_GRID_DEFAULT = tuple(float(p) for p in range(-5, 11))
 _RATE_GRID_DEFAULT = (10e9, 20e9, 40e9, 80e9)
 
-# Largest samples_per_symbol^2 x channel energy x max(power, 1 W) a config may
-# set: it bounds a received symbol's squared peak at a link's power and at unit
-# power, an eighth below the largest float, to leave room for ISI and noise.
-_HEADROOM_MAX = 2.0**1021
+# Closed ranges of the keys that set a power, a channel energy or thermal
+# noise. Inside them no SINR component or focusing sum overflows and no SINR
+# ratio underflows to 0; the README's config reference derives them.
+_DBM = (-300.0, 300.0)
+_ENERGY = (1e-50, 1e50)
 
 
 class ConfigError(Exception):
@@ -112,14 +113,28 @@ def _integer(text: str, key: str) -> int:
     return int(value)
 
 
-def _at_least(low: int) -> Callable[[str, str], int]:
-    def parse(text: str, key: str) -> int:
-        value = _integer(text, key)
-        if value < low:
+def _bounded(value: float, key: str, low: float, high: float = math.inf) -> float:
+    """``value`` when it lies in [low, high]; else a ValueError naming ``key``."""
+    if not low <= value <= high:
+        if high == math.inf:
             raise ValueError(f"{key} must be " + (f"at least {low}" if low else "non-negative"))
-        return value
+        raise ValueError(f"{key} must lie in [{low:g}, {high:g}], got {value!r}")
+    return value
 
-    return parse
+
+def _in_range(low: float, high: float = math.inf, parse=_number) -> Callable[[str, str], float]:
+    """The range parser: ``parse``, then refuse a value outside [low, high]."""
+    return lambda text, key: _bounded(parse(text, key), key, low, high)
+
+
+# The one-sided case: an integer of at least ``low``.
+_at_least = functools.partial(_in_range, parse=_integer)
+
+
+def _noise_dbm(text: str, key: str) -> float:
+    """An explicit noise level in the power range, or -inf for no noise."""
+    value = _number(text, key)
+    return value if value == -math.inf else _bounded(value, key, *_DBM)
 
 
 def _one_of(choices: tuple[str, ...], refusal: str) -> Callable[[str, str], str]:
@@ -184,14 +199,14 @@ SCHEMA: dict[str, tuple[Key, ...]] = {
         Key("rms_delay_spread_s", _number, required=True, when="model", field="rms_delay_spread_target"),
         Key("max_delay_s", _number, required=True, when="model", field="max_delay"),
         Key("rician_k", _number, "0", when="model"),
-        Key("total_energy", _number, "1", when="model"),
+        Key("total_energy", _in_range(*_ENERGY), "1", when="model"),
         Key("seed", _at_least(0), when="model"),
     ),
     "link": (
         Key("tx", required=True, field="tx_node"),
         Key("rx", required=True, field="rx_node"),
         Key("precoding", default="tr"),
-        Key("power_dbm", _number, "0", field="tx_power_dbm"),
+        Key("power_dbm", _in_range(*_DBM), "0", field="tx_power_dbm"),
     ),
     "modulation": (
         Key("bit_rate_bps", _number, "50e9", field="bit_rate"),
@@ -201,9 +216,9 @@ SCHEMA: dict[str, tuple[Key, ...]] = {
     ),
     "noise": (
         Key("mode", _one_of(_MODES, "noise mode must be 'thermal' or 'explicit', got {!r}"), required=True),
-        Key("temperature_k", _number, required=True, when="thermal"),
-        Key("bandwidth_hz", _number, required=True, when="thermal"),
-        Key("power_dbm", _number, required=True, when="explicit"),
+        Key("temperature_k", _in_range(1e-3, 1e6), required=True, when="thermal"),
+        Key("bandwidth_hz", _in_range(1.0, 1e15), required=True, when="thermal"),
+        Key("power_dbm", _noise_dbm, required=True, when="explicit"),
     ),
     "sweep": (
         Key(
@@ -300,35 +315,18 @@ def _parse_pair(pair_text: str, nodes: tuple[str, ...], lineno: int) -> tuple[st
     return parts[0], parts[1]
 
 
-def _check_headroom(samples_per_symbol: int, energy: float, watts: float = 1.0) -> None:
-    """Refuse a symbol length, channel energy and power past ``_HEADROOM_MAX``."""
-    if not samples_per_symbol**2 * energy * max(watts, 1.0) <= _HEADROOM_MAX:
-        raise ValueError(
-            f"samples_per_symbol^2 x channel energy x max(power, 1 W) must not exceed {_HEADROOM_MAX:.6g}, "
-            f"got {samples_per_symbol}^2 x {energy:.6g} x {max(watts, 1.0):.6g} W"
-        )
-
-
-def _largest_energy(channels: Mapping[tuple[str, str], object]) -> float:
-    """The largest configured channel energy; a fresh channel's is its total_energy."""
-    fresh = chanmodel.ReverbParams
-    return max((c.total_energy if isinstance(c, fresh) else c.energy for c in channels.values()), default=0.0)
-
-
 def _check_sweep_value(
-    variable: str, value: float, links: Sequence[linksim.LinkSpec], mod: sigchain.ModParams, energy: float
+    variable: str, value: float, links: Sequence[linksim.LinkSpec], mod: sigchain.ModParams
 ) -> None:
-    """Refuse a grid value that the sweep over ``variable`` could not run at channel ``energy``."""
+    """Refuse a grid value that the sweep over ``variable`` could not run."""
     if variable == "tx_power_dbm":
         if not math.isfinite(value):
             raise ValueError(f"tx_power_dbm sweep value {value!r} must be finite")
-        _check_headroom(mod.samples_per_symbol, energy, sigchain.dbm_to_watts(value))
+        _bounded(value, "tx_power_dbm sweep value", *_DBM)
     if variable == "aggregate_rate_bps":
         if not value > 0.0:
             raise ValueError(f"aggregate_rate_bps sweep value {value!r} must be positive")
-        fit = experiments.mod_params_for_rate(value / len(links), mod.sample_interval)
-        watts = max(sigchain.dbm_to_watts(link.tx_power_dbm) for link in links)
-        _check_headroom(fit.samples_per_symbol, energy, watts)
+        experiments.mod_params_for_rate(value / len(links), mod.sample_interval)
     if variable == "n_links" and not (value.is_integer() and 1 <= value <= len(links)):
         raise ValueError(f"n_links sweep value {value!r} must be an integer in [1, {len(links)}]")
 
@@ -404,12 +402,13 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
                         f"grid mismatch: channel file {path} has sample_interval "
                         f"{cir.sample_interval!r}, modulation grid is {mod.sample_interval!r}"
                     )
-                if pair in own and cir.energy == 0.0:
+                if cir.energy != 0.0:
+                    _bounded(cir.energy, f"energy of channel {label} in {path}", *_ENERGY)
+                elif pair in own:
                     raise ValueError(
                         f"channel {label} in {path} has zero energy; "
                         "a link's own channel must carry signal (an interference path may be silent)"
                     )
-                _check_headroom(mod.samples_per_symbol, cir.energy)
             channels[pair] = cir
             continue
         # What is left after the model and seed are ReverbParams fields.
@@ -419,18 +418,9 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
             params["sample_interval"] = mod.sample_interval
         with _at_line(lineno, f"invalid [{name}]: "):
             channels[pair] = chanmodel.ReverbParams(**params)
-        with _at_line(body["total_energy"].lineno if "total_energy" in body else lineno):
-            _check_headroom(mod.samples_per_symbol, params["total_energy"])
         if seed is not None:
             # A pinned seed fixes the realization for every trial.
             channels[pair] = chanmodel.synth_reverberant(seed, channels[pair], label=label)
-
-    # Each channel met the headroom rule at 1 W; each power meets it with the largest energy.
-    energy = _largest_energy(channels)
-    for link, (_, name) in zip(links, sorted(numbered)):
-        if "power_dbm" in sections[name][1]:
-            with _at_line(sections[name][1]["power_dbm"].lineno):
-                _check_headroom(mod.samples_per_symbol, energy, sigchain.dbm_to_watts(link.tx_power_dbm))
 
     if "noise" not in sections:
         raise ConfigError("missing required section [noise]")
@@ -446,7 +436,7 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
             raise ConfigError(f"line {values_line}: values requires variable to say what is swept")
         with _at_line(values_line):
             for value in sweep["sweep_values"]:
-                _check_sweep_value(sweep["sweep_variable"], value, links, mod, energy)
+                _check_sweep_value(sweep["sweep_variable"], value, links, mod)
 
     # Links must be able to reach every receiver in the full configuration.
     receivers = sorted({link.rx_node for link in links})
@@ -548,10 +538,9 @@ def _sweep_csv(cfg: RunConfig, command: str, variable: str, default: tuple, path
             f"config sweep variable {cfg.sweep_variable!r} does not match command "
             f"{command!r} (expected {variable!r})"
         )
-    energy = _largest_energy(cfg.channels)
     try:
         for value in () if cfg.sweep_values else default:
-            _check_sweep_value(variable, value, cfg.links, cfg.mod, energy)
+            _check_sweep_value(variable, value, cfg.links, cfg.mod)
     except ValueError as exc:
         fix = "name a grid that fits with [sweep] variable and values"
         raise ConfigError(f"default {command} grid value {value:g}: {exc}; {fix}") from None
@@ -667,7 +656,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        text = Path(args.config).read_text(encoding="utf-8-sig")
         cfg = parse_config(text, strict=args.strict, base_dir=str(Path(args.config).parent))
         overrides = {} if args.out is None else {"out_dir": args.out}
         # A flag that overrides a [sweep] key follows that key's rule.

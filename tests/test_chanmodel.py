@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trlinksim import chanmodel, cli
+from trlinksim import chanmodel
 from trlinksim.chanmodel import (
     Cir,
     ReverbParams,
@@ -312,9 +313,19 @@ def test_cir_csv_reader_takes_what_python_floats_take(tmp_path):
     assert cir.sample_interval == 1e-12
 
 
-# Values up to the largest whose 40-sample CIR stays within the headroom rule at
-# one sample per symbol, with signed zeros and subnormals among them.
-_PART_MAX = math.sqrt(cli._HEADROOM_MAX / 80)
+def test_cir_reader_drops_a_byte_order_mark(tmp_path):
+    h = np.array([1.0 + 2.0j, -0.5j, 0.25])
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_cir_csv(Cir(h, 5e-12), plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    cir = read_cir_csv(marked)
+    assert cir.samples.tobytes() == read_cir_csv(plain).samples.tobytes() == h.tobytes()
+    assert cir.sample_interval == read_cir_csv(plain).sample_interval
+
+
+# Values up to the largest whose 40-sample CIR keeps its energy at most half the
+# largest float, with signed zeros and subnormals among them.
+_PART_MAX = math.sqrt(sys.float_info.max / 160)
 _parts = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, _PART_MAX, -_PART_MAX]),
     st.floats(-_PART_MAX, _PART_MAX),

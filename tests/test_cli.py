@@ -1,14 +1,19 @@
 """Config parsing, channel realization, and the command line front end."""
 
+import contextlib
+import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trlinksim
 from trlinksim import chanmodel, cli, detector, experiments, linksim, sigchain
@@ -329,21 +334,22 @@ _SHORT_RUN = MINIMAL + "\n[sweep]\nn_bits = 100\nn_trials = 1\n"
 @pytest.mark.parametrize(
     "command, old, new, named, message",
     [
+        # A power, energy or noise key is refused at its own line by its range.
         pytest.param(
-            "run", "rx = B", "rx = B\npower_dbm = 4000", "[link 1]",
-            "invalid [link 1]: 4000.0 dBm is not a finite power in watts", id="link-power",
+            "run", "rx = B", "rx = B\npower_dbm = 4000", "power_dbm = 4000",
+            "power_dbm must lie in [-300, 300], got 4000.0", id="link-power",
         ),
         pytest.param(
             "sweep-power", "n_trials = 1", "n_trials = 1\nvariable = tx_power_dbm\nvalues = 10, 4000",
-            "values = 10, 4000", "4000.0 dBm is not a finite power in watts", id="swept-power",
+            "values = 10, 4000", "tx_power_dbm sweep value must lie in [-300, 300], got 4000.0", id="swept-power",
         ),
         pytest.param(
-            "run", "power_dbm = -40", "power_dbm = inf", "[noise]",
-            "invalid [noise]: inf dBm is not a finite power in watts", id="explicit-noise",
+            "run", "power_dbm = -40", "power_dbm = inf", "power_dbm = inf",
+            "power_dbm must lie in [-300, 300], got inf", id="explicit-noise",
         ),
         pytest.param(
             "run", "mode = explicit\npower_dbm = -40", "mode = thermal\ntemperature_k = inf\nbandwidth_hz = 50e9",
-            "[noise]", "invalid [noise]: thermal noise needs a finite temperature and bandwidth", id="thermal-noise",
+            "temperature_k = inf", "temperature_k must lie in [0.001, 1e+06], got inf", id="thermal-noise",
         ),
         pytest.param(
             "run", "[sweep]", "[modulation]\nlevel_one = inf\n\n[sweep]", "[modulation]",
@@ -367,8 +373,8 @@ _SHORT_RUN = MINIMAL + "\n[sweep]\nn_bits = 100\nn_trials = 1\n"
             'invalid [channel "A->B"]: sample_interval must be finite, got inf', id="sample_interval_s",
         ),
         pytest.param(
-            "run", "max_delay_s = 200e-12", "max_delay_s = 200e-12\ntotal_energy = inf", '[channel "A->B"]',
-            'invalid [channel "A->B"]: total_energy must be finite, got inf', id="total_energy",
+            "run", "max_delay_s = 200e-12", "max_delay_s = 200e-12\ntotal_energy = inf", "total_energy = inf",
+            "total_energy must lie in [1e-50, 1e+50], got inf", id="total_energy",
         ),
     ],
 )
@@ -393,18 +399,18 @@ def test_level_one_within_its_bounds_leaves_the_error_counts_alone(tmp_path):
 
 
 def _readme_config_reference():
-    """(section, key) -> default cell of the README's config reference table."""
+    """(section, key) -> (default, meaning) cells of the README's config reference table."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("### Config reference\n\n", 1)[1].split("\n\n", 1)[0]
     cells = [[c.strip() for c in row.strip("|").split("|")] for row in table.splitlines()[2:]]
-    rows = {(section, key): default for section, key, default, _ in cells}
+    rows = {(section, key): (default, meaning) for section, key, default, meaning in cells}
     assert len(rows) == len(cells), "a (section, key) row appears twice"
     return rows
 
 
 def test_readme_config_reference_equals_the_schema():
     sections = {"channel": '`[channel "A->B"]`', "link": "`[link N]`"}
-    rows = _readme_config_reference()
+    rows = {row: default for row, (default, _) in _readme_config_reference().items()}
     expected = {
         (sections.get(kind, f"`[{kind}]`"), f"`{key.name}`"): key
         for kind, keys in SCHEMA.items()
@@ -419,6 +425,45 @@ def test_readme_config_reference_equals_the_schema():
         else:
             # Unset by default: the cell says in words what applies instead.
             assert rows[row] and rows[row] != "required" and not rows[row].startswith("`"), row
+
+
+_THERMAL = MINIMAL.replace("mode = explicit\npower_dbm = -40", "mode = thermal\ntemperature_k = 300\nbandwidth_hz = 10e9")
+
+# Per README row with a stated range: (config, line to replace, its key), and
+# whether a refusal names the section line rather than the key's own.
+_RANGED_ROWS = {
+    ('`[channel "A->B"]`', "`total_energy`"): (MINIMAL, "max_delay_s = 200e-12", "total_energy", False),
+    ("`[link N]`", "`power_dbm`"): (MINIMAL, "rx = B", "power_dbm", False),
+    # ModParams checks level_one, and names its section
+    ("`[modulation]`", "`level_one`"): (MINIMAL + "\n[modulation]\nlevel_one = 1\n", "level_one = 1", "level_one", True),
+    ("`[noise]`", "`temperature_k`"): (_THERMAL, "temperature_k = 300", "temperature_k", False),
+    ("`[noise]`", "`bandwidth_hz`"): (_THERMAL, "bandwidth_hz = 10e9", "bandwidth_hz", False),
+    ("`[noise]`", "`power_dbm`"): (MINIMAL, "power_dbm = -40", "power_dbm", False),
+}
+
+
+def test_readme_stated_ranges_match_the_parser():
+    ranges = {}
+    for row, (_, meaning) in _readme_config_reference().items():
+        if match := re.search(r"\((\S+) to ([^;)\s]+)", meaning):
+            ranges[row] = (float(match[1]), float(match[2]))
+    assert set(ranges) == set(_RANGED_ROWS)
+    for row, (low, high) in ranges.items():
+        base, old, key, names_section = _RANGED_ROWS[row]
+
+        def config(value):
+            # keeps the old line when it is not the key's own
+            keep = "" if old.startswith(key) else f"{old}\n"
+            return base.replace(old, f"{keep}{key} = {float(value)!r}")
+
+        for value in (low, high):
+            parse_config(config(value))
+        for value in (np.nextafter(low, -np.inf), np.nextafter(high, np.inf)):
+            text = config(value)
+            lines = text.splitlines()
+            named = lines.index("[modulation]" if names_section else f"{key} = {float(value)!r}") + 1
+            with pytest.raises(ConfigError, match=f"^line {named}: "):
+                parse_config(text)
 
 
 def test_strict_mode_rejects_unknown_names(capsys):
@@ -469,6 +514,16 @@ def _write(tmp_path, name, text):
 def _read_rows(path):
     lines = path.read_text().splitlines()
     return lines[0], [line.split(",") for line in lines[1:]]
+
+
+def test_main_reads_a_config_saved_with_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(TWO_LINK, encoding="utf-8")
+    marked.write_text(TWO_LINK, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    for cfg in (plain, marked):
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]) == 0
+    assert (tmp_path / "marked" / "run.csv").read_bytes() == (tmp_path / "plain" / "run.csv").read_bytes()
 
 
 def test_main_run_writes_csv(tmp_path):
@@ -713,32 +768,79 @@ def test_main_refuses_a_cir_file_whose_energy_overflows_by_line(tmp_path, capsys
     assert not out.exists()
 
 
-def _run_warnings_as_errors(tmp_path, text):
-    """``trlinksim run`` of ``text`` at 200 bits, in a child under ``-X dev -W error``."""
-    args = ["run", "--config", _write(tmp_path, "h.cfg", text), "--out", str(tmp_path / "out"), "--n-bits", "200"]
+def _run_warnings_as_errors(tmp_path, text, command="run"):
+    """``trlinksim command`` of ``text`` at 200 bits, in a child under ``-X dev -W error``."""
+    args = [command, "--config", _write(tmp_path, "h.cfg", text), "--out", str(tmp_path / "out"), "--n-bits", "200"]
     return subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", "-m", "trlinksim.cli", *args],
         env=_child_env(), capture_output=True, text=True, timeout=120,
     )
 
 
-def _headroom_refusal(line, energy, watts):
-    return (
-        f"error: line {line}: samples_per_symbol^2 x channel energy x max(power, 1 W) must not exceed "
-        f"2.24712e+307, got 4^2 x {energy:.6g} x {watts:.6g} W\n"
-    )
+def _flat_cir(path, energy):
+    """Write a CIR file of 401 equal real samples carrying ``energy`` in all."""
+    write_cir_csv(Cir(np.full(401, np.sqrt(energy / 401)), 5e-12), path)
 
 
-@pytest.mark.parametrize("energy, precoding", [(1.7e308, "tr"), (1.7e308, "none"), (4.4e307, "tr")])
-def test_main_refuses_a_cir_file_past_the_headroom_rule_by_line(tmp_path, energy, precoding):
-    # 26 samples whose energy is finite, but not 4^2 times it.
-    h = np.array([1.0, 1j]) @ np.random.default_rng(26).standard_normal((2, 26))
-    write_cir_csv(Cir(h * np.sqrt(energy / np.sum(np.abs(h) ** 2)), 5e-12), tmp_path / "big.csv")
+@pytest.mark.parametrize(
+    "energy, precoding, command",
+    [
+        (1.7e308, "tr", "run"),
+        (1.7e308, "none", "run"),
+        (4.4e307, "tr", "run"),
+        # 401 equal taps: the ISI and focusing sums used to overflow here
+        (0.999 * 2.0**1021 / 16, "tr", "run"),
+        (0.999 * 2.0**1021 / 16, "tr", "focusing"),
+        (0.999 * 2.0**1021 / 16, "none", "focusing"),
+        (1e-60, "tr", "run"),
+    ],
+)
+def test_main_refuses_a_cir_file_outside_the_energy_range_by_line(tmp_path, energy, precoding, command):
+    path = tmp_path / "big.csv"
+    if energy > 1e300:
+        # 26 random samples: the energy of the file is finite.
+        h = np.array([1.0, 1j]) @ np.random.default_rng(26).standard_normal((2, 26))
+        write_cir_csv(Cir(h * np.sqrt(energy / np.sum(np.abs(h) ** 2)), 5e-12), path)
+    else:
+        _flat_cir(path, energy)
     text = _file_channel(MINIMAL, "A->B", "big.csv").replace("rx = B", f"rx = B\nprecoding = {precoding}")
+    proc = _run_warnings_as_errors(tmp_path, text, command)
+    assert proc.returncode == 1
+    line = text.splitlines().index("file = big.csv") + 1
+    got = read_cir_csv(path).energy
+    assert proc.stderr == (
+        f"error: line {line}: energy of channel A->B in {path} must lie in [1e-50, 1e+50], got {got!r}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, named, message",
+    [
+        # the SINR ratio used to underflow to 0 and stop with "math domain error"
+        (
+            "rx = B\n\n[noise]\nmode = explicit\npower_dbm = -40",
+            "rx = B\npower_dbm = -3200\n\n[noise]\nmode = explicit\npower_dbm = 3000",
+            "power_dbm = -3200", "power_dbm must lie in [-300, 300], got -3200.0",
+        ),
+        (
+            "rx = B\n\n[noise]\nmode = explicit\npower_dbm = -40",
+            "rx = B\npower_dbm = -1000\n\n[noise]\nmode = thermal\ntemperature_k = 1e150\nbandwidth_hz = 1e150",
+            "power_dbm = -1000", "power_dbm must lie in [-300, 300], got -1000.0",
+        ),
+        (
+            "mode = explicit\npower_dbm = -40",
+            "mode = thermal\ntemperature_k = 1e150\nbandwidth_hz = 1e150",
+            "temperature_k = 1e150", "temperature_k must lie in [0.001, 1e+06], got 1e+150",
+        ),
+    ],
+)
+def test_main_refuses_a_config_whose_sinr_would_underflow_by_line(tmp_path, old, new, named, message):
+    text = MINIMAL.replace(old, new)
+    assert text != MINIMAL
     proc = _run_warnings_as_errors(tmp_path, text)
     assert proc.returncode == 1
-    assert proc.stderr == _headroom_refusal(text.splitlines().index("file = big.csv") + 1, energy, 1.0)
-    assert not (tmp_path / "out").exists()
+    assert proc.stderr == f"error: line {text.splitlines().index(named) + 1}: {message}\n"
 
 
 def _readme_demo():
@@ -747,54 +849,147 @@ def _readme_demo():
     return block
 
 
-@pytest.mark.parametrize("power_dbm", [3090, 3110])
-def test_readme_demo_runs_up_to_the_headroom_rule_and_is_refused_past_it(tmp_path, power_dbm):
-    # 4^2 x unit energy x 1e306 W is within the rule; x 1e308 W is not.
+@pytest.mark.parametrize("power_dbm", [300, 3090])
+def test_readme_demo_runs_at_the_top_of_the_power_range_and_is_refused_past_it(tmp_path, power_dbm):
     text = _readme_demo().replace("power_dbm = 10", f"power_dbm = {power_dbm}")
     proc = _run_warnings_as_errors(tmp_path, text)
-    if power_dbm == 3090:
+    if power_dbm == 300:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "run.csv").is_file()
     else:
         assert proc.returncode == 1
-        assert proc.stderr == _headroom_refusal(text.splitlines().index("power_dbm = 3110") + 1, 1.0, 1e308)
+        line = text.splitlines().index("power_dbm = 3090") + 1
+        assert proc.stderr == f"error: line {line}: power_dbm must lie in [-300, 300], got 3090.0\n"
 
 
 @pytest.mark.parametrize(
-    "old, new, named, energy, watts",
+    "old, new, named, message",
     [
         pytest.param(
-            "max_delay_s = 200e-12", "max_delay_s = 200e-12\ntotal_energy = 1.5e306",
-            "total_energy = 1.5e306", 1.5e306, 1.0, id="total_energy",
+            "max_delay_s = 200e-12", "max_delay_s = 200e-12\ntotal_energy = 1.5e306", "total_energy = 1.5e306",
+            "total_energy must lie in [1e-50, 1e+50], got 1.5e+306", id="total_energy",
         ),
-        pytest.param("rx = B", "rx = B\npower_dbm = 3100", "power_dbm = 3100", 1.0, 1e307, id="power_dbm"),
+        pytest.param(
+            "max_delay_s = 200e-12", "max_delay_s = 200e-12\ntotal_energy = 1e-60", "total_energy = 1e-60",
+            "total_energy must lie in [1e-50, 1e+50], got 1e-60", id="total_energy-low",
+        ),
+        pytest.param(
+            "rx = B", "rx = B\npower_dbm = 3100", "power_dbm = 3100",
+            "power_dbm must lie in [-300, 300], got 3100.0", id="power_dbm",
+        ),
         pytest.param(
             "power_dbm = -40", "power_dbm = -40\n\n[sweep]\nvariable = tx_power_dbm\nvalues = 0, 3100",
-            "values = 0, 3100", 1.0, 1e307, id="tx_power_dbm-sweep",
+            "values = 0, 3100", "tx_power_dbm sweep value must lie in [-300, 300], got 3100.0", id="tx_power_dbm-sweep",
+        ),
+        pytest.param(
+            "power_dbm = -40", "power_dbm = -40\n\n[sweep]\nvariable = tx_power_dbm\nvalues = -301, 0",
+            "values = -301, 0", "tx_power_dbm sweep value must lie in [-300, 300], got -301.0", id="tx_power_dbm-low",
+        ),
+        pytest.param(
+            "power_dbm = -40", "power_dbm = 3000", "power_dbm = 3000",
+            "power_dbm must lie in [-300, 300], got 3000.0", id="noise-power_dbm",
+        ),
+        pytest.param(
+            "mode = explicit\npower_dbm = -40", "mode = thermal\ntemperature_k = 300\nbandwidth_hz = 1e150",
+            "bandwidth_hz = 1e150", "bandwidth_hz must lie in [1, 1e+15], got 1e+150", id="bandwidth_hz",
         ),
     ],
 )
-def test_headroom_rule_refusals_name_their_line(old, new, named, energy, watts):
+def test_range_refusals_name_their_line(old, new, named, message):
     text = MINIMAL.replace(old, new)
-    message = _headroom_refusal(text.splitlines().index(named) + 1, energy, watts)[len("error: ") : -1]
-    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+    line = text.splitlines().index(named) + 1
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'line {line}: {message}')}$"):
         parse_config(text)
 
 
-@pytest.mark.parametrize(
-    "old, new, got",
-    [
-        ("rx = B", "rx = B\npower_dbm = 3090", "8^2 x 1 x 1e+306 W"),
-        # below 1 W, the response table's unit power is what the rule holds
-        ("max_delay_s = 200e-12", "max_delay_s = 200e-12\ntotal_energy = 1e306", "8^2 x 1e+306 x 1 W"),
-    ],
+def test_explicit_noise_may_be_off():
+    cfg = parse_config(MINIMAL.replace("power_dbm = -40", "power_dbm = -inf"))
+    assert noise_power(cfg.noise) == 0.0
+
+
+def _numbers_written(path):
+    """Every numeric field of a CSV the CLI wrote."""
+    numbers = []
+    for row in _read_rows(path)[1]:
+        for field in row:
+            with contextlib.suppress(ValueError):
+                numbers.append(float(field))
+    return numbers
+
+
+# Two corners of the ranges: everything at the top, with the least noise,
+# and everything at the bottom, with the most.
+_CORNERS = {
+    "top": ("300", "1e50", "mode = explicit\npower_dbm = -300"),
+    "bottom": ("-300", "1e-50", "mode = explicit\npower_dbm = 300"),
+}
+
+
+@pytest.mark.parametrize("corner", _CORNERS)
+def test_ranges_hold_at_each_swept_symbol_length(tmp_path, corner):
+    # 4, 8 and 16 samples per symbol on the 5 ps grid.
+    power, energy, noise = _CORNERS[corner]
+    text = (
+        MINIMAL.replace("rx = B", f"rx = B\npower_dbm = {power}")
+        .replace("max_delay_s = 200e-12", f"max_delay_s = 200e-12\ntotal_energy = {energy}")
+        .replace("mode = explicit\npower_dbm = -40", noise)
+    ) + "\n[sweep]\nvariable = aggregate_rate_bps\nvalues = 50e9, 25e9, 12.5e9\nn_bits = 100\nn_trials = 2\n"
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep-rate", "--config", _write(tmp_path, "r.cfg", text), "--out", str(out)]) == 0
+    numbers = _numbers_written(out / "sweep_rate.csv")
+    assert len(numbers) == 3 * 11 and all(map(math.isfinite, numbers))
+
+
+_NOISE_CORNERS = (
+    "mode = explicit\npower_dbm = -300",
+    "mode = explicit\npower_dbm = 300",
+    "mode = thermal\ntemperature_k = 1e-3\nbandwidth_hz = 1",
+    "mode = thermal\ntemperature_k = 1e6\nbandwidth_hz = 1e15",
 )
-def test_headroom_rule_holds_at_each_swept_symbol_length(old, new, got):
-    # Within the rule at 4 samples per symbol, not at 8 (25 Gb/s on the 5 ps grid).
-    text = MINIMAL.replace(old, new) + "\n[sweep]\nvariable = aggregate_rate_bps\n"
-    parse_config(text + "values = 50e9\n")
-    with pytest.raises(ConfigError, match=re.escape(f"got {got}")):
-        parse_config(text + "values = 50e9, 25e9\n")
+_ENERGY_CORNERS = st.sampled_from(("1e-50", "1e50"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    scatter=st.booleans(),
+    powers=st.tuples(st.sampled_from(("-300", "300")), st.sampled_from(("-300", "300"))),
+    energies=st.tuples(*[_ENERGY_CORNERS] * 4),
+    flat=st.booleans(),
+    precoding=st.sampled_from(("tr", "none")),
+    noise=st.sampled_from(_NOISE_CORNERS),
+    command=st.sampled_from(("run", "sweep-power", "focusing")),
+)
+def test_every_number_written_at_the_corners_of_the_ranges_is_finite(
+    tmp_path_factory, scatter, powers, energies, flat, precoding, noise, command
+):
+    tmp_path = tmp_path_factory.mktemp("corner")
+    links = (("A", "B"), ("A", "D")) if scatter else (("A", "B"), ("C", "D"))
+    txs = sorted({tx for tx, _ in links})
+    parts = ["[nodes]\nnames = A, B, C, D\n"]
+    for (tx, rx), energy in zip([(tx, rx) for tx in txs for rx in ("B", "D")], energies):
+        if flat and (tx, rx) == ("A", "B"):
+            # The largest ISI sum for its energy: 401 equal taps, just inside
+            # the corner, as the sum of the samples read back rounds.
+            _flat_cir(tmp_path / "flat.csv", float(energy) * (1 - 1e-9 if energy == "1e50" else 1 + 1e-9))
+            parts.append(f'[channel "{tx}->{rx}"]\nfile = flat.csv\n')
+        else:
+            parts.append(f'[channel "{tx}->{rx}"]\n{_CHANNEL}total_energy = {energy}\nseed = 1\n')
+    for n, ((tx, rx), power) in enumerate(zip(links, powers), start=1):
+        parts.append(f"[link {n}]\ntx = {tx}\nrx = {rx}\nprecoding = {precoding}\npower_dbm = {power}\n")
+    parts.append(f"[noise]\n{noise}\n")
+    parts.append("[sweep]\nn_bits = 100\nn_trials = 1\n")
+    if command == "sweep-power":
+        parts.append("variable = tx_power_dbm\nvalues = -300, 300\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", _write(tmp_path, "c.cfg", "\n".join(parts)), "--out", str(out)])
+    assert code == 0
+    (written,) = out.iterdir()
+    numbers = _numbers_written(written)
+    assert numbers and all(map(math.isfinite, numbers))
 
 
 def test_main_runs_with_a_silent_interference_path(tmp_path):
