@@ -14,7 +14,7 @@ import functools
 import math
 import os
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -130,9 +130,9 @@ def overlap_add(spectra: np.ndarray, step: int, n: int) -> np.ndarray:
 def convolve_sum(inputs, spectra, taps: int, mapper, finish=lambda r, y: y) -> list:
     """Every output y_r = sum over s of inputs[s] * f[s, r], full linear convolutions.
 
-    ``spectra(m)`` gives each input's (outputs, m) stack of filter spectra at
-    transform length m; ``taps`` is the longest filter. Up to ``block_len(taps)``
-    output samples, one transform of the next fast length serves all, on the
+    ``spectra(m)`` gives each input's filter spectra at transform length m, one
+    ``Cir.spectra`` (1, m) array per output; ``taps`` is the longest filter. Up
+    to ``block_len(taps)`` output samples, one transform of the next fast length serves all, on the
     calling thread, with one accumulator and one batched inverse. Longer
     outputs go by blocks of ``block_len(taps)`` (overlap-add): ``mapper`` runs
     each input's transform, then the sums over runs of blocks, then each
@@ -144,22 +144,23 @@ def convolve_sum(inputs, spectra, taps: int, mapper, finish=lambda r, y: y) -> l
     m = fast_len(n) if one_shot else block_len(taps)
     step = m if one_shot else m - taps + 1
     mapper = map if one_shot else mapper
-    stacks = spectra(m)
+    filters = spectra(m)
     blocks = list(mapper(lambda x: block_spectra(x, m, step), inputs))
-    outputs = range(len(stacks[0]))
+    outputs = range(len(filters[0]))
 
     if len(blocks) == len(outputs) == 1 and m > 1:
         # One input to one output: multiplied inside its own blocks. Not at
         # m = 1, where numpy rounds a product in place differently.
         acc = blocks[0][np.newaxis]
-        acc *= stacks[0]
+        acc *= filters[0][0]
         sums = [acc[0]]
     elif one_shot:
         acc = np.zeros((len(outputs), 1, m), dtype=np.complex128)
-        # Each block keeps a leading axis of one, for the reason
-        # _shift_add_conv gives.
-        for x, h in zip(blocks, stacks):
-            acc[:, 0] += x[:1] * h
+        # Each block and spectrum keeps a leading axis of one, for the
+        # reason _shift_add_conv gives.
+        for x, hs in zip(blocks, filters):
+            for y, h in zip(acc, hs):
+                y += x[:1] * h
         return [finish(r, y) for r, y in zip(outputs, overlap_add(acc, step, n))]
     else:
         # Each output's sum is written over an input's blocks, or over zeros
@@ -174,14 +175,15 @@ def convolve_sum(inputs, spectra, taps: int, mapper, finish=lambda r, y: y) -> l
         ]
 
         def accumulate(run: range) -> None:
-            acc = np.empty((len(outputs), m), dtype=np.complex128)
+            acc = np.empty((len(outputs), 1, m), dtype=np.complex128)
             for b in run:
                 acc[...] = 0.0
-                for x, h in zip(blocks, stacks):
+                for x, hs in zip(blocks, filters):
                     if b < len(x):
-                        acc += x[b][np.newaxis] * h
+                        for row, h in zip(acc, hs):
+                            row += x[b : b + 1] * h
                 for y, row in zip(sums, acc):
-                    y[b] = row
+                    y[b] = row[0]
 
         # One run of blocks per output, as many pool tasks as outputs.
         k = len(outputs)
@@ -208,12 +210,15 @@ class Cir:
     """Uniformly sampled complex-baseband channel impulse response.
 
     The sample array is copied on construction and frozen, so a Cir can be
-    shared between scenarios and threads without defensive copies.
+    shared between scenarios and threads without defensive copies, and so
+    can the spectra it caches (``spectra``); threads that race on a length
+    compute the same bytes, and the last is kept.
     """
 
     samples: np.ndarray
     sample_interval: float
     label: str = ""
+    _spectra: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         s = _frozen_samples(self.samples, self.sample_interval, "CIR")
@@ -223,6 +228,14 @@ class Cir:
             if not np.isfinite(np.sum(np.abs(s) ** 2)):
                 raise ValueError("CIR energy must be finite: samples too large")
         object.__setattr__(self, "samples", s)
+
+    def spectra(self, m: int) -> np.ndarray:
+        """The read-only (1, m) ``block_spectra(samples, m, m)``, computed on first use (m >= taps)."""
+        if m not in self._spectra:
+            spectrum = block_spectra(self.samples, m, m)
+            spectrum.flags.writeable = False
+            self._spectra[m] = spectrum
+        return self._spectra[m]
 
     @property
     def energy(self) -> float:

@@ -131,6 +131,18 @@ def _in_range(low: float, high: float = math.inf, parse=_number) -> Callable[[st
 _at_least = functools.partial(_in_range, parse=_integer)
 
 
+def _count(text: str, key: str) -> int:
+    """An integer below 2^63: every count must fit a signed 64-bit index, as the README assumes."""
+    value = _integer(text, key)
+    if value >= 2**63:
+        raise ValueError(f"{key} must be below 2^63, got {text}")
+    return value
+
+
+# A count of at least ``low``.
+_count_from = functools.partial(_in_range, parse=_count)
+
+
 def _noise_dbm(text: str, key: str) -> float:
     """An explicit noise level in the power range, or -inf for no noise."""
     value = _number(text, key)
@@ -195,7 +207,7 @@ SCHEMA: dict[str, tuple[Key, ...]] = {
         Key("file", when="file"),
         Key("model", _one_of(("reverberant",), "unknown channel model {!r}"), when="model"),
         Key("sample_interval_s", _number, when="model", field="sample_interval"),
-        Key("num_taps", _integer, required=True, when="model"),
+        Key("num_taps", _count_from(1), required=True, when="model"),
         Key("rms_delay_spread_s", _number, required=True, when="model", field="rms_delay_spread_target"),
         Key("max_delay_s", _number, required=True, when="model", field="max_delay"),
         Key("rician_k", _number, "0", when="model"),
@@ -210,7 +222,7 @@ SCHEMA: dict[str, tuple[Key, ...]] = {
     ),
     "modulation": (
         Key("bit_rate_bps", _number, "50e9", field="bit_rate"),
-        Key("samples_per_symbol", _integer, "4"),
+        Key("samples_per_symbol", _count_from(1), "4"),
         Key("level_zero", _number, "0"),
         Key("level_one", _number, "1"),
     ),
@@ -227,10 +239,10 @@ SCHEMA: dict[str, tuple[Key, ...]] = {
             field="sweep_variable",
         ),
         Key("values", _numbers, field="sweep_values"),
-        Key("n_bits", _at_least(100), "1000"),
-        Key("n_trials", _at_least(1)),
+        Key("n_bits", _count_from(100), "1000"),
+        Key("n_trials", _count_from(1)),
         Key("master_seed", _at_least(0), "0"),
-        Key("pilot_bits", _at_least(2), "64", field="pilot_len"),
+        Key("pilot_bits", _count_from(2), "64", field="pilot_len"),
     ),
     "output": (Key("dir", default="out", field="out_dir"),),
 }

@@ -20,13 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chanmodel import (
-    ONE_SHOT_MAX,
-    Cir,
-    block_spectra,
-    convolve_sum,
-    same_grid,
-)
+from .chanmodel import ONE_SHOT_MAX, Cir, convolve_sum, same_grid
 from .sigchain import (
     ModParams,
     TrFilter,
@@ -265,15 +259,15 @@ def propagate(
         scenario.link_for_stream(stream_id)  # rejects unknown stream ids
         if not same_grid(waveform.sample_interval, dt):
             raise ValueError(f"grid mismatch: stream {stream_id!r} is off the modulation grid")
-    table = scenario.responses
     present = sorted(
         (link for link in scenario.links if link.stream_id in streams), key=lambda l: l.stream_id
     )
+    rows = [[scenario.channels[(l.tx_node, rx)] for rx in scenario.receivers] for l in present]
     n_watts = noise_power(scenario.noise)
 
     def finish(i: int, y: np.ndarray) -> Waveform:
         """Receiver i's waveform: cut to its own length, with its noise added."""
-        n = max(streams[l.stream_id].samples.size + table.channels[l.tx_node][i].size for l in present)
+        n = max(streams[l.stream_id].samples.size + hs[i].samples.size for l, hs in zip(present, rows))
         y = y[: n - 1]
         _add_noise(y, n_watts, seed, i)
         return Waveform._wrap(y, dt)
@@ -282,8 +276,8 @@ def propagate(
     # streams share the work out across the pool.
     received = convolve_sum(
         [streams[link.stream_id].samples for link in present],
-        lambda m: [table.spectra(m)[link.tx_node] for link in present],
-        table.taps, _pool_map, finish,
+        lambda m: [[h.spectra(m) for h in hs] for hs in rows],
+        max(h.samples.size for h in scenario.channels.values()), _pool_map, finish,
     )
     return dict(zip(scenario.receivers, received))
 
@@ -414,31 +408,13 @@ class ResponseTable:
     grid, at the victim's decision phase. Every SINR component is a link
     power times an entry here, so the table serves every power setting.
 
-    ``channels`` maps each transmitter to the samples of its channels
-    toward every receiver, in ``Scenario.receivers`` order, and ``taps``
-    is the longest of them. ``spectra(m)`` stacks each transmitter's
-    channel spectra at transform length m, computed on first use, in the
-    form ``convolve_sum`` takes them; ``propagate`` asks for them there.
+    The table holds responses only: propagation takes each channel's
+    spectra from the channel itself (``Cir.spectra``).
     """
 
     filters: Mapping[str, TrFilter]
     own: Mapping[str, EffectiveResponse]
     cochannel: Mapping[tuple[str, str], float]
-    channels: Mapping[str, tuple[np.ndarray, ...]]
-    taps: int
-    _spectra: dict[int, Mapping[str, np.ndarray]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def spectra(self, m: int) -> Mapping[str, np.ndarray]:
-        """Per transmitter, a (receivers, m) stack of its channel spectra (m >= ``taps``)."""
-        if m not in self._spectra:
-            stacks = {}
-            for tx, hs in self.channels.items():
-                stacks[tx] = np.stack([block_spectra(h, m, m)[0] for h in hs])
-                stacks[tx].flags.writeable = False
-            self._spectra[m] = MappingProxyType(stacks)
-        return self._spectra[m]
 
     @classmethod
     def build(cls, scenario: Scenario) -> "ResponseTable":
@@ -472,20 +448,7 @@ class ResponseTable:
             cochannel[(victim.stream_id, other.stream_id)] = float(
                 np.sum(np.abs(r[phase::sps]) ** 2)
             )
-        channels = {
-            link.tx_node: tuple(
-                scenario.channels[(link.tx_node, rx)].samples for rx in scenario.receivers
-            )
-            for link in scenario.links
-        }
-        taps = max(h.size for hs in channels.values() for h in hs)
-        return cls(
-            MappingProxyType(filters),
-            MappingProxyType(own),
-            MappingProxyType(cochannel),
-            MappingProxyType(channels),
-            taps,
-        )
+        return cls(MappingProxyType(filters), MappingProxyType(own), MappingProxyType(cochannel))
 
 
 @dataclass(frozen=True)

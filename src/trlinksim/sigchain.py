@@ -10,12 +10,12 @@ so power comparisons between the two are at equal transmit energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .chanmodel import Cir, _frozen_samples, block_spectra, convolve_sum, same_grid
+from .chanmodel import Cir, _frozen_samples, convolve_sum, same_grid
 
 __all__ = [
     "ModParams",
@@ -65,6 +65,8 @@ class ModParams:
                 f"samples_per_symbol must be a positive integer, got {self.samples_per_symbol}"
             )
         object.__setattr__(self, "samples_per_symbol", int(self.samples_per_symbol))
+        if not 0.0 < self.sample_interval < math.inf:
+            raise ValueError(f"bit_rate {self.bit_rate!r} gives a sample interval of {self.sample_interval!r}")
         if not 0.0 <= self.level_zero < self.level_one:
             raise ValueError("need 0 <= level_zero < level_one")
         # Power scaling keeps only level_zero / level_one; past these bounds
@@ -113,33 +115,13 @@ class Waveform:
 
 
 @dataclass(frozen=True)
-class TrFilter:
-    """Unit-energy transmit pre-filter (time-reversal or identity).
-
-    ``spectra(m)`` is the filter's spectrum at transform length m, computed
-    the first time it is asked for, in the form ``convolve_sum`` takes it.
-    """
-
-    samples: np.ndarray
-    sample_interval: float
-    _spectra: dict[int, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+class TrFilter(Cir):
+    """Unit-energy transmit pre-filter (time-reversal or identity): a ``Cir``, spectra included."""
 
     def __post_init__(self) -> None:
-        s = _frozen_samples(self.samples, self.sample_interval, "filter")
-        energy = float(np.sum(np.abs(s) ** 2))
-        if not math.isclose(energy, 1.0, rel_tol=1e-9):
-            raise ValueError(f"filter must have unit energy, got {energy!r}")
-        object.__setattr__(self, "samples", s)
-
-    def spectra(self, m: int) -> np.ndarray:
-        """A read-only (1, m) stack holding the filter's spectrum at length m (m >= taps)."""
-        if m not in self._spectra:
-            spectrum = block_spectra(self.samples, m, m)
-            spectrum.flags.writeable = False
-            self._spectra[m] = spectrum
-        return self._spectra[m]
+        super().__post_init__()
+        if not math.isclose(self.energy, 1.0, rel_tol=1e-9):
+            raise ValueError(f"filter must have unit energy, got {self.energy!r}")
 
 
 def make_tr_filter(cir: Cir) -> TrFilter:
@@ -178,7 +160,7 @@ def precode(waveform: Waveform, tx_filter: TrFilter) -> Waveform:
     Output length is len(waveform) + len(filter) - 1. A single-sample
     operand is a plain product; else ``convolve_sum``, on the calling thread,
     with the waveform as its input and the filter's cached spectrum
-    (``TrFilter.spectra``): one transform, bitwise
+    (``Cir.spectra``): one transform, bitwise
     ``scipy.signal.fftconvolve(waveform, filter)``, up to
     ``block_len(len(filter))`` output samples, and blocks of that length above.
     """
@@ -187,7 +169,7 @@ def precode(waveform: Waveform, tx_filter: TrFilter) -> Waveform:
     x, g = waveform.samples, tx_filter.samples
     if x.size == 1 or g.size == 1:
         return Waveform._wrap(x * g, waveform.sample_interval)
-    (out,) = convolve_sum([x], lambda m: [tx_filter.spectra(m)], g.size, map)
+    (out,) = convolve_sum([x], lambda m: [[tx_filter.spectra(m)]], g.size, map)
     return Waveform._wrap(out, waveform.sample_interval)
 
 

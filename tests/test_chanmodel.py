@@ -417,7 +417,7 @@ def _precode(x, g):
 
 def _convolve_one(x, h):
     """x * h through convolve_sum: one input, one output."""
-    (y,) = convolve_sum([x], lambda m: [block_spectra(h, m, m)], h.size, map)
+    (y,) = convolve_sum([x], lambda m: [[block_spectra(h, m, m)]], h.size, map)
     return y
 
 
@@ -522,3 +522,24 @@ def test_block_spectra_equals_padded_transform_bitwise(size, step, m):
     blocks = np.zeros((-(-size // step), step), dtype=np.complex128)
     blocks.reshape(-1)[:size] = x
     assert block_spectra(x, m, step).tobytes() == np.fft.fft(blocks, m, axis=-1).tobytes()
+
+
+def test_cir_caches_its_spectrum_per_length():
+    rng = np.random.default_rng(17)
+    h = Cir(rng.standard_normal(41) + 1j * rng.standard_normal(41), DT)
+    spectrum = h.spectra(128)
+    assert spectrum.shape == (1, 128) and not spectrum.flags.writeable
+    assert spectrum.tobytes() == block_spectra(h.samples, 128, 128).tobytes()
+    assert h.spectra(128) is spectrum
+    assert h.spectra(256) is not spectrum
+    assert sorted(h._spectra) == [128, 256]
+    # the cache is no part of the value
+    assert "_spectra" not in repr(h)
+
+
+def test_a_pre_filter_is_a_cir_with_its_spectra():
+    g = TrFilter(np.array([0.6, 0.8j]), DT)
+    assert isinstance(g, Cir)
+    assert g.spectra(8).tobytes() == block_spectra(g.samples, 8, 8).tobytes()
+    with pytest.raises(ValueError, match="unit energy"):
+        TrFilter(np.array([1.0, 1.0]), DT)

@@ -768,9 +768,10 @@ def test_main_refuses_a_cir_file_whose_energy_overflows_by_line(tmp_path, capsys
     assert not out.exists()
 
 
-def _run_warnings_as_errors(tmp_path, text, command="run"):
-    """``trlinksim command`` of ``text`` at 200 bits, in a child under ``-X dev -W error``."""
+def _run_warnings_as_errors(tmp_path, text, command="run", *flags):
+    """``trlinksim command`` of ``text`` at 200 bits, then ``flags``, in a child under ``-X dev -W error``."""
     args = [command, "--config", _write(tmp_path, "h.cfg", text), "--out", str(tmp_path / "out"), "--n-bits", "200"]
+    args += flags
     return subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", "-m", "trlinksim.cli", *args],
         env=_child_env(), capture_output=True, text=True, timeout=120,
@@ -841,6 +842,66 @@ def test_main_refuses_a_config_whose_sinr_would_underflow_by_line(tmp_path, old,
     proc = _run_warnings_as_errors(tmp_path, text)
     assert proc.returncode == 1
     assert proc.stderr == f"error: line {text.splitlines().index(named) + 1}: {message}\n"
+
+
+_HUGE = "1" + "0" * 400  # 10^400, too large for a float
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # each used to stop with an OverflowError traceback from math.isfinite
+        ("num_taps = 8", f"num_taps = {_HUGE}"),
+        ("rx = B", f"rx = B\n\n[modulation]\nsamples_per_symbol = {_HUGE}"),
+        # each used to stop with the lineless "Maximum allowed dimension exceeded"
+        ("rx = B", "rx = B\n\n[modulation]\nsamples_per_symbol = 1e20"),
+        ("rx = B", "rx = B\n\n[sweep]\nn_bits = 1e20"),
+        ("rx = B", "rx = B\n\n[sweep]\npilot_bits = 1e20"),
+        ("rx = B", f"rx = B\n\n[sweep]\nn_trials = {2**63}"),
+    ],
+)
+def test_main_refuses_a_count_of_2_to_the_63_or_more_by_line(tmp_path, old, new):
+    text = MINIMAL.replace(old, new)
+    named = new.splitlines()[-1]
+    proc = _run_warnings_as_errors(tmp_path, text)
+    assert proc.returncode == 1
+    key, _, value = named.partition(" = ")
+    line = text.splitlines().index(named) + 1
+    assert proc.stderr == f"error: line {line}: {key} must be below 2^63, got {value}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--n-bits", "--trials"])
+def test_main_refuses_a_count_flag_of_2_to_the_63_or_more(tmp_path, flag):
+    proc = _run_warnings_as_errors(tmp_path, MINIMAL, "run", flag, str(2**63))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {flag} must be below 2^63, got {2**63}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_counts_just_below_2_to_the_63_are_read():
+    largest = 2**63 - 1
+    text = MINIMAL.replace("num_taps = 8", f"num_taps = {largest}") + (
+        f"\n[modulation]\nsamples_per_symbol = {largest}\n"
+        f"\n[sweep]\nn_bits = {largest}\nn_trials = {largest}\npilot_bits = {largest}\n"
+    )
+    cfg = parse_config(text)
+    assert cfg.channels[("A", "B")].num_taps == cfg.mod.samples_per_symbol == largest
+    assert cfg.n_bits == cfg.n_trials == cfg.pilot_len == largest
+
+
+@pytest.mark.parametrize("rate, interval", [("1e308", "0.0"), ("1e-320", "inf")])
+def test_main_blames_a_rate_with_no_sample_interval_on_modulation(tmp_path, rate, interval):
+    # The interval 1 / (rate x 4) overflows to 0 or inf; the refusal used to
+    # name the first [channel] section, whose grid the modulation sets.
+    text = MINIMAL + f"\n[modulation]\nbit_rate_bps = {rate}\n"
+    proc = _run_warnings_as_errors(tmp_path, text)
+    assert proc.returncode == 1
+    line = text.splitlines().index("[modulation]") + 1
+    assert proc.stderr == (
+        f"error: line {line}: invalid [modulation]: bit_rate {float(rate)!r} gives a sample interval of {interval}\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def _readme_demo():
@@ -1043,23 +1104,33 @@ def _counting(monkeypatch, module, name, key):
     return counts
 
 
-# Where block_spectra is called: the response table transforms the channels
-# (linksim), convolve_sum the streams before and after precoding (chanmodel).
-_TRANSFORMS = (linksim, chanmodel)
+# Every transform is block_spectra in chanmodel: each channel's and each
+# pre-filter's spectra (Cir.spectra), and convolve_sum's transforms of the
+# streams before and after precoding.
 
 
 _SWEEP_3x2 = "\n[sweep]\nvariable = tx_power_dbm\nvalues = -2, 4, 10\nn_bits = 100\nn_trials = 2\n"
 
+# The samples of the four 12-tap CIR files of _file_backed_power_sweep, in
+# A->B, A->D, C->B, C->D order.
+_FILE_CHANNELS = [np.random.default_rng(i).standard_normal(12) + 0j for i in range(4)]
 
-def _file_backed_power_sweep(tmp_path):
-    """TWO_LINK over four CIR files, swept over 3 powers with 2 trials each."""
+
+def _file_backed_power_sweep(tmp_path, sweep=_SWEEP_3x2):
+    """TWO_LINK over four CIR files, by default swept over 3 powers with 2 trials each."""
     sections = ["[nodes]\nnames = A, B, C, D\n"]
-    for i, pair in enumerate(("A->B", "A->D", "C->B", "C->D")):
-        h = np.random.default_rng(i).standard_normal(12) + 0j
+    for i, (pair, h) in enumerate(zip(("A->B", "A->D", "C->B", "C->D"), _FILE_CHANNELS)):
         write_cir_csv(Cir(h, 5e-12), tmp_path / f"cir_{i}.csv")
         sections.append(f'[channel "{pair}"]\nfile = cir_{i}.csv\n')
     sections.append(TWO_LINK[TWO_LINK.index("[link 1]") : TWO_LINK.index("[sweep]")])
-    return _write(tmp_path, "files.cfg", "\n".join(sections) + _SWEEP_3x2)
+    return _write(tmp_path, "files.cfg", "\n".join(sections) + sweep)
+
+
+def _own_filters(tmp_path):
+    """The bytes of the TR pre-filters of A->B and C->D, made from their CIR files."""
+    return {
+        sigchain.make_tr_filter(read_cir_csv(tmp_path / f"cir_{i}.csv")).samples.tobytes() for i in (0, 3)
+    }
 
 
 def test_power_sweep_reads_each_file_and_response_once(tmp_path, monkeypatch):
@@ -1091,14 +1162,13 @@ def test_power_sweep_transforms_each_filter_once_per_length(tmp_path, monkeypatc
     # The streams are longer than the filters, so precode transforms each
     # filter whole: once per transform length for the sweep, not per trial.
     cfg_path = _file_backed_power_sweep(tmp_path)
-    transforms = _counting(monkeypatch, sigchain, "block_spectra", lambda x, m, step: (x.tobytes(), m))
+    transforms = _counting(monkeypatch, chanmodel, "block_spectra", lambda x, m, step: (x.tobytes(), m))
     assert main(["sweep-power", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
-    filters = {
-        sigchain.make_tr_filter(read_cir_csv(tmp_path / f"cir_{i}.csv")).samples.tobytes() for i in (0, 3)
-    }
-    assert {x for x, _ in transforms} == filters
-    assert len({m for _, m in transforms}) == 1
-    assert set(transforms.values()) == {1}
+    filters = _own_filters(tmp_path)
+    per_filter = {key: n for key, n in transforms.items() if key[0] in filters}
+    assert {x for x, _ in per_filter} == filters
+    assert len({m for _, m in per_filter}) == 1
+    assert set(per_filter.values()) == {1}
 
 
 def test_power_sweep_computes_each_sinr_report_once_per_point(tmp_path, monkeypatch):
@@ -1139,22 +1209,32 @@ def test_cli_import_leaves_scipy_signal_out():
 
 
 def test_power_sweep_transforms_each_channel_once(tmp_path, monkeypatch):
-    sections = ["[nodes]\nnames = A, B, C, D\n"]
-    channels = []
-    for i, pair in enumerate(("A->B", "A->D", "C->B", "C->D")):
-        h = np.random.default_rng(i).standard_normal(12) + 0j
-        channels.append(h.tobytes())
-        write_cir_csv(Cir(h, 5e-12), tmp_path / f"cir_{i}.csv")
-        sections.append(f'[channel "{pair}"]\nfile = cir_{i}.csv\n')
-    sections.append(TWO_LINK[TWO_LINK.index("[link 1]") : TWO_LINK.index("[sweep]")])
-    cfg_path = _write(tmp_path, "files.cfg", "\n".join(sections) + _SWEEP_3x2)
-    transforms = _counting(monkeypatch, _TRANSFORMS, "block_spectra", lambda x, m, step: x.tobytes())
+    cfg_path = _file_backed_power_sweep(tmp_path)
+    channels = [h.tobytes() for h in _FILE_CHANNELS]
+    transforms = _counting(monkeypatch, chanmodel, "block_spectra", lambda x, m, step: x.tobytes())
     assert main(["sweep-power", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
     assert [transforms[h] for h in channels] == [1, 1, 1, 1]
+    filters = _own_filters(tmp_path)
+    assert [transforms[g] for g in filters] == [1, 1]
     # one forward transform per stream per trial, before and after precoding:
     # 2 x 3 points x 2 trials x 2 links
-    streams = {x: n for x, n in transforms.items() if x not in channels}
+    streams = {x: n for x, n in transforms.items() if x not in channels and x not in filters}
     assert len(streams) == 2 * 12 and set(streams.values()) == {1}
+
+
+def test_link_sweep_over_files_transforms_each_channel_once_per_length(tmp_path, monkeypatch):
+    # One scenario per link count, each over the same file-backed channels:
+    # A->B, which both scenarios hold, is transformed once for the sweep,
+    # not once per scenario. Equal-length channels and streams keep one
+    # transform length.
+    cfg_path = _file_backed_power_sweep(tmp_path, "\n[sweep]\nn_bits = 100\nn_trials = 2\n")
+    channels = [h.tobytes() for h in _FILE_CHANNELS]
+    transforms = _counting(monkeypatch, chanmodel, "block_spectra", lambda x, m, step: (x.tobytes(), m))
+    assert main(["sweep-links", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    per_channel = {key: n for key, n in transforms.items() if key[0] in channels}
+    assert sorted(x for x, _ in per_channel) == sorted(channels)
+    assert len({m for _, m in per_channel}) == 1
+    assert set(per_channel.values()) == {1}
 
 
 def test_file_backed_run_transforms_each_channel_once_at_one_length(tmp_path, monkeypatch):
@@ -1168,7 +1248,7 @@ def test_file_backed_run_transforms_each_channel_once_at_one_length(tmp_path, mo
     sections.append(TWO_LINK[TWO_LINK.index("[link 1]") : TWO_LINK.index("[sweep]")])
     sections.append("\n[sweep]\nn_bits = 100\n")
     cfg_path = _write(tmp_path, "files.cfg", "\n".join(sections))
-    transforms = _counting(monkeypatch, _TRANSFORMS, "block_spectra", lambda x, m, step: (x.tobytes(), m))
+    transforms = _counting(monkeypatch, chanmodel, "block_spectra", lambda x, m, step: (x.tobytes(), m))
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out"), "--trials", "3"]) == 0
     per_channel = {key: n for key, n in transforms.items() if key[0] in channels}
     assert sorted(x for x, _ in per_channel) == sorted(channels)
@@ -1182,13 +1262,14 @@ def test_file_backed_run_transforms_each_channel_once_at_one_length(tmp_path, mo
 def test_run_transforms_each_stream_once_per_trial(tmp_path, monkeypatch):
     cfg_path = _write(tmp_path, "run.cfg", TWO_LINK)
     propagations = _counting(monkeypatch, experiments, "propagate", lambda scenario, streams, seed: seed)
-    transforms = _counting(monkeypatch, _TRANSFORMS, "block_spectra", lambda x, m, step: x.size)
+    transforms = _counting(monkeypatch, chanmodel, "block_spectra", lambda x, m, step: x.size)
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out"), "--trials", "3"]) == 0
     assert sum(propagations.values()) == 3
     taps = round(200e-12 / 5e-12) + 1
-    # per trial: 4 fresh channels, then the 2 streams once each (not once per
+    # per trial: 4 fresh channels and the 2 TR pre-filters made from them, of
+    # the channels' length, then the 2 streams once each (not once per
     # receiver), before and after precoding
-    assert transforms[taps] == 3 * 4
+    assert transforms[taps] == 3 * (4 + 2)
     assert sum(n for size, n in transforms.items() if size != taps) == 3 * 2 * 2
 
 

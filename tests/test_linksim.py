@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trlinksim import linksim
+from trlinksim import chanmodel, linksim
 from trlinksim.chanmodel import (
     ONE_SHOT_MAX,
     Cir,
@@ -57,6 +57,11 @@ def _chan(seed, label=""):
     params = ReverbParams(DT, 24, 50e-12, 400e-12)
     cir = synth_reverberant(seed, params)
     return Cir(cir.samples, DT, label)
+
+
+def _longest_channel(scenario):
+    """Taps of the longest channel a scenario holds: propagation's transform geometry follows it."""
+    return max(c.samples.size for c in scenario.channels.values())
 
 
 def _two_link_scenario(noise=None):
@@ -599,7 +604,7 @@ def test_propagate_around_the_one_transform_limit(excess):
     # longest stream + longest channel - 1 = block length + excess: one
     # transform up to one overlap-add block, overlap-add past it.
     scenario = _random_scenario(2, [401, 7, 1, 33], 4, NoiseSpec.explicit(-10.0))
-    taps = scenario.responses.taps
+    taps = _longest_channel(scenario)
     n = block_len(taps) + excess - taps + 1
     rng = np.random.default_rng(excess + 10)
     streams = {
@@ -665,7 +670,7 @@ def _one_worker_map(fn, *iterables):
 @pytest.mark.parametrize("serial", [map, _one_worker_map])
 def test_propagate_on_the_block_path_pooled_equals_serial(monkeypatch, serial):
     scenario = _two_link_scenario(NoiseSpec.explicit(-10.0))
-    taps = scenario.responses.taps
+    taps = _longest_channel(scenario)
     block_step = block_len(taps) - taps + 1
     rng = np.random.default_rng(8)
     original = linksim._pool_map
@@ -687,28 +692,56 @@ def test_propagate_on_the_block_path_pooled_equals_serial(monkeypatch, serial):
             assert pooled[rx].samples.tobytes() == alone[rx].samples.tobytes()
 
 
+def test_response_table_holds_responses_only():
+    scenario = _two_link_scenario()
+    fields = [f.name for f in dataclasses.fields(scenario.responses)]
+    assert fields == ["filters", "own", "cochannel"]
+
+
+def test_propagate_reads_each_channels_own_spectra(monkeypatch):
+    # Two scenarios over the same channels: the second propagate transforms
+    # only its stream, and the spectra cached on each channel equal one
+    # block_spectra row.
+    scenario = _two_link_scenario()
+    other = Scenario(scenario.channels, scenario.links[:1], scenario.noise, MOD)
+    rng = np.random.default_rng(3)
+    streams = {sid: Waveform(rng.standard_normal(300) + 0j, DT) for sid in ("A->B", "C->D")}
+    propagate(scenario, streams, seed=0)
+    (m,) = scenario.channels[("A", "B")]._spectra
+    for h in scenario.channels.values():
+        assert list(h._spectra) == [m]
+        assert h.spectra(m).tobytes() == block_spectra(h.samples, m, m).tobytes()
+    cached = scenario.channels[("A", "B")].spectra(m)
+    transformed = []
+    original = chanmodel.block_spectra
+    monkeypatch.setattr(chanmodel, "block_spectra", lambda x, *a: transformed.append(x) or original(x, *a))
+    propagate(other, {"A->B": streams["A->B"]}, seed=0)
+    assert [x.tobytes() for x in transformed] == [streams["A->B"].samples.tobytes()]
+    assert scenario.channels[("A", "B")].spectra(m) is cached
+
+
 def _per_receiver_block_sums(scenario, streams, seed):
     """propagate on the block path, each receiver summed in an accumulator of its own.
 
     Block by block, in stream-id order, with the products and shapes
     ``convolve_sum`` uses; then the same inverse, cut and noise.
     """
-    table = scenario.responses
-    m = block_len(table.taps)
-    step = m - table.taps + 1
+    taps = _longest_channel(scenario)
+    m = block_len(taps)
+    step = m - taps + 1
     present = [scenario.link_for_stream(sid) for sid in sorted(streams)]
     xs = [streams[link.stream_id].samples for link in present]
     blocks = [block_spectra(x, m, step) for x in xs]
-    n = max(x.size for x in xs) + table.taps - 1
+    n = max(x.size for x in xs) + taps - 1
     out = {}
     for r, rx in enumerate(scenario.receivers):
         acc = np.zeros((1, max(map(len, blocks)), m), dtype=np.complex128)
-        for link, x in zip(present, blocks):
-            h = table.spectra(m)[link.tx_node][r : r + 1]
+        channels = [scenario.channels[(link.tx_node, rx)] for link in present]
+        for h, x in zip(channels, blocks):
             for b in range(len(x)):
-                acc[:, b] += x[b : b + 1] * h
+                acc[:, b] += x[b : b + 1] * h.spectra(m)
         y = overlap_add(acc, step, n)[0]
-        y = y[: max(x.size + table.channels[l.tx_node][r].size for l, x in zip(present, xs)) - 1]
+        y = y[: max(x.size + h.samples.size for h, x in zip(channels, xs)) - 1]
         linksim._add_noise(y, noise_power(scenario.noise), seed, r)
         out[rx] = y
     return out
@@ -753,7 +786,8 @@ def test_block_path_receive_in_place_equals_per_receiver_sums_by_bytes(
     make, counts = _RECEIVE_CASES[case]
     scenario = make(precoding, noise)
     table = scenario.responses
-    step = block_len(table.taps) - table.taps + 1
+    taps = _longest_channel(scenario)
+    step = block_len(taps) - taps + 1
     rng = np.random.default_rng(len(case))
     streams = {}
     for link, count in zip(sorted(scenario.links, key=lambda l: l.stream_id), counts):
@@ -763,7 +797,7 @@ def test_block_path_receive_in_place_equals_per_receiver_sums_by_bytes(
             x = Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), DT)
             streams[link.stream_id] = precode(x, tx_filter)
     assert len(scenario.receivers) == 3
-    assert max(s.samples.size for s in streams.values()) + table.taps - 1 > block_len(table.taps)
+    assert max(s.samples.size for s in streams.values()) + taps - 1 > block_len(taps)
     want = _per_receiver_block_sums(scenario, streams, seed=6)
     if mapper != "pool":
         monkeypatch.setattr(linksim, "_pool_map", map if mapper == "map" else _one_worker_map)
@@ -778,14 +812,15 @@ def test_block_path_receive_holds_no_accumulator_per_receiver():
     # at most 1 MiB of per-block scratch, not a third and fourth array of
     # their size for the receivers' sums.
     scenario = _two_link_scenario()
-    taps = scenario.responses.taps
+    taps = _longest_channel(scenario)
     m = block_len(taps)
     n = 40 * (m - taps + 1)
     rng = np.random.default_rng(4)
     streams = {
         sid: Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), DT) for sid in ("A->B", "C->D")
     }
-    scenario.responses.spectra(m)
+    for channel in scenario.channels.values():
+        channel.spectra(m)
     tracemalloc.start()
     try:
         propagate(scenario, streams, seed=0)
@@ -969,7 +1004,7 @@ def test_propagate_in_one_transform_receives_as_each_receiver_alone(
         link.stream_id: Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), DT)
         for link, n in zip(scenario.links, stream_lengths)
     }
-    assert max(stream_lengths) + max(channel_lengths) - 1 <= block_len(scenario.responses.taps)
+    assert max(stream_lengths) + max(channel_lengths) - 1 <= block_len(_longest_channel(scenario))
     got = propagate(scenario, streams, seed=11)
     want = _per_receiver_propagate(scenario, streams, 11)
     assert list(got) == list(scenario.receivers)

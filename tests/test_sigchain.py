@@ -56,6 +56,10 @@ def test_mod_params_grid():
         {"bit_rate": 50e9, "level_one": 1e153},
         {"bit_rate": 50e9, "level_one": 1e-158},
         {"bit_rate": 50e9, "level_one": 1e-200},
+        # a sample interval 1 / (bit_rate x samples_per_symbol) of 0 or inf
+        {"bit_rate": 1e308},
+        {"bit_rate": 5e307},
+        {"bit_rate": 1e-320},
     ],
 )
 def test_mod_params_validation(kwargs):
