@@ -30,12 +30,6 @@ __all__ = [
     "channel_correlation",
     "read_cir_csv",
     "write_cir_csv",
-    "same_grid",
-    "fast_len",
-    "block_len",
-    "block_spectra",
-    "overlap_add",
-    "convolve_sum",
 ]
 
 # Relative tolerance when deciding whether two sample intervals describe
@@ -191,6 +185,23 @@ def convolve_sum(inputs, spectra, taps: int, mapper, finish=lambda r, y: y) -> l
     return list(mapper(lambda r: finish(r, overlap_add(sums[r], step, n)), outputs))
 
 
+def _check_fields(params) -> None:
+    """Refuse a dataclass field that is not finite, or an ``int`` field of 2^63 or more.
+
+    Every count must fit a signed 64-bit index, as the CLI's counts do.
+    """
+    for f in fields(params):
+        value = getattr(params, f.name)
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer past the float range
+            finite = False
+        if f.type == "int" and (value >= 2**63 if finite else isinstance(value, int)):
+            raise ValueError(f"{f.name} must be below 2^63")
+        if not finite:
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
 def _frozen_samples(samples, sample_interval: float, what: str, copy: bool = True) -> np.ndarray:
     """A read-only, non-empty 1-D complex128 copy of ``samples`` on a finite positive interval.
 
@@ -268,9 +279,7 @@ class ReverbParams:
     total_energy: float = 1.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        _check_fields(self)
         if not self.sample_interval > 0.0:
             raise ValueError("sample_interval must be positive")
         if int(self.num_taps) != self.num_taps or self.num_taps < 1:
@@ -375,7 +384,6 @@ def synth_correlated_pair(
     seed: int,
     params: ReverbParams,
     rho_target: float,
-    labels: tuple[str, str] = ("corr-a", "corr-b"),
 ) -> tuple[Cir, Cir]:
     """Draw two reverberant channels with a prescribed correlation.
 
@@ -383,18 +391,19 @@ def synth_correlated_pair(
     mixing weight is bisected until channel_correlation(h1, h2) lands
     within 0.02 of ``rho_target``. Independent draws of this generator
     are never exactly uncorrelated, so targets below that floor return
-    the plain independent pair. Both outputs carry ``total_energy``.
+    the plain independent pair. Both outputs carry ``total_energy``; they
+    are labelled ``corr-a`` and ``corr-b``.
     """
     if not 0.0 <= rho_target <= 1.0:
         raise ValueError(f"rho_target must lie in [0, 1], got {rho_target}")
     child_a, child_b = np.random.SeedSequence(seed).spawn(2)
-    base = _synth_reverberant(np.random.default_rng(child_a), params, labels[0])
-    indep = _synth_reverberant(np.random.default_rng(child_b), params, labels[1])
+    base = _synth_reverberant(np.random.default_rng(child_a), params, "corr-a")
+    indep = _synth_reverberant(np.random.default_rng(child_b), params, "corr-b")
 
     def mix(rho: float) -> Cir:
         m = rho * base.samples + math.sqrt(max(1.0 - rho * rho, 0.0)) * indep.samples
         energy = float(np.sum(np.abs(m) ** 2))
-        return Cir(m * math.sqrt(params.total_energy / energy), params.sample_interval, labels[1])
+        return Cir(m * math.sqrt(params.total_energy / energy), params.sample_interval, "corr-b")
 
     if rho_target >= 1.0 - 1e-12:
         return base, mix(1.0)

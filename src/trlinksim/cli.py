@@ -299,7 +299,8 @@ def _warn_or_raise(message: str, strict: bool) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    nodes: tuple[str, ...]
+    """A parsed run configuration; [nodes] names are checked on reading, not kept."""
+
     # A file or pinned-seed channel is realized when the config is read; a
     # fresh synthetic one keeps its parameters, for each trial to draw anew.
     channels: dict[tuple[str, str], chanmodel.Cir | chanmodel.ReverbParams]
@@ -436,10 +437,11 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
 
     if "noise" not in sections:
         raise ConfigError("missing required section [noise]")
-    # The mode says which of the other keys apply.
+    # The mode says which of the other keys apply, and names the NoiseSpec
+    # constructor that takes them.
     mode = read("noise", SCHEMA["noise"][:1])["mode"]
     with _at_line(sections["noise"][0], "invalid [noise]: "):
-        noise = linksim.NoiseSpec(**read("noise", SCHEMA["noise"], mode))
+        noise = getattr(linksim.NoiseSpec, mode)(**read("noise", SCHEMA["noise"][1:], mode))
 
     sweep = read("sweep", SCHEMA["sweep"])
     if sweep["sweep_values"] is not None:
@@ -462,7 +464,7 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
         fresh = any(isinstance(c, chanmodel.ReverbParams) for c in channels.values())
         sweep["n_trials"] = 10 if fresh else 1
     output = read("output", SCHEMA["output"])
-    return RunConfig(nodes, channels, tuple(links), mod, noise, **sweep, **output)
+    return RunConfig(channels, tuple(links), mod, noise, **sweep, **output)
 
 
 def realize_channels(cfg: RunConfig, channel_seed: int) -> dict[tuple[str, str], chanmodel.Cir]:
@@ -667,6 +669,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
+    cfg = None
     try:
         text = Path(args.config).read_text(encoding="utf-8-sig")
         cfg = parse_config(text, strict=args.strict, base_dir=str(Path(args.config).parent))
@@ -685,6 +688,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # numpy refuses an allocation the machine cannot give before it makes it.
+        what = "reading the config" if cfg is None else f"running {args.command} at n_bits = {cfg.n_bits}"
+        print(f"error: out of memory {what}", file=sys.stderr)
         return 1
 
 

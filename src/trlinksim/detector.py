@@ -22,10 +22,18 @@ Z_95 = 1.959963984540054
 
 @dataclass(frozen=True)
 class BerResult:
+    """Bit errors over a count of bits; ``ber`` and ``wilson_ci95`` follow from the two."""
+
     bits_total: int
     bit_errors: int
-    ber: float
-    wilson_ci95: tuple[float, float]
+
+    @property
+    def ber(self) -> float:
+        return self.bit_errors / self.bits_total
+
+    @property
+    def wilson_ci95(self) -> tuple[float, float]:
+        return wilson_interval(self.bit_errors, self.bits_total)
 
 
 def wilson_interval(errors: int, total: int) -> tuple[float, float]:
@@ -74,6 +82,4 @@ def count_errors(tx_bits: Sequence[int] | np.ndarray, rx_bits: Sequence[int] | n
         raise ValueError("length mismatch between transmitted and received bits")
     if tx.size == 0:
         raise ValueError("empty bit sequence")
-    errors = int(np.count_nonzero(tx != rx))
-    total = int(tx.size)
-    return BerResult(total, errors, errors / total, wilson_interval(errors, total))
+    return BerResult(int(tx.size), int(np.count_nonzero(tx != rx)))

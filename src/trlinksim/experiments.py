@@ -234,6 +234,11 @@ def run_trial(
         raise ValueError("pilot needs at least two bits")
     mod = scenario.mod_params
     sps = mod.samples_per_symbol
+    if (pilot_len + int(n_bits)) * sps * 16 >= 2**63:
+        raise ValueError(
+            f"n_bits = {n_bits} is too large: {pilot_len} + n_bits symbols of {sps} complex "
+            "samples reach 2^63 bytes, more than numpy can index"
+        )
     links = sorted(scenario.links, key=lambda l: l.stream_id)
     table = scenario.responses
     n_symbols = pilot_len + n_bits
@@ -294,20 +299,32 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Aggregated per-link outcome at one grid point."""
+    """Aggregated per-link outcome at one grid point: watts averaged over trials, bits pooled.
+
+    ``sinr_db``, ``ber`` and ``ber_ci`` (Wilson 95%) are computed from them.
+    """
 
     variable: str
     value: float
     link: str
-    sinr_db: float
     signal_w: float
     isi_w: float
     cochannel_w: float
     noise_w: float
-    ber: float
-    ber_ci: tuple[float, float]
     bits: int
     errors: int
+
+    @property
+    def sinr_db(self) -> float:
+        return sinr_from_powers(self.signal_w, self.isi_w, self.cochannel_w, self.noise_w)
+
+    @property
+    def ber(self) -> float:
+        return self.errors / self.bits
+
+    @property
+    def ber_ci(self) -> tuple[float, float]:
+        return wilson_interval(self.errors, self.bits)
 
 
 def sweep(
@@ -340,31 +357,15 @@ def sweep(
                 errors[sid] += bers[sid].bit_errors
                 bits[sid] += bers[sid].bits_total
         for sid in sorted(watts):
-            signal_w, isi_w, cochannel_w, noise_w = watts[sid] / spec.n_trials
-            rows.append(
-                SweepRow(
-                    variable=spec.variable,
-                    value=value,
-                    link=sid,
-                    sinr_db=sinr_from_powers(signal_w, isi_w, cochannel_w, noise_w),
-                    signal_w=float(signal_w),
-                    isi_w=float(isi_w),
-                    cochannel_w=float(cochannel_w),
-                    noise_w=float(noise_w),
-                    ber=errors[sid] / bits[sid],
-                    ber_ci=wilson_interval(errors[sid], bits[sid]),
-                    bits=bits[sid],
-                    errors=errors[sid],
-                )
-            )
+            watt_means = map(float, watts[sid] / spec.n_trials)
+            rows.append(SweepRow(spec.variable, value, sid, *watt_means, bits[sid], errors[sid]))
     return rows
 
 
 @dataclass(frozen=True)
 class FocusEntry:
-    """Received power at one node for a probe aimed at a chosen target."""
+    """Received power at one node (its key in the report) for a probe aimed at a target."""
 
-    node: str
     tr_peak_w: float
     tr_total_w: float
     nontr_peak_w: float
@@ -397,7 +398,6 @@ def focusing_report(
         focused = np.abs(response) ** 2
         bare = np.abs(h.samples) ** 2
         out[node] = FocusEntry(
-            node=node,
             tr_peak_w=p_tx * float(focused.max()),
             tr_total_w=p_tx * float(focused.sum()),
             nontr_peak_w=p_tx * float(bare.max()),

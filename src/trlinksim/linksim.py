@@ -54,50 +54,44 @@ _PRECODINGS = ("tr", "none")
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Receiver noise: thermal k*T*B or an explicit dBm level.
+    """Receiver noise: a power in watts per sample.
 
-    An explicit level of -inf dBm turns noise off entirely, which makes
-    propagation exactly equal to the noiseless superposition.
+    ``thermal`` computes it as k*T*B and ``explicit`` from a dBm level.
+    An explicit level of -inf dBm (``off``) is 0 W, which turns noise off
+    entirely and makes propagation exactly equal to the noiseless
+    superposition.
     """
 
-    mode: str
-    temperature_k: float = 0.0
-    bandwidth_hz: float = 0.0
-    power_dbm: float = float("-inf")
+    watts: float
 
     def __post_init__(self) -> None:
-        if self.mode == "thermal":
-            if not self.temperature_k > 0.0:
-                raise ValueError("thermal noise needs a positive temperature")
-            if not self.bandwidth_hz > 0.0:
-                raise ValueError("thermal noise needs a positive bandwidth")
-            if not math.isfinite(self.temperature_k * self.bandwidth_hz):
-                raise ValueError("thermal noise needs a finite temperature and bandwidth")
-        elif self.mode == "explicit":
-            if math.isnan(self.power_dbm):
-                raise ValueError("explicit noise needs a power level in dBm")
-            dbm_to_watts(self.power_dbm)  # refuses a level whose watts overflow
-        else:
-            raise ValueError(f"unknown noise mode {self.mode!r}")
+        if not 0.0 <= self.watts < math.inf:
+            raise ValueError(f"noise power must be finite and non-negative, got {self.watts!r} W")
 
     @classmethod
     def thermal(cls, temperature_k: float, bandwidth_hz: float) -> "NoiseSpec":
-        return cls("thermal", temperature_k=temperature_k, bandwidth_hz=bandwidth_hz)
+        if not temperature_k > 0.0:
+            raise ValueError("thermal noise needs a positive temperature")
+        if not bandwidth_hz > 0.0:
+            raise ValueError("thermal noise needs a positive bandwidth")
+        if not math.isfinite(temperature_k * bandwidth_hz):
+            raise ValueError("thermal noise needs a finite temperature and bandwidth")
+        return cls(BOLTZMANN_J_PER_K * temperature_k * bandwidth_hz)
 
     @classmethod
     def explicit(cls, power_dbm: float) -> "NoiseSpec":
-        return cls("explicit", power_dbm=power_dbm)
+        if math.isnan(power_dbm):
+            raise ValueError("explicit noise needs a power level in dBm")
+        return cls(dbm_to_watts(power_dbm))  # refuses a level whose watts overflow
 
     @classmethod
     def off(cls) -> "NoiseSpec":
-        return cls("explicit", power_dbm=float("-inf"))
+        return cls.explicit(float("-inf"))
 
 
 def noise_power(spec: NoiseSpec) -> float:
     """Noise power in watts."""
-    if spec.mode == "thermal":
-        return BOLTZMANN_J_PER_K * spec.temperature_k * spec.bandwidth_hz
-    return dbm_to_watts(spec.power_dbm)
+    return spec.watts
 
 
 @dataclass(frozen=True)
@@ -453,16 +447,24 @@ class ResponseTable:
 
 @dataclass(frozen=True)
 class SinrReport:
-    """Power bookkeeping at one link's decision instants, all in watts."""
+    """Power bookkeeping at one link's decision instants, all in watts.
 
-    stream_id: str
-    rx_node: str
+    ``per_interferer_w`` holds each interfering stream's co-channel power by
+    stream id; ``cochannel_w`` (their sum) and ``sinr_db`` follow from the fields.
+    """
+
     signal_w: float
     isi_w: float
-    cochannel_w: float
     noise_w: float
-    sinr_db: float
     per_interferer_w: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def cochannel_w(self) -> float:
+        return float(sum(self.per_interferer_w.values()))
+
+    @property
+    def sinr_db(self) -> float:
+        return sinr_from_powers(self.signal_w, self.isi_w, self.cochannel_w, self.noise_w)
 
 
 def sinr_from_powers(signal_w: float, isi_w: float, cochannel_w: float, noise_w: float) -> float:
@@ -501,15 +503,4 @@ def compute_sinr(scenario: Scenario, target_link: LinkSpec) -> SinrReport:
         for other in scenario.links
         if other.stream_id != link.stream_id
     }
-    cochannel_w = float(sum(per_interferer.values()))
-    noise_w = noise_power(scenario.noise)
-    return SinrReport(
-        stream_id=link.stream_id,
-        rx_node=link.rx_node,
-        signal_w=signal_w,
-        isi_w=isi_w,
-        cochannel_w=cochannel_w,
-        noise_w=noise_w,
-        sinr_db=sinr_from_powers(signal_w, isi_w, cochannel_w, noise_w),
-        per_interferer_w=per_interferer,
-    )
+    return SinrReport(signal_w, isi_w, noise_power(scenario.noise), per_interferer)

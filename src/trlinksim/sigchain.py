@@ -10,12 +10,12 @@ so power comparisons between the two are at equal transmit energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .chanmodel import Cir, _frozen_samples, convolve_sum, same_grid
+from .chanmodel import Cir, _check_fields, _frozen_samples, convolve_sum, same_grid
 
 __all__ = [
     "ModParams",
@@ -55,9 +55,7 @@ class ModParams:
     level_one: float = 1.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        _check_fields(self)
         if not self.bit_rate > 0.0:
             raise ValueError("bit_rate must be positive")
         if int(self.samples_per_symbol) != self.samples_per_symbol or self.samples_per_symbol < 1:

@@ -389,7 +389,7 @@ def test_focusing_report_identical_channels_tie():
     h = Cir(np.array([0.6, 0.8]), dt)
     out = focusing_report({"B": h, "C": h}, "B", 0.0)
     b, c = out["B"], out["C"]
-    assert c == FocusEntry("C", b.tr_peak_w, b.tr_total_w, b.nontr_peak_w, b.nontr_total_w)
+    assert c == FocusEntry(b.tr_peak_w, b.tr_total_w, b.nontr_peak_w, b.nontr_total_w)
     # the matched peak equals the channel energy times the transmit power
     assert b.tr_peak_w == pytest.approx(1e-3 * 1.0, rel=1e-12)
 

@@ -93,8 +93,9 @@ def test_noise_spec_modes():
         NoiseSpec.thermal(0.0, 1e9)
     with pytest.raises(ValueError, match="positive bandwidth"):
         NoiseSpec.thermal(300.0, 0.0)
-    with pytest.raises(ValueError, match="unknown noise mode"):
-        NoiseSpec("pink")
+    for watts in (-1e-12, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            NoiseSpec(watts)
     with pytest.raises(ValueError):
         NoiseSpec.explicit(float("nan"))
 
@@ -334,18 +335,7 @@ def _loop_sinr(scenario, link):
         per_interferer[other.stream_id] = dbm_to_watts(other.tx_power_dbm) * float(
             np.sum(np.abs(q) ** 2)
         )
-    cochannel_w = float(sum(per_interferer.values()))
-    noise_w = noise_power(scenario.noise)
-    return SinrReport(
-        link.stream_id,
-        link.rx_node,
-        signal_w,
-        isi_w,
-        cochannel_w,
-        noise_w,
-        sinr_from_powers(signal_w, isi_w, cochannel_w, noise_w),
-        per_interferer,
-    )
+    return SinrReport(signal_w, isi_w, noise_power(scenario.noise), per_interferer)
 
 
 def _multi_link_scenario(n_links, precoding):

@@ -67,6 +67,23 @@ def test_mod_params_validation(kwargs):
         ModParams(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda n: ModParams(50e9, samples_per_symbol=n), "samples_per_symbol"),
+        (lambda n: ReverbParams(5e-12, n, 50e-12, 200e-12), "num_taps"),
+    ],
+    ids=["ModParams", "ReverbParams"],
+)
+def test_parameter_counts_follow_the_cli_count_rule(build, field):
+    # A count must fit a signed 64-bit index; 10^400 used to raise OverflowError
+    # from math.isfinite, and 2^70 was accepted.
+    assert getattr(build(2**63 - 1), field) == 2**63 - 1
+    for count in (2**63, 2**70, 10**400):
+        with pytest.raises(ValueError, match=f"^{field} must be below 2\\^63$"):
+            build(count)
+
+
 def test_waveform_energy_and_mean_power():
     w = Waveform(np.array([1.0, 1j, 0.0, 0.0]), DT)
     assert w.energy == pytest.approx(2.0)
