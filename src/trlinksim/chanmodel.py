@@ -43,11 +43,6 @@ def same_grid(dt_a: float, dt_b: float) -> bool:
     return math.isclose(dt_a, dt_b, rel_tol=GRID_RTOL)
 
 
-# Longest stream whose transmit chain stays on the calling thread, and the
-# chunk size of receiver noise draws. Convolution geometry does not use it.
-ONE_SHOT_MAX = 1 << 16
-
-
 @functools.lru_cache(maxsize=1024)
 def fast_len(n: int) -> int:
     """Smallest 11-smooth integer >= n, a length the FFT handles quickly.
@@ -121,26 +116,49 @@ def overlap_add(spectra: np.ndarray, step: int, n: int) -> np.ndarray:
     return flat[..., :n]
 
 
-def convolve_sum(inputs, spectra, taps: int, mapper, finish=lambda r, y: y) -> list:
+@functools.cache
+def _pool():
+    """The package's thread pool, one worker per CPU this process may run on."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        workers = os.cpu_count() or 1
+    return ThreadPoolExecutor(workers)
+
+
+def _pool_map(fn, *iterables):
+    """``map`` on the package's thread pool, created on first use.
+
+    numpy releases the GIL in its transforms, large ufuncs and random
+    draws, so independent inputs and outputs of a long convolution
+    overlap. Results come back in input order.
+    """
+    return _pool().map(fn, *iterables)
+
+
+def convolve_sum(inputs, spectra, taps: int, finish=lambda r, y: y) -> list:
     """Every output y_r = sum over s of inputs[s] * f[s, r], full linear convolutions.
 
     ``spectra(m)`` gives each input's filter spectra at transform length m, one
     ``Cir.spectra`` (1, m) array per output; ``taps`` is the longest filter. Up
     to ``block_len(taps)`` output samples, one transform of the next fast length serves all, on the
     calling thread, with one accumulator and one batched inverse. Longer
-    outputs go by blocks of ``block_len(taps)`` (overlap-add): ``mapper`` runs
-    each input's transform, then the sums over runs of blocks, then each
-    output's inverse and ``finish(r, y)``, which makes the result listed for
-    output r from y, a view nothing else holds. Inputs add in order.
+    outputs go by blocks of ``block_len(taps)`` (overlap-add): each input's
+    transform, then the sums over runs of blocks, then each output's inverse
+    and ``finish(r, y)``, which makes the result listed for output r from y, a
+    view nothing else holds; on the thread pool, unless one input goes to one
+    output and there is nothing to overlap. Inputs add in order.
     """
     n = max(x.size for x in inputs) + taps - 1
     one_shot = n <= block_len(taps)
     m = fast_len(n) if one_shot else block_len(taps)
     step = m if one_shot else m - taps + 1
-    mapper = map if one_shot else mapper
     filters = spectra(m)
-    blocks = list(mapper(lambda x: block_spectra(x, m, step), inputs))
     outputs = range(len(filters[0]))
+    mapper = map if one_shot or len(inputs) == len(outputs) == 1 else _pool_map
+    blocks = list(mapper(lambda x: block_spectra(x, m, step), inputs))
 
     if len(blocks) == len(outputs) == 1 and m > 1:
         # One input to one output: multiplied inside its own blocks. Not at
@@ -287,6 +305,11 @@ class ReverbParams:
         object.__setattr__(self, "num_taps", int(self.num_taps))
         if not self.max_delay > 0.0:
             raise ValueError("max_delay must be positive")
+        if not self.max_delay / self.sample_interval < 2**63:
+            raise ValueError(
+                f"max_delay / sample_interval must be below 2^63 samples, got "
+                f"{self.max_delay / self.sample_interval:g}"
+            )
         if not self.rician_k >= 0.0:
             raise ValueError("rician_k must be >= 0")
         if not self.total_energy > 0.0:
@@ -367,7 +390,13 @@ def _synth_reverberant(rng: np.random.Generator, params: ReverbParams, label: st
         diffuse_energy = float(np.sum(np.abs(gains) ** 2))
         h[0] += math.sqrt(params.rician_k * diffuse_energy)
     energy = float(np.sum(np.abs(h) ** 2))
-    h *= math.sqrt(params.total_energy / energy)
+    scale = math.sqrt(params.total_energy / energy) if energy > 0.0 else math.inf
+    if math.isinf(scale):
+        raise ValueError(
+            f"degenerate channel {label!r}: every drawn tap's power exp(-delay / decay) underflows, "
+            f"to an energy of {energy:g} (decay {decay:.3g} s, delays up to {params.max_delay:.3g} s)"
+        )
+    h *= scale
     return Cir(h, dt, label)
 
 

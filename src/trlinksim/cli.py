@@ -433,7 +433,8 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
             channels[pair] = chanmodel.ReverbParams(**params)
         if seed is not None:
             # A pinned seed fixes the realization for every trial.
-            channels[pair] = chanmodel.synth_reverberant(seed, channels[pair], label=label)
+            with _at_line(lineno):
+                channels[pair] = _draw(seed, channels[pair], pair)
 
     if "noise" not in sections:
         raise ConfigError("missing required section [noise]")
@@ -467,6 +468,15 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
     return RunConfig(channels, tuple(links), mod, noise, **sweep, **output)
 
 
+def _draw(seed: int, params: chanmodel.ReverbParams, pair: tuple[str, str]) -> chanmodel.Cir:
+    """The channel of ``pair`` drawn from ``seed``; a draw too large to allocate names its section."""
+    label = f"{pair[0]}->{pair[1]}"
+    try:
+        return chanmodel.synth_reverberant(seed, params, label=label)
+    except MemoryError:
+        raise ValueError(f'[channel "{label}"]: out of memory drawing {params.num_taps} taps') from None
+
+
 def realize_channels(cfg: RunConfig, channel_seed: int) -> dict[tuple[str, str], chanmodel.Cir]:
     """The configured channels, each fresh synthetic one drawn anew.
 
@@ -479,8 +489,7 @@ def realize_channels(cfg: RunConfig, channel_seed: int) -> dict[tuple[str, str],
     for index, pair in enumerate(sorted(cfg.channels)):
         channel = cfg.channels[pair]
         if isinstance(channel, chanmodel.ReverbParams):
-            seed = experiments.derive_seed(channel_seed, index)
-            channel = chanmodel.synth_reverberant(seed, channel, label=f"{pair[0]}->{pair[1]}")
+            channel = _draw(experiments.derive_seed(channel_seed, index), channel, pair)
         out[pair] = channel
     return out
 

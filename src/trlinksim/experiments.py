@@ -18,14 +18,13 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .chanmodel import ONE_SHOT_MAX, Cir, ReverbParams, same_grid, synth_reverberant
+from .chanmodel import Cir, ReverbParams, same_grid, synth_reverberant
 from .detector import BerResult, count_errors, demodulate, train_threshold, wilson_interval
 from .linksim import (
     LinkSpec,
     NoiseSpec,
     Scenario,
     SinrReport,
-    _pool_map,
     propagate,
     sinr_from_powers,
 )
@@ -220,11 +219,9 @@ def run_trial(
     before slicing. The SINR reports are the scenario's own
     (``Scenario.sinr``), computed once per scenario.
 
-    Streams longer than ``ONE_SHOT_MAX`` samples are built concurrently;
-    each is seeded by its own index, so the result does not depend on
-    evaluation order. Returns ({stream_id: SinrReport},
-    {stream_id: BerResult}). The same (scenario, seed, n_bits, pilot_len)
-    reproduces identical results.
+    Each stream is seeded by its place in stream-id order. Returns
+    ({stream_id: SinrReport}, {stream_id: BerResult}). The same
+    (scenario, seed, n_bits, pilot_len) reproduces identical results.
     """
     if int(seed) != seed or seed < 0:
         raise ValueError("seed must be a non-negative integer")
@@ -242,15 +239,10 @@ def run_trial(
     links = sorted(scenario.links, key=lambda l: l.stream_id)
     table = scenario.responses
     n_symbols = pilot_len + n_bits
-    mapper = _pool_map if n_symbols * sps > ONE_SHOT_MAX else map
-    sent = mapper(
-        lambda s_index, link: _transmit(
-            link, s_index, seed, n_bits, pilot_len, table.filters[link.stream_id], mod
-        ),
-        range(len(links)),
-        links,
-    )
-    chains = {link.stream_id: chain for link, chain in zip(links, sent)}
+    chains = {
+        link.stream_id: _transmit(link, s_index, seed, n_bits, pilot_len, table.filters[link.stream_id], mod)
+        for s_index, link in enumerate(links)
+    }
     streams = {sid: stream for sid, (stream, _, _) in chains.items()}
     received = propagate(scenario, streams, derive_seed(seed, 1))
     reports: dict[str, SinrReport] = {}

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chanmodel import ONE_SHOT_MAX, Cir, convolve_sum, same_grid
+from .chanmodel import Cir, convolve_sum, same_grid
 from .sigchain import (
     ModParams,
     TrFilter,
@@ -203,28 +202,6 @@ def link_filter(scenario: Scenario, link: LinkSpec) -> TrFilter:
     return make_identity_filter(cir)
 
 
-@cache
-def _pool():
-    """The package's thread pool, one worker per CPU this process may run on."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    try:
-        workers = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        workers = os.cpu_count() or 1
-    return ThreadPoolExecutor(workers)
-
-
-def _pool_map(fn, *iterables):
-    """``map`` on the package's thread pool, created on first use.
-
-    numpy releases the GIL in its transforms, large ufuncs and random
-    draws, so independent parts of a long trial overlap. Results come
-    back in input order.
-    """
-    return _pool().map(fn, *iterables)
-
-
 def propagate(
     scenario: Scenario,
     streams: Mapping[str, Waveform],
@@ -239,9 +216,8 @@ def propagate(
     per real dimension, drawn from a sub-seed derived from
     (seed, receiver index) so the result does not depend on evaluation
     order; streams are summed in stream-id order, so it does not depend on
-    the order of the links either. Streams long enough to go block by
-    block are transformed, and then received, concurrently on the
-    package's thread pool.
+    the order of the links either. ``convolve_sum`` decides what runs on
+    the package's thread pool.
     ``streams`` may cover a subset of the scenario's links.
     """
     if not streams:
@@ -266,21 +242,23 @@ def propagate(
         _add_noise(y, n_watts, seed, i)
         return Waveform._wrap(y, dt)
 
-    # One transform while the output fits in one overlap-add block; longer
-    # streams share the work out across the pool.
     received = convolve_sum(
         [streams[link.stream_id].samples for link in present],
         lambda m: [[h.spectra(m) for h in hs] for hs in rows],
-        max(h.samples.size for h in scenario.channels.values()), _pool_map, finish,
+        max(h.samples.size for h in scenario.channels.values()), finish,
     )
     return dict(zip(scenario.receivers, received))
+
+
+# Receiver noise is drawn in chunks of this many samples.
+NOISE_CHUNK = 1 << 16
 
 
 def _add_noise(y: np.ndarray, n_watts: float, seed: int, rx_index: int) -> None:
     """Add receiver noise of ``n_watts`` per sample to ``y`` in place; none at 0 W.
 
     The draws come from a sub-seed of (seed, receiver index): real parts,
-    then imaginary parts, in chunks of at most ``ONE_SHOT_MAX`` samples
+    then imaginary parts, in chunks of at most ``NOISE_CHUNK`` samples
     through one scratch buffer. That is bit for bit y + sqrt(N/2) * (a + 1j * b)
     with a and b drawn whole, without stream-sized temporaries.
     """
@@ -288,9 +266,9 @@ def _add_noise(y: np.ndarray, n_watts: float, seed: int, rx_index: int) -> None:
         return
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), rx_index)))
     scale = math.sqrt(n_watts / 2.0)
-    draw = np.empty(min(y.size, ONE_SHOT_MAX))
+    draw = np.empty(min(y.size, NOISE_CHUNK))
     for part in (y.real, y.imag):
-        for start in range(0, y.size, ONE_SHOT_MAX):
+        for start in range(0, y.size, NOISE_CHUNK):
             chunk = draw[: y.size - start]
             rng.standard_normal(out=chunk)
             chunk *= scale

@@ -156,8 +156,8 @@ def precode(waveform: Waveform, tx_filter: TrFilter) -> Waveform:
     """Full linear convolution of the waveform with the pre-filter.
 
     Output length is len(waveform) + len(filter) - 1. A single-sample
-    operand is a plain product; else ``convolve_sum``, on the calling thread,
-    with the waveform as its input and the filter's cached spectrum
+    operand is a plain product; else ``convolve_sum``, with the waveform as
+    its one input (so on the calling thread) and the filter's cached spectrum
     (``Cir.spectra``): one transform, bitwise
     ``scipy.signal.fftconvolve(waveform, filter)``, up to
     ``block_len(len(filter))`` output samples, and blocks of that length above.
@@ -167,7 +167,7 @@ def precode(waveform: Waveform, tx_filter: TrFilter) -> Waveform:
     x, g = waveform.samples, tx_filter.samples
     if x.size == 1 or g.size == 1:
         return Waveform._wrap(x * g, waveform.sample_interval)
-    (out,) = convolve_sum([x], lambda m: [[tx_filter.spectra(m)]], g.size, map)
+    (out,) = convolve_sum([x], lambda m: [[tx_filter.spectra(m)]], g.size)
     return Waveform._wrap(out, waveform.sample_interval)
 
 

@@ -125,6 +125,29 @@ def test_spread_target_must_be_reachable():
         ReverbParams(DT, 24, 500e-12, 400e-12)
 
 
+def test_synth_refuses_a_draw_whose_every_tap_underflows():
+    # Delays up to 20,000 decay constants: most draws put every tap past
+    # exp's underflow, and seed 79 leaves an energy too small to scale.
+    p = ReverbParams(DT, 4, 100e-12, 2e-6)
+    refused = []
+    for seed in range(20):
+        try:
+            assert synth_reverberant(seed, p, "A->B").energy == pytest.approx(1.0, rel=1e-12)
+        except ValueError as exc:
+            assert re.fullmatch(r"degenerate channel 'A->B': every drawn tap's power .* underflows, .*", str(exc))
+            refused.append(seed)
+    assert len(refused) == 18
+    with pytest.raises(ValueError, match="to an energy of 8.47256e-312 "):
+        synth_reverberant(79, p)
+
+
+def test_reverb_params_refuse_a_grid_of_2_to_the_63_samples_or_more():
+    ReverbParams(DT, 4, 100e-12, 2**62 * DT)
+    for max_delay in (2**63 * DT, 1e10):
+        with pytest.raises(ValueError, match=r"^max_delay / sample_interval must be below 2\^63 samples, got "):
+            ReverbParams(DT, 4, 100e-12, max_delay)
+
+
 @pytest.mark.parametrize(
     "field", ["sample_interval", "num_taps", "rms_delay_spread_target", "max_delay", "rician_k", "total_energy"]
 )
@@ -417,8 +440,26 @@ def _precode(x, g):
 
 def _convolve_one(x, h):
     """x * h through convolve_sum: one input, one output."""
-    (y,) = convolve_sum([x], lambda m: [[block_spectra(h, m, m)]], h.size, map)
+    (y,) = convolve_sum([x], lambda m: [[block_spectra(h, m, m)]], h.size)
     return y
+
+
+def test_block_path_takes_the_pool_only_with_more_than_one_input_or_output(monkeypatch):
+    rng = np.random.default_rng(2)
+    h = rng.standard_normal(101) + 0j
+    x = rng.standard_normal(3 * block_len(h.size)) + 0j
+    calls = []
+    original = chanmodel._pool_map
+    monkeypatch.setattr(chanmodel, "_pool_map", lambda fn, *it: calls.append(fn) or original(fn, *it))
+    # One input to one output, as in every precode: nothing to overlap.
+    _convolve_one(x, h)
+    _precode(x, _unit(h))
+    assert calls == []
+    # Two inputs to one output, then one input to two: transforms, sums, inverses.
+    convolve_sum([x, x], lambda m: [[block_spectra(h, m, m)]] * 2, h.size)
+    assert len(calls) == 3
+    convolve_sum([x], lambda m: [[block_spectra(h, m, m)] * 2], h.size)
+    assert len(calls) == 6
 
 
 def test_fast_len_equals_scipy_next_fast_len():

@@ -899,11 +899,48 @@ def test_main_refuses_a_trial_too_large_to_allocate(tmp_path, n_bits, message, g
     assert not (tmp_path / "out").exists()
 
 
-def test_main_reports_a_channel_too_large_to_allocate(tmp_path):
-    # A pinned seed draws the channel while the config is read.
-    text = MINIMAL.replace("num_taps = 8", f"num_taps = {10**17}\nseed = 1")
+def _channel_error(text, pinned, message):
+    """The CLI's report of ``message`` about the one channel of ``text``: at its line when pinned."""
+    line = text.splitlines().index('[channel "A->B"]') + 1
+    return f"error: line {line}: {message}\n" if pinned else f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "gen-channel"])
+@pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "fresh"])
+def test_main_reports_a_channel_too_large_to_allocate(tmp_path, pinned, command):
+    # numpy refuses the 800 PB draw before it allocates anything. A pinned
+    # seed draws the channel while the config is read, a fresh one in the command.
+    text = MINIMAL.replace("num_taps = 8", f"num_taps = {10**17}" + ("\nseed = 1" if pinned else ""))
+    proc = _run_warnings_as_errors(tmp_path, text, command)
+    message = f'[channel "A->B"]: out of memory drawing {10**17} taps'
+    assert (proc.returncode, proc.stderr) == (1, _channel_error(text, pinned, message))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "gen-channel"])
+@pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "fresh"])
+def test_main_refuses_a_synthetic_draw_whose_every_tap_underflows(tmp_path, pinned, command):
+    # Delays up to 20,000 decay constants: at seed 1, and at the fresh draws
+    # of master seed 0, every tap's power underflows to 0.
+    params = "num_taps = 4\nrms_delay_spread_s = 100e-12\nmax_delay_s = 2e-6"
+    text = MINIMAL.replace("num_taps = 8\nrms_delay_spread_s = 50e-12\nmax_delay_s = 200e-12", params)
+    text = text.replace("max_delay_s = 2e-6", "max_delay_s = 2e-6\nseed = 1") if pinned else text
+    proc = _run_warnings_as_errors(tmp_path, text, command)
+    message = (
+        "degenerate channel 'A->B': every drawn tap's power exp(-delay / decay) underflows, "
+        "to an energy of 0 (decay 1e-10 s, delays up to 2e-06 s)"
+    )
+    assert (proc.returncode, proc.stderr) == (1, _channel_error(text, pinned, message))
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_refuses_a_grid_of_2_to_the_63_samples_or_more_by_line(tmp_path):
+    # 1e10 s at 5 ps is 2e21 samples; the draw used to stop with numpy's
+    # lineless "Maximum allowed dimension exceeded".
+    text = MINIMAL.replace("max_delay_s = 200e-12", "max_delay_s = 1e10")
     proc = _run_warnings_as_errors(tmp_path, text)
-    assert (proc.returncode, proc.stderr) == (1, "error: out of memory reading the config\n")
+    message = 'invalid [channel "A->B"]: max_delay / sample_interval must be below 2^63 samples, got 2e+21'
+    assert (proc.returncode, proc.stderr) == (1, _channel_error(text, True, message))
 
 
 @pytest.mark.parametrize("flag", ["--n-bits", "--trials"])
@@ -916,7 +953,9 @@ def test_main_refuses_a_count_flag_of_2_to_the_63_or_more(tmp_path, flag):
 
 def test_counts_just_below_2_to_the_63_are_read():
     largest = 2**63 - 1
-    text = MINIMAL.replace("num_taps = 8", f"num_taps = {largest}") + (
+    # 10 ps on the grid of 2^63 - 1 samples per 20 ps bit is below 2^63 samples.
+    channel = f"num_taps = {largest}\nrms_delay_spread_s = 2e-12\nmax_delay_s = 10e-12"
+    text = MINIMAL.replace("num_taps = 8\nrms_delay_spread_s = 50e-12\nmax_delay_s = 200e-12", channel) + (
         f"\n[modulation]\nsamples_per_symbol = {largest}\n"
         f"\n[sweep]\nn_bits = {largest}\nn_trials = {largest}\npilot_bits = {largest}\n"
     )

@@ -1,13 +1,14 @@
 """Scenario builders, trials, sweeps, and the focusing audit."""
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from trlinksim import cli, detector, experiments, linksim
-from trlinksim.chanmodel import ONE_SHOT_MAX, Cir, ReverbParams
+from trlinksim import chanmodel, cli, detector, experiments, linksim
+from trlinksim.chanmodel import Cir, ReverbParams
 from trlinksim.experiments import (
     DEFAULT_PAIRS,
     FocusEntry,
@@ -202,8 +203,8 @@ def _one_worker_map(fn, *iterables):
         return list(pool.map(fn, *iterables))
 
 
-# Streams longer than ONE_SHOT_MAX samples at 4 samples per symbol, 64 pilot bits.
-LONG_BITS = ONE_SHOT_MAX // 4
+# Streams of 4 * (2^14 + 64) samples, many overlap-add blocks long.
+LONG_BITS = 1 << 14
 
 
 def _long_trial(monkeypatch, seed):
@@ -220,11 +221,10 @@ def _long_trial(monkeypatch, seed):
 @pytest.mark.parametrize("serial", [map, _one_worker_map])
 def test_run_trial_on_long_streams_pooled_equals_serial(monkeypatch, serial):
     pool_calls = []
-    _recording(monkeypatch, experiments, "_pool_map", pool_calls)
+    _recording(monkeypatch, chanmodel, "_pool_map", pool_calls)
     pooled = _long_trial(monkeypatch, 11)
-    assert len(pool_calls) == 1  # the transmit chains took the pool
-    monkeypatch.setattr(experiments, "_pool_map", serial)
-    monkeypatch.setattr(linksim, "_pool_map", serial)
+    assert len(pool_calls) == 3  # propagation's transforms, sums over runs of blocks and receivers
+    monkeypatch.setattr(chanmodel, "_pool_map", serial)
     alone = _long_trial(monkeypatch, 11)
     assert pooled[0] == alone[0]
     assert sum(ber.bit_errors for ber in pooled[0][1].values()) > 0
@@ -238,11 +238,32 @@ def test_short_trials_stay_off_the_pool(monkeypatch):
     def refuse(fn, *iterables):
         raise AssertionError("the pool serves long streams only")
 
-    monkeypatch.setattr(experiments, "_pool_map", refuse)
-    monkeypatch.setattr(linksim, "_pool_map", refuse)
+    monkeypatch.setattr(chanmodel, "_pool_map", refuse)
     scn = build_multi_tx_scenario(_channel_set(3), 2, "tr", 0.0, 50e9)
     # streams and their outputs within one overlap-add block
     run_trial(scn, seed=7, n_bits=500)
+
+
+def test_long_trials_build_and_detect_streams_on_the_calling_thread(monkeypatch):
+    # Only propagation's convolution takes the pool; each transmit chain and
+    # each detection runs on the thread that called run_trial.
+    names = ("modulate_ask", "precode", "scale_to_power", "train_threshold", "demodulate", "count_errors")
+    threads = {name: [] for name in names}
+
+    def on_thread(name, fn):
+        def wrapper(*args):
+            threads[name].append(threading.current_thread())
+            return fn(*args)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(experiments, name, on_thread(name, getattr(experiments, name)))
+    pool_calls = []
+    _recording(monkeypatch, chanmodel, "_pool_map", pool_calls)
+    _long_trial(monkeypatch, 11)
+    assert threads == {name: [threading.current_thread()] * 2 for name in names}
+    assert len(pool_calls) == 3  # the pool still served propagation
 
 
 def test_run_trial_derotates_decision_samples_as_the_whole_waveform(monkeypatch):

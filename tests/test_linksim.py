@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from trlinksim import chanmodel, linksim
 from trlinksim.chanmodel import (
-    ONE_SHOT_MAX,
     Cir,
     ReverbParams,
     block_len,
@@ -663,7 +662,7 @@ def test_propagate_on_the_block_path_pooled_equals_serial(monkeypatch, serial):
     taps = _longest_channel(scenario)
     block_step = block_len(taps) - taps + 1
     rng = np.random.default_rng(8)
-    original = linksim._pool_map
+    original = chanmodel._pool_map
     # Unequal lengths, then equal ones, where each receiver's sum is written
     # over a stream's own blocks.
     for lengths in ((5 * block_step + 17, 3 * block_step), (4 * block_step + 17,) * 2):
@@ -672,10 +671,10 @@ def test_propagate_on_the_block_path_pooled_equals_serial(monkeypatch, serial):
             for sid, n in zip(("A->B", "C->D"), lengths)
         }
         calls = []
-        monkeypatch.setattr(linksim, "_pool_map", lambda fn, *it: calls.append(fn) or original(fn, *it))
+        monkeypatch.setattr(chanmodel, "_pool_map", lambda fn, *it: calls.append(fn) or original(fn, *it))
         pooled = propagate(scenario, streams, seed=5)
         assert len(calls) == 3  # the streams' transforms, the sums over runs of blocks, the receivers
-        monkeypatch.setattr(linksim, "_pool_map", serial)
+        monkeypatch.setattr(chanmodel, "_pool_map", serial)
         alone = propagate(scenario, streams, seed=5)
         assert list(pooled) == list(alone) == ["B", "D"]
         for rx in pooled:
@@ -790,7 +789,7 @@ def test_block_path_receive_in_place_equals_per_receiver_sums_by_bytes(
     assert max(s.samples.size for s in streams.values()) + taps - 1 > block_len(taps)
     want = _per_receiver_block_sums(scenario, streams, seed=6)
     if mapper != "pool":
-        monkeypatch.setattr(linksim, "_pool_map", map if mapper == "map" else _one_worker_map)
+        monkeypatch.setattr(chanmodel, "_pool_map", map if mapper == "map" else _one_worker_map)
     got = propagate(scenario, streams, seed=6)
     assert list(got) == list(scenario.receivers)
     for rx in got:
@@ -821,9 +820,9 @@ def test_block_path_receive_holds_no_accumulator_per_receiver():
 
 
 def test_pool_has_one_worker_per_usable_cpu():
-    assert list(linksim._pool_map(abs, [-1, 2, -3])) == [1, 2, 3]
+    assert list(chanmodel._pool_map(abs, [-1, 2, -3])) == [1, 2, 3]
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert linksim._pool()._max_workers == usable
+    assert chanmodel._pool()._max_workers == usable
 
 
 def _one_pair_shift_add(x, y):
@@ -922,7 +921,7 @@ def _single_draw_noise(y, n_watts, seed, rx_index):
 
 @pytest.mark.parametrize(
     "n",
-    [0, 1] + [k * ONE_SHOT_MAX + d for k in (1, 2) for d in (-1, 0, 1)],
+    [0, 1] + [k * linksim.NOISE_CHUNK + d for k in (1, 2) for d in (-1, 0, 1)],
 )
 def test_chunked_noise_equals_a_single_draw_bitwise(n):
     rng = np.random.default_rng(n)
