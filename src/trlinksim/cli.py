@@ -37,9 +37,6 @@ SWEEP_HEADER = (
 )
 FOCUSING_HEADER = "node,tr_peak_w,tr_total_w,nontr_peak_w,nontr_total_w"
 
-_POWER_GRID_DEFAULT = tuple(float(p) for p in range(-5, 11))
-_RATE_GRID_DEFAULT = (10e9, 20e9, 40e9, 80e9)
-
 # Closed ranges of the keys that set a power, a channel energy or thermal
 # noise. Inside them no SINR component or focusing sum overflows and no SINR
 # ratio underflows to 0; the README's config reference derives them.
@@ -197,7 +194,15 @@ class Key:
 
 
 _MODES = ("thermal", "explicit")
-_VARIABLES = experiments._SWEEP_VARIABLES
+
+# Each sweep command: the variable it sweeps and its grid when the config
+# names none (None: every link count from 1).
+_SWEEPS = {
+    "sweep-power": ("tx_power_dbm", tuple(float(p) for p in range(-5, 11))),
+    "sweep-rate": ("aggregate_rate_bps", (10e9, 20e9, 40e9, 80e9)),
+    "sweep-links": ("n_links", None),
+}
+_VARIABLES = tuple(variable for variable, _ in _SWEEPS.values())
 
 # One table per kind of section, keys in the order they are read. The
 # README's config reference lists the same keys and defaults.
@@ -217,7 +222,7 @@ SCHEMA: dict[str, tuple[Key, ...]] = {
     "link": (
         Key("tx", required=True, field="tx_node"),
         Key("rx", required=True, field="rx_node"),
-        Key("precoding", default="tr"),
+        Key("precoding", _one_of(("tr", "none"), "precoding must be 'tr' or 'none', got {!r}"), "tr"),
         Key("power_dbm", _in_range(*_DBM), "0", field="tx_power_dbm"),
     ),
     "modulation": (
@@ -375,8 +380,15 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
         mod = sigchain.ModParams(**read("modulation", SCHEMA["modulation"]))
 
     links: list[linksim.LinkSpec] = []
-    numbered = [(int(m.group(1)), name) for name in sections if (m := _LINK_SECTION.match(name))]
-    for _, name in sorted(numbered):
+    numbered: dict[int, str] = {}
+    for name, (lineno, _) in sections.items():
+        if m := _LINK_SECTION.match(name):
+            first = numbered.setdefault(int(m.group(1)), name)
+            if first != name:
+                raise ConfigError(
+                    f"line {lineno}: [{name}] repeats the number of [{first}] at line {sections[first][0]}"
+                )
+    for _, name in sorted(numbered.items()):
         lineno, body = sections[name]
         spec = read(name, SCHEMA["link"])
         for end, node in (("tx", spec["tx_node"]), ("rx", spec["rx_node"])):
@@ -522,14 +534,6 @@ def _stream_powers(links: tuple[linksim.LinkSpec, ...], power_value: float) -> d
 
 def _sweep_rows(cfg: RunConfig, variable: str, grid: tuple) -> list[experiments.SweepRow]:
     links = cfg.links
-    spec = experiments.SweepSpec(
-        variable=variable,
-        grid=grid,
-        n_bits=cfg.n_bits,
-        n_trials=cfg.n_trials,
-        master_seed=cfg.master_seed,
-        pilot_len=cfg.pilot_len,
-    )
 
     def at_realization(channels) -> Callable[[float], linksim.Scenario]:
         """Scenario per grid value over one channel realization."""
@@ -544,18 +548,24 @@ def _sweep_rows(cfg: RunConfig, variable: str, grid: tuple) -> list[experiments.
         return lambda value: _build_scenario(cfg, channels, links[: int(value)])
 
     if any(isinstance(c, chanmodel.ReverbParams) for c in cfg.channels.values()):
-        return experiments.sweep(spec, lambda value, seed: at_realization(realize_channels(cfg, seed))(value))
-    # One realization serves every trial: one scenario per grid value.
-    build = functools.cache(at_realization(realize_channels(cfg, cfg.master_seed)))
-    return experiments.sweep(spec, lambda value, seed: build(value))
+        template = lambda value, seed: at_realization(realize_channels(cfg, seed))(value)
+    else:
+        # One realization serves every trial: one scenario per grid value.
+        build = functools.cache(at_realization(realize_channels(cfg, cfg.master_seed)))
+        template = lambda value, seed: build(value)
+    counts = (cfg.n_bits, cfg.n_trials, cfg.master_seed, cfg.pilot_len)
+    return experiments.sweep(variable, grid, template, *counts)
 
 
-def _sweep_csv(cfg: RunConfig, command: str, variable: str, default: tuple, path: Path) -> list[Path]:
-    """Sweep ``variable`` over the config's values, or ``default`` when it names none.
+def _sweep_csv(command: str, cfg: RunConfig, path: Path) -> list[Path]:
+    """Sweep ``command``'s variable over the config's values, or its default grid.
 
     A config that names a sweep variable serves only the command sweeping it.
     The default grid is checked, as the parser checks values, before any trial.
     """
+    variable, default = _SWEEPS[command]
+    if default is None:
+        default = tuple(float(n) for n in range(1, len(cfg.links) + 1))
     if cfg.sweep_variable not in (None, variable):
         raise ConfigError(
             f"config sweep variable {cfg.sweep_variable!r} does not match command "
@@ -580,19 +590,6 @@ def cmd_run(cfg: RunConfig, path: Path) -> list[Path]:
     rows = _sweep_rows(cfg, "n_links", (float(len(cfg.links)),))
     write_sweep_csv([dataclasses.replace(row, variable="config", value=0.0) for row in rows], path)
     return [path]
-
-
-def cmd_sweep_power(cfg: RunConfig, path: Path) -> list[Path]:
-    return _sweep_csv(cfg, "sweep-power", "tx_power_dbm", _POWER_GRID_DEFAULT, path)
-
-
-def cmd_sweep_rate(cfg: RunConfig, path: Path) -> list[Path]:
-    return _sweep_csv(cfg, "sweep-rate", "aggregate_rate_bps", _RATE_GRID_DEFAULT, path)
-
-
-def cmd_sweep_links(cfg: RunConfig, path: Path) -> list[Path]:
-    counts = tuple(float(n) for n in range(1, len(cfg.links) + 1))
-    return _sweep_csv(cfg, "sweep-links", "n_links", counts, path)
 
 
 def cmd_focusing(cfg: RunConfig, path: Path) -> list[Path]:
@@ -648,9 +645,7 @@ def write_focusing_csv(entries: dict[str, experiments.FocusEntry], path: Path) -
 # filled in with each channel's endpoints).
 _COMMANDS = {
     "run": (cmd_run, "run.csv"),
-    "sweep-power": (cmd_sweep_power, "sweep_power.csv"),
-    "sweep-rate": (cmd_sweep_rate, "sweep_rate.csv"),
-    "sweep-links": (cmd_sweep_links, "sweep_links.csv"),
+    **{c: (functools.partial(_sweep_csv, c), f"{c.replace('-', '_')}.csv") for c in _SWEEPS},
     "focusing": (cmd_focusing, "focusing.csv"),
     "gen-channel": (cmd_gen_channel, "cir_{}_to_{}.csv"),
 }

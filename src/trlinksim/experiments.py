@@ -41,7 +41,6 @@ from .sigchain import (
 
 __all__ = [
     "DEFAULT_PAIRS",
-    "SweepSpec",
     "SweepRow",
     "FocusEntry",
     "derive_seed",
@@ -56,8 +55,6 @@ __all__ = [
 ]
 
 DEFAULT_PAIRS = (("A", "B"), ("C", "D"), ("E", "F"))
-
-_SWEEP_VARIABLES = ("tx_power_dbm", "aggregate_rate_bps", "n_links")
 
 
 def derive_seed(*parts: int) -> int:
@@ -264,32 +261,6 @@ def run_trial(
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """Grid definition for one experiment sweep."""
-
-    variable: str
-    grid: tuple
-    n_bits: int = 1000
-    n_trials: int = 10
-    master_seed: int = 0
-    pilot_len: int = 64
-
-    def __post_init__(self) -> None:
-        if self.variable not in _SWEEP_VARIABLES:
-            raise ValueError(f"variable must be one of {_SWEEP_VARIABLES}, got {self.variable!r}")
-        grid = tuple(self.grid)
-        if not grid:
-            raise ValueError("sweep grid must not be empty")
-        object.__setattr__(self, "grid", grid)
-        if self.n_bits < 100:
-            raise ValueError("n_bits must be at least 100")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be at least 1")
-        if int(self.master_seed) != self.master_seed or self.master_seed < 0:
-            raise ValueError("master_seed must be a non-negative integer")
-
-
-@dataclass(frozen=True)
 class SweepRow:
     """Aggregated per-link outcome at one grid point: watts averaged over trials, bits pooled.
 
@@ -320,37 +291,52 @@ class SweepRow:
 
 
 def sweep(
-    spec: SweepSpec,
+    variable: str,
+    grid: Iterable[float],
     scenario_template: Callable[[float, int], Scenario],
+    n_bits: int = 1000,
+    n_trials: int = 10,
+    master_seed: int = 0,
+    pilot_len: int = 64,
 ) -> list[SweepRow]:
-    """Run the grid defined by ``spec`` against a scenario template.
+    """Run ``scenario_template`` at every value of ``grid``; ``variable`` labels the rows.
 
     ``scenario_template(value, channel_seed)`` must build the scenario
     for one grid value; templates backed by synthetic channels should use
     ``channel_seed`` so every trial sees a fresh realization, while
     imported channels simply ignore it. Per grid point the SINR component
-    powers are averaged linearly over trials and bit errors are pooled.
-    All sub-seeds derive from (master_seed, point index, trial index), so
-    the output is a pure function of (spec, scenario_template).
+    powers are averaged linearly over ``n_trials`` trials of ``n_bits``
+    bits each and bit errors are pooled. All sub-seeds derive from
+    (master_seed, point index, trial index), so the output is a pure
+    function of the arguments.
     """
+    grid = tuple(grid)
+    if not grid:
+        raise ValueError("sweep grid must not be empty")
+    if n_bits < 100:
+        raise ValueError("n_bits must be at least 100")
+    if n_trials < 1:
+        raise ValueError("n_trials must be at least 1")
+    if int(master_seed) != master_seed or master_seed < 0:
+        raise ValueError("master_seed must be a non-negative integer")
     rows: list[SweepRow] = []
-    for p_index, value in enumerate(spec.grid):
+    for p_index, value in enumerate(grid):
         watts: dict[str, np.ndarray] = {}
         errors: Counter[str] = Counter()
         bits: Counter[str] = Counter()
-        for t_index in range(spec.n_trials):
-            channel_seed = derive_seed(spec.master_seed, p_index, t_index, 0)
-            trial_seed = derive_seed(spec.master_seed, p_index, t_index, 1)
+        for t_index in range(n_trials):
+            channel_seed = derive_seed(master_seed, p_index, t_index, 0)
+            trial_seed = derive_seed(master_seed, p_index, t_index, 1)
             scenario = scenario_template(value, channel_seed)
-            reports, bers = run_trial(scenario, trial_seed, spec.n_bits, pilot_len=spec.pilot_len)
+            reports, bers = run_trial(scenario, trial_seed, n_bits, pilot_len=pilot_len)
             for sid, report in reports.items():
                 acc = watts.setdefault(sid, np.zeros(4))
                 acc += (report.signal_w, report.isi_w, report.cochannel_w, report.noise_w)
                 errors[sid] += bers[sid].bit_errors
                 bits[sid] += bers[sid].bits_total
         for sid in sorted(watts):
-            watt_means = map(float, watts[sid] / spec.n_trials)
-            rows.append(SweepRow(spec.variable, value, sid, *watt_means, bits[sid], errors[sid]))
+            watt_means = map(float, watts[sid] / n_trials)
+            rows.append(SweepRow(variable, value, sid, *watt_means, bits[sid], errors[sid]))
     return rows
 
 

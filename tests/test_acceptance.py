@@ -22,7 +22,6 @@ from trlinksim.chanmodel import (
 )
 from trlinksim.cli import main
 from trlinksim.experiments import (
-    SweepSpec,
     build_multi_tx_scenario,
     build_scatter_scenario,
     derive_seed,
@@ -328,21 +327,21 @@ def test_criterion_09_superposition_is_exact():
 def test_criterion_10_ber_grows_with_aggregate_rate():
     params = ReverbParams(0.25e-12, 96, 30e-12, 300e-12)
     channels = synth_channel_set(8, params, (("A", "B"),))
-    spec = SweepSpec(
-        "aggregate_rate_bps",
-        (10e9, 20e9, 40e9, 80e9),
-        n_bits=2000,
-        n_trials=3,
-        master_seed=0,
-        pilot_len=256,
-    )
 
     def template(value, channel_seed):
         return build_multi_tx_scenario(
             channels, 1, "tr", 10.0, float(value), pairs=(("A", "B"),)
         )
 
-    rows = sweep(spec, template)
+    rows = sweep(
+        "aggregate_rate_bps",
+        (10e9, 20e9, 40e9, 80e9),
+        template,
+        n_bits=2000,
+        n_trials=3,
+        master_seed=0,
+        pilot_len=256,
+    )
     bers = [row.ber for row in rows]
     ok = all(b >= a for a, b in zip(bers, bers[1:]))
     _verdict(

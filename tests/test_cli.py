@@ -100,10 +100,11 @@ def test_package_reexports_the_working_surface():
     assert callable(main)
 
 
-# The 48 names the package listed one by one before it took its modules' __all__ lists.
+# The names the package listed one by one before it took its modules' __all__ lists,
+# less SweepSpec, whose fields became sweep's arguments.
 _LISTED_NAMES = """
 BOLTZMANN_J_PER_K BerResult Cir EffectiveResponse FocusEntry LinkSpec ModParams NoiseSpec
-ResponseTable ReverbParams Scenario SinrReport SweepRow SweepSpec TrFilter Waveform
+ResponseTable ReverbParams Scenario SinrReport SweepRow TrFilter Waveform
 build_multi_tx_scenario build_scatter_scenario channel_correlation compute_sinr count_errors
 dbm_to_watts demodulate derive_seed effective_response focusing_report full_rate_response
 import_frequency_response link_filter make_identity_filter make_tr_filter mod_params_for_rate
@@ -114,7 +115,7 @@ synth_reverberant train_threshold wilson_interval write_cir_csv
 
 
 def test_package_exports_the_union_of_its_modules_names():
-    assert len(_LISTED_NAMES) == 48 and set(_LISTED_NAMES) <= set(trlinksim.__all__)
+    assert len(_LISTED_NAMES) == 47 and set(_LISTED_NAMES) <= set(trlinksim.__all__)
     # Besides those, two experiment names; the FFT engine's helpers stay module internals.
     assert set(trlinksim.__all__) - set(_LISTED_NAMES) == {"DEFAULT_PAIRS", "split_power_dbm"}
     modules = (chanmodel, detector, experiments, linksim, sigchain)
@@ -235,6 +236,26 @@ def test_link_sections_sort_by_number_and_reject_duplicates():
         parse_config(MINIMAL.replace("[link 1]\ntx = A\nrx = B\n", ""))
     with pytest.raises(ConfigError, match="precoding"):
         parse_config(MINIMAL.replace("rx = B", "rx = B\nprecoding = zf"))
+
+
+def test_bad_precoding_is_refused_at_its_own_line():
+    text = MINIMAL.replace("rx = B", "rx = B\nprecoding = TR")
+    line = text.splitlines().index("precoding = TR") + 1
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == f"line {line}: precoding must be 'tr' or 'none', got 'TR'"
+
+
+@pytest.mark.parametrize("header", ["[link 01]", "[link  1]"])
+def test_a_link_number_used_twice_is_refused_at_the_later_section(header):
+    # Compared as text, "link 01" would sort first and make C->D link 1.
+    text = TWO_LINK.replace("[link 2]", header)
+    first = text.splitlines().index("[link 1]") + 1
+    later = text.splitlines().index(header) + 1
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    name = header[1:-1]
+    assert str(info.value) == f"line {later}: [{name}] repeats the number of [link 1] at line {first}"
 
 
 def test_links_demand_full_channel_coverage():
@@ -611,6 +632,19 @@ def test_main_ignores_other_variable_values_for_links_sweep(tmp_path):
         (2.0, "A->B"),
         (2.0, "C->D"),
     ]
+
+
+def test_run_writes_the_rows_of_the_links_sweep_at_every_link(tmp_path):
+    # cmd_run's contract: the link-count sweep's point at every link, relabelled.
+    cfg_path = _write(tmp_path, "l.cfg", TWO_LINK + "variable = n_links\nvalues = 2\n")
+    for command in ("run", "sweep-links"):
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    header, run_rows = _read_rows(tmp_path / "out" / "run.csv")
+    _, sweep_rows = _read_rows(tmp_path / "out" / "sweep_links.csv")
+    assert header == SWEEP_HEADER and len(run_rows) == 2
+    assert [r[:2] for r in run_rows] == [["config", "0"]] * 2
+    assert [r[:2] for r in sweep_rows] == [["n_links", "2"]] * 2
+    assert [r[2:] for r in run_rows] == [r[2:] for r in sweep_rows]
 
 
 def test_main_option_validation(tmp_path, capsys):
@@ -1369,14 +1403,15 @@ def _child_env():
 def test_readme_python_examples_run(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
-    assert len(blocks) == 2
-    # The second block saves a channel the first one drew, so they run as one script.
+    assert len(blocks) == 3
+    # The later blocks use the channels the first one drew, so they run as one script.
     out = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-c", "\n".join(blocks)],
         cwd=tmp_path, env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.count("\n") == 2
+    # Two lines from the first block, one per grid value and link from the sweep.
+    assert out.stdout.count("\n") == 2 + 2 * 2
     assert (tmp_path / "cir_A_to_B.csv").is_file()
 
 

@@ -12,7 +12,6 @@ from trlinksim.chanmodel import Cir, ReverbParams
 from trlinksim.experiments import (
     DEFAULT_PAIRS,
     FocusEntry,
-    SweepSpec,
     build_multi_tx_scenario,
     build_scatter_scenario,
     derive_seed,
@@ -289,23 +288,26 @@ def test_run_trial_derotates_decision_samples_as_the_whole_waveform(monkeypatch)
         assert np.array_equal(slicing[1], bits)
 
 
-def test_sweep_spec_validation():
-    with pytest.raises(ValueError, match="variable"):
-        SweepSpec("bandwidth", (1.0,))
+def test_sweep_argument_validation():
+    # The variable is only a row label here; test_cli's test_sweep_section_rules
+    # covers the refusal of an unknown [sweep] variable.
+    template = lambda value, channel_seed: _single_tap_scenario(value)
     with pytest.raises(ValueError, match="grid"):
-        SweepSpec("tx_power_dbm", ())
+        sweep("tx_power_dbm", (), template)
     with pytest.raises(ValueError, match="n_bits"):
-        SweepSpec("tx_power_dbm", (0.0,), n_bits=50)
+        sweep("tx_power_dbm", (0.0,), template, n_bits=50)
     with pytest.raises(ValueError, match="n_trials"):
-        SweepSpec("tx_power_dbm", (0.0,), n_trials=0)
+        sweep("tx_power_dbm", (0.0,), template, n_trials=0)
     with pytest.raises(ValueError, match="master_seed"):
-        SweepSpec("tx_power_dbm", (0.0,), master_seed=-1)
+        sweep("tx_power_dbm", (0.0,), template, master_seed=-1)
+    with pytest.raises(ValueError, match="master_seed"):
+        sweep("tx_power_dbm", (0.0,), template, master_seed=0.5)
 
 
 def test_sweep_noise_dominated_gains_one_db_per_dbm():
     # single unit tap, noise far above ISI: SINR in dB tracks power in dBm
-    spec = SweepSpec("tx_power_dbm", (-10.0, -9.0, -8.0, -7.0), n_bits=100, n_trials=1)
-    rows = sweep(spec, lambda value, channel_seed: _single_tap_scenario(value))
+    template = lambda value, channel_seed: _single_tap_scenario(value)
+    rows = sweep("tx_power_dbm", (-10.0, -9.0, -8.0, -7.0), template, n_bits=100, n_trials=1)
     sinrs = [row.sinr_db for row in rows]
     diffs = np.diff(sinrs)
     assert np.allclose(diffs, 1.0, atol=1e-9)
@@ -313,10 +315,9 @@ def test_sweep_noise_dominated_gains_one_db_per_dbm():
 
 
 def test_sweep_pools_bits_and_is_pure():
-    spec = SweepSpec("tx_power_dbm", (-5.0, 0.0), n_bits=150, n_trials=3)
     template = lambda value, channel_seed: _single_tap_scenario(value)
-    rows = sweep(spec, template)
-    again = sweep(spec, template)
+    rows = sweep("tx_power_dbm", (-5.0, 0.0), template, n_bits=150, n_trials=3)
+    again = sweep("tx_power_dbm", (-5.0, 0.0), template, n_bits=150, n_trials=3)
     assert rows == again
     assert len(rows) == 2
     for row in rows:
@@ -332,20 +333,21 @@ def test_sweep_offers_fresh_channel_seeds():
         seen.append(channel_seed)
         return _single_tap_scenario(value)
 
-    spec = SweepSpec("tx_power_dbm", (0.0, 1.0), n_bits=100, n_trials=3)
-    sweep(spec, template)
+    sweep("tx_power_dbm", (0.0, 1.0), template, n_bits=100, n_trials=3)
     assert len(seen) == 6
     assert len(set(seen)) == 6
 
 
 def test_sweep_orders_rows_by_point_then_link():
     channels = _channel_set(9)
-    spec = SweepSpec("n_links", (1, 2), n_bits=100, n_trials=1)
     rows = sweep(
-        spec,
+        "n_links",
+        (1, 2),
         lambda value, channel_seed: build_multi_tx_scenario(
             channels, int(value), "tr", 0.0, 50e9
         ),
+        n_bits=100,
+        n_trials=1,
     )
     assert [(r.value, r.link) for r in rows] == [
         (1, "A->B"),
@@ -359,10 +361,14 @@ def test_sinr_ranking_matches_ber_ranking():
     # intervals do not overlap must rank the same way by SINR and by BER
     grid = (-27.85, -24.51, -22.67, -21.22)
     for master_seed in (0, 1, 2):
-        spec = SweepSpec(
-            "tx_power_dbm", grid, n_bits=2000, n_trials=2, master_seed=master_seed
+        rows = sweep(
+            "tx_power_dbm",
+            grid,
+            lambda value, channel_seed: _single_tap_scenario(value),
+            n_bits=2000,
+            n_trials=2,
+            master_seed=master_seed,
         )
-        rows = sweep(spec, lambda value, channel_seed: _single_tap_scenario(value))
         for i in range(len(rows)):
             for j in range(i + 1, len(rows)):
                 a, b = rows[i], rows[j]
