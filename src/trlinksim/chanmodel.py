@@ -132,8 +132,8 @@ def _pool_map(fn, *iterables):
     """``map`` on the package's thread pool, created on first use.
 
     numpy releases the GIL in its transforms, large ufuncs and random
-    draws, so independent inputs and outputs of a long convolution
-    overlap. Results come back in input order.
+    draws, so the outputs of a long convolution overlap. Results come
+    back in input order.
     """
     return _pool().map(fn, *iterables)
 
@@ -143,22 +143,27 @@ def convolve_sum(inputs, spectra, taps: int, finish=lambda r, y: y) -> list:
 
     ``spectra(m)`` gives each input's filter spectra at transform length m, one
     ``Cir.spectra`` (1, m) array per output; ``taps`` is the longest filter. Up
-    to ``block_len(taps)`` output samples, one transform of the next fast length serves all, on the
-    calling thread, with one accumulator and one batched inverse. Longer
-    outputs go by blocks of ``block_len(taps)`` (overlap-add): each input's
-    transform, then the sums over runs of blocks, then each output's inverse
-    and ``finish(r, y)``, which makes the result listed for output r from y, a
-    view nothing else holds; on the thread pool, unless one input goes to one
-    output and there is nothing to overlap. Inputs add in order.
+    to ``block_len(taps)`` output samples, one transform of the next fast length
+    serves all, with one accumulator and one batched inverse. Longer outputs go
+    by blocks of ``block_len(taps)`` (overlap-add): each input's transform, then
+    the block sums, then each output's inverse and ``finish(r, y)``, which makes
+    the result listed for output r from y, a view nothing else holds. Only the
+    inverses and ``finish`` take the thread pool, and only when there is more
+    than one input or output to overlap; everything else, and so every array
+    the size of a stream, is made on the calling thread. Inputs add in order.
     """
     n = max(x.size for x in inputs) + taps - 1
     one_shot = n <= block_len(taps)
+    if not one_shot:
+        # Load the pool's module before the first block exists, not while a
+        # trial's streams fill the allocator's heap: what an import leaves
+        # there outlives them and pins the heap above it.
+        _pool()
     m = fast_len(n) if one_shot else block_len(taps)
     step = m if one_shot else m - taps + 1
     filters = spectra(m)
     outputs = range(len(filters[0]))
-    mapper = map if one_shot or len(inputs) == len(outputs) == 1 else _pool_map
-    blocks = list(mapper(lambda x: block_spectra(x, m, step), inputs))
+    blocks = [block_spectra(x, m, step) for x in inputs]
 
     if len(blocks) == len(outputs) == 1 and m > 1:
         # One input to one output: multiplied inside its own blocks. Not at
@@ -185,21 +190,16 @@ def convolve_sum(inputs, spectra, taps: int, finish=lambda r, y: y) -> list:
             else np.zeros((count, m), dtype=np.complex128)
             for r in outputs
         ]
-
-        def accumulate(run: range) -> None:
-            acc = np.empty((len(outputs), 1, m), dtype=np.complex128)
-            for b in run:
-                acc[...] = 0.0
-                for x, hs in zip(blocks, filters):
-                    if b < len(x):
-                        for row, h in zip(acc, hs):
-                            row += x[b : b + 1] * h
-                for y, row in zip(sums, acc):
-                    y[b] = row[0]
-
-        # One run of blocks per output, as many pool tasks as outputs.
-        k = len(outputs)
-        list(mapper(accumulate, [range(count * i // k, count * (i + 1) // k) for i in range(k)]))
+        acc = np.empty((len(outputs), 1, m), dtype=np.complex128)
+        for b in range(count):
+            acc[...] = 0.0
+            for x, hs in zip(blocks, filters):
+                if b < len(x):
+                    for row, h in zip(acc, hs):
+                        row += x[b : b + 1] * h
+            for y, row in zip(sums, acc):
+                y[b] = row[0]
+    mapper = map if len(blocks) == len(outputs) == 1 else _pool_map
     return list(mapper(lambda r: finish(r, overlap_add(sums[r], step, n)), outputs))
 
 
@@ -260,6 +260,8 @@ class Cir:
 
     def spectra(self, m: int) -> np.ndarray:
         """The read-only (1, m) ``block_spectra(samples, m, m)``, computed on first use (m >= taps)."""
+        if m < self.samples.size:
+            raise ValueError(f"transform length {m} is shorter than the response's {self.samples.size} samples")
         if m not in self._spectra:
             spectrum = block_spectra(self.samples, m, m)
             spectrum.flags.writeable = False

@@ -188,15 +188,15 @@ def _transmit(
     pilot_len: int,
     tx_filter: TrFilter,
     mod: ModParams,
-) -> tuple[Waveform, np.ndarray, np.ndarray]:
-    """One stream's transmit chain: (scaled stream, pilot bits, payload bits)."""
+) -> tuple[Waveform, tuple[np.ndarray, np.ndarray]]:
+    """One stream's transmit chain: (scaled stream, (pilot bits, payload bits))."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0, s_index)))
     pilot = rng.integers(0, 2, size=pilot_len)
     payload = rng.integers(0, 2, size=n_bits)
     pilot[0], pilot[1] = 0, 1  # guarantee both classes for training
     bits = np.concatenate([pilot, payload])
     shaped = precode(modulate_ask(bits, mod), tx_filter)
-    return scale_to_power(shaped, link.tx_power_dbm), pilot, payload
+    return scale_to_power(shaped, link.tx_power_dbm), (pilot, payload)
 
 
 def run_trial(
@@ -236,12 +236,13 @@ def run_trial(
     links = sorted(scenario.links, key=lambda l: l.stream_id)
     table = scenario.responses
     n_symbols = pilot_len + n_bits
-    chains = {
-        link.stream_id: _transmit(link, s_index, seed, n_bits, pilot_len, table.filters[link.stream_id], mod)
-        for s_index, link in enumerate(links)
-    }
-    streams = {sid: stream for sid, (stream, _, _) in chains.items()}
+    streams, bits = {}, {}
+    for s_index, link in enumerate(links):
+        sid = link.stream_id
+        streams[sid], bits[sid] = _transmit(link, s_index, seed, n_bits, pilot_len, table.filters[sid], mod)
     received = propagate(scenario, streams, derive_seed(seed, 1))
+    # Detection needs only the bits: the sent streams go before it starts.
+    del streams
     reports: dict[str, SinrReport] = {}
     errors: dict[str, BerResult] = {}
     for link in links:
@@ -253,7 +254,7 @@ def run_trial(
         # the same way and every derotated sample is bit for bit the old one.
         decisions = np.ascontiguousarray(y.samples[own.decision_offset :: sps][:n_symbols])
         rotated = (decisions * np.exp(-1j * np.angle(own.peak))).real
-        _, pilot, payload = chains[sid]
+        pilot, payload = bits[sid]
         threshold = train_threshold(rotated[:pilot_len], pilot)
         errors[sid] = count_errors(payload, demodulate(rotated[pilot_len:], threshold))
         reports[sid] = scenario.sinr[sid]

@@ -104,7 +104,9 @@ class Waveform:
 
     @property
     def energy(self) -> float:
-        return float(np.sum(np.abs(self.samples) ** 2))
+        """Sum of |x|^2, squared in place in the one array that ``np.abs`` makes."""
+        a = np.abs(self.samples)
+        return float(np.sum(np.square(a, out=a)))
 
     @property
     def mean_power(self) -> float:

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -448,18 +449,40 @@ def test_block_path_takes_the_pool_only_with_more_than_one_input_or_output(monke
     rng = np.random.default_rng(2)
     h = rng.standard_normal(101) + 0j
     x = rng.standard_normal(3 * block_len(h.size)) + 0j
-    calls = []
-    original = chanmodel._pool_map
-    monkeypatch.setattr(chanmodel, "_pool_map", lambda fn, *it: calls.append(fn) or original(fn, *it))
+    calls, threads = [], []
+    original_map, original_spectra = chanmodel._pool_map, chanmodel.block_spectra
+    monkeypatch.setattr(chanmodel, "_pool_map", lambda fn, *it: calls.append(fn) or original_map(fn, *it))
+    monkeypatch.setattr(
+        chanmodel,
+        "block_spectra",
+        lambda *a: threads.append(threading.current_thread()) or original_spectra(*a),
+    )
     # One input to one output, as in every precode: nothing to overlap.
     _convolve_one(x, h)
     _precode(x, _unit(h))
     assert calls == []
-    # Two inputs to one output, then one input to two: transforms, sums, inverses.
+    # Two inputs to one output, then one input to two: only the inverses.
     convolve_sum([x, x], lambda m: [[block_spectra(h, m, m)]] * 2, h.size)
-    assert len(calls) == 3
+    assert len(calls) == 1
     convolve_sum([x], lambda m: [[block_spectra(h, m, m)] * 2], h.size)
-    assert len(calls) == 6
+    assert len(calls) == 2
+    # Every forward transform ran on the calling thread: five inputs' and the pre-filter's.
+    assert threads == [threading.current_thread()] * 6
+
+
+def test_block_path_creates_the_pool_before_its_first_block(monkeypatch):
+    # Even where the pool is not used (one input to one output), its module
+    # loads before any block array exists, not later while streams are live.
+    rng = np.random.default_rng(3)
+    h = rng.standard_normal(101) + 0j
+    events = []
+    original_pool, original_spectra = chanmodel._pool, chanmodel.block_spectra
+    monkeypatch.setattr(chanmodel, "_pool", lambda: events.append("pool") or original_pool())
+    monkeypatch.setattr(chanmodel, "block_spectra", lambda x, *a: events.append(x.size) or original_spectra(x, *a))
+    _convolve_one(rng.standard_normal(1000) + 0j, h)
+    assert events == [1000]
+    _convolve_one(rng.standard_normal(5000) + 0j, h)
+    assert events == [1000, "pool", 5000]
 
 
 def test_fast_len_equals_scipy_next_fast_len():
@@ -576,6 +599,13 @@ def test_cir_caches_its_spectrum_per_length():
     assert sorted(h._spectra) == [128, 256]
     # the cache is no part of the value
     assert "_spectra" not in repr(h)
+
+
+def test_cir_spectra_refuses_a_length_below_the_response():
+    h = Cir(np.arange(1, 11), 1e-12)
+    with pytest.raises(ValueError, match=r"transform length 4 .* 10 samples"):
+        h.spectra(4)
+    assert h.spectra(10).shape == (1, 10)
 
 
 def test_a_pre_filter_is_a_cir_with_its_spectra():

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -222,7 +223,7 @@ def test_run_trial_on_long_streams_pooled_equals_serial(monkeypatch, serial):
     pool_calls = []
     _recording(monkeypatch, chanmodel, "_pool_map", pool_calls)
     pooled = _long_trial(monkeypatch, 11)
-    assert len(pool_calls) == 3  # propagation's transforms, sums over runs of blocks and receivers
+    assert len(pool_calls) == 1  # propagation's receivers: their inverses and noise
     monkeypatch.setattr(chanmodel, "_pool_map", serial)
     alone = _long_trial(monkeypatch, 11)
     assert pooled[0] == alone[0]
@@ -244,10 +245,16 @@ def test_short_trials_stay_off_the_pool(monkeypatch):
 
 
 def test_long_trials_build_and_detect_streams_on_the_calling_thread(monkeypatch):
-    # Only propagation's convolution takes the pool; each transmit chain and
-    # each detection runs on the thread that called run_trial.
+    # Only propagation's receivers take the pool; each transmit chain, each
+    # forward transform and each detection runs on the thread that called
+    # run_trial.
     names = ("modulate_ask", "precode", "scale_to_power", "train_threshold", "demodulate", "count_errors")
     threads = {name: [] for name in names}
+    transforms = []
+    original = chanmodel.block_spectra
+    monkeypatch.setattr(
+        chanmodel, "block_spectra", lambda *a: transforms.append(threading.current_thread()) or original(*a)
+    )
 
     def on_thread(name, fn):
         def wrapper(*args):
@@ -262,7 +269,28 @@ def test_long_trials_build_and_detect_streams_on_the_calling_thread(monkeypatch)
     _recording(monkeypatch, chanmodel, "_pool_map", pool_calls)
     _long_trial(monkeypatch, 11)
     assert threads == {name: [threading.current_thread()] * 2 for name in names}
-    assert len(pool_calls) == 3  # the pool still served propagation
+    # Every stream, filter and channel transform, in precode and in propagate.
+    assert len(transforms) == 10 and set(transforms) == {threading.current_thread()}
+    assert len(pool_calls) == 1  # the pool still served propagation's receivers
+
+
+def test_long_trial_holds_few_stream_size_buffers():
+    # A warm two-link trial of 100k bits, so the spectra are cached and the
+    # pool exists: at its peak, propagation holds the two sent streams and
+    # their two block spectra, which become the received waveforms. The sent
+    # streams are let go before detection.
+    scn = build_multi_tx_scenario(_channel_set(3), 2, "tr", 0.0, 50e9)
+    n_bits = 100_000
+    run_trial(scn, 0, n_bits)
+    taps = max(f.samples.size for f in scn.responses.filters.values())
+    stream_bytes = ((64 + n_bits) * scn.mod_params.samples_per_symbol + taps - 1) * 16
+    tracemalloc.start()
+    try:
+        run_trial(scn, 1, n_bits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.8 * stream_bytes
 
 
 def test_run_trial_derotates_decision_samples_as_the_whole_waveform(monkeypatch):

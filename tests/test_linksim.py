@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -662,7 +663,9 @@ def test_propagate_on_the_block_path_pooled_equals_serial(monkeypatch, serial):
     taps = _longest_channel(scenario)
     block_step = block_len(taps) - taps + 1
     rng = np.random.default_rng(8)
-    original = chanmodel._pool_map
+    original, transform = chanmodel._pool_map, chanmodel.block_spectra
+    for h in scenario.channels.values():
+        h.spectra(block_len(taps))
     # Unequal lengths, then equal ones, where each receiver's sum is written
     # over a stream's own blocks.
     for lengths in ((5 * block_step + 17, 3 * block_step), (4 * block_step + 17,) * 2):
@@ -670,10 +673,16 @@ def test_propagate_on_the_block_path_pooled_equals_serial(monkeypatch, serial):
             sid: Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), DT)
             for sid, n in zip(("A->B", "C->D"), lengths)
         }
-        calls = []
+        calls, threads = [], []
         monkeypatch.setattr(chanmodel, "_pool_map", lambda fn, *it: calls.append(fn) or original(fn, *it))
+        monkeypatch.setattr(
+            chanmodel, "block_spectra", lambda *a: threads.append(threading.current_thread()) or transform(*a)
+        )
         pooled = propagate(scenario, streams, seed=5)
-        assert len(calls) == 3  # the streams' transforms, the sums over runs of blocks, the receivers
+        assert len(calls) == 1  # the receivers: their inverses and noise
+        # Both streams' forward transforms ran on the calling thread.
+        assert threads == [threading.current_thread()] * 2
+        monkeypatch.setattr(chanmodel, "block_spectra", transform)
         monkeypatch.setattr(chanmodel, "_pool_map", serial)
         alone = propagate(scenario, streams, seed=5)
         assert list(pooled) == list(alone) == ["B", "D"]

@@ -90,6 +90,13 @@ def test_waveform_energy_and_mean_power():
     assert w.mean_power == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("size", [1, 7, 1000, 400_356])
+def test_waveform_energy_squares_in_place_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    assert Waveform(x, DT).energy == float(np.sum(np.abs(x) ** 2))
+
+
 def test_waveform_copies_the_callers_array():
     x = np.array([1.0, 2.0, 3.0], dtype=np.complex128)
     w = Waveform(x, DT)
