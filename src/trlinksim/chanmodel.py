@@ -116,29 +116,7 @@ def overlap_add(spectra: np.ndarray, step: int, n: int) -> np.ndarray:
     return flat[..., :n]
 
 
-@functools.cache
-def _pool():
-    """The package's thread pool, one worker per CPU this process may run on."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    try:
-        workers = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        workers = os.cpu_count() or 1
-    return ThreadPoolExecutor(workers)
-
-
-def _pool_map(fn, *iterables):
-    """``map`` on the package's thread pool, created on first use.
-
-    numpy releases the GIL in its transforms, large ufuncs and random
-    draws, so the outputs of a long convolution overlap. Results come
-    back in input order.
-    """
-    return _pool().map(fn, *iterables)
-
-
-def convolve_sum(inputs, spectra, taps: int, finish=lambda r, y: y) -> list:
+def convolve_sum(inputs, spectra, taps: int) -> list:
     """Every output y_r = sum over s of inputs[s] * f[s, r], full linear convolutions.
 
     ``spectra(m)`` gives each input's filter spectra at transform length m, one
@@ -146,19 +124,12 @@ def convolve_sum(inputs, spectra, taps: int, finish=lambda r, y: y) -> list:
     to ``block_len(taps)`` output samples, one transform of the next fast length
     serves all, with one accumulator and one batched inverse. Longer outputs go
     by blocks of ``block_len(taps)`` (overlap-add): each input's transform, then
-    the block sums, then each output's inverse and ``finish(r, y)``, which makes
-    the result listed for output r from y, a view nothing else holds. Only the
-    inverses and ``finish`` take the thread pool, and only when there is more
-    than one input or output to overlap; everything else, and so every array
-    the size of a stream, is made on the calling thread. Inputs add in order.
+    the block sums, then each output's inverse. Returns each output's first
+    n = longest input + taps - 1 samples, a view nothing else holds. Inputs add
+    in order.
     """
     n = max(x.size for x in inputs) + taps - 1
     one_shot = n <= block_len(taps)
-    if not one_shot:
-        # Load the pool's module before the first block exists, not while a
-        # trial's streams fill the allocator's heap: what an import leaves
-        # there outlives them and pins the heap above it.
-        _pool()
     m = fast_len(n) if one_shot else block_len(taps)
     step = m if one_shot else m - taps + 1
     filters = spectra(m)
@@ -178,7 +149,7 @@ def convolve_sum(inputs, spectra, taps: int, finish=lambda r, y: y) -> list:
         for x, hs in zip(blocks, filters):
             for y, h in zip(acc, hs):
                 y += x[:1] * h
-        return [finish(r, y) for r, y in zip(outputs, overlap_add(acc, step, n))]
+        return list(overlap_add(acc, step, n))
     else:
         # Each output's sum is written over an input's blocks, or over zeros
         # where no input of its index has them all. Block b of every input
@@ -199,8 +170,7 @@ def convolve_sum(inputs, spectra, taps: int, finish=lambda r, y: y) -> list:
                         row += x[b : b + 1] * h
             for y, row in zip(sums, acc):
                 y[b] = row[0]
-    mapper = map if len(blocks) == len(outputs) == 1 else _pool_map
-    return list(mapper(lambda r: finish(r, overlap_add(sums[r], step, n)), outputs))
+    return [overlap_add(y, step, n) for y in sums]
 
 
 def _check_fields(params) -> None:
@@ -239,9 +209,8 @@ class Cir:
     """Uniformly sampled complex-baseband channel impulse response.
 
     The sample array is copied on construction and frozen, so a Cir can be
-    shared between scenarios and threads without defensive copies, and so
-    can the spectra it caches (``spectra``); threads that race on a length
-    compute the same bytes, and the last is kept.
+    shared between scenarios without defensive copies, and so can the
+    spectra it caches (``spectra``).
     """
 
     samples: np.ndarray

@@ -1,7 +1,7 @@
 """Scenario builders, seeded Monte Carlo trials, and sweep orchestration.
 
 Two canonical topologies are provided. The multi-transmitter layout runs
-disjoint node pairs concurrently (A->B, C->D, E->F), one independently
+disjoint node pairs simultaneously (A->B, C->D, E->F), one independently
 precoded stream each. The scatter layout sends several streams from one
 transmitter to distinct receivers, splitting a total power budget
 equally; each stream is shaped by the time-reversal filter of its own
@@ -141,7 +141,7 @@ def build_multi_tx_scenario(
     noise: NoiseSpec | None = None,
     pairs: tuple[tuple[str, str], ...] = DEFAULT_PAIRS,
 ) -> Scenario:
-    """Scenario with ``n_links`` disjoint pairs transmitting concurrently.
+    """Scenario with ``n_links`` disjoint pairs transmitting simultaneously.
 
     ``rate_bps`` is the per-link bit rate and ``power_dbm`` applies per
     transmitter. ``channels`` must cover every active transmitter toward

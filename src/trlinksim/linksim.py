@@ -1,6 +1,6 @@
-"""Superposition of concurrent streams, receiver noise, and deterministic SINR.
+"""Superposition of simultaneous streams, receiver noise, and deterministic SINR.
 
-A scenario couples a channel matrix, the concurrent links,
+A scenario couples a channel matrix, the simultaneous links,
 a noise model, and the shared modulation grid. Propagation convolves
 every transmitted stream with its channel toward each receiver and
 superposes the results; the deterministic SINR path never draws bits or
@@ -37,7 +37,6 @@ __all__ = [
     "ResponseTable",
     "EffectiveResponse",
     "SinrReport",
-    "noise_power",
     "link_filter",
     "propagate",
     "full_rate_response",
@@ -88,11 +87,6 @@ class NoiseSpec:
         return cls.explicit(float("-inf"))
 
 
-def noise_power(spec: NoiseSpec) -> float:
-    """Noise power in watts."""
-    return spec.watts
-
-
 @dataclass(frozen=True)
 class LinkSpec:
     """One directed stream between two nodes."""
@@ -119,7 +113,7 @@ class LinkSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Immutable description of one concurrent-transmission setup.
+    """Immutable description of one simultaneous-transmission setup.
 
     Every transmitter must have a channel to every receiver appearing in
     the scenario, on the modulation grid; the scenario keeps those
@@ -212,12 +206,11 @@ def propagate(
     Returns one received waveform per receiver, keyed by node. Streams
     are assumed time-aligned at sample zero; shorter contributions are
     zero-padded. Noise is i.i.d. circularly symmetric complex Gaussian
-    with per-sample power noise_power(scenario.noise), i.e. variance N/2
+    with per-sample power ``scenario.noise.watts``, i.e. variance N/2
     per real dimension, drawn from a sub-seed derived from
     (seed, receiver index) so the result does not depend on evaluation
     order; streams are summed in stream-id order, so it does not depend on
-    the order of the links either. ``convolve_sum`` decides what runs on
-    the package's thread pool.
+    the order of the links either.
     ``streams`` may cover a subset of the scenario's links.
     """
     if not streams:
@@ -233,21 +226,19 @@ def propagate(
         (link for link in scenario.links if link.stream_id in streams), key=lambda l: l.stream_id
     )
     rows = [[scenario.channels[(l.tx_node, rx)] for rx in scenario.receivers] for l in present]
-    n_watts = noise_power(scenario.noise)
-
-    def finish(i: int, y: np.ndarray) -> Waveform:
-        """Receiver i's waveform: cut to its own length, with its noise added."""
-        n = max(streams[l.stream_id].samples.size + hs[i].samples.size for l, hs in zip(present, rows))
-        y = y[: n - 1]
-        _add_noise(y, n_watts, seed, i)
-        return Waveform._wrap(y, dt)
-
-    received = convolve_sum(
+    sums = convolve_sum(
         [streams[link.stream_id].samples for link in present],
         lambda m: [[h.spectra(m) for h in hs] for hs in rows],
-        max(h.samples.size for h in scenario.channels.values()), finish,
+        max(h.samples.size for h in scenario.channels.values()),
     )
-    return dict(zip(scenario.receivers, received))
+    received = {}
+    for i, (rx, y) in enumerate(zip(scenario.receivers, sums)):
+        # A receiver's own length: its longest stream plus channel, less one.
+        n = max(streams[l.stream_id].samples.size + hs[i].samples.size for l, hs in zip(present, rows))
+        y = y[: n - 1]
+        _add_noise(y, scenario.noise.watts, seed, i)
+        received[rx] = Waveform._wrap(y, dt)
+    return received
 
 
 # Receiver noise is drawn in chunks of this many samples.
@@ -459,7 +450,7 @@ def compute_sinr(scenario: Scenario, target_link: LinkSpec) -> SinrReport:
     """Deterministic SINR of one link; no bits or noise are drawn.
 
     The link's own symbol-spaced effective response supplies the signal
-    (the decision tap) and the ISI (every other tap). Each concurrent
+    (the decision tap) and the ISI (every other tap). Each simultaneous
     stream contributes co-channel power through its own transmit filter
     and its channel toward this link's receiver, sampled on the victim's
     symbol grid at the victim's decision offset. Per-symbol powers equal
@@ -481,4 +472,4 @@ def compute_sinr(scenario: Scenario, target_link: LinkSpec) -> SinrReport:
         for other in scenario.links
         if other.stream_id != link.stream_id
     }
-    return SinrReport(signal_w, isi_w, noise_power(scenario.noise), per_interferer)
+    return SinrReport(signal_w, isi_w, scenario.noise.watts, per_interferer)

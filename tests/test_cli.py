@@ -27,7 +27,6 @@ from trlinksim.cli import (
     parse_config,
     realize_channels,
 )
-from trlinksim.linksim import noise_power
 
 MINIMAL = """\
 [nodes]
@@ -101,21 +100,22 @@ def test_package_reexports_the_working_surface():
 
 
 # The names the package listed one by one before it took its modules' __all__ lists,
-# less SweepSpec, whose fields became sweep's arguments.
+# less SweepSpec, whose fields became sweep's arguments, and noise_power, which
+# only returned NoiseSpec.watts.
 _LISTED_NAMES = """
 BOLTZMANN_J_PER_K BerResult Cir EffectiveResponse FocusEntry LinkSpec ModParams NoiseSpec
 ResponseTable ReverbParams Scenario SinrReport SweepRow TrFilter Waveform
 build_multi_tx_scenario build_scatter_scenario channel_correlation compute_sinr count_errors
 dbm_to_watts demodulate derive_seed effective_response focusing_report full_rate_response
 import_frequency_response link_filter make_identity_filter make_tr_filter mod_params_for_rate
-modulate_ask noise_power precode propagate read_cir_csv rms_delay_spread run_trial
+modulate_ask precode propagate read_cir_csv rms_delay_spread run_trial
 scale_to_power sinr_from_powers sweep synth_channel_set synth_correlated_pair
 synth_reverberant train_threshold wilson_interval write_cir_csv
 """.split()
 
 
 def test_package_exports_the_union_of_its_modules_names():
-    assert len(_LISTED_NAMES) == 47 and set(_LISTED_NAMES) <= set(trlinksim.__all__)
+    assert len(_LISTED_NAMES) == 46 and set(_LISTED_NAMES) <= set(trlinksim.__all__)
     # Besides those, two experiment names; the FFT engine's helpers stay module internals.
     assert set(trlinksim.__all__) - set(_LISTED_NAMES) == {"DEFAULT_PAIRS", "split_power_dbm"}
     modules = (chanmodel, detector, experiments, linksim, sigchain)
@@ -274,7 +274,7 @@ def test_noise_section_rules():
         "mode = thermal\ntemperature_k = 300\nbandwidth_hz = 10e9",
     )
     cfg = parse_config(thermal)
-    assert noise_power(cfg.noise) == pytest.approx(4.141947e-11, rel=1e-12)
+    assert cfg.noise.watts == pytest.approx(4.141947e-11, rel=1e-12)
     with pytest.raises(ConfigError, match="missing required section"):
         parse_config(MINIMAL.replace("[noise]\nmode = explicit\npower_dbm = -40\n", ""))
     with pytest.raises(ConfigError, match="noise mode must be 'thermal' or 'explicit'"):
@@ -1073,7 +1073,7 @@ def test_range_refusals_name_their_line(old, new, named, message):
 
 def test_explicit_noise_may_be_off():
     cfg = parse_config(MINIMAL.replace("power_dbm = -40", "power_dbm = -inf"))
-    assert noise_power(cfg.noise) == 0.0
+    assert cfg.noise.watts == 0.0
 
 
 def _numbers_written(path):
@@ -1422,11 +1422,22 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_cli_import_leaves_the_thread_pool_module_out():
-    code = "import sys, trlinksim.cli; print('concurrent.futures' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=120)
+def test_cli_import_leaves_the_thread_pool_module_out(tmp_path):
+    # The README demo run's precoded streams outrun one overlap-add block, so
+    # its propagation takes the block path to two receivers, on the one thread.
+    cfg_path = _write(tmp_path, "demo.cfg", _readme_demo())
+    code = (
+        "import sys, threading, trlinksim.cli; "
+        "code = trlinksim.cli.main(sys.argv[1:]); "
+        "print('concurrent.futures' in sys.modules, threading.active_count()); "
+        "sys.exit(code)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, "run", "--config", cfg_path, "--out", str(tmp_path / "out")],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "False 1"
 
 
 _NO_SCIPY = """\

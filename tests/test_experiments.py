@@ -1,9 +1,7 @@
 """Scenario builders, trials, sweeps, and the focusing audit."""
 
 import math
-import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,7 +20,7 @@ from trlinksim.experiments import (
     sweep,
     synth_channel_set,
 )
-from trlinksim.linksim import BOLTZMANN_J_PER_K, NoiseSpec, noise_power
+from trlinksim.linksim import BOLTZMANN_J_PER_K, NoiseSpec
 
 REVERB = ReverbParams(
     sample_interval=5e-12,
@@ -81,7 +79,7 @@ def test_build_multi_tx_wires_active_pairs():
     assert all(l.precoding == "tr" for l in scn.links)
     assert scn.mod_params.samples_per_symbol == 4
     # default noise: thermal at 300 K over the bit rate
-    assert noise_power(scn.noise) == pytest.approx(
+    assert scn.noise.watts == pytest.approx(
         BOLTZMANN_J_PER_K * 300.0 * 50e9, rel=1e-12
     )
     assert set(scn.channels) == {
@@ -198,87 +196,25 @@ def _recording(monkeypatch, module, name, log):
     monkeypatch.setattr(module, name, wrapper)
 
 
-def _one_worker_map(fn, *iterables):
-    with ThreadPoolExecutor(1) as pool:
-        return list(pool.map(fn, *iterables))
-
-
 # Streams of 4 * (2^14 + 64) samples, many overlap-add blocks long.
 LONG_BITS = 1 << 14
 
 
-def _long_trial(monkeypatch, seed):
-    """run_trial on long streams: (results, the streams sent, the waveforms received)."""
+def test_long_trial_makes_ten_transforms(monkeypatch):
+    # On the overlap-add path, each stream before and after precoding, each
+    # pre-filter and each of the 4 channels is transformed once.
     scn = build_multi_tx_scenario(_channel_set(3), 2, "tr", 0.0, 50e9)
-    log = []
-    _recording(monkeypatch, experiments, "propagate", log)
-    results = run_trial(scn, seed, LONG_BITS)
-    ((args, received),) = log
-    monkeypatch.setattr(experiments, "propagate", linksim.propagate)
-    return results, args[1], received
-
-
-@pytest.mark.parametrize("serial", [map, _one_worker_map])
-def test_run_trial_on_long_streams_pooled_equals_serial(monkeypatch, serial):
-    pool_calls = []
-    _recording(monkeypatch, chanmodel, "_pool_map", pool_calls)
-    pooled = _long_trial(monkeypatch, 11)
-    assert len(pool_calls) == 1  # propagation's receivers: their inverses and noise
-    monkeypatch.setattr(chanmodel, "_pool_map", serial)
-    alone = _long_trial(monkeypatch, 11)
-    assert pooled[0] == alone[0]
-    assert sum(ber.bit_errors for ber in pooled[0][1].values()) > 0
-    for got, want in zip(pooled[1:], alone[1:]):
-        assert got.keys() == want.keys()
-        for key in got:
-            assert got[key].samples.tobytes() == want[key].samples.tobytes()
-
-
-def test_short_trials_stay_off_the_pool(monkeypatch):
-    def refuse(fn, *iterables):
-        raise AssertionError("the pool serves long streams only")
-
-    monkeypatch.setattr(chanmodel, "_pool_map", refuse)
-    scn = build_multi_tx_scenario(_channel_set(3), 2, "tr", 0.0, 50e9)
-    # streams and their outputs within one overlap-add block
-    run_trial(scn, seed=7, n_bits=500)
-
-
-def test_long_trials_build_and_detect_streams_on_the_calling_thread(monkeypatch):
-    # Only propagation's receivers take the pool; each transmit chain, each
-    # forward transform and each detection runs on the thread that called
-    # run_trial.
-    names = ("modulate_ask", "precode", "scale_to_power", "train_threshold", "demodulate", "count_errors")
-    threads = {name: [] for name in names}
     transforms = []
-    original = chanmodel.block_spectra
-    monkeypatch.setattr(
-        chanmodel, "block_spectra", lambda *a: transforms.append(threading.current_thread()) or original(*a)
-    )
-
-    def on_thread(name, fn):
-        def wrapper(*args):
-            threads[name].append(threading.current_thread())
-            return fn(*args)
-
-        return wrapper
-
-    for name in names:
-        monkeypatch.setattr(experiments, name, on_thread(name, getattr(experiments, name)))
-    pool_calls = []
-    _recording(monkeypatch, chanmodel, "_pool_map", pool_calls)
-    _long_trial(monkeypatch, 11)
-    assert threads == {name: [threading.current_thread()] * 2 for name in names}
-    # Every stream, filter and channel transform, in precode and in propagate.
-    assert len(transforms) == 10 and set(transforms) == {threading.current_thread()}
-    assert len(pool_calls) == 1  # the pool still served propagation's receivers
+    _recording(monkeypatch, chanmodel, "block_spectra", transforms)
+    run_trial(scn, 11, LONG_BITS)
+    assert len(transforms) == 10
 
 
 def test_long_trial_holds_few_stream_size_buffers():
-    # A warm two-link trial of 100k bits, so the spectra are cached and the
-    # pool exists: at its peak, propagation holds the two sent streams and
-    # their two block spectra, which become the received waveforms. The sent
-    # streams are let go before detection.
+    # A warm two-link trial of 100k bits, so the spectra are cached: at its
+    # peak, propagation holds the two sent streams and their two block
+    # spectra, which become the received waveforms. The sent streams are let
+    # go before detection.
     scn = build_multi_tx_scenario(_channel_set(3), 2, "tr", 0.0, 50e9)
     n_bits = 100_000
     run_trial(scn, 0, n_bits)

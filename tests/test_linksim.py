@@ -2,10 +2,7 @@
 
 import dataclasses
 import math
-import os
-import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,7 +20,7 @@ from trlinksim.chanmodel import (
     same_grid,
     synth_reverberant,
 )
-from trlinksim.experiments import build_multi_tx_scenario, build_scatter_scenario
+from trlinksim.experiments import build_multi_tx_scenario, build_scatter_scenario, synth_channel_set
 from trlinksim.linksim import (
     BOLTZMANN_J_PER_K,
     EffectiveResponse,
@@ -35,7 +32,6 @@ from trlinksim.linksim import (
     effective_response,
     full_rate_response,
     link_filter,
-    noise_power,
     propagate,
     sinr_from_powers,
 )
@@ -80,15 +76,15 @@ def _two_link_scenario(noise=None):
 
 def test_thermal_noise_power():
     spec = NoiseSpec.thermal(300.0, 10e9)
-    assert noise_power(spec) == pytest.approx(
+    assert spec.watts == pytest.approx(
         BOLTZMANN_J_PER_K * 300.0 * 10e9, rel=1e-15
     )
-    assert noise_power(spec) == pytest.approx(4.141947e-11, rel=1e-12)
+    assert spec.watts == pytest.approx(4.141947e-11, rel=1e-12)
 
 
 def test_noise_spec_modes():
-    assert noise_power(NoiseSpec.explicit(-30.0)) == pytest.approx(1e-6, rel=1e-12)
-    assert noise_power(NoiseSpec.off()) == 0.0
+    assert NoiseSpec.explicit(-30.0).watts == pytest.approx(1e-6, rel=1e-12)
+    assert NoiseSpec.off().watts == 0.0
     with pytest.raises(ValueError, match="positive temperature"):
         NoiseSpec.thermal(0.0, 1e9)
     with pytest.raises(ValueError, match="positive bandwidth"):
@@ -231,6 +227,33 @@ def test_tr_decision_tap_dominates():
         assert np.argmax(mags) == eff.zero_index
 
 
+# The README demo's channels, on the grid of 50 Gb/s at 1 sample per symbol.
+_DEMO_AT_ONE_SPS = ReverbParams(
+    sample_interval=20e-12, num_taps=64, rms_delay_spread_target=100e-12, max_delay=500e-12
+)
+
+
+@pytest.mark.parametrize("precoding", ["tr", "none"])
+def test_unit_power_energies_at_one_sample_per_symbol_are_exact(precoding):
+    # At 1 sample per symbol every tap of a response is a symbol tap. So TR's
+    # decision tap is the own channel's energy; without precoding, decision
+    # tap and ISI share the own channel's energy, and the co-channel entry is
+    # the interfering channel's.
+    energy = _DEMO_AT_ONE_SPS.total_energy
+    worst = 0.0
+    for seed in range(100):
+        channels = synth_channel_set(seed, _DEMO_AT_ONE_SPS, [(tx, rx) for tx in "AC" for rx in "BD"])
+        scenario = build_multi_tx_scenario(channels, 2, precoding, 0.0, 50e9)
+        assert scenario.mod_params.samples_per_symbol == 1
+        table = scenario.responses
+        for own in table.own.values():
+            signal = abs(own.peak) ** 2
+            worst = max(worst, abs(signal - energy if precoding == "tr" else signal + own.isi_energy - energy))
+        if precoding == "none":
+            worst = max(worst, *(abs(q - energy) for q in table.cochannel.values()))
+    assert worst <= 1e-12
+
+
 def test_orthogonal_channels_leave_exact_null():
     # cross response of [1,1]/sqrt2 against the filter matched to
     # [1,-1]/sqrt2 is [-0.5, 0, +0.5]; the center cancels exactly
@@ -335,7 +358,7 @@ def _loop_sinr(scenario, link):
         per_interferer[other.stream_id] = dbm_to_watts(other.tx_power_dbm) * float(
             np.sum(np.abs(q) ** 2)
         )
-    return SinrReport(signal_w, isi_w, noise_power(scenario.noise), per_interferer)
+    return SinrReport(signal_w, isi_w, scenario.noise.watts, per_interferer)
 
 
 def _multi_link_scenario(n_links, precoding):
@@ -493,7 +516,7 @@ def test_off_grid_channels_and_streams_are_rejected(factor, which):
 
 def _direct_propagate(scenario, streams, seed):
     """propagate as direct convolutions per (stream, receiver) plus the same noise draws."""
-    n_watts = noise_power(scenario.noise)
+    n_watts = scenario.noise.watts
     out = {}
     for rx_index, rx in enumerate(scenario.receivers):
         parts = [
@@ -652,44 +675,6 @@ def test_propagate_through_unit_tap_returns_the_stream():
     assert np.max(np.abs(got - x)) <= 1e-12 * np.max(np.abs(x))
 
 
-def _one_worker_map(fn, *iterables):
-    with ThreadPoolExecutor(1) as pool:
-        return list(pool.map(fn, *iterables))
-
-
-@pytest.mark.parametrize("serial", [map, _one_worker_map])
-def test_propagate_on_the_block_path_pooled_equals_serial(monkeypatch, serial):
-    scenario = _two_link_scenario(NoiseSpec.explicit(-10.0))
-    taps = _longest_channel(scenario)
-    block_step = block_len(taps) - taps + 1
-    rng = np.random.default_rng(8)
-    original, transform = chanmodel._pool_map, chanmodel.block_spectra
-    for h in scenario.channels.values():
-        h.spectra(block_len(taps))
-    # Unequal lengths, then equal ones, where each receiver's sum is written
-    # over a stream's own blocks.
-    for lengths in ((5 * block_step + 17, 3 * block_step), (4 * block_step + 17,) * 2):
-        streams = {
-            sid: Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), DT)
-            for sid, n in zip(("A->B", "C->D"), lengths)
-        }
-        calls, threads = [], []
-        monkeypatch.setattr(chanmodel, "_pool_map", lambda fn, *it: calls.append(fn) or original(fn, *it))
-        monkeypatch.setattr(
-            chanmodel, "block_spectra", lambda *a: threads.append(threading.current_thread()) or transform(*a)
-        )
-        pooled = propagate(scenario, streams, seed=5)
-        assert len(calls) == 1  # the receivers: their inverses and noise
-        # Both streams' forward transforms ran on the calling thread.
-        assert threads == [threading.current_thread()] * 2
-        monkeypatch.setattr(chanmodel, "block_spectra", transform)
-        monkeypatch.setattr(chanmodel, "_pool_map", serial)
-        alone = propagate(scenario, streams, seed=5)
-        assert list(pooled) == list(alone) == ["B", "D"]
-        for rx in pooled:
-            assert pooled[rx].samples.tobytes() == alone[rx].samples.tobytes()
-
-
 def test_response_table_holds_responses_only():
     scenario = _two_link_scenario()
     fields = [f.name for f in dataclasses.fields(scenario.responses)]
@@ -740,7 +725,7 @@ def _per_receiver_block_sums(scenario, streams, seed):
                 acc[:, b] += x[b : b + 1] * h.spectra(m)
         y = overlap_add(acc, step, n)[0]
         y = y[: max(x.size + h.samples.size for h, x in zip(channels, xs)) - 1]
-        linksim._add_noise(y, noise_power(scenario.noise), seed, r)
+        linksim._add_noise(y, scenario.noise.watts, seed, r)
         out[rx] = y
     return out
 
@@ -771,13 +756,10 @@ _RECEIVE_CASES = {
 }
 
 
-@pytest.mark.parametrize("mapper", ["pool", "map", "one-worker"])
 @pytest.mark.parametrize("noise", [NoiseSpec.off(), NoiseSpec.explicit(-10.0)], ids=["quiet", "noisy"])
 @pytest.mark.parametrize("precoding", ["tr", "none"])
 @pytest.mark.parametrize("case", sorted(_RECEIVE_CASES))
-def test_block_path_receive_in_place_equals_per_receiver_sums_by_bytes(
-    monkeypatch, case, precoding, noise, mapper
-):
+def test_block_path_receive_in_place_equals_per_receiver_sums_by_bytes(case, precoding, noise):
     # The receivers' sums overwrite the streams' own blocks (equal lengths),
     # or zeros: for a receiver past the present streams (subset), a shorter
     # stream (unequal) and a 3-receiver scatter of unequal streams.
@@ -797,8 +779,6 @@ def test_block_path_receive_in_place_equals_per_receiver_sums_by_bytes(
     assert len(scenario.receivers) == 3
     assert max(s.samples.size for s in streams.values()) + taps - 1 > block_len(taps)
     want = _per_receiver_block_sums(scenario, streams, seed=6)
-    if mapper != "pool":
-        monkeypatch.setattr(chanmodel, "_pool_map", map if mapper == "map" else _one_worker_map)
     got = propagate(scenario, streams, seed=6)
     assert list(got) == list(scenario.receivers)
     for rx in got:
@@ -826,12 +806,6 @@ def test_block_path_receive_holds_no_accumulator_per_receiver():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * (40 * m * 16) + 2**20
-
-
-def test_pool_has_one_worker_per_usable_cpu():
-    assert list(chanmodel._pool_map(abs, [-1, 2, -3])) == [1, 2, 3]
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert chanmodel._pool()._max_workers == usable
 
 
 def _one_pair_shift_add(x, y):
@@ -944,7 +918,7 @@ def test_chunked_noise_equals_a_single_draw_bitwise(n):
 def test_noise_off_leaves_the_signal_alone():
     y = np.array([1.0 - 0.0j, -0.0 + 2j, 0.0])
     before = y.tobytes()
-    linksim._add_noise(y, noise_power(NoiseSpec.off()), 7, 0)
+    linksim._add_noise(y, NoiseSpec.off().watts, 7, 0)
     assert y.tobytes() == before
 
 
@@ -967,7 +941,7 @@ def _per_receiver_propagate(scenario, streams, seed):
             for l in present
         )
         y = np.fft.ifft(acc)[:length]
-        _single_draw_noise(y, noise_power(scenario.noise), seed, i)
+        _single_draw_noise(y, scenario.noise.watts, seed, i)
         out[rx] = y
     return out
 
