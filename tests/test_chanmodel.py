@@ -479,6 +479,29 @@ def test_convolve_sum_block_path_matches_direct(k):
             assert err <= 1e-12, (length, err)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 2), (3, 2)], ids=lambda s: "%dx%d" % s)
+@pytest.mark.parametrize("path", ["one-shot", "blocks"])
+def test_convolve_sum_returns_outputs_it_alone_holds(path, shape):
+    # The caller adds noise into each output in place, so no output may share
+    # memory with another or with an input, and the inputs stay as they were.
+    n_in, n_out = shape
+    k = 41
+    rng = np.random.default_rng(n_in + 10 * n_out)
+    hs = [[rng.standard_normal(k) + 1j * rng.standard_normal(k) for _ in range(n_out)] for _ in range(n_in)]
+    length = 100 if path == "one-shot" else 5 * block_len(k) + 17
+    xs = [rng.standard_normal(length - i) + 1j * rng.standard_normal(length - i) for i in range(n_in)]
+    sent = [x.tobytes() for x in xs]
+    ys = convolve_sum(xs, lambda m: [[block_spectra(h, m, m) for h in row] for row in hs], k)
+    n = length + k - 1
+    assert (n <= block_len(k)) == (path == "one-shot")
+    assert [y.shape for y in ys] == [(n,)] * n_out
+    for r, y in enumerate(ys):
+        direct = sum(np.pad(np.convolve(x, row[r]), (0, length - x.size)) for x, row in zip(xs, hs))
+        assert np.max(np.abs(y - direct)) <= 1e-12 * np.max(np.abs(direct))
+        assert not any(np.shares_memory(y, other) for other in [*xs, *ys[:r]])
+    assert [x.tobytes() for x in xs] == sent
+
+
 def _two_buffer_overlap_add(spectra, step, n):
     """overlap_add with a separate output buffer, one row per block step."""
     y = np.fft.ifft(spectra, axis=-1)

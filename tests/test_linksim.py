@@ -756,13 +756,17 @@ _RECEIVE_CASES = {
 }
 
 
+@pytest.mark.parametrize("spectra", ["warm", "cold", "rerun"])
 @pytest.mark.parametrize("noise", [NoiseSpec.off(), NoiseSpec.explicit(-10.0)], ids=["quiet", "noisy"])
 @pytest.mark.parametrize("precoding", ["tr", "none"])
 @pytest.mark.parametrize("case", sorted(_RECEIVE_CASES))
-def test_block_path_receive_in_place_equals_per_receiver_sums_by_bytes(case, precoding, noise):
+def test_block_path_receive_in_place_equals_per_receiver_sums_by_bytes(case, precoding, noise, spectra):
     # The receivers' sums overwrite the streams' own blocks (equal lengths),
     # or zeros: for a receiver past the present streams (subset), a shorter
-    # stream (unequal) and a 3-receiver scatter of unequal streams.
+    # stream (unequal) and a 3-receiver scatter of unequal streams. The
+    # channels' block spectra are cached by the reference first (warm), or
+    # by propagate itself (cold), which then runs again on the same streams
+    # (rerun).
     make, counts = _RECEIVE_CASES[case]
     scenario = make(precoding, noise)
     table = scenario.responses
@@ -778,11 +782,21 @@ def test_block_path_receive_in_place_equals_per_receiver_sums_by_bytes(case, pre
             streams[link.stream_id] = precode(x, tx_filter)
     assert len(scenario.receivers) == 3
     assert max(s.samples.size for s in streams.values()) + taps - 1 > block_len(taps)
-    want = _per_receiver_block_sums(scenario, streams, seed=6)
-    got = propagate(scenario, streams, seed=6)
-    assert list(got) == list(scenario.receivers)
-    for rx in got:
-        assert got[rx].samples.tobytes() == want[rx].tobytes()
+    sent = {sid: s.samples.tobytes() for sid, s in streams.items()}
+    if spectra == "warm":
+        want = _per_receiver_block_sums(scenario, streams, seed=6)
+    tx_nodes = [scenario.link_for_stream(sid).tx_node for sid in streams]
+    used = [scenario.channels[(tx, rx)] for tx in tx_nodes for rx in scenario.receivers]
+    assert [block_len(taps) in h._spectra for h in used] == [spectra == "warm"] * len(used)
+    runs = [propagate(scenario, streams, seed=6) for _ in range(1 + (spectra == "rerun"))]
+    if spectra != "warm":
+        want = _per_receiver_block_sums(scenario, streams, seed=6)
+    for got in runs:
+        assert list(got) == list(scenario.receivers)
+        for rx in got:
+            assert got[rx].samples.tobytes() == want[rx].tobytes()
+    # Propagation reads the sent streams and never writes them.
+    assert {sid: s.samples.tobytes() for sid, s in streams.items()} == sent
 
 
 def test_block_path_receive_holds_no_accumulator_per_receiver():
