@@ -90,49 +90,45 @@ def block_spectra(x: np.ndarray, m: int, step: int) -> np.ndarray:
 
 
 def overlap_add(spectra: np.ndarray, step: int, n: int) -> np.ndarray:
-    """Invert block spectra and overlap-add them at ``step`` into ``n`` samples.
+    """Invert (blocks, m) block spectra and overlap-add them at ``step`` into ``n`` samples.
 
-    Blocks run along the second-to-last axis; leading axes, if any, hold
-    independent signals, all inverted in one batched transform.
     Everything happens inside ``spectra``, which is overwritten, and the
-    result is a view of each signal's first ``n`` samples. Each block's
-    tail (its last m - step samples) must fit within the next block, i.e.
+    result is a view of its first ``n`` samples. Each block's tail (its
+    last m - step samples) must fit within the next block, i.e.
     m <= 2 * step, and n <= (blocks - 1) * step + m.
     """
     y = np.fft.ifft(spectra, axis=-1, out=spectra)
-    *lead, n_blocks, m = y.shape
+    n_blocks, m = y.shape
     tail = m - step
-    flat = y.reshape(*lead, -1)
+    flat = y.reshape(-1)
     # Block b lands at b * step: its head adds onto the tail of block b - 1,
     # already in place, and its remainder moves left. Moves never reach a
     # block not yet visited.
     for b in range(1, n_blocks):
         src, dst = b * m, b * step
-        flat[..., dst : dst + tail] += flat[..., src : src + tail]
-        flat[..., dst + tail : dst + m] = flat[..., src + tail : src + m]
+        flat[dst : dst + tail] += flat[src : src + tail]
+        flat[dst + tail : dst + m] = flat[src + tail : src + m]
     # Adding to zeros turns a last-tail -0.0 into 0.0, as a separate
     # output buffer would.
-    flat[..., n_blocks * step : n_blocks * step + tail] += 0.0
-    return flat[..., :n]
+    flat[n_blocks * step : n_blocks * step + tail] += 0.0
+    return flat[:n]
 
 
-def convolve_sum(inputs, spectra, taps: int) -> list:
-    """Every output y_r = sum over s of inputs[s] * f[s, r], full linear convolutions.
+def convolve_sum(inputs, filters, taps: int) -> list:
+    """Every output y_r = sum over s of inputs[s] * filters[s][r], full linear convolutions.
 
-    ``spectra(m)`` gives each input's filter spectra at transform length m, one
-    ``Cir.spectra`` (1, m) array per output; ``taps`` is the longest filter. Up
-    to ``block_len(taps)`` output samples, one transform of the next fast length
-    serves all, with one accumulator and one batched inverse. Longer outputs go
-    by blocks of ``block_len(taps)`` (overlap-add): each input's transform, then
-    the block sums, then each output's inverse. Returns each output's first
-    n = longest input + taps - 1 samples, a view nothing else holds. Inputs add
-    in order.
+    ``filters`` holds a row of ``Cir`` per input, one per output, whose cached
+    spectra are used; ``taps`` is at least the longest filter. Outputs of up
+    to ``block_len(taps)`` samples are one block of the next fast length,
+    longer ones blocks of ``block_len(taps)`` (overlap-add); either way each
+    input is transformed, the blocks summed and each output inverted. Returns
+    each output's first n = longest input + taps - 1 samples, a view nothing
+    else holds. Inputs add in order.
     """
     n = max(x.size for x in inputs) + taps - 1
-    one_shot = n <= block_len(taps)
-    m = fast_len(n) if one_shot else block_len(taps)
-    step = m if one_shot else m - taps + 1
-    filters = spectra(m)
+    m = fast_len(n) if n <= block_len(taps) else block_len(taps)
+    step = m if m >= n else m - taps + 1
+    spectra = [[h.spectra(m) for h in row] for row in filters]
     outputs = range(len(filters[0]))
     blocks = [block_spectra(x, m, step) for x in inputs]
 
@@ -140,21 +136,15 @@ def convolve_sum(inputs, spectra, taps: int) -> list:
         # One input to one output: multiplied inside its own blocks. Not at
         # m = 1, where numpy rounds a product in place differently.
         acc = blocks[0][np.newaxis]
-        acc *= filters[0][0]
+        acc *= spectra[0][0]
         sums = [acc[0]]
-    elif one_shot:
-        acc = np.zeros((len(outputs), 1, m), dtype=np.complex128)
-        # Each block and spectrum keeps a leading axis of one, for the
-        # reason _shift_add_conv gives.
-        for x, hs in zip(blocks, filters):
-            for y, h in zip(acc, hs):
-                y += x[:1] * h
-        return list(overlap_add(acc, step, n))
     else:
         # Each output's sum is written over an input's blocks, or over zeros
         # where no input of its index has them all. Block b of every input
         # is read before block b of any output is written, so no
-        # accumulator the size of an output is needed.
+        # accumulator the size of an output is needed. Each block and
+        # spectrum keeps a leading axis of one, for the reason
+        # _shift_add_conv gives.
         count = max(map(len, blocks))
         sums = [
             blocks[r] if r < len(blocks) and len(blocks[r]) == count
@@ -164,13 +154,44 @@ def convolve_sum(inputs, spectra, taps: int) -> list:
         acc = np.empty((len(outputs), 1, m), dtype=np.complex128)
         for b in range(count):
             acc[...] = 0.0
-            for x, hs in zip(blocks, filters):
+            for x, hs in zip(blocks, spectra):
                 if b < len(x):
                     for row, h in zip(acc, hs):
                         row += x[b : b + 1] * h
             for y, row in zip(sums, acc):
                 y[b] = row[0]
     return [overlap_add(y, step, n) for y in sums]
+
+
+def _shift_add_conv(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
+    """Linear convolution of each pair as a sum of shifted scaled copies.
+
+    Products are rounded before they are summed, so taps that cancel
+    analytically cancel exactly, where FFT convolution and numpy's convolve
+    and correlate leave ~1e-17: orthogonal channels do not interfere at all.
+
+    Per pair, the shorter input (the second on a tie) supplies the
+    coefficients. All pairs run in one pass, side by side along the last
+    axis and zero-padded to the longest: ``out[k : k + n] += y[k] * x``
+    with x of shape (n, P) and y of shape (k, P). The padding only adds
+    signed zeros to sums that start at +0.0, and so are never -0.0, which
+    leaves every sum as its pair alone would make it. Each coefficient row
+    keeps a leading axis of one: numpy multiplies a bare (P,) row into a
+    one-element stack without the fused multiply-add its other complex
+    products use, which would move last bits.
+    """
+    if not pairs:
+        return []
+    spans = [(a, b) if b.size <= a.size else (b, a) for a, b in pairs]
+    x = np.zeros((max(a.size for a, _ in spans), len(spans)), dtype=np.complex128)
+    y = np.zeros((max(b.size for _, b in spans), len(spans)), dtype=np.complex128)
+    for p, (a, b) in enumerate(spans):
+        x[: a.size, p] = a
+        y[: b.size, p] = b
+    out = np.zeros((len(x) + len(y) - 1, len(spans)), dtype=np.complex128)
+    for k, coeff in enumerate(y[:, np.newaxis]):
+        out[k : k + len(x)] += coeff * x
+    return [out[: a.size + b.size - 1, p].copy() for p, (a, b) in enumerate(spans)]
 
 
 def _check_fields(params) -> None:
@@ -439,14 +460,15 @@ def channel_correlation(h1: Cir, h2: Cir) -> float:
     """Peak |cross-correlation| normalized by the geometric mean energy.
 
     Uses the conjugate (matched-filter) convention, so a delayed and
-    phase-rotated copy of a channel correlates to exactly 1.
+    phase-rotated copy of a channel correlates to exactly 1: h1 convolved
+    with h2 conjugated and reversed.
     """
     if not same_grid(h1.sample_interval, h2.sample_interval):
         raise ValueError("grid mismatch between the two CIRs")
     e1, e2 = h1.energy, h2.energy
     if e1 <= 0.0 or e2 <= 0.0:
         raise ValueError("CIR has zero energy")
-    cc = np.correlate(h1.samples, h2.samples, "full")
+    (cc,) = _shift_add_conv([(h1.samples, np.conj(h2.samples[::-1]))])
     return float(np.max(np.abs(cc)) / math.sqrt(e1 * e2))
 
 

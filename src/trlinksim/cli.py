@@ -211,7 +211,6 @@ SCHEMA: dict[str, tuple[Key, ...]] = {
     "channel": (
         Key("file", when="file"),
         Key("model", _one_of(("reverberant",), "unknown channel model {!r}"), when="model"),
-        Key("sample_interval_s", _number, when="model", field="sample_interval"),
         Key("num_taps", _count_from(1), required=True, when="model"),
         Key("rms_delay_spread_s", _number, required=True, when="model", field="rms_delay_spread_target"),
         Key("max_delay_s", _number, required=True, when="model", field="max_delay"),
@@ -375,7 +374,7 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
         raise ConfigError("missing required section [nodes]")
     nodes = read("nodes", SCHEMA["nodes"])["names"]
 
-    # Modulation first: synthetic channels default onto its sample grid.
+    # Modulation first: synthetic channels are drawn on its sample grid.
     with _at_line(sections.get("modulation", (0,))[0], "invalid [modulation]: "):
         mod = sigchain.ModParams(**read("modulation", SCHEMA["modulation"]))
 
@@ -436,13 +435,11 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
                     )
             channels[pair] = cir
             continue
-        # What is left after the model and seed are ReverbParams fields.
+        # What is left after the model and seed are ReverbParams fields, less the grid.
         del params["model"]
         seed = params.pop("seed")
-        if params["sample_interval"] is None:
-            params["sample_interval"] = mod.sample_interval
         with _at_line(lineno, f"invalid [{name}]: "):
-            channels[pair] = chanmodel.ReverbParams(**params)
+            channels[pair] = chanmodel.ReverbParams(sample_interval=mod.sample_interval, **params)
         if seed is not None:
             # A pinned seed fixes the realization for every trial.
             with _at_line(lineno):

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .chanmodel import Cir, ReverbParams, same_grid, synth_reverberant
+from .chanmodel import Cir, ReverbParams, _shift_add_conv, same_grid, synth_reverberant
 from .detector import BerResult, count_errors, demodulate, train_threshold, wilson_interval
 from .linksim import (
     LinkSpec,
@@ -362,20 +362,22 @@ def focusing_report(
     transmitter. For every node the peak instantaneous power and the
     total received energy of channel * filter are reported, scaled by the
     transmit power; the non-TR columns use the bare channel at the same
-    power.
+    power. Every node's channel * filter comes from one exact shift-and-add
+    pass, so a channel orthogonal to the target's receives exactly zero.
     """
     if target not in channels:
         raise ValueError(f"target {target!r} has no channel entry")
     g = make_tr_filter(channels[target])
     p_tx = dbm_to_watts(power_dbm)
-    out: dict[str, FocusEntry] = {}
-    for node in sorted(channels):
-        h = channels[node]
-        if not same_grid(h.sample_interval, g.sample_interval):
+    nodes = sorted(channels)
+    for node in nodes:
+        if not same_grid(channels[node].sample_interval, g.sample_interval):
             raise ValueError(f"grid mismatch: channel toward {node!r}")
-        response = np.convolve(h.samples, g.samples)
+    responses = _shift_add_conv([(channels[node].samples, g.samples) for node in nodes])
+    out: dict[str, FocusEntry] = {}
+    for node, response in zip(nodes, responses):
         focused = np.abs(response) ** 2
-        bare = np.abs(h.samples) ** 2
+        bare = np.abs(channels[node].samples) ** 2
         out[node] = FocusEntry(
             tr_peak_w=p_tx * float(focused.max()),
             tr_total_w=p_tx * float(focused.sum()),

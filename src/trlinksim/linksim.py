@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chanmodel import Cir, convolve_sum, same_grid
+from .chanmodel import Cir, _shift_add_conv, convolve_sum, same_grid
 from .sigchain import (
     ModParams,
     TrFilter,
@@ -228,7 +228,7 @@ def propagate(
     rows = [[scenario.channels[(l.tx_node, rx)] for rx in scenario.receivers] for l in present]
     sums = convolve_sum(
         [streams[link.stream_id].samples for link in present],
-        lambda m: [[h.spectra(m) for h in hs] for hs in rows],
+        rows,
         max(h.samples.size for h in scenario.channels.values()),
     )
     received = {}
@@ -297,39 +297,6 @@ class EffectiveResponse:
         return float(mags.sum() - mags[self.zero_index])
 
 
-def _shift_add_conv(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
-    """Linear convolution of each pair as a sum of shifted scaled copies.
-
-    Products are rounded before they are summed, so taps that cancel
-    analytically cancel exactly here too. Both FFT convolution and the
-    fused multiply-add kernels behind numpy's direct correlate leave
-    ~1e-17 residue in that case, which matters for the orthogonal-channel
-    zero-interference fixtures.
-
-    Per pair, the shorter input (the second on a tie) supplies the
-    coefficients. All pairs run in one pass, side by side along the last
-    axis and zero-padded to the longest: ``out[k : k + n] += y[k] * x``
-    with x of shape (n, P) and y of shape (k, P). The padding only adds
-    signed zeros to sums that start at +0.0, and so are never -0.0, which
-    leaves every sum as its pair alone would make it. Each coefficient row
-    keeps a leading axis of one: numpy multiplies a bare (P,) row into a
-    one-element stack without the fused multiply-add its other complex
-    products use, which would move last bits.
-    """
-    if not pairs:
-        return []
-    spans = [(a, b) if b.size <= a.size else (b, a) for a, b in pairs]
-    x = np.zeros((max(a.size for a, _ in spans), len(spans)), dtype=np.complex128)
-    y = np.zeros((max(b.size for _, b in spans), len(spans)), dtype=np.complex128)
-    for p, (a, b) in enumerate(spans):
-        x[: a.size, p] = a
-        y[: b.size, p] = b
-    out = np.zeros((len(x) + len(y) - 1, len(spans)), dtype=np.complex128)
-    for k, coeff in enumerate(y[:, np.newaxis]):
-        out[k : k + len(x)] += coeff * x
-    return [out[: a.size + b.size - 1, p].copy() for p, (a, b) in enumerate(spans)]
-
-
 def _full_rate_responses(
     pairs: Sequence[tuple[TrFilter, Cir]], params: ModParams
 ) -> list[np.ndarray]:
@@ -351,7 +318,14 @@ def full_rate_response(tx_filter: TrFilter, channel: Cir, params: ModParams) -> 
 
 
 def effective_response(tx_filter: TrFilter, channel: Cir, params: ModParams) -> EffectiveResponse:
-    """Sample the full-rate response at symbol spacing around its strongest instant."""
+    """Sample the full-rate response at symbol spacing around its strongest instant.
+
+    A TR link's own response ties: |r[j]| = |r[L - j]|, L = r.size - 1, so at
+    even samples per symbol its peak lies on two symbol phases, and argmax
+    picks one by rounding (1e-16 relative) or, on an exact tie, the first.
+    The phases' SINRs differ by tenths of a dB, so reordering the sums that
+    make r can move a link's SINR that much.
+    """
     r = full_rate_response(tx_filter, channel, params)
     offset = int(np.argmax(np.abs(r)))
     sps = params.samples_per_symbol

@@ -159,8 +159,7 @@ def precode(waveform: Waveform, tx_filter: TrFilter) -> Waveform:
 
     Output length is len(waveform) + len(filter) - 1. A single-sample
     operand is a plain product; else ``convolve_sum``, with the waveform as
-    its one input (so on the calling thread) and the filter's cached spectrum
-    (``Cir.spectra``): one transform, bitwise
+    its one input and the filter's cached spectrum: one transform, bitwise
     ``scipy.signal.fftconvolve(waveform, filter)``, up to
     ``block_len(len(filter))`` output samples, and blocks of that length above.
     """
@@ -169,7 +168,7 @@ def precode(waveform: Waveform, tx_filter: TrFilter) -> Waveform:
     x, g = waveform.samples, tx_filter.samples
     if x.size == 1 or g.size == 1:
         return Waveform._wrap(x * g, waveform.sample_interval)
-    (out,) = convolve_sum([x], lambda m: [[tx_filter.spectra(m)]], g.size)
+    (out,) = convolve_sum([x], [[tx_filter]], g.size)
     return Waveform._wrap(out, waveform.sample_interval)
 
 

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +174,17 @@ def test_correlation_hand_pair_is_half():
     h1 = Cir(np.array([1.0, 1.0]) / math.sqrt(2), DT, "a")
     h2 = Cir(np.array([1.0, -1.0]) / math.sqrt(2), DT, "b")
     assert channel_correlation(h1, h2) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_correlation_is_numpy_correlate(reverb):
+    # channel_correlation convolves with the second channel conjugated and
+    # reversed; that is np.correlate's full conjugate correlation.
+    a, b = synth_reverberant(1, reverb), synth_reverberant(2, reverb)
+    short = Cir(b.samples[:30] * 1j, DT, "short")
+    for h1, h2 in [(a, b), (b, a), (a, short), (short, a)]:
+        cc = np.correlate(h1.samples, h2.samples, "full")
+        want = np.max(np.abs(cc)) / math.sqrt(h1.energy * h2.energy)
+        assert channel_correlation(h1, h2) == pytest.approx(want, rel=1e-12)
 
 
 def test_correlation_symmetric_and_scale_invariant(reverb):
@@ -440,8 +452,21 @@ def _precode(x, g):
 
 def _convolve_one(x, h):
     """x * h through convolve_sum: one input, one output."""
-    (y,) = convolve_sum([x], lambda m: [[block_spectra(h, m, m)]], h.size)
+    (y,) = convolve_sum([x], [[Cir(h, DT)]], h.size)
     return y
+
+
+def test_every_convolution_is_in_chanmodel():
+    # chanmodel holds the package's two convolutions, the FFT overlap-add for
+    # streams and the exact shift-and-add for responses, focusing and
+    # correlation. No other module transforms, and no module calls numpy's
+    # convolve or correlate or a BLAS-backed product.
+    banned = re.compile(r"\b(np|numpy)\.(convolve|correlate|dot|vdot|einsum|matmul|inner)\b")
+    fft = re.compile(r"\b(np|numpy)\.fft\b")
+    for path in sorted(Path(chanmodel.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert not banned.search(text), path.name
+        assert path.name == "chanmodel.py" or not fft.search(text), path.name
 
 
 def test_fast_len_equals_scipy_next_fast_len():
@@ -491,7 +516,7 @@ def test_convolve_sum_returns_outputs_it_alone_holds(path, shape):
     length = 100 if path == "one-shot" else 5 * block_len(k) + 17
     xs = [rng.standard_normal(length - i) + 1j * rng.standard_normal(length - i) for i in range(n_in)]
     sent = [x.tobytes() for x in xs]
-    ys = convolve_sum(xs, lambda m: [[block_spectra(h, m, m) for h in row] for row in hs], k)
+    ys = convolve_sum(xs, [[Cir(h, DT) for h in row] for row in hs], k)
     n = length + k - 1
     assert (n <= block_len(k)) == (path == "one-shot")
     assert [y.shape for y in ys] == [(n,)] * n_out
@@ -541,22 +566,6 @@ def test_overlap_add_keeps_signed_zeros_as_the_two_buffer_form():
         spectra.imag.flat = signs[4:]
         want = _two_buffer_overlap_add(spectra.copy(), 1, 3)
         assert overlap_add(spectra, 1, 3).tobytes() == want.tobytes(), signs
-
-
-@pytest.mark.parametrize(
-    "n_signals, n_blocks, step, m", [(6, 1, 1458, 1458), (3, 4, 100, 160), (2, 3, 7, 7)]
-)
-def test_overlap_add_of_stacked_signals_equals_each_alone_bitwise(n_signals, n_blocks, step, m):
-    # One batched inverse over leading axes gives every signal's bytes.
-    rng = np.random.default_rng(n_signals * n_blocks)
-    shape = (n_signals, n_blocks, m)
-    spectra = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    n = (n_blocks - 1) * step + m
-    want = [overlap_add(s.copy(), step, n).tobytes() for s in spectra]
-    got = overlap_add(spectra, step, n)
-    assert got.shape == (n_signals, n)
-    assert [row.tobytes() for row in got] == want
-    assert np.shares_memory(got, spectra)
 
 
 @pytest.mark.parametrize(

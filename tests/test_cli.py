@@ -391,8 +391,9 @@ _SHORT_RUN = MINIMAL + "\n[sweep]\nn_bits = 100\nn_trials = 1\n"
             'invalid [channel "A->B"]: max_delay must be finite, got inf', id="max_delay_s",
         ),
         pytest.param(
-            "run", "max_delay_s = 200e-12", "max_delay_s = 200e-12\nsample_interval_s = inf", '[channel "A->B"]',
-            'invalid [channel "A->B"]: sample_interval must be finite, got inf', id="sample_interval_s",
+            # not a key: synthetic channels are drawn on the modulation grid
+            "run", "max_delay_s = 200e-12", "max_delay_s = 200e-12\nsample_interval_s = inf", "sample_interval_s = inf",
+            'unknown key \'sample_interval_s\' in [channel "A->B"]', id="sample_interval_s",
         ),
         pytest.param(
             "run", "max_delay_s = 200e-12", "max_delay_s = 200e-12\ntotal_energy = inf", "total_energy = inf",

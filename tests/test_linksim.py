@@ -196,6 +196,30 @@ def test_effective_response_hand_values():
     assert eff.isi_energy == pytest.approx(2 * (0.5 / root) ** 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("sps, splits", [(1, 0), (2, 20), (3, 11), (4, 20)])
+def test_tr_own_response_peaks_at_an_instant_and_its_mirror(sps, splits):
+    # r = h * conj(reversed h) * rect(sps) has |r[j]| = |r[L - j]| with
+    # L = 2(N - 1) + sps - 1, so the peak is reached twice. At even sps the
+    # two instants lie on different symbol phases, and argmax picks one of
+    # them by rounding.
+    mod = ModParams(bit_rate=200e9 / sps, samples_per_symbol=sps)
+    params = ReverbParams(mod.sample_interval, 64, 100e-12, 500e-12)
+    split = 0
+    for seed in range(20):
+        cir = synth_reverberant(seed, params)
+        g = make_tr_filter(cir)
+        r = full_rate_response(g, cir, mod)
+        mags = np.abs(r)
+        assert r.size == 2 * (cir.samples.size - 1) + sps
+        assert np.max(np.abs(mags - mags[::-1])) <= 1e-15 * mags.max()
+        offset = effective_response(g, cir, mod).decision_offset
+        mirror = r.size - 1 - offset
+        assert mags[offset] == mags.max()
+        assert mags[mirror] >= (1 - 1e-15) * mags[offset]
+        split += mirror % sps != offset % sps
+    assert split == splits
+
+
 def test_effective_response_zero_index_bounds():
     with pytest.raises(ValueError, match="zero_index"):
         EffectiveResponse(np.array([1.0, 2.0]), 2, 0)
@@ -718,12 +742,12 @@ def _per_receiver_block_sums(scenario, streams, seed):
     n = max(x.size for x in xs) + taps - 1
     out = {}
     for r, rx in enumerate(scenario.receivers):
-        acc = np.zeros((1, max(map(len, blocks)), m), dtype=np.complex128)
+        acc = np.zeros((max(map(len, blocks)), m), dtype=np.complex128)
         channels = [scenario.channels[(link.tx_node, rx)] for link in present]
         for h, x in zip(channels, blocks):
             for b in range(len(x)):
-                acc[:, b] += x[b : b + 1] * h.spectra(m)
-        y = overlap_add(acc, step, n)[0]
+                acc[b : b + 1] += x[b : b + 1] * h.spectra(m)
+        y = overlap_add(acc, step, n)
         y = y[: max(x.size + h.samples.size for h, x in zip(channels, xs)) - 1]
         linksim._add_noise(y, scenario.noise.watts, seed, r)
         out[rx] = y
@@ -857,10 +881,10 @@ _FMA_PAIR = tuple(
 @example([(np.zeros(1, dtype=np.complex128), np.zeros(1, dtype=np.complex128)), _FMA_PAIR])
 def test_stacked_shift_add_equals_each_pair_alone_bitwise(pairs):
     # Unequal lengths in both roles, so each pair is padded in x, in y or both.
-    got = linksim._shift_add_conv(pairs)
+    got = chanmodel._shift_add_conv(pairs)
     assert len(got) == len(pairs)
     for (x, y), r in zip(pairs, got):
-        alone = linksim._shift_add_conv([(x, y)])[0]
+        alone = chanmodel._shift_add_conv([(x, y)])[0]
         assert r.tobytes() == alone.tobytes() == _one_pair_shift_add(x, y).tobytes()
 
 
