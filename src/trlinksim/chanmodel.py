@@ -132,34 +132,26 @@ def convolve_sum(inputs, filters, taps: int) -> list:
     outputs = range(len(filters[0]))
     blocks = [block_spectra(x, m, step) for x in inputs]
 
-    if len(blocks) == len(outputs) == 1 and m > 1:
-        # One input to one output: multiplied inside its own blocks. Not at
-        # m = 1, where numpy rounds a product in place differently.
-        acc = blocks[0][np.newaxis]
-        acc *= spectra[0][0]
-        sums = [acc[0]]
-    else:
-        # Each output's sum is written over an input's blocks, or over zeros
-        # where no input of its index has them all. Block b of every input
-        # is read before block b of any output is written, so no
-        # accumulator the size of an output is needed. Each block and
-        # spectrum keeps a leading axis of one, for the reason
-        # _shift_add_conv gives.
-        count = max(map(len, blocks))
-        sums = [
-            blocks[r] if r < len(blocks) and len(blocks[r]) == count
-            else np.zeros((count, m), dtype=np.complex128)
-            for r in outputs
-        ]
-        acc = np.empty((len(outputs), 1, m), dtype=np.complex128)
-        for b in range(count):
-            acc[...] = 0.0
-            for x, hs in zip(blocks, spectra):
-                if b < len(x):
-                    for row, h in zip(acc, hs):
-                        row += x[b : b + 1] * h
-            for y, row in zip(sums, acc):
-                y[b] = row[0]
+    # Each output's sum is written over an input's blocks, or over zeros
+    # where no input of its index has them all. Block b of every input is
+    # read before block b of any output is written, so no accumulator the
+    # size of an output is needed. Each block and spectrum keeps a leading
+    # axis of one, for the reason _shift_add_conv gives.
+    count = max(map(len, blocks))
+    sums = [
+        blocks[r] if r < len(blocks) and len(blocks[r]) == count
+        else np.zeros((count, m), dtype=np.complex128)
+        for r in outputs
+    ]
+    acc = np.empty((len(outputs), 1, m), dtype=np.complex128)
+    for b in range(count):
+        acc[...] = 0.0
+        for x, hs in zip(blocks, spectra):
+            if b < len(x):
+                for row, h in zip(acc, hs):
+                    row += x[b : b + 1] * h
+        for y, row in zip(sums, acc):
+            y[b] = row[0]
     return [overlap_add(y, step, n) for y in sums]
 
 
@@ -541,7 +533,9 @@ def read_cir_csv(path: str | Path, label: str | None = None) -> Cir:
     call reads every field of the others as Python's ``float`` does (so
     ``1_000`` and padded fields are numbers); only when it refuses the
     file are the lines scanned again, to name the first bad one. A UTF-8
-    byte-order mark in front of the first line is dropped.
+    byte-order mark in front of the first line is dropped. A CIR starts at
+    time 0 (within 1e-6 of a step): a later start would be a delay that
+    the samples do not carry, so it is refused.
     """
     lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
     data = [line for raw in lines if (line := raw.strip()) and line[0] != "#"]
@@ -558,6 +552,9 @@ def read_cir_csv(path: str | Path, label: str | None = None) -> Cir:
     if rows is None or not np.isfinite(rows).all():
         raise _bad_line(lines, str(path))
     dt, samples = _uniform_grid(rows, f"{path}: ", "time")
+    if abs(rows[0, 0]) > 1e-6 * dt:
+        first = next(i for i, raw in enumerate(lines, start=1) if (line := raw.strip()) and line[0] != "#")
+        raise ValueError(f"{path}: line {first}: the first time must be 0, got {float(rows[0, 0])!r} s")
     return Cir(samples, dt, Path(path).stem if label is None else label)
 
 

@@ -4,8 +4,8 @@ A scenario couples a channel matrix, the simultaneous links,
 a noise model, and the shared modulation grid. Propagation convolves
 every transmitted stream with its channel toward each receiver and
 superposes the results; the deterministic SINR path never draws bits or
-noise and instead reasons about the symbol-spaced effective response of
-each transmit chain.
+noise and instead reasons about the symbol-spaced taps each stream
+delivers at each receiver.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "LinkSpec",
     "Scenario",
     "ResponseTable",
-    "EffectiveResponse",
     "SinrReport",
     "link_filter",
     "propagate",
@@ -266,37 +265,6 @@ def _add_noise(y: np.ndarray, n_watts: float, seed: int, rx_index: int) -> None:
             part[start : start + chunk.size] += chunk
 
 
-@dataclass(frozen=True)
-class EffectiveResponse:
-    """Symbol-spaced end-to-end response of one transmit chain.
-
-    ``taps`` samples the full-rate response filter * channel * symbol
-    pulse every samples_per_symbol samples through ``decision_offset``;
-    ``taps[zero_index]`` is the decision-instant tap p[0].
-    """
-
-    taps: np.ndarray
-    zero_index: int
-    decision_offset: int
-
-    def __post_init__(self) -> None:
-        t = np.array(self.taps, dtype=np.complex128).reshape(-1)
-        if not 0 <= self.zero_index < t.size:
-            raise ValueError("zero_index out of range")
-        t.flags.writeable = False
-        object.__setattr__(self, "taps", t)
-
-    @property
-    def peak(self) -> complex:
-        return complex(self.taps[self.zero_index])
-
-    @property
-    def isi_energy(self) -> float:
-        """Sum |p[m]|^2 over m != 0."""
-        mags = np.abs(self.taps) ** 2
-        return float(mags.sum() - mags[self.zero_index])
-
-
 def _full_rate_responses(
     pairs: Sequence[tuple[TrFilter, Cir]], params: ModParams
 ) -> list[np.ndarray]:
@@ -317,8 +285,20 @@ def full_rate_response(tx_filter: TrFilter, channel: Cir, params: ModParams) -> 
     return _full_rate_responses([(tx_filter, channel)], params)[0]
 
 
-def effective_response(tx_filter: TrFilter, channel: Cir, params: ModParams) -> EffectiveResponse:
-    """Sample the full-rate response at symbol spacing around its strongest instant.
+def _decision_taps(r: np.ndarray, offset: int, sps: int) -> np.ndarray:
+    """A read-only copy of the full-rate response ``r`` on the symbol phase of ``offset``."""
+    taps = r[offset % sps :: sps].copy()
+    taps.flags.writeable = False
+    return taps
+
+
+def effective_response(tx_filter: TrFilter, channel: Cir, params: ModParams) -> tuple[int, np.ndarray]:
+    """The strongest instant of a link's full-rate response, and its symbol-spaced taps.
+
+    Returns ``(decision_offset, taps)``: the offset in samples of the
+    response's largest magnitude, and the response sampled every
+    samples_per_symbol samples through it, read-only. The decision tap
+    p[0] is ``taps[decision_offset // samples_per_symbol]``.
 
     A TR link's own response ties: |r[j]| = |r[L - j]|, L = r.size - 1, so at
     even samples per symbol its peak lies on two symbol phases, and argmax
@@ -328,43 +308,43 @@ def effective_response(tx_filter: TrFilter, channel: Cir, params: ModParams) -> 
     """
     r = full_rate_response(tx_filter, channel, params)
     offset = int(np.argmax(np.abs(r)))
-    sps = params.samples_per_symbol
-    phase = offset % sps
-    taps = r[phase::sps]
-    return EffectiveResponse(taps, (offset - phase) // sps, offset)
+    return offset, _decision_taps(r, offset, params.samples_per_symbol)
 
 
 @dataclass(frozen=True)
 class ResponseTable:
     """What a scenario's links need from the channels, at unit power.
 
-    ``filters`` and ``own`` map each stream to the pre-filter it
-    transmits through and to its own effective response. ``cochannel``
-    maps each (victim, interferer) stream pair to the energy sum |q|^2
-    the interferer delivers at 1 W per symbol on the victim's symbol
-    grid, at the victim's decision phase. Every SINR component is a link
-    power times an entry here, so the table serves every power setting.
+    ``filters`` maps each stream to the pre-filter it transmits through,
+    and ``offsets`` each stream to its decision offset in samples: the
+    strongest instant of its own full-rate response. ``taps`` maps each
+    (victim, stream) pair, the own pair (v, v) included, to a read-only
+    complex array: the stream's full-rate response filter * channel *
+    symbol pulse at the victim's receiver, sampled on the victim's
+    decision phase (``r[offset % sps :: sps]``). The victim's decision tap
+    is ``taps[(v, v)][offsets[v] // sps]``. Every SINR component is a link
+    power times a sum over these taps, so the table serves every power
+    setting.
 
     The table holds responses only: propagation takes each channel's
     spectra from the channel itself (``Cir.spectra``).
     """
 
     filters: Mapping[str, TrFilter]
-    own: Mapping[str, EffectiveResponse]
-    cochannel: Mapping[tuple[str, str], float]
+    offsets: Mapping[str, int]
+    taps: Mapping[tuple[str, str], np.ndarray]
 
     @classmethod
     def build(cls, scenario: Scenario) -> "ResponseTable":
         """Compute one response per link and per (victim, interferer) pair."""
         mod = scenario.mod_params
-        sps = mod.samples_per_symbol
         filters = {link.stream_id: link_filter(scenario, link) for link in scenario.links}
-        own = {
-            link.stream_id: effective_response(
-                filters[link.stream_id], scenario.channels[(link.tx_node, link.rx_node)], mod
+        offsets, taps = {}, {}
+        for link in scenario.links:
+            sid = link.stream_id
+            offsets[sid], taps[(sid, sid)] = effective_response(
+                filters[sid], scenario.channels[(link.tx_node, link.rx_node)], mod
             )
-            for link in scenario.links
-        }
         # Every (victim, interferer) response in one stacked pass.
         crossings = [
             (victim, other)
@@ -379,13 +359,11 @@ class ResponseTable:
             ],
             mod,
         )
-        cochannel = {}
         for (victim, other), r in zip(crossings, cross):
-            phase = own[victim.stream_id].decision_offset % sps
-            cochannel[(victim.stream_id, other.stream_id)] = float(
-                np.sum(np.abs(r[phase::sps]) ** 2)
+            taps[(victim.stream_id, other.stream_id)] = _decision_taps(
+                r, offsets[victim.stream_id], mod.samples_per_symbol
             )
-        return cls(MappingProxyType(filters), MappingProxyType(own), MappingProxyType(cochannel))
+        return cls(MappingProxyType(filters), MappingProxyType(offsets), MappingProxyType(taps))
 
 
 @dataclass(frozen=True)
@@ -423,27 +401,30 @@ def sinr_from_powers(signal_w: float, isi_w: float, cochannel_w: float, noise_w:
 def compute_sinr(scenario: Scenario, target_link: LinkSpec) -> SinrReport:
     """Deterministic SINR of one link; no bits or noise are drawn.
 
-    The link's own symbol-spaced effective response supplies the signal
-    (the decision tap) and the ISI (every other tap). Each simultaneous
-    stream contributes co-channel power through its own transmit filter
-    and its channel toward this link's receiver, sampled on the victim's
-    symbol grid at the victim's decision offset. Per-symbol powers equal
-    each stream's transmit power target in watts, so all interference
-    terms scale with the interferer's dBm setting. The responses come
-    from the scenario's response table; only the powers are applied here.
+    The link's own symbol-spaced taps supply the signal (the decision tap)
+    and the ISI (every other tap). Each simultaneous stream contributes
+    co-channel power, the energy of its taps at this link's receiver,
+    sampled on the victim's symbol grid at the victim's decision offset.
+    Per-symbol powers equal each stream's transmit power target in watts,
+    so all interference terms scale with the interferer's dBm setting. The
+    taps come from the scenario's response table; their energies are
+    summed and the powers applied here.
     """
     link = scenario.link_for_stream(target_link.stream_id)
     if link != target_link:
         raise ValueError(f"link not found: {target_link!r} is not part of the scenario")
     table = scenario.responses
-    own = table.own[link.stream_id]
+    sid = link.stream_id
+    own = table.taps[(sid, sid)]
+    z = table.offsets[sid] // scenario.mod_params.samples_per_symbol
+    mags = np.abs(own) ** 2
     p_own = dbm_to_watts(link.tx_power_dbm)
-    signal_w = p_own * abs(own.peak) ** 2
-    isi_w = p_own * own.isi_energy
+    signal_w = p_own * abs(complex(own[z])) ** 2
+    isi_w = p_own * float(mags.sum() - mags[z])
     per_interferer = {
         other.stream_id: dbm_to_watts(other.tx_power_dbm)
-        * table.cochannel[(link.stream_id, other.stream_id)]
+        * float(np.sum(np.abs(table.taps[(sid, other.stream_id)]) ** 2))
         for other in scenario.links
-        if other.stream_id != link.stream_id
+        if other.stream_id != sid
     }
     return SinrReport(signal_w, isi_w, scenario.noise.watts, per_interferer)

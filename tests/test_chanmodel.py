@@ -418,6 +418,8 @@ def test_cir_reader_and_frequency_import_refuse_the_same_grid_defects(tmp_path, 
         ("0,1,0\n1e-12,1,0,2e-12,1,0\n", "line 2: expected 3 comma-separated fields"),
         ("0,#,0\n1e-12,1,0\n", "line 1: fields must be numbers"),
         ("0,1,0\n1e-12,1,0,#\n2e-12,1,0\n", "line 2: expected 3 comma-separated fields"),
+        # a start time the samples cannot carry: 1 ns is 200 samples of delay
+        ("# c\n\n1e-9,1,0\n1.005e-9,1,0\n1.01e-9,1,0\n", "line 3: the first time must be 0, got 1e-09 s$"),
     ],
 )
 def test_cir_csv_errors_name_the_line(tmp_path, body, message):

@@ -1,6 +1,7 @@
 """Config parsing, channel realization, and the command line front end."""
 
 import contextlib
+import hashlib
 import math
 import os
 import re
@@ -100,10 +101,11 @@ def test_package_reexports_the_working_surface():
 
 
 # The names the package listed one by one before it took its modules' __all__ lists,
-# less SweepSpec, whose fields became sweep's arguments, and noise_power, which
-# only returned NoiseSpec.watts.
+# less SweepSpec, whose fields became sweep's arguments, noise_power, which
+# only returned NoiseSpec.watts, and EffectiveResponse, whose taps and offset
+# the response table holds.
 _LISTED_NAMES = """
-BOLTZMANN_J_PER_K BerResult Cir EffectiveResponse FocusEntry LinkSpec ModParams NoiseSpec
+BOLTZMANN_J_PER_K BerResult Cir FocusEntry LinkSpec ModParams NoiseSpec
 ResponseTable ReverbParams Scenario SinrReport SweepRow TrFilter Waveform
 build_multi_tx_scenario build_scatter_scenario channel_correlation compute_sinr count_errors
 dbm_to_watts demodulate derive_seed effective_response focusing_report full_rate_response
@@ -115,7 +117,7 @@ synth_reverberant train_threshold wilson_interval write_cir_csv
 
 
 def test_package_exports_the_union_of_its_modules_names():
-    assert len(_LISTED_NAMES) == 46 and set(_LISTED_NAMES) <= set(trlinksim.__all__)
+    assert len(_LISTED_NAMES) == 45 and set(_LISTED_NAMES) <= set(trlinksim.__all__)
     # Besides those, two experiment names; the FFT engine's helpers stay module internals.
     assert set(trlinksim.__all__) - set(_LISTED_NAMES) == {"DEFAULT_PAIRS", "split_power_dbm"}
     modules = (chanmodel, detector, experiments, linksim, sigchain)
@@ -1017,6 +1019,27 @@ def _readme_demo():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
     return block
+
+
+# sha256 of each README demo output at --n-bits 300 --trials 2. gen-channel's CIR
+# files are left to the round-trip tests. A change that moves numbers on purpose
+# updates these beside bench/reference/ and records old and new digests in CHANGES.md.
+_DEMO_DIGESTS = {
+    "focusing.csv": "064f225a20fb460cad92b790fa176e9a29417fd4f72dcfdb595ad843a9578bb7",
+    "run.csv": "988f1cc6b50ee38c50561d903f806ca528b2db91ae03985c8c9f1cb965a62538",
+    "sweep_links.csv": "08bfe0374c1a04d0f08d7ad6be4c7d58a7cd5d5a0eed9e53d8fc9baa6abfa470",
+    "sweep_power.csv": "11a21f2d1f5ca4bae7bda22124fb5ac5909d580e3ad0fe89a660a21c825155a0",
+    "sweep_rate.csv": "8d180243e4e29ea3eb02c00d5fe460c66017c10b4d4df6ae3eb8ccc0a458b6ed",
+}
+
+
+def test_readme_demo_outputs_keep_their_bytes(tmp_path):
+    cfg_path = _write(tmp_path, "demo.cfg", _readme_demo())
+    out = tmp_path / "out"
+    for command in ("run", "sweep-power", "sweep-rate", "sweep-links", "focusing"):
+        assert main([command, "--config", cfg_path, "--out", str(out), "--n-bits", "300", "--trials", "2"]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert digests == _DEMO_DIGESTS
 
 
 @pytest.mark.parametrize("power_dbm", [300, 3090])

@@ -241,10 +241,11 @@ def test_run_trial_derotates_decision_samples_as_the_whole_waveform(monkeypatch)
     ((_, received),) = propagations
     links = sorted(scn.links, key=lambda l: l.stream_id)
     for link, training, slicing in zip(links, trainings, slicings):
-        own = scn.responses.own[link.stream_id]
+        sid = link.stream_id
+        offset = scn.responses.offsets[sid]
         y = received[link.rx_node]
-        whole = y.samples * np.exp(-1j * np.angle(own.peak))
-        decisions = whole[own.decision_offset :: sps].real
+        whole = y.samples * np.exp(-1j * np.angle(scn.responses.taps[(sid, sid)][offset // sps]))
+        decisions = whole[offset :: sps].real
         pilot = training[0][1]
         threshold = detector.train_threshold(decisions[:pilot_len], pilot)
         bits = detector.demodulate(decisions[pilot_len : pilot_len + n_bits], threshold)

@@ -23,7 +23,6 @@ from trlinksim.chanmodel import (
 from trlinksim.experiments import build_multi_tx_scenario, build_scatter_scenario, synth_channel_set
 from trlinksim.linksim import (
     BOLTZMANN_J_PER_K,
-    EffectiveResponse,
     LinkSpec,
     NoiseSpec,
     Scenario,
@@ -43,6 +42,7 @@ from trlinksim.sigchain import (
     make_tr_filter,
     modulate_ask,
     precode,
+    scale_to_power,
 )
 
 MOD = ModParams(bit_rate=50e9, samples_per_symbol=4)
@@ -187,13 +187,12 @@ def test_effective_response_hand_values():
     # h = [1, 0.5] at one sample per symbol: peak sqrt(1.25), two ISI taps
     mod1 = ModParams(bit_rate=50e9, samples_per_symbol=1)
     h = Cir(np.array([1.0, 0.5]), mod1.sample_interval, "h")
-    eff = effective_response(make_tr_filter(h), h, mod1)
+    offset, taps = effective_response(make_tr_filter(h), h, mod1)
     root = math.sqrt(1.25)
-    assert np.allclose(np.abs(eff.taps), [0.5 / root, root, 0.5 / root], atol=1e-12)
-    assert eff.zero_index == 1
-    assert eff.decision_offset == 1
-    assert abs(eff.peak - root) < 1e-12
-    assert eff.isi_energy == pytest.approx(2 * (0.5 / root) ** 2, rel=1e-12)
+    assert np.allclose(np.abs(taps), [0.5 / root, root, 0.5 / root], atol=1e-12)
+    assert offset == 1
+    assert abs(taps[offset] - root) < 1e-12
+    assert not taps.flags.writeable
 
 
 @pytest.mark.parametrize("sps, splits", [(1, 0), (2, 20), (3, 11), (4, 20)])
@@ -212,17 +211,12 @@ def test_tr_own_response_peaks_at_an_instant_and_its_mirror(sps, splits):
         mags = np.abs(r)
         assert r.size == 2 * (cir.samples.size - 1) + sps
         assert np.max(np.abs(mags - mags[::-1])) <= 1e-15 * mags.max()
-        offset = effective_response(g, cir, mod).decision_offset
+        offset, _ = effective_response(g, cir, mod)
         mirror = r.size - 1 - offset
         assert mags[offset] == mags.max()
         assert mags[mirror] >= (1 - 1e-15) * mags[offset]
         split += mirror % sps != offset % sps
     assert split == splits
-
-
-def test_effective_response_zero_index_bounds():
-    with pytest.raises(ValueError, match="zero_index"):
-        EffectiveResponse(np.array([1.0, 2.0]), 2, 0)
 
 
 def test_full_rate_response_matches_numpy_convolve():
@@ -246,9 +240,8 @@ def test_tr_decision_tap_dominates():
     # matched filtering makes the aligned tap the largest in magnitude
     for seed in range(8):
         cir = _chan(seed)
-        eff = effective_response(make_tr_filter(cir), cir, MOD)
-        mags = np.abs(eff.taps)
-        assert np.argmax(mags) == eff.zero_index
+        offset, taps = effective_response(make_tr_filter(cir), cir, MOD)
+        assert np.argmax(np.abs(taps)) == offset // MOD.samples_per_symbol
 
 
 # The README demo's channels, on the grid of 50 Gb/s at 1 sample per symbol.
@@ -260,9 +253,9 @@ _DEMO_AT_ONE_SPS = ReverbParams(
 @pytest.mark.parametrize("precoding", ["tr", "none"])
 def test_unit_power_energies_at_one_sample_per_symbol_are_exact(precoding):
     # At 1 sample per symbol every tap of a response is a symbol tap. So TR's
-    # decision tap is the own channel's energy; without precoding, decision
-    # tap and ISI share the own channel's energy, and the co-channel entry is
-    # the interfering channel's.
+    # decision tap is the own channel's energy; without precoding, the own
+    # taps carry the own channel's energy and an interferer's taps the
+    # interfering channel's.
     energy = _DEMO_AT_ONE_SPS.total_energy
     worst = 0.0
     for seed in range(100):
@@ -270,11 +263,14 @@ def test_unit_power_energies_at_one_sample_per_symbol_are_exact(precoding):
         scenario = build_multi_tx_scenario(channels, 2, precoding, 0.0, 50e9)
         assert scenario.mod_params.samples_per_symbol == 1
         table = scenario.responses
-        for own in table.own.values():
-            signal = abs(own.peak) ** 2
-            worst = max(worst, abs(signal - energy if precoding == "tr" else signal + own.isi_energy - energy))
-        if precoding == "none":
-            worst = max(worst, *(abs(q - energy) for q in table.cochannel.values()))
+        for (victim, stream), taps in table.taps.items():
+            mags = np.abs(taps) ** 2
+            if victim == stream:
+                # At one sample per symbol the decision offset indexes the decision tap.
+                signal = mags[table.offsets[victim]]
+                worst = max(worst, abs(signal - energy if precoding == "tr" else mags.sum() - energy))
+            elif precoding == "none":
+                worst = max(worst, abs(mags.sum() - energy))
     assert worst <= 1e-12
 
 
@@ -365,12 +361,14 @@ def _loop_sinr(scenario, link):
     """compute_sinr as a per-link loop that rebuilds every filter and response."""
     mod = scenario.mod_params
     sps = mod.samples_per_symbol
-    own = effective_response(
+    offset, taps = effective_response(
         link_filter(scenario, link), scenario.channels[(link.tx_node, link.rx_node)], mod
     )
+    z = offset // sps
+    mags = np.abs(taps) ** 2
     p_own = dbm_to_watts(link.tx_power_dbm)
-    signal_w = p_own * abs(own.peak) ** 2
-    isi_w = p_own * own.isi_energy
+    signal_w = p_own * abs(complex(taps[z])) ** 2
+    isi_w = p_own * float(mags.sum() - mags[z])
     per_interferer = {}
     for other in scenario.links:
         if other.stream_id == link.stream_id:
@@ -378,7 +376,7 @@ def _loop_sinr(scenario, link):
         r = full_rate_response(
             link_filter(scenario, other), scenario.channels[(other.tx_node, link.rx_node)], mod
         )
-        q = r[own.decision_offset % sps :: sps]
+        q = r[offset % sps :: sps]
         per_interferer[other.stream_id] = dbm_to_watts(other.tx_power_dbm) * float(
             np.sum(np.abs(q) ** 2)
         )
@@ -432,9 +430,63 @@ def test_compute_sinr_table_equals_per_link_loop(name, scenario):
         assert compute_sinr(scenario, link) == _loop_sinr(scenario, link)
 
 
+def _symbol_rate_decisions(scenario, symbols, amplitudes, victim, count):
+    """A victim's first ``count`` noiseless decision samples, at symbol rate from the table's taps.
+
+    d[k] = sum over streams s of a_s * (sym_s * taps[(victim, s)])[offsets[victim] // sps + k],
+    zero where a stream's convolution has ended.
+    """
+    table = scenario.responses
+    z = table.offsets[victim] // scenario.mod_params.samples_per_symbol
+    d = np.zeros(count, dtype=np.complex128)
+    for sid, sym in symbols.items():
+        part = amplitudes[sid] * np.convolve(sym, table.taps[(victim, sid)])[z : z + count]
+        d[: part.size] += part
+    return d
+
+
+def _oracle_cases():
+    for n_links in (1, 2, 3):
+        for precoding in ("tr", "none"):
+            yield f"{n_links}-link-{precoding}", _multi_link_scenario(n_links, precoding)
+    scatter_channels = {("S", rx): _chan(20 + i, f"S->{rx}") for i, rx in enumerate("BCD")}
+    yield "scatter", build_scatter_scenario(scatter_channels, "S", "BCD", 6.0, 50e9)
+
+
+# Streams of 150 symbols fit one transform; streams of 1500 go in blocks.
+@pytest.mark.parametrize("n_symbols", [150, 1500])
+@pytest.mark.parametrize("name, scenario", list(_oracle_cases()))
+def test_symbol_rate_taps_give_propagates_decision_samples(name, scenario, n_symbols):
+    # Each stream is its symbols, shaped, precoded and scaled by a_s = sqrt(P_s / mean
+    # power of the precoded stream). Sampled on a victim's decision phase, the
+    # superposition is a symbol-rate convolution of each stream's symbols with the
+    # taps it delivers at the victim's receiver.
+    scenario = dataclasses.replace(scenario, noise=NoiseSpec.off())
+    mod = scenario.mod_params
+    sps = mod.samples_per_symbol
+    table = scenario.responses
+    rng = np.random.default_rng(n_symbols)
+    symbols, amplitudes, streams = {}, {}, {}
+    for i, link in enumerate(scenario.links):
+        sid = link.stream_id
+        modulated = modulate_ask(rng.integers(0, 2, size=n_symbols + 37 * i), mod)
+        shaped = precode(modulated, table.filters[sid])
+        symbols[sid] = modulated.samples[::sps]
+        amplitudes[sid] = math.sqrt(dbm_to_watts(link.tx_power_dbm) / shaped.mean_power)
+        streams[sid] = scale_to_power(shaped, link.tx_power_dbm)
+    taps = _longest_channel(scenario)
+    n_out = max(x.samples.size for x in streams.values()) + taps - 1
+    assert (n_out > block_len(taps)) == (n_symbols == 1500)
+    received = propagate(scenario, streams, seed=0)
+    for link in scenario.links:
+        y = received[link.rx_node].samples[table.offsets[link.stream_id] :: sps]
+        d = _symbol_rate_decisions(scenario, symbols, amplitudes, link.stream_id, y.size)
+        assert np.max(np.abs(d - y)) <= 1e-12 * np.max(np.abs(y))
+
+
 def test_orthogonal_scenario_keeps_exact_null():
     scn = _orthogonal_scenario()
-    assert scn.responses.cochannel[("A->B", "C->D")] == 0.0
+    assert np.all(scn.responses.taps[("A->B", "C->D")] == 0)
     assert compute_sinr(scn, scn.links[0]).per_interferer_w == {"C->D": 0.0}
 
 
@@ -701,8 +753,16 @@ def test_propagate_through_unit_tap_returns_the_stream():
 
 def test_response_table_holds_responses_only():
     scenario = _two_link_scenario()
-    fields = [f.name for f in dataclasses.fields(scenario.responses)]
-    assert fields == ["filters", "own", "cochannel"]
+    table = scenario.responses
+    assert [f.name for f in dataclasses.fields(table)] == ["filters", "offsets", "taps"]
+    ids = [link.stream_id for link in scenario.links]
+    assert set(table.taps) == {(victim, stream) for victim in ids for stream in ids}
+    for taps in table.taps.values():
+        assert not taps.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            taps[0] = 0.0
+    # Power is not in the table: a repowered scenario shares this one.
+    assert scenario.with_powers({"A->B": 7.0}).responses is table
 
 
 def test_propagate_reads_each_channels_own_spectra(monkeypatch):
@@ -924,9 +984,9 @@ def test_orthogonal_null_survives_stacking_with_longer_pairs():
     cross = (scn.responses.filters[other.stream_id], scn.channels[("C", "B")])
     longer = Cir(_chan(4).samples, mod.sample_interval)
     r = linksim._full_rate_responses([(make_tr_filter(longer), longer), cross], mod)[1]
-    phase = scn.responses.own[victim.stream_id].decision_offset % mod.samples_per_symbol
+    phase = scn.responses.offsets[victim.stream_id] % mod.samples_per_symbol
     assert np.all(r[phase :: mod.samples_per_symbol] == 0)
-    assert scn.responses.cochannel[(victim.stream_id, other.stream_id)] == 0.0
+    assert np.all(scn.responses.taps[(victim.stream_id, other.stream_id)] == 0)
 
 
 def _single_draw_noise(y, n_watts, seed, rx_index):
@@ -1052,13 +1112,9 @@ def _reordered_scenarios(draw):
 def test_results_do_not_depend_on_link_or_channel_order(case):
     scenario, reordered, streams = case
     a, b = scenario.responses, reordered.responses
-    assert set(a.own) == set(b.own) and set(a.cochannel) == set(b.cochannel)
-    for sid, own in a.own.items():
-        other = b.own[sid]
-        assert own.taps.tobytes() == other.taps.tobytes()
-        assert (own.zero_index, own.decision_offset) == (other.zero_index, other.decision_offset)
-    for pair, energy in a.cochannel.items():
-        assert np.float64(energy).tobytes() == np.float64(b.cochannel[pair]).tobytes()
+    assert dict(a.offsets) == dict(b.offsets) and set(a.taps) == set(b.taps)
+    for pair, taps in a.taps.items():
+        assert taps.tobytes() == b.taps[pair].tobytes()
     got = propagate(scenario, streams, seed=4)
     again = propagate(reordered, dict(reversed(list(streams.items()))), seed=4)
     assert list(got) == list(again)
