@@ -310,6 +310,12 @@ class ReverbParams:
                 f"{ceiling:.6e} s for max_delay={self.max_delay:.6e} s "
                 f"and rician_k={self.rician_k}"
             )
+        _solve_decay_constant(self)  # refuses a target whose decay constant underflows
+
+    @property
+    def num_samples(self) -> int:
+        """Length of a drawn realization: the grid from 0 to max_delay."""
+        return int(np.rint(self.max_delay / self.sample_interval)) + 1
 
 
 def _truncated_exp_moments(decay: float, t_max: float) -> tuple[float, float]:
@@ -352,6 +358,8 @@ def _solve_decay_constant(params: ReverbParams) -> float:
     # constant between the two bracket ends.
     for _ in range(200):
         mid = math.sqrt(lo * hi)
+        if mid == 0.0:
+            raise ValueError(f"rms_delay_spread_target {target:g} s is too small: its decay constant underflows to 0")
         if _ensemble_delay_spread(mid, params) < target:
             lo = mid
         else:
@@ -367,8 +375,7 @@ def _synth_reverberant(rng: np.random.Generator, params: ReverbParams, label: st
         rng.standard_normal(params.num_taps) + 1j * rng.standard_normal(params.num_taps)
     )
     dt = params.sample_interval
-    n = int(np.rint(params.max_delay / dt)) + 1
-    h = np.zeros(n, dtype=np.complex128)
+    h = np.zeros(params.num_samples, dtype=np.complex128)
     np.add.at(h, np.rint(delays / dt).astype(np.intp), gains)
     if params.rician_k > 0.0:
         diffuse_energy = float(np.sum(np.abs(gains) ** 2))

@@ -17,7 +17,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable
 
 from . import chanmodel, experiments, linksim, sigchain
 
@@ -332,20 +332,33 @@ def _parse_pair(pair_text: str, nodes: tuple[str, ...], lineno: int) -> tuple[st
     return parts[0], parts[1]
 
 
-def _check_sweep_value(
-    variable: str, value: float, links: Sequence[linksim.LinkSpec], mod: sigchain.ModParams
-) -> None:
-    """Refuse a grid value that the sweep over ``variable`` could not run."""
+def _grid_point(
+    variable: str, value: float, links: tuple[linksim.LinkSpec, ...], mod: sigchain.ModParams
+) -> tuple[tuple[linksim.LinkSpec, ...], sigchain.ModParams]:
+    """The links and modulation the sweep over ``variable`` runs at ``value``.
+
+    A value the sweep could not run is refused with a ValueError.
+    ``tx_power_dbm`` is per-transmitter power, except for scatter-style
+    configs (several links sharing one transmitter), where it is the total
+    budget split equally across streams. ``aggregate_rate_bps`` is split
+    equally across the links; each stream's rate must fit the channel grid,
+    and the configured levels are kept. ``n_links`` keeps the first N links.
+    """
     if variable == "tx_power_dbm":
         if not math.isfinite(value):
             raise ValueError(f"tx_power_dbm sweep value {value!r} must be finite")
         _bounded(value, "tx_power_dbm sweep value", *_DBM)
+        if len(links) > 1 and len({link.tx_node for link in links}) == 1:
+            value = experiments.split_power_dbm(value, len(links))
+        return tuple(dataclasses.replace(link, tx_power_dbm=value) for link in links), mod
     if variable == "aggregate_rate_bps":
         if not value > 0.0:
             raise ValueError(f"aggregate_rate_bps sweep value {value!r} must be positive")
-        experiments.mod_params_for_rate(value / len(links), mod.sample_interval)
-    if variable == "n_links" and not (value.is_integer() and 1 <= value <= len(links)):
+        fit = experiments.mod_params_for_rate(value / len(links), mod.sample_interval)
+        return links, dataclasses.replace(mod, bit_rate=fit.bit_rate, samples_per_symbol=fit.samples_per_symbol)
+    if not (value.is_integer() and 1 <= value <= len(links)):
         raise ValueError(f"n_links sweep value {value!r} must be an integer in [1, {len(links)}]")
+    return links[: int(value)], mod
 
 
 def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConfig:
@@ -460,7 +473,7 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
             raise ConfigError(f"line {values_line}: values requires variable to say what is swept")
         with _at_line(values_line):
             for value in sweep["sweep_values"]:
-                _check_sweep_value(sweep["sweep_variable"], value, links, mod)
+                _grid_point(sweep["sweep_variable"], value, tuple(links), mod)
 
     # Links must be able to reach every receiver in the full configuration.
     receivers = sorted({link.rx_node for link in links})
@@ -483,7 +496,9 @@ def _draw(seed: int, params: chanmodel.ReverbParams, pair: tuple[str, str]) -> c
     try:
         return chanmodel.synth_reverberant(seed, params, label=label)
     except MemoryError:
-        raise ValueError(f'[channel "{label}"]: out of memory drawing {params.num_taps} taps') from None
+        raise ValueError(
+            f'[channel "{label}"]: out of memory drawing {params.num_taps} taps onto {params.num_samples} samples'
+        ) from None
 
 
 def realize_channels(cfg: RunConfig, channel_seed: int) -> dict[tuple[str, str], chanmodel.Cir]:
@@ -503,46 +518,21 @@ def realize_channels(cfg: RunConfig, channel_seed: int) -> dict[tuple[str, str],
     return out
 
 
-def _build_scenario(
-    cfg: RunConfig,
-    channels: Mapping[tuple[str, str], chanmodel.Cir],
-    links: tuple[linksim.LinkSpec, ...],
-    rate_per_stream: float | None = None,
-) -> linksim.Scenario:
-    """Assemble a scenario from config links, with an optional per-stream rate."""
-    mod = cfg.mod
-    if rate_per_stream is not None:
-        fit = experiments.mod_params_for_rate(rate_per_stream, mod.sample_interval)
-        mod = dataclasses.replace(mod, bit_rate=fit.bit_rate, samples_per_symbol=fit.samples_per_symbol)
-    return linksim.Scenario(channels, links, cfg.noise, mod)
-
-
-def _stream_powers(links: tuple[linksim.LinkSpec, ...], power_value: float) -> dict[str, float]:
-    """Per-stream dBm for a swept power value.
-
-    The value is per-transmitter power, except for scatter-style configs
-    (several links sharing one transmitter) where it is the total budget
-    split equally across streams.
-    """
-    if len(links) > 1 and len({link.tx_node for link in links}) == 1:
-        power_value = experiments.split_power_dbm(power_value, len(links))
-    return {link.stream_id: power_value for link in links}
-
-
 def _sweep_rows(cfg: RunConfig, variable: str, grid: tuple) -> list[experiments.SweepRow]:
-    links = cfg.links
+    points = {value: _grid_point(variable, value, cfg.links, cfg.mod) for value in grid}
 
     def at_realization(channels) -> Callable[[float], linksim.Scenario]:
         """Scenario per grid value over one channel realization."""
-        if variable == "tx_power_dbm":
-            # Power leaves the response table alone: every value re-powers one base.
-            base = _build_scenario(cfg, channels, links)
-            return lambda value: base.with_powers(_stream_powers(links, float(value)))
-        if variable == "aggregate_rate_bps":
-            return lambda value: _build_scenario(
-                cfg, channels, links, rate_per_stream=float(value) / len(links)
-            )
-        return lambda value: _build_scenario(cfg, channels, links[: int(value)])
+        bases = {}  # one per link count and modulation: power leaves the response table alone
+
+        def scenario(value: float) -> linksim.Scenario:
+            links, mod = points[value]
+            key = len(links), mod
+            if key not in bases:
+                bases[key] = linksim.Scenario(channels, links, cfg.noise, mod)
+            return bases[key].with_powers({link.stream_id: link.tx_power_dbm for link in links})
+
+        return scenario
 
     if any(isinstance(c, chanmodel.ReverbParams) for c in cfg.channels.values()):
         template = lambda value, seed: at_realization(realize_channels(cfg, seed))(value)
@@ -570,7 +560,7 @@ def _sweep_csv(command: str, cfg: RunConfig, path: Path) -> list[Path]:
         )
     try:
         for value in () if cfg.sweep_values else default:
-            _check_sweep_value(variable, value, cfg.links, cfg.mod)
+            _grid_point(variable, value, cfg.links, cfg.mod)
     except ValueError as exc:
         fix = "name a grid that fits with [sweep] variable and values"
         raise ConfigError(f"default {command} grid value {value:g}: {exc}; {fix}") from None

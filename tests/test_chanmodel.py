@@ -96,7 +96,8 @@ def test_decay_constant_is_solved_once_per_params(reverb):
     other = ReverbParams(DT, 24, 60e-12, 400e-12)
     synth_reverberant(0, other)
     info = chanmodel._solve_decay_constant.cache_info()
-    assert (info.misses, info.hits) == (2, 5)
+    # ``other`` solves when it is made; each of the seven draws then hits
+    assert (info.misses, info.hits) == (2, 6)
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
     # the cached constant is the bisection's own answer, bit for bit
     assert chanmodel._solve_decay_constant(reverb) == chanmodel._solve_decay_constant.__wrapped__(reverb)
@@ -124,6 +125,14 @@ def test_spread_target_must_be_reachable():
         ReverbParams(DT, 24, 150e-12, 400e-12)
     with pytest.raises(ValueError, match="lie in"):
         ReverbParams(DT, 24, 500e-12, 400e-12)
+
+
+@pytest.mark.parametrize("target", [1e-200, 1e-300, 5e-324])
+def test_params_refuse_a_spread_target_whose_decay_constant_underflows(target):
+    # The log-scale bisection's midpoint sqrt(lo * hi) underflows to 0, and
+    # the moments would divide by that decay constant.
+    with pytest.raises(ValueError, match=f"^rms_delay_spread_target {target:g} s is too small: "):
+        ReverbParams(DT, 24, target, 400e-12)
 
 
 def test_synth_refuses_a_draw_whose_every_tap_underflows():

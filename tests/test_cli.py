@@ -750,8 +750,9 @@ def test_rate_sweep_refuses_a_default_grid_that_does_not_fit_before_any_trial(
 def test_rate_sweep_keeps_the_configured_levels():
     text = TWO_LINK + "\n[modulation]\nlevel_zero = 0.1\nlevel_one = 0.7\n"
     cfg = parse_config(text)
-    scenario = cli._build_scenario(cfg, realize_channels(cfg, 0), cfg.links, rate_per_stream=25e9)
-    mod = scenario.mod_params
+    # 50 Gb/s over the two links is 25 Gb/s a stream
+    links, mod = cli._grid_point("aggregate_rate_bps", 50e9, cfg.links, cfg.mod)
+    assert links == cfg.links
     assert (mod.bit_rate, mod.samples_per_symbol) == (25e9, 8)
     assert (mod.level_zero, mod.level_one) == (0.1, 0.7)
 
@@ -949,9 +950,40 @@ def test_main_reports_a_channel_too_large_to_allocate(tmp_path, pinned, command)
     # seed draws the channel while the config is read, a fresh one in the command.
     text = MINIMAL.replace("num_taps = 8", f"num_taps = {10**17}" + ("\nseed = 1" if pinned else ""))
     proc = _run_warnings_as_errors(tmp_path, text, command)
-    message = f'[channel "A->B"]: out of memory drawing {10**17} taps'
+    message = f'[channel "A->B"]: out of memory drawing {10**17} taps onto 41 samples'
     assert (proc.returncode, proc.stderr) == (1, _channel_error(text, pinned, message))
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "fresh"])
+def test_main_names_the_sample_count_of_a_channel_too_large_to_allocate(tmp_path, monkeypatch, capsys, pinned):
+    # 2.5 s on the 5 ps grid is 5e11 + 1 complex samples, 8 TB: the draw
+    # is never attempted, numpy's refusal of it stands in.
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(chanmodel, "synth_reverberant", refuse)
+    text = MINIMAL.replace("max_delay_s = 200e-12", "max_delay_s = 2.5" + ("\nseed = 1" if pinned else ""))
+    assert main(["run", "--config", _write(tmp_path, "m.cfg", text), "--out", str(tmp_path / "out")]) == 1
+    message = '[channel "A->B"]: out of memory drawing 8 taps onto 500000000001 samples'
+    assert capsys.readouterr().err == _channel_error(text, pinned, message)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "focusing"])
+@pytest.mark.parametrize("section", ["A->B", "A->D", "C->B", "C->D"])
+def test_main_refuses_a_spread_whose_decay_constant_underflows_by_line(tmp_path, capsys, section, command):
+    # It used to escape main as a ZeroDivisionError from the decay solver.
+    lines = _readme_demo().splitlines()
+    at = lines.index(f'[channel "{section}"]')
+    spread = lines.index("rms_delay_spread_s = 100e-12", at)
+    lines[spread] = "rms_delay_spread_s = 1e-300"
+    cfg_path = _write(tmp_path, "tiny.cfg", "\n".join(lines) + "\n")
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f'error: line {at + 1}: invalid [channel "{section}"]: '
+        "rms_delay_spread_target 1e-300 s is too small: its decay constant underflows to 0\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["run", "gen-channel"])
@@ -1314,6 +1346,34 @@ def test_power_sweep_computes_each_sinr_report_once_per_point(tmp_path, monkeypa
     assert set(reports.values()) == {1}
 
 
+# A pinned scatter builds one table per link count; the README demo's fresh
+# channels build one per trial and grid point (5 trials; 16 powers, 2 link counts).
+@pytest.mark.parametrize(
+    "pinned, command, tables",
+    [
+        (True, "run", 1),
+        (True, "sweep-power", 1),
+        (True, "sweep-links", 3),
+        (False, "run", 5),
+        (False, "sweep-power", 16 * 5),
+        (False, "sweep-links", 2 * 5),
+    ],
+)
+def test_each_command_builds_one_response_table_per_realization_and_link_count(
+    tmp_path, monkeypatch, pinned, command, tables
+):
+    if pinned:
+        text = _SCATTER_3
+        for seed, rx in enumerate("BCD", 1):
+            text = text.replace(f'[channel "A->{rx}"]\n{_CHANNEL}', f'[channel "A->{rx}"]\n{_CHANNEL}seed = {seed}\n')
+    else:
+        text = _readme_demo()
+    builds = _counting(monkeypatch, linksim.ResponseTable, "build", lambda scenario: len(scenario.links))
+    cfg_path = _write(tmp_path, "tables.cfg", text)
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out"), "--n-bits", "100"]) == 0
+    assert sum(builds.values()) == tables
+
+
 @pytest.mark.parametrize("pinned, expected", [(False, 3 * 2 * 4), (True, 4)])
 def test_power_sweep_draws_fresh_channels_only_when_unpinned(tmp_path, monkeypatch, pinned, expected):
     text = TWO_LINK.split("[sweep]")[0]
@@ -1416,7 +1476,9 @@ def test_power_sweep_solves_decay_constant_once_per_params(tmp_path):
     chanmodel._solve_decay_constant.cache_clear()
     assert main(["sweep-power", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
     info = chanmodel._solve_decay_constant.cache_info()
-    assert (info.misses, info.hits) == (2, 3 * 2 * 4 - 2)
+    # Each of the four channels' parameters solves when the config is read
+    # (two of them hit the other two's solves); 3 values x 2 trials x 4 draws then hit.
+    assert (info.misses, info.hits) == (2, 2 + 3 * 2 * 4)
 
 
 def _child_env():

@@ -135,9 +135,10 @@ def test_run_trial_returns_the_scenarios_own_reports(monkeypatch):
 
 def test_cli_and_builder_split_a_scatter_budget_alike():
     channels = _channel_set(pairs=[("A", rx) for rx in "BCD"])
-    links = build_scatter_scenario(channels, "A", "BCD", 10.0, 50e9).links
+    scenario = build_scatter_scenario(channels, "A", "BCD", 10.0, 50e9)
+    links = scenario.links
     assert {l.tx_power_dbm for l in links} == {experiments.split_power_dbm(10.0, 3)}
-    assert cli._stream_powers(links, 10.0) == {l.stream_id: l.tx_power_dbm for l in links}
+    assert cli._grid_point("tx_power_dbm", 10.0, links, scenario.mod_params) == (links, scenario.mod_params)
 
 
 def _single_tap_scenario(power_dbm, noise_dbm=-30.0):
