@@ -114,17 +114,18 @@ def overlap_add(spectra: np.ndarray, step: int, n: int) -> np.ndarray:
     return flat[:n]
 
 
-def convolve_sum(inputs, filters, taps: int) -> list:
+def convolve_sum(inputs, filters) -> list:
     """Every output y_r = sum over s of inputs[s] * filters[s][r], full linear convolutions.
 
     ``filters`` holds a row of ``Cir`` per input, one per output, whose cached
-    spectra are used; ``taps`` is at least the longest filter. Outputs of up
-    to ``block_len(taps)`` samples are one block of the next fast length,
-    longer ones blocks of ``block_len(taps)`` (overlap-add); either way each
-    input is transformed, the blocks summed and each output inverted. Returns
-    each output's first n = longest input + taps - 1 samples, a view nothing
-    else holds. Inputs add in order.
+    spectra are used; ``taps`` is the longest filter. Outputs of up to
+    ``block_len(taps)`` samples are one block of the next fast length, longer
+    ones blocks of ``block_len(taps)`` (overlap-add); either way each input is
+    transformed, the blocks summed and each output inverted. Returns each
+    output's first n = longest input + taps - 1 samples, a view nothing else
+    holds. Inputs add in order.
     """
+    taps = max(h.samples.size for row in filters for h in row)
     n = max(x.size for x in inputs) + taps - 1
     m = fast_len(n) if n <= block_len(taps) else block_len(taps)
     step = m if m >= n else m - taps + 1

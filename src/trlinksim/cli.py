@@ -477,11 +477,12 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
 
     # Links must be able to reach every receiver in the full configuration.
     receivers = sorted({link.rx_node for link in links})
-    for link in links:
+    for (_, name), link in zip(sorted(numbered.items()), links):
         for rx in receivers:
             if (link.tx_node, rx) not in channels:
                 raise ConfigError(
-                    f'missing section [channel "{link.tx_node}->{rx}"] required by the links'
+                    f'line {sections[name][0]}: missing section [channel "{link.tx_node}->{rx}"] '
+                    "required by the links"
                 )
     if sweep["n_trials"] is None:
         fresh = any(isinstance(c, chanmodel.ReverbParams) for c in channels.values())

@@ -24,7 +24,6 @@ from .linksim import (
     LinkSpec,
     NoiseSpec,
     Scenario,
-    SinrReport,
     propagate,
     sinr_from_powers,
 )
@@ -204,7 +203,7 @@ def run_trial(
     seed: int,
     n_bits: int,
     pilot_len: int = 64,
-) -> tuple[dict[str, SinrReport], dict[str, BerResult]]:
+) -> dict[str, BerResult]:
     """One seeded end-to-end realization of every link in the scenario.
 
     Per stream: draw pilot and payload bits, modulate, precode with the
@@ -213,12 +212,11 @@ def run_trial(
     at its receiver. The pilot (which always contains both symbols)
     trains the threshold and is excluded from the error count. Decision
     samples are derotated by the phase of the link's decision tap
-    before slicing. The SINR reports are the scenario's own
-    (``Scenario.sinr``), computed once per scenario.
+    before slicing.
 
     Each stream is seeded by its place in stream-id order. Returns
-    ({stream_id: SinrReport}, {stream_id: BerResult}). The same
-    (scenario, seed, n_bits, pilot_len) reproduces identical results.
+    {stream_id: BerResult}. The same (scenario, seed, n_bits, pilot_len)
+    reproduces identical results.
     """
     if int(seed) != seed or seed < 0:
         raise ValueError("seed must be a non-negative integer")
@@ -243,7 +241,6 @@ def run_trial(
     received = propagate(scenario, streams, derive_seed(seed, 1))
     # Detection needs only the bits: the sent streams go before it starts.
     del streams
-    reports: dict[str, SinrReport] = {}
     errors: dict[str, BerResult] = {}
     for link in links:
         sid = link.stream_id
@@ -258,8 +255,7 @@ def run_trial(
         pilot, payload = bits[sid]
         threshold = train_threshold(rotated[:pilot_len], pilot)
         errors[sid] = count_errors(payload, demodulate(rotated[pilot_len:], threshold))
-        reports[sid] = scenario.sinr[sid]
-    return reports, errors
+    return errors
 
 
 @dataclass(frozen=True)
@@ -306,9 +302,10 @@ def sweep(
     ``scenario_template(value, channel_seed)`` must build the scenario
     for one grid value; templates backed by synthetic channels should use
     ``channel_seed`` so every trial sees a fresh realization, while
-    imported channels simply ignore it. Per grid point the SINR component
-    powers are averaged linearly over ``n_trials`` trials of ``n_bits``
-    bits each and bit errors are pooled. All sub-seeds derive from
+    imported channels simply ignore it. Per grid point each trial's SINR
+    component powers (its scenario's ``Scenario.sinr``) are averaged
+    linearly over ``n_trials`` trials of ``n_bits`` bits each, and its
+    ``run_trial`` bit errors are pooled. All sub-seeds derive from
     (master_seed, point index, trial index), so the output is a pure
     function of the arguments.
     """
@@ -330,8 +327,8 @@ def sweep(
             channel_seed = derive_seed(master_seed, p_index, t_index, 0)
             trial_seed = derive_seed(master_seed, p_index, t_index, 1)
             scenario = scenario_template(value, channel_seed)
-            reports, bers = run_trial(scenario, trial_seed, n_bits, pilot_len=pilot_len)
-            for sid, report in reports.items():
+            bers = run_trial(scenario, trial_seed, n_bits, pilot_len=pilot_len)
+            for sid, report in scenario.sinr.items():
                 acc = watts.setdefault(sid, np.zeros(4))
                 acc += (report.signal_w, report.isi_w, report.cochannel_w, report.noise_w)
                 errors[sid] += bers[sid].bit_errors

@@ -225,11 +225,7 @@ def propagate(
         (link for link in scenario.links if link.stream_id in streams), key=lambda l: l.stream_id
     )
     rows = [[scenario.channels[(l.tx_node, rx)] for rx in scenario.receivers] for l in present]
-    sums = convolve_sum(
-        [streams[link.stream_id].samples for link in present],
-        rows,
-        max(h.samples.size for h in scenario.channels.values()),
-    )
+    sums = convolve_sum([streams[link.stream_id].samples for link in present], rows)
     received = {}
     for i, (rx, y) in enumerate(zip(scenario.receivers, sums)):
         # A receiver's own length: its longest stream plus channel, less one.

@@ -102,17 +102,6 @@ class Waveform:
         vars(w).update(samples=samples, sample_interval=sample_interval)
         return w
 
-    @property
-    def energy(self) -> float:
-        """Sum of |x|^2, squared in place in the one array that ``np.abs`` makes."""
-        a = np.abs(self.samples)
-        return float(np.sum(np.square(a, out=a)))
-
-    @property
-    def mean_power(self) -> float:
-        """Mean |x|^2 over the full waveform length."""
-        return self.energy / self.samples.size
-
 
 @dataclass(frozen=True)
 class TrFilter(Cir):
@@ -168,14 +157,16 @@ def precode(waveform: Waveform, tx_filter: TrFilter) -> Waveform:
     x, g = waveform.samples, tx_filter.samples
     if x.size == 1 or g.size == 1:
         return Waveform._wrap(x * g, waveform.sample_interval)
-    (out,) = convolve_sum([x], [[tx_filter]], g.size)
+    (out,) = convolve_sum([x], [[tx_filter]])
     return Waveform._wrap(out, waveform.sample_interval)
 
 
 def scale_to_power(waveform: Waveform, p_dbm: float) -> Waveform:
     """Rescale so the mean |x|^2 over the full length hits the dBm target."""
     target = dbm_to_watts(p_dbm)
-    mean = waveform.mean_power
+    a = np.abs(waveform.samples)  # squared in place: the one array np.abs makes
+    mean = float(np.sum(np.square(a, out=a))) / a.size
+    del a  # before the scaled stream is allocated
     if mean <= 0.0:
         raise ValueError("cannot scale silence")
     return Waveform._wrap(waveform.samples * math.sqrt(target / mean), waveform.sample_interval)

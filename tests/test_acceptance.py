@@ -83,7 +83,7 @@ def test_criterion_02_awgn_closed_form():
             noise=NoiseSpec.explicit(noise_dbm),
             pairs=(("A", "B"),),
         )
-        _, bers = run_trial(scenario, derive_seed(99, i), n_bits=1_000_000, pilot_len=1024)
+        bers = run_trial(scenario, derive_seed(99, i), n_bits=1_000_000, pilot_len=1024)
         lo, hi = bers["A->B"].wilson_ci95
         details.append(f"target {target:g} measured {bers['A->B'].ber:.3e} ci [{lo:.3e},{hi:.3e}]")
         ok = ok and lo <= target <= hi

@@ -463,7 +463,7 @@ def _precode(x, g):
 
 def _convolve_one(x, h):
     """x * h through convolve_sum: one input, one output."""
-    (y,) = convolve_sum([x], [[Cir(h, DT)]], h.size)
+    (y,) = convolve_sum([x], [[Cir(h, DT)]])
     return y
 
 
@@ -527,7 +527,7 @@ def test_convolve_sum_returns_outputs_it_alone_holds(path, shape):
     length = 100 if path == "one-shot" else 5 * block_len(k) + 17
     xs = [rng.standard_normal(length - i) + 1j * rng.standard_normal(length - i) for i in range(n_in)]
     sent = [x.tobytes() for x in xs]
-    ys = convolve_sum(xs, [[Cir(h, DT) for h in row] for row in hs], k)
+    ys = convolve_sum(xs, [[Cir(h, DT) for h in row] for row in hs])
     n = length + k - 1
     assert (n <= block_len(k)) == (path == "one-shot")
     assert [y.shape for y in ys] == [(n,)] * n_out

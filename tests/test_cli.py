@@ -261,13 +261,19 @@ def test_a_link_number_used_twice_is_refused_at_the_later_section(header):
 
 
 def test_links_demand_full_channel_coverage():
-    broken = TWO_LINK.replace(
-        '[channel "A->D"]\nmodel = reverberant\nnum_taps = 8\n'
-        "rms_delay_spread_s = 50e-12\nmax_delay_s = 200e-12\n\n",
-        "",
-    )
-    with pytest.raises(ConfigError, match=re.escape('missing section [channel "A->D"]')):
-        parse_config(broken)
+    # Refused at the first link, in number order, whose transmitter lacks the channel.
+    for channel, link in (("A->D", 1), ("C->B", 2)):
+        broken = TWO_LINK.replace(
+            f'[channel "{channel}"]\nmodel = reverberant\nnum_taps = 8\n'
+            "rms_delay_spread_s = 50e-12\nmax_delay_s = 200e-12\n\n",
+            "",
+        )
+        with pytest.raises(ConfigError, match=re.escape(f'missing section [channel "{channel}"]')) as refused:
+            parse_config(broken)
+        link_line = broken.splitlines().index(f"[link {link}]") + 1
+        assert str(refused.value) == (
+            f'line {link_line}: missing section [channel "{channel}"] required by the links'
+        )
 
 
 def test_noise_section_rules():
@@ -984,6 +990,53 @@ def test_main_refuses_a_spread_whose_decay_constant_underflows_by_line(tmp_path,
         f'error: line {at + 1}: invalid [channel "{section}"]: '
         "rms_delay_spread_target 1e-300 s is too small: its decay constant underflows to 0\n"
     )
+
+
+# The single-line mutation sweep over the README demo config: its non-blank
+# lines (11 section headers and 31 key lines), and 15 bad values for each key.
+_BAD_VALUES = ("", "abc", "nan", "inf", "-inf", "-1", "0", "1e-300", "1e400", "0x10", "1_0", "10 10", "true", "2.5", "1e18")
+
+
+def _demo_lines():
+    lines = _readme_demo().splitlines(keepends=True)
+    return lines, [i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")]
+
+
+def test_readme_demo_line_deletions_and_duplications_run_or_are_refused_at_a_line(tmp_path, capsys):
+    lines, kept = _demo_lines()
+    cfg_path = tmp_path / "mutated.cfg"
+    runs = 0
+    for command in ("run", "focusing"):
+        for i in kept:
+            for mutated in (lines[:i] + lines[i + 1 :], lines[: i + 1] + lines[i:]):
+                cfg_path.write_text("".join(mutated), encoding="utf-8")
+                argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+                code = main(argv + ["--n-bits", "100", "--trials", "1"])
+                errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+                if code:
+                    assert code == 1 and len(errors) == 1, (command, i, errors)
+                    assert re.match(r"error: line \d+: ", errors[0]), (command, i, errors)
+                else:
+                    assert not errors, (command, i, errors)
+                runs += 1
+    assert runs == 168
+
+
+def test_readme_demo_bad_values_parse_or_are_refused_at_a_line():
+    # Through parse_config only: realizing or running some of these values
+    # (max_delay_s = 2.5, bit_rate_bps = 1e18) would allocate terabytes.
+    lines, kept = _demo_lines()
+    cases = 0
+    for i in (i for i in kept if "=" in lines[i]):
+        key = lines[i].split("=")[0].strip()
+        for value in _BAD_VALUES:
+            mutated = lines[:i] + [f"{key} = {value}\n"] + lines[i + 1 :]
+            try:
+                parse_config("".join(mutated))
+            except ConfigError as exc:
+                assert re.match(r"line \d+: ", str(exc)), (key, value, str(exc))
+            cases += 1
+    assert cases == 31 * 15
 
 
 @pytest.mark.parametrize("command", ["run", "gen-channel"])

@@ -119,7 +119,7 @@ def test_build_scatter_validation():
         build_scatter_scenario(channels, "A", ["A", "B"], 0.0, 50e9)
 
 
-def test_run_trial_returns_the_scenarios_own_reports(monkeypatch):
+def test_run_trial_computes_no_sinr_and_sweep_pools_the_scenarios_reports(monkeypatch):
     scn = build_multi_tx_scenario(_channel_set(), 2, "tr", 0.0, 50e9)
     calls = []
     original = linksim.compute_sinr
@@ -127,10 +127,20 @@ def test_run_trial_returns_the_scenarios_own_reports(monkeypatch):
         linksim, "compute_sinr", lambda scenario, link: calls.append(link) or original(scenario, link)
     )
     for seed in (1, 2):
-        reports, _ = run_trial(scn, seed, 200)
-        assert list(reports) == ["A->B", "C->D"]
-        assert all(reports[sid] is scn.sinr[sid] for sid in reports)
+        assert list(run_trial(scn, seed, 200)) == ["A->B", "C->D"]
+    assert calls == []
+    # Every trial runs the same scenario, so each row's watts are its own report's.
+    rows = sweep("x", [0.0], lambda value, channel_seed: scn, n_bits=200, n_trials=2)
     assert calls == list(scn.links)
+    assert [row.link for row in rows] == ["A->B", "C->D"]
+    for row in rows:
+        report = scn.sinr[row.link]
+        assert (row.signal_w, row.isi_w, row.cochannel_w, row.noise_w) == (
+            report.signal_w,
+            report.isi_w,
+            report.cochannel_w,
+            report.noise_w,
+        )
 
 
 def test_cli_and_builder_split_a_scatter_budget_alike():
@@ -157,22 +167,20 @@ def _single_tap_scenario(power_dbm, noise_dbm=-30.0):
 
 def test_run_trial_is_deterministic():
     scn = build_multi_tx_scenario(_channel_set(3), 2, "tr", 0.0, 50e9)
-    r1, b1 = run_trial(scn, seed=7, n_bits=300)
-    r2, b2 = run_trial(scn, seed=7, n_bits=300)
-    assert r1 == r2
+    b1 = run_trial(scn, seed=7, n_bits=300)
+    b2 = run_trial(scn, seed=7, n_bits=300)
     assert b1 == b2
-    _, b3 = run_trial(scn, seed=8, n_bits=300)
+    b3 = run_trial(scn, seed=8, n_bits=300)
     assert set(b1) == set(b3) == {"A->B", "C->D"}
 
 
 def test_run_trial_clean_link_is_error_free():
     scn = _single_tap_scenario(0.0, noise_dbm=float("-inf"))
-    reports, bers = run_trial(scn, seed=0, n_bits=500)
-    res = bers["A->B"]
+    res = run_trial(scn, seed=0, n_bits=500)["A->B"]
     assert res.bit_errors == 0
     assert res.bits_total == 500
     assert res.wilson_ci95[0] == 0.0
-    assert reports["A->B"].sinr_db == float("inf")
+    assert scn.sinr["A->B"].sinr_db == float("inf")
 
 
 def test_run_trial_validation():

@@ -56,7 +56,8 @@ def _chan(seed, label=""):
 
 
 def _longest_channel(scenario):
-    """Taps of the longest channel a scenario holds: propagation's transform geometry follows it."""
+    """Taps of the longest channel a scenario holds: with every stream present, propagation's
+    transform geometry follows it."""
     return max(c.samples.size for c in scenario.channels.values())
 
 
@@ -165,7 +166,7 @@ def test_propagate_noise_is_reproducible_and_calibrated():
     rx3 = propagate(scn, {"A->B": silence}, seed=43)
     assert not np.array_equal(rx1["B"].samples, rx3["B"].samples)
     # per-sample complex noise power should land on the configured level
-    measured = rx1["B"].mean_power
+    measured = np.mean(np.abs(rx1["B"].samples) ** 2)
     assert measured == pytest.approx(1e-5, rel=0.02)
 
 
@@ -272,6 +273,30 @@ def test_unit_power_energies_at_one_sample_per_symbol_are_exact(precoding):
             elif precoding == "none":
                 worst = max(worst, abs(mags.sum() - energy))
     assert worst <= 1e-12
+
+
+# The README demo's channel parameters on their own 5 ps grid.
+_DEMO_ON_ITS_GRID = ReverbParams(
+    sample_interval=5e-12, num_taps=64, rms_delay_spread_target=100e-12, max_delay=500e-12
+)
+
+
+@pytest.mark.parametrize("sps", [1, 4])
+def test_tr_cross_response_energy_is_sps_times_total_energy_over_the_ensemble(sps):
+    # For independent own and cross channels, a unit-energy TR filter of the own
+    # channel spreads the cross channel's energy, and the rect pulse of sps
+    # samples multiplies it by sps on average: E sum|r|^2 = sps * total_energy.
+    mod = ModParams(bit_rate=1.0 / (_DEMO_ON_ITS_GRID.sample_interval * sps), samples_per_symbol=sps)
+    assert same_grid(mod.sample_interval, _DEMO_ON_ITS_GRID.sample_interval)
+    draws = 1000
+    energies = np.empty(draws)
+    for i in range(draws):
+        own, cross = (synth_reverberant(2 * i + k, _DEMO_ON_ITS_GRID) for k in (0, 1))
+        r = full_rate_response(make_tr_filter(own), cross, mod)
+        energies[i] = np.sum(np.abs(r) ** 2)
+    mean = energies.mean()
+    standard_error = energies.std(ddof=1) / math.sqrt(draws)
+    assert abs(mean - sps * _DEMO_ON_ITS_GRID.total_energy) <= 4.0 * standard_error, (mean, standard_error)
 
 
 def test_orthogonal_channels_leave_exact_null():
@@ -472,7 +497,8 @@ def test_symbol_rate_taps_give_propagates_decision_samples(name, scenario, n_sym
         modulated = modulate_ask(rng.integers(0, 2, size=n_symbols + 37 * i), mod)
         shaped = precode(modulated, table.filters[sid])
         symbols[sid] = modulated.samples[::sps]
-        amplitudes[sid] = math.sqrt(dbm_to_watts(link.tx_power_dbm) / shaped.mean_power)
+        mean_power = np.sum(np.abs(shaped.samples) ** 2) / shaped.samples.size
+        amplitudes[sid] = math.sqrt(dbm_to_watts(link.tx_power_dbm) / mean_power)
         streams[sid] = scale_to_power(shaped, link.tx_power_dbm)
     taps = _longest_channel(scenario)
     n_out = max(x.samples.size for x in streams.values()) + taps - 1
@@ -649,6 +675,25 @@ def _tolerance(received):
     return 1e-12 * max(np.max(np.abs(y)) for y in received.values())
 
 
+def test_propagate_of_a_subset_blocks_by_the_longest_channel_it_uses(monkeypatch):
+    # Stream C->D reaches its receivers through 1- and 33-tap channels. The
+    # 1001-tap A->B, which it does not use, sets no transform length.
+    scenario = _random_scenario(2, [1001, 7, 1, 33], 5, NoiseSpec.explicit(-10.0))
+    assert block_len(33) < block_len(1001)
+    lengths = []
+    original = chanmodel.block_spectra
+    monkeypatch.setattr(chanmodel, "block_spectra", lambda x, m, step: lengths.append(m) or original(x, m, step))
+    n = 3 * block_len(33)
+    rng = np.random.default_rng(6)
+    streams = {"C->D": Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), DT)}
+    got = propagate(scenario, streams, seed=8)
+    assert set(lengths) == {block_len(33)}
+    want = _direct_propagate(scenario, streams, seed=8)
+    for rx in scenario.receivers:
+        assert got[rx].samples.shape == want[rx].shape
+        assert np.max(np.abs(got[rx].samples - want[rx])) <= _tolerance(want)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_propagation_cases())
 def test_propagate_matches_direct_convolution(case):
@@ -793,10 +838,10 @@ def _per_receiver_block_sums(scenario, streams, seed):
     Block by block, in stream-id order, with the products and shapes
     ``convolve_sum`` uses; then the same inverse, cut and noise.
     """
-    taps = _longest_channel(scenario)
+    present = [scenario.link_for_stream(sid) for sid in sorted(streams)]
+    taps = max(scenario.channels[(l.tx_node, rx)].samples.size for l in present for rx in scenario.receivers)
     m = block_len(taps)
     step = m - taps + 1
-    present = [scenario.link_for_stream(sid) for sid in sorted(streams)]
     xs = [streams[link.stream_id].samples for link in present]
     blocks = [block_spectra(x, m, step) for x in xs]
     n = max(x.size for x in xs) + taps - 1

@@ -1,6 +1,7 @@
 """Modulation, precoding filters, and power scaling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,17 +85,14 @@ def test_parameter_counts_follow_the_cli_count_rule(build, field):
             build(count)
 
 
-def test_waveform_energy_and_mean_power():
-    w = Waveform(np.array([1.0, 1j, 0.0, 0.0]), DT)
-    assert w.energy == pytest.approx(2.0)
-    assert w.mean_power == pytest.approx(0.5)
-
-
 @pytest.mark.parametrize("size", [1, 7, 1000, 400_356])
-def test_waveform_energy_squares_in_place_bit_for_bit(size):
+def test_scale_to_power_measures_its_stream_bit_for_bit(size):
+    # The mean power is squared in place, and the scale is bit for bit the one
+    # a plain sum of |x|^2 over the length gives.
     rng = np.random.default_rng(size)
     x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    assert Waveform(x, DT).energy == float(np.sum(np.abs(x) ** 2))
+    want = x * math.sqrt(dbm_to_watts(-3.0) / (float(np.sum(np.abs(x) ** 2)) / size))
+    assert np.array_equal(scale_to_power(Waveform(x, DT), -3.0).samples, want)
 
 
 def test_waveform_copies_the_callers_array():
@@ -233,10 +231,24 @@ def test_precode_demands_matching_grids():
 def test_scale_to_power_hits_target():
     w = Waveform(np.array([1.0, 2.0, 0.0, 1j]), DT)
     scaled = scale_to_power(w, -3.0)
-    assert scaled.mean_power == pytest.approx(dbm_to_watts(-3.0), rel=1e-12)
+    assert np.mean(np.abs(scaled.samples) ** 2) == pytest.approx(dbm_to_watts(-3.0), rel=1e-12)
     # scaling is a pure gain, so shape is preserved
     ratio = scaled.samples[1] / w.samples[1]
     assert np.allclose(scaled.samples, ratio * w.samples, atol=1e-15)
+
+
+def test_scale_to_power_lets_go_of_its_squares_before_scaling():
+    # The |x|^2 array (8 bytes a sample) goes before the scaled stream (16 bytes
+    # a sample) is made, so the peak is the scaled stream alone.
+    n = 400_356
+    w = Waveform(np.ones(n, dtype=np.complex128), DT)
+    tracemalloc.start()
+    try:
+        scale_to_power(w, -3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * 16 * n
 
 
 def test_scale_to_power_rejects_silence():
