@@ -188,11 +188,11 @@ def _shift_add_conv(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[np.n
 
 
 def _check_fields(params) -> None:
-    """Refuse a dataclass field that is not finite, or an ``int`` field of 2^63 or more.
+    """Refuse an init field of a dataclass that is not finite, or an ``int`` one of 2^63 or more.
 
     Every count must fit a signed 64-bit index, as the CLI's counts do.
     """
-    for f in fields(params):
+    for f in (f for f in fields(params) if f.init):
         value = getattr(params, f.name)
         try:
             finite = math.isfinite(value)
@@ -267,11 +267,14 @@ class ReverbParams:
 
     Tap delays are drawn uniformly over [0, max_delay] and complex gains
     are circularly symmetric Gaussian with an exponentially decaying mean
-    power profile exp(-delay/decay). The decay constant is solved so the
-    ensemble RMS delay spread matches ``rms_delay_spread_target``. When
-    ``rician_k`` is positive a deterministic tap at zero delay carries the
-    fraction k/(1+k) of the power. The realization is rescaled so its
-    energy equals ``total_energy`` exactly.
+    power profile exp(-delay/decay). The decay constant ``decay`` is solved
+    once, when the parameters are made, so that the profile's RMS delay
+    spread matches ``rms_delay_spread_target``; it takes no part in
+    equality, hashing or the repr. When ``rician_k`` is positive a
+    deterministic tap at zero delay carries the fraction k/(1+k) of the
+    power. The realization is rescaled so its energy equals
+    ``total_energy`` exactly, which tilts the mean profile of many draws
+    slightly toward the tail.
     """
 
     sample_interval: float
@@ -280,6 +283,7 @@ class ReverbParams:
     max_delay: float
     rician_k: float = 0.0
     total_energy: float = 1.0
+    decay: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_fields(self)
@@ -311,7 +315,8 @@ class ReverbParams:
                 f"{ceiling:.6e} s for max_delay={self.max_delay:.6e} s "
                 f"and rician_k={self.rician_k}"
             )
-        _solve_decay_constant(self)  # refuses a target whose decay constant underflows
+        # Refuses a target whose decay constant underflows.
+        object.__setattr__(self, "decay", _solve_decay_constant(self))
 
     @property
     def num_samples(self) -> int:
@@ -345,13 +350,8 @@ def _ensemble_delay_spread(decay: float, params: ReverbParams) -> float:
     return math.sqrt(max(var, 0.0))
 
 
-@functools.lru_cache(maxsize=256)
 def _solve_decay_constant(params: ReverbParams) -> float:
-    """Decay constant whose ensemble RMS delay spread matches the target.
-
-    Cached per parameter set: it depends on nothing else, and every draw
-    of a channel with the same parameters needs it.
-    """
+    """Decay constant whose ensemble RMS delay spread matches the target."""
     target = params.rms_delay_spread_target
     lo = target / 100.0
     hi = 1e9 * params.max_delay
@@ -369,7 +369,7 @@ def _solve_decay_constant(params: ReverbParams) -> float:
 
 
 def _synth_reverberant(rng: np.random.Generator, params: ReverbParams, label: str) -> Cir:
-    decay = _solve_decay_constant(params)
+    decay = params.decay
     delays = rng.uniform(0.0, params.max_delay, params.num_taps)
     profile = np.exp(-delays / decay)
     gains = np.sqrt(profile / 2.0) * (
@@ -585,12 +585,15 @@ def _atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
+def _write_csv(path: str | Path, header: str, rows: Iterable[Sequence[str]]) -> None:
+    """Write ``header`` and one comma-joined line per row, each ending in a newline, atomically."""
+    _atomic_write(path, "\n".join([header, *(",".join(row) for row in rows)]) + "\n")
+
+
 def write_cir_csv(cir: Cir, path: str | Path) -> None:
     """Write a CIR as ``time_s,real,imag`` rows (full float precision), atomically.
 
     The first line is the comment ``# cir LABEL sample_interval_s=DT``.
     """
-    lines = [f"# cir {cir.label} sample_interval_s={cir.sample_interval:.17g}"]
-    for t, v in zip(cir.times, cir.samples):
-        lines.append(f"{t:.17g},{v.real:.17g},{v.imag:.17g}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows = ([f"{t:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"] for t, v in zip(cir.times, cir.samples))
+    _write_csv(path, f"# cir {cir.label} sample_interval_s={cir.sample_interval:.17g}", rows)

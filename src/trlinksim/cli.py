@@ -3,7 +3,7 @@
 Reads an INI-like run configuration, builds scenarios, and writes
 deterministic CSV results. Every output-affecting setting comes either
 from the config file or from a documented default (see SCHEMA below);
-unknown sections or keys are rejected unless --no-strict is given.
+unknown sections or keys are refused at their line.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import chanmodel, experiments, linksim, sigchain
 
@@ -295,12 +295,6 @@ def _read(
     return values
 
 
-def _warn_or_raise(message: str, strict: bool) -> None:
-    if strict:
-        raise ConfigError(message)
-    print(f"warning: {message}", file=sys.stderr)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """A parsed run configuration; [nodes] names are checked on reading, not kept."""
@@ -361,7 +355,7 @@ def _grid_point(
     return links[: int(value)], mod
 
 
-def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConfig:
+def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     """Parse and validate a run configuration.
 
     ``base_dir`` anchors relative channel file paths (normally the
@@ -374,11 +368,10 @@ def parse_config(text: str, strict: bool = True, base_dir: str = ".") -> RunConf
     for name, (lineno, body) in sections.items():
         kind = _kind(name)
         if kind is None:
-            _warn_or_raise(f"line {lineno}: unknown section [{name}]", strict)
-            continue
+            raise ConfigError(f"line {lineno}: unknown section [{name}]")
         for key, entry in body.items():
             if key not in {k.name for k in SCHEMA[kind]}:
-                _warn_or_raise(f"line {entry.lineno}: unknown key {key!r} in [{name}]", strict)
+                raise ConfigError(f"line {entry.lineno}: unknown key {key!r} in [{name}]")
 
     def read(name: str, keys: tuple[Key, ...], when: str | None = None) -> dict[str, object]:
         return _read(name, *sections.get(name, (0, {})), keys, when)
@@ -608,16 +601,12 @@ def _fmt(value: float) -> str:
     return format(float(value), ".9g")
 
 
-def _write_csv(path: Path, header: str, rows: Iterable[list[str]]) -> None:
-    chanmodel._atomic_write(path, "\n".join([header, *(",".join(row) for row in rows)]) + "\n")
-
-
 def write_sweep_csv(rows: list[experiments.SweepRow], path: Path) -> None:
     lines = []
     for r in rows:
         numbers = (r.sinr_db, r.signal_w, r.isi_w, r.cochannel_w, r.noise_w, r.ber, *r.ber_ci)
         lines.append([r.variable, _fmt(r.value), r.link, *map(_fmt, numbers), str(r.bits), str(r.errors)])
-    _write_csv(path, SWEEP_HEADER, lines)
+    chanmodel._write_csv(path, SWEEP_HEADER, lines)
 
 
 def write_focusing_csv(entries: dict[str, experiments.FocusEntry], path: Path) -> None:
@@ -625,7 +614,7 @@ def write_focusing_csv(entries: dict[str, experiments.FocusEntry], path: Path) -
     for node in sorted(entries):
         e = entries[node]
         lines.append([node, *map(_fmt, (e.tr_peak_w, e.tr_total_w, e.nontr_peak_w, e.nontr_total_w))])
-    _write_csv(path, FOCUSING_HEADER, lines)
+    chanmodel._write_csv(path, FOCUSING_HEADER, lines)
 
 
 # Each command: the function that writes its output, given the config and
@@ -650,12 +639,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="override the output directory")
     parser.add_argument("--n-bits", type=int, default=None, help="override bits per trial")
     parser.add_argument("--trials", type=int, default=None, help="override trials per grid point")
-    parser.add_argument(
-        "--strict",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="reject unknown config sections and keys (default on)",
-    )
     return parser
 
 
@@ -664,7 +647,7 @@ def main(argv: list[str] | None = None) -> int:
     cfg = None
     try:
         text = Path(args.config).read_text(encoding="utf-8-sig")
-        cfg = parse_config(text, strict=args.strict, base_dir=str(Path(args.config).parent))
+        cfg = parse_config(text, base_dir=str(Path(args.config).parent))
         overrides = {} if args.out is None else {"out_dir": args.out}
         # A flag that overrides a [sweep] key follows that key's rule.
         sweep_keys = {key.name: key for key in SCHEMA["sweep"]}

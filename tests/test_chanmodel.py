@@ -89,18 +89,24 @@ def test_synth_total_energy_scales():
     assert synth_reverberant(3, p).energy == pytest.approx(2.5, rel=1e-12)
 
 
-def test_decay_constant_is_solved_once_per_params(reverb):
-    chanmodel._solve_decay_constant.cache_clear()
+def test_decay_constant_is_solved_once_per_params(reverb, monkeypatch):
+    solve = chanmodel._solve_decay_constant
+    solves = []
+    monkeypatch.setattr(chanmodel, "_solve_decay_constant", lambda params: solves.append(params) or solve(params))
+    # ``reverb`` was made, and solved, before the count began: its draws solve nothing
     first = [synth_reverberant(seed, reverb).samples for seed in range(3)]
     again = [synth_reverberant(seed, reverb).samples for seed in range(3)]
-    other = ReverbParams(DT, 24, 60e-12, 400e-12)
-    synth_reverberant(0, other)
-    info = chanmodel._solve_decay_constant.cache_info()
-    # ``other`` solves when it is made; each of the seven draws then hits
-    assert (info.misses, info.hits) == (2, 6)
+    assert solves == []
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
-    # the cached constant is the bisection's own answer, bit for bit
-    assert chanmodel._solve_decay_constant(reverb) == chanmodel._solve_decay_constant.__wrapped__(reverb)
+    # each object solves when it is made, an equal one too, and never when it draws
+    other, same = ReverbParams(DT, 24, 60e-12, 400e-12), ReverbParams(DT, 24, 60e-12, 400e-12)
+    synth_reverberant(0, other)
+    synth_correlated_pair(0, same, 0.5)
+    assert [id(p) for p in solves] == [id(other), id(same)]
+    # the kept constant is the bisection's own answer, bit for bit
+    assert reverb.decay.hex() == solve(reverb).hex()
+    # and it takes no part in equality, hashing or the repr
+    assert other == same and hash(other) == hash(same) and "decay" not in repr(other)
 
 
 def test_ensemble_delay_spread_calibrated(reverb):
@@ -108,6 +114,79 @@ def test_ensemble_delay_spread_calibrated(reverb):
     # per-realization spreads understate the ensemble profile slightly)
     spreads = [rms_delay_spread(synth_reverberant(s, reverb)) for s in range(300)]
     assert 45e-12 < np.mean(spreads) < 55e-12
+
+
+# The README demo's channel parameters on their own 5 ps grid. Their
+# ensemble identities are checked over 2000 draws, at 4 standard errors.
+_DEMO = ReverbParams(sample_interval=5e-12, num_taps=64, rms_delay_spread_target=100e-12, max_delay=500e-12)
+_DEMO_DRAWS = 2000
+
+
+@pytest.fixture(scope="module")
+def demo_powers():
+    """|h[k]|^2 of the demo channel at seeds 0 to _DEMO_DRAWS - 1, one row per draw."""
+    return np.array([np.abs(synth_reverberant(seed, _DEMO).samples) ** 2 for seed in range(_DEMO_DRAWS)])
+
+
+def _sees_a_five_percent_error(standard_errors_off):
+    """Fail unless the quantity scaled by 1.05, or by 1/1.05, lies more than 4 standard errors off.
+
+    ``standard_errors_off(scale)`` measures the scaled quantity. This calls
+    pytest.fail, not assert, so that it still fails a test marked as an
+    expected assertion failure.
+    """
+    for scale in (1.05, 1 / 1.05):
+        if not abs(standard_errors_off(scale)) > 4.0:
+            pytest.fail(f"the draws cannot tell the quantity scaled by {scale:.4f} from the expected one")
+
+
+# A known defect: rescaling each draw to total_energy weights it by the
+# inverse of its raw energy, which tilts the pooled profile toward the tail.
+# Over 40,000 demo draws the first tenth of the delays carries 4.6% less
+# power than the profile, the last tenth 8.7% more, and the pooled spread is
+# 101.8 ps. Without the rescaling both tests pass. The marks come off when
+# the generator meets its profile.
+_RESCALING_TILTS_THE_PROFILE = pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="per-draw rescaling tilts the pooled profile toward the tail"
+)
+
+
+@_RESCALING_TILTS_THE_PROFILE
+def test_mean_power_per_delay_bin_is_the_exponential_profiles(demo_powers):
+    # A delay drawn uniformly on [0, max_delay] lands in bin k when it rounds
+    # to k, and brings a mean power exp(-delay / decay); the profile's share
+    # of bin k is its integral over those delays. Every bin at once: the
+    # chi-square of their standard errors, in standard deviations of its
+    # distribution.
+    bins = np.arange(_DEMO.num_samples)
+    edges = np.clip((bins[:, None] + [-0.5, 0.5]) * _DEMO.sample_interval, 0.0, _DEMO.max_delay)
+    mass = np.exp(-edges[:, 0] / _DEMO.decay) - np.exp(-edges[:, 1] / _DEMO.decay)
+    expected = _DEMO.total_energy * mass / mass.sum()
+    standard_errors = demo_powers.std(axis=0, ddof=1) / math.sqrt(_DEMO_DRAWS)
+
+    def standard_errors_off(scale=1.0):
+        chi_square = np.sum(((scale * demo_powers.mean(axis=0) - expected) / (scale * standard_errors)) ** 2)
+        return (chi_square - bins.size) / math.sqrt(2 * bins.size)
+
+    _sees_a_five_percent_error(standard_errors_off)
+    assert standard_errors_off() <= 4.0
+
+
+@_RESCALING_TILTS_THE_PROFILE
+def test_pooled_power_delay_profile_has_the_target_delay_spread(demo_powers):
+    # Each draw's energy is total_energy, so the pooled profile's delay moments
+    # are the means of each draw's, a and b; its spread is sqrt(mean b - mean a^2),
+    # with the standard error of the linearization b - 2 mean(a) a.
+    times = np.arange(_DEMO.num_samples) * _DEMO.sample_interval
+    a, b = (demo_powers @ times**n / _DEMO.total_energy for n in (1, 2))
+    spread = math.sqrt(b.mean() - a.mean() ** 2)
+    standard_error = (b - 2 * a.mean() * a).std(ddof=1) / math.sqrt(_DEMO_DRAWS) / (2 * spread)
+
+    def standard_errors_off(scale=1.0):
+        return (scale * spread - _DEMO.rms_delay_spread_target) / (scale * standard_error)
+
+    _sees_a_five_percent_error(standard_errors_off)
+    assert abs(standard_errors_off()) <= 4.0
 
 
 def test_rician_tap_carries_requested_power_fraction():

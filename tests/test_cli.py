@@ -497,18 +497,15 @@ def test_readme_stated_ranges_match_the_parser():
                 parse_config(text)
 
 
-def test_strict_mode_rejects_unknown_names(capsys):
+def test_unknown_names_are_refused_at_their_line():
     unknown_section = MINIMAL + "\n[plotting]\nstyle = fancy\n"
-    with pytest.raises(ConfigError, match="unknown section"):
+    line = unknown_section.splitlines().index("[plotting]") + 1
+    with pytest.raises(ConfigError, match=rf"^line {line}: unknown section \[plotting\]$"):
         parse_config(unknown_section)
-    cfg = parse_config(unknown_section, strict=False)
-    assert [(link.tx_node, link.rx_node) for link in cfg.links] == [("A", "B")]
-    assert "unknown section" in capsys.readouterr().err
     unknown_key = MINIMAL.replace("rx = B", "rx = B\ncolor = red")
-    with pytest.raises(ConfigError, match="unknown key 'color'"):
+    line = unknown_key.splitlines().index("color = red") + 1
+    with pytest.raises(ConfigError, match=rf"^line {line}: unknown key 'color' in \[link 1\]$"):
         parse_config(unknown_key)
-    parse_config(unknown_key, strict=False)
-    assert "unknown key" in capsys.readouterr().err
 
 
 def test_realize_channels_pins_and_refreshes(tmp_path):
@@ -1022,6 +1019,28 @@ def test_readme_demo_line_deletions_and_duplications_run_or_are_refused_at_a_lin
     assert runs == 168
 
 
+def test_readme_demo_unknown_names_are_refused_at_the_added_line(tmp_path, capsys):
+    # An unknown key appended to each section, then an unknown section appended at the end.
+    lines, kept = _demo_lines()
+    ends = [i for i in kept if i + 1 == len(lines) or not lines[i + 1].strip()]
+    cases = [(lines[: i + 1] + ["power_dmb = 10\n"] + lines[i + 1 :], i + 2) for i in ends]
+    cases.append((lines + ["\n[plotting]\n", "style = fancy\n"], len(lines) + 2))
+    cfg_path = tmp_path / "mutated.cfg"
+    argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--n-bits", "100", "--trials", "1"]
+    for mutated, added in cases:
+        cfg_path.write_text("".join(mutated), encoding="utf-8")
+        assert main(argv) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: line {added}: unknown "), (added, errors)
+    assert len(cases) == 11 + 1
+    assert not (tmp_path / "out").exists()
+    # No flag lets an unknown name through any more.
+    with pytest.raises(SystemExit) as usage:
+        main(argv + ["--no-strict"])
+    assert usage.value.code == 2
+    assert "unrecognized arguments: --no-strict" in capsys.readouterr().err
+
+
 def test_readme_demo_bad_values_parse_or_are_refused_at_a_line():
     # Through parse_config only: realizing or running some of these values
     # (max_delay_s = 2.5, bit_rate_bps = 1e18) would allocate terabytes.
@@ -1293,16 +1312,6 @@ def test_main_names_the_cir_file_and_line_of_a_bad_row(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_main_strict_flag(tmp_path, capsys):
-    loose = TWO_LINK + "\n[plotting]\nstyle = fancy\n"
-    cfg_path = _write(tmp_path, "s.cfg", loose)
-    out = tmp_path / "results"
-    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 1
-    assert "unknown section" in capsys.readouterr().err
-    assert main(["run", "--config", cfg_path, "--out", str(out), "--no-strict"]) == 0
-    assert "warning:" in capsys.readouterr().err
-
-
 def _counting(monkeypatch, module, name, key):
     """Replace module.name with a wrapper that counts calls by key(*args, **kwargs).
 
@@ -1518,20 +1527,15 @@ def test_run_transforms_each_stream_once_per_trial(tmp_path, monkeypatch):
     assert sum(n for size, n in transforms.items() if size != taps) == 3 * 2 * 2
 
 
-def test_power_sweep_solves_decay_constant_once_per_params(tmp_path):
-    text = TWO_LINK.split("[sweep]")[0]
-    # one channel with its own parameters: two distinct parameter sets
-    text = text.replace(
-        '[channel "C->D"]\nmodel = reverberant\nnum_taps = 8\nrms_delay_spread_s = 50e-12',
-        '[channel "C->D"]\nmodel = reverberant\nnum_taps = 8\nrms_delay_spread_s = 40e-12',
-    )
-    cfg_path = _write(tmp_path, "synth.cfg", text + _SWEEP_3x2)
-    chanmodel._solve_decay_constant.cache_clear()
+def test_power_sweep_solves_decay_constant_once_per_params(tmp_path, monkeypatch):
+    cfg_path = _write(tmp_path, "synth.cfg", TWO_LINK.split("[sweep]")[0] + _SWEEP_3x2)
+    solves = _counting(monkeypatch, chanmodel, "_solve_decay_constant", lambda params: id(params))
+    draws = _counting(monkeypatch, chanmodel, "synth_reverberant", lambda seed, params, label: id(params))
     assert main(["sweep-power", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
-    info = chanmodel._solve_decay_constant.cache_info()
-    # Each of the four channels' parameters solves when the config is read
-    # (two of them hit the other two's solves); 3 values x 2 trials x 4 draws then hit.
-    assert (info.misses, info.hits) == (2, 2 + 3 * 2 * 4)
+    # Each of the four channel sections' parameters solves once, when the
+    # config is read, equal ones too; 3 values x 2 trials x 4 draws read it.
+    assert list(solves.values()) == [1] * 4
+    assert set(draws) == set(solves) and sum(draws.values()) == 3 * 2 * 4
 
 
 def _child_env():

@@ -299,6 +299,35 @@ def test_tr_cross_response_energy_is_sps_times_total_energy_over_the_ensemble(sp
     assert abs(mean - sps * _DEMO_ON_ITS_GRID.total_energy) <= 4.0 * standard_error, (mean, standard_error)
 
 
+def _standard_errors_off(samples, expected, scale=1.0):
+    """How many standard errors the mean of ``scale`` x ``samples`` lies from ``expected``."""
+    return (scale * samples.mean() - expected) / (scale * samples.std(ddof=1) / math.sqrt(samples.size))
+
+
+@pytest.mark.parametrize("precoding, sps, draws", [("tr", 1, 500), ("tr", 4, 1000), ("none", 4, 1000)])
+def test_mean_cochannel_energy_on_the_decision_phase_is_total_energy(precoding, sps, draws):
+    # An interferer's taps at a victim sample s = c * g, its channel to the
+    # victim's receiver through its pre-filter, in windows of sps samples
+    # that tile s, one per symbol of the victim's decision phase. With c
+    # independent of g and of the victim's own link, distinct taps of c
+    # uncorrelated, and g of unit energy with uncorrelated taps (TR of an
+    # independent channel, or the identity), E sum|taps|^2 = E||c||^2 =
+    # total_energy. Without precoding at one sample per symbol it holds per
+    # draw (test_unit_power_energies_at_one_sample_per_symbol_are_exact).
+    energies = np.empty(draws)
+    for i in range(draws):
+        channels = synth_channel_set(i, _DEMO_ON_ITS_GRID, [(tx, rx) for tx in "AC" for rx in "BD"])
+        scenario = build_multi_tx_scenario(channels, 2, precoding, 0.0, 1.0 / (_DEMO_ON_ITS_GRID.sample_interval * sps))
+        assert scenario.mod_params.samples_per_symbol == sps
+        taps = scenario.responses.taps
+        # Each link is the victim of the other once; their mean is one sample per draw.
+        energies[i] = np.mean([np.sum(np.abs(taps[pair]) ** 2) for pair in (("A->B", "C->D"), ("C->D", "A->B"))])
+    expected = _DEMO_ON_ITS_GRID.total_energy
+    assert abs(_standard_errors_off(energies, expected)) <= 4.0
+    # The draws are enough to see a 5% error either way.
+    assert min(abs(_standard_errors_off(energies, expected, scale)) for scale in (1.05, 1 / 1.05)) > 4.0
+
+
 def test_orthogonal_channels_leave_exact_null():
     # cross response of [1,1]/sqrt2 against the filter matched to
     # [1,-1]/sqrt2 is [-0.5, 0, +0.5]; the center cancels exactly
