@@ -224,12 +224,15 @@ class Cir:
 
     The sample array is copied on construction and frozen, so a Cir can be
     shared between scenarios without defensive copies, and so can the
-    spectra it caches (``spectra``).
+    spectra it caches (``spectra``). ``energy``, the sum of |h[n]|^2 over
+    the grid, is summed once on construction; it takes no part in
+    equality or the repr.
     """
 
     samples: np.ndarray
     sample_interval: float
     label: str = ""
+    energy: float = field(init=False, repr=False, compare=False)
     _spectra: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -237,9 +240,11 @@ class Cir:
         if not np.all(np.isfinite(s.view(np.float64))):
             raise ValueError("CIR samples must be finite")
         with np.errstate(over="ignore"):
-            if not np.isfinite(np.sum(np.abs(s) ** 2)):
-                raise ValueError("CIR energy must be finite: samples too large")
+            energy = float(np.sum(np.abs(s) ** 2))
+        if not math.isfinite(energy):
+            raise ValueError("CIR energy must be finite: samples too large")
         object.__setattr__(self, "samples", s)
+        object.__setattr__(self, "energy", energy)
 
     def spectra(self, m: int) -> np.ndarray:
         """The read-only (1, m) ``block_spectra(samples, m, m)``, computed on first use (m >= taps)."""
@@ -250,11 +255,6 @@ class Cir:
             spectrum.flags.writeable = False
             self._spectra[m] = spectrum
         return self._spectra[m]
-
-    @property
-    def energy(self) -> float:
-        """Sum of |h[n]|^2 over the grid."""
-        return float(np.sum(np.abs(self.samples) ** 2))
 
     @property
     def times(self) -> np.ndarray:
@@ -269,8 +269,9 @@ class ReverbParams:
     are circularly symmetric Gaussian with an exponentially decaying mean
     power profile exp(-delay/decay). The decay constant ``decay`` is solved
     once, when the parameters are made, so that the profile's RMS delay
-    spread matches ``rms_delay_spread_target``; it takes no part in
-    equality, hashing or the repr. When ``rician_k`` is positive a
+    spread matches ``rms_delay_spread_target``, and so is ``num_samples``,
+    the length of a draw: the grid from 0 to max_delay. Neither takes part
+    in equality, hashing or the repr. When ``rician_k`` is positive a
     deterministic tap at zero delay carries the fraction k/(1+k) of the
     power. The realization is rescaled so its energy equals
     ``total_energy`` exactly, which tilts the mean profile of many draws
@@ -284,6 +285,7 @@ class ReverbParams:
     rician_k: float = 0.0
     total_energy: float = 1.0
     decay: float = field(init=False, repr=False, compare=False)
+    num_samples: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_fields(self)
@@ -299,6 +301,7 @@ class ReverbParams:
                 f"max_delay / sample_interval must be below 2^63 samples, got "
                 f"{self.max_delay / self.sample_interval:g}"
             )
+        object.__setattr__(self, "num_samples", int(np.rint(self.max_delay / self.sample_interval)) + 1)
         if not self.rician_k >= 0.0:
             raise ValueError("rician_k must be >= 0")
         if not self.total_energy > 0.0:
@@ -317,11 +320,6 @@ class ReverbParams:
             )
         # Refuses a target whose decay constant underflows.
         object.__setattr__(self, "decay", _solve_decay_constant(self))
-
-    @property
-    def num_samples(self) -> int:
-        """Length of a drawn realization: the grid from 0 to max_delay."""
-        return int(np.rint(self.max_delay / self.sample_interval)) + 1
 
 
 def _truncated_exp_moments(decay: float, t_max: float) -> tuple[float, float]:
@@ -447,13 +445,12 @@ def synth_correlated_pair(
 
 def rms_delay_spread(cir: Cir) -> float:
     """Power-weighted standard deviation of the delay profile, in seconds."""
-    p = np.abs(cir.samples) ** 2
-    energy = float(p.sum())
-    if energy <= 0.0:
+    if cir.energy <= 0.0:
         raise ValueError("CIR has zero energy")
+    p = np.abs(cir.samples) ** 2
     t = cir.times
-    mean = float((p * t).sum()) / energy
-    return math.sqrt(float((p * (t - mean) ** 2).sum()) / energy)
+    mean = float((p * t).sum()) / cir.energy
+    return math.sqrt(float((p * (t - mean) ** 2).sum()) / cir.energy)
 
 
 def channel_correlation(h1: Cir, h2: Cir) -> float:

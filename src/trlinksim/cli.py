@@ -42,6 +42,10 @@ FOCUSING_HEADER = "node,tr_peak_w,tr_total_w,nontr_peak_w,nontr_total_w"
 # ratio underflows to 0; the README's config reference derives them.
 _DBM = (-300.0, 300.0)
 _ENERGY = (1e-50, 1e50)
+# The most taps, and samples (max_delay_s / grid + 1), of a synthetic channel:
+# at 16 bytes a sample its CIR takes at most 16 MB and each cached spectrum
+# (up to 8 times as long) 128 MB. The README's config reference derives it.
+_MAX_SAMPLES = 10**6
 
 
 class ConfigError(Exception):
@@ -211,7 +215,7 @@ SCHEMA: dict[str, tuple[Key, ...]] = {
     "channel": (
         Key("file", when="file"),
         Key("model", _one_of(("reverberant",), "unknown channel model {!r}"), when="model"),
-        Key("num_taps", _count_from(1), required=True, when="model"),
+        Key("num_taps", _count_from(1, _MAX_SAMPLES), required=True, when="model"),
         Key("rms_delay_spread_s", _number, required=True, when="model", field="rms_delay_spread_target"),
         Key("max_delay_s", _number, required=True, when="model", field="max_delay"),
         Key("rician_k", _number, "0", when="model"),
@@ -446,10 +450,16 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         seed = params.pop("seed")
         with _at_line(lineno, f"invalid [{name}]: "):
             channels[pair] = chanmodel.ReverbParams(sample_interval=mod.sample_interval, **params)
+        if channels[pair].num_samples > _MAX_SAMPLES:
+            entry = body["max_delay_s"]
+            raise ConfigError(
+                f"line {entry.lineno}: max_delay_s = {entry.value} is {channels[pair].num_samples} samples "
+                f"on the {mod.sample_interval:g} s grid, above the cap of {_MAX_SAMPLES}"
+            )
         if seed is not None:
             # A pinned seed fixes the realization for every trial.
             with _at_line(lineno):
-                channels[pair] = _draw(seed, channels[pair], pair)
+                channels[pair] = chanmodel.synth_reverberant(seed, channels[pair], label=label)
 
     if "noise" not in sections:
         raise ConfigError("missing required section [noise]")
@@ -484,17 +494,6 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     return RunConfig(channels, tuple(links), mod, noise, **sweep, **output)
 
 
-def _draw(seed: int, params: chanmodel.ReverbParams, pair: tuple[str, str]) -> chanmodel.Cir:
-    """The channel of ``pair`` drawn from ``seed``; a draw too large to allocate names its section."""
-    label = f"{pair[0]}->{pair[1]}"
-    try:
-        return chanmodel.synth_reverberant(seed, params, label=label)
-    except MemoryError:
-        raise ValueError(
-            f'[channel "{label}"]: out of memory drawing {params.num_taps} taps onto {params.num_samples} samples'
-        ) from None
-
-
 def realize_channels(cfg: RunConfig, channel_seed: int) -> dict[tuple[str, str], chanmodel.Cir]:
     """The configured channels, each fresh synthetic one drawn anew.
 
@@ -507,20 +506,22 @@ def realize_channels(cfg: RunConfig, channel_seed: int) -> dict[tuple[str, str],
     for index, pair in enumerate(sorted(cfg.channels)):
         channel = cfg.channels[pair]
         if isinstance(channel, chanmodel.ReverbParams):
-            channel = _draw(experiments.derive_seed(channel_seed, index), channel, pair)
+            seed = experiments.derive_seed(channel_seed, index)
+            channel = chanmodel.synth_reverberant(seed, channel, "->".join(pair))
         out[pair] = channel
     return out
 
 
-def _sweep_rows(cfg: RunConfig, variable: str, grid: tuple) -> list[experiments.SweepRow]:
-    points = {value: _grid_point(variable, value, cfg.links, cfg.mod) for value in grid}
+def _sweep_rows(cfg: RunConfig, variable: str, points: list) -> list[experiments.SweepRow]:
+    """The sweep over ``points``: (value, its ``_grid_point``) pairs, in grid order."""
+    at_value = dict(points)
 
     def at_realization(channels) -> Callable[[float], linksim.Scenario]:
         """Scenario per grid value over one channel realization."""
         bases = {}  # one per link count and modulation: power leaves the response table alone
 
         def scenario(value: float) -> linksim.Scenario:
-            links, mod = points[value]
+            links, mod = at_value[value]
             key = len(links), mod
             if key not in bases:
                 bases[key] = linksim.Scenario(channels, links, cfg.noise, mod)
@@ -535,14 +536,16 @@ def _sweep_rows(cfg: RunConfig, variable: str, grid: tuple) -> list[experiments.
         build = functools.cache(at_realization(realize_channels(cfg, cfg.master_seed)))
         template = lambda value, seed: build(value)
     counts = (cfg.n_bits, cfg.n_trials, cfg.master_seed, cfg.pilot_len)
-    return experiments.sweep(variable, grid, template, *counts)
+    return experiments.sweep(variable, [value for value, _ in points], template, *counts)
 
 
 def _sweep_csv(command: str, cfg: RunConfig, path: Path) -> list[Path]:
     """Sweep ``command``'s variable over the config's values, or its default grid.
 
     A config that names a sweep variable serves only the command sweeping it.
-    The default grid is checked, as the parser checks values, before any trial.
+    Each grid value is resolved once, before any trial. The parser checked
+    configured values; a default grid value the sweep cannot run is refused
+    here the same way.
     """
     variable, default = _SWEEPS[command]
     if default is None:
@@ -552,13 +555,14 @@ def _sweep_csv(command: str, cfg: RunConfig, path: Path) -> list[Path]:
             f"config sweep variable {cfg.sweep_variable!r} does not match command "
             f"{command!r} (expected {variable!r})"
         )
-    try:
-        for value in () if cfg.sweep_values else default:
-            _grid_point(variable, value, cfg.links, cfg.mod)
-    except ValueError as exc:
-        fix = "name a grid that fits with [sweep] variable and values"
-        raise ConfigError(f"default {command} grid value {value:g}: {exc}; {fix}") from None
-    write_sweep_csv(_sweep_rows(cfg, variable, cfg.sweep_values or default), path)
+    points = []
+    for value in cfg.sweep_values or default:
+        try:
+            points.append((value, _grid_point(variable, value, cfg.links, cfg.mod)))
+        except ValueError as exc:
+            fix = "name a grid that fits with [sweep] variable and values"
+            raise ConfigError(f"default {command} grid value {value:g}: {exc}; {fix}") from None
+    write_sweep_csv(_sweep_rows(cfg, variable, points), path)
     return [path]
 
 
@@ -568,7 +572,7 @@ def cmd_run(cfg: RunConfig, path: Path) -> list[Path]:
     That is the link-count sweep's point at every link, written as the
     one row per link labelled ``config,0``.
     """
-    rows = _sweep_rows(cfg, "n_links", (float(len(cfg.links)),))
+    rows = _sweep_rows(cfg, "n_links", [(float(len(cfg.links)), (cfg.links, cfg.mod))])
     write_sweep_csv([dataclasses.replace(row, variable="config", value=0.0) for row in rows], path)
     return [path]
 

@@ -231,18 +231,17 @@ def run_trial(
             f"n_bits = {n_bits} is too large: {pilot_len} + n_bits symbols of {sps} complex "
             "samples reach 2^63 bytes, more than numpy can index"
         )
-    links = sorted(scenario.links, key=lambda l: l.stream_id)
     table = scenario.responses
     n_symbols = pilot_len + n_bits
     streams, bits = {}, {}
-    for s_index, link in enumerate(links):
+    for s_index, link in enumerate(scenario.ordered_links):
         sid = link.stream_id
         streams[sid], bits[sid] = _transmit(link, s_index, seed, n_bits, pilot_len, table.filters[sid], mod)
     received = propagate(scenario, streams, derive_seed(seed, 1))
     # Detection needs only the bits: the sent streams go before it starts.
     del streams
     errors: dict[str, BerResult] = {}
-    for link in links:
+    for link in scenario.ordered_links:
         sid = link.stream_id
         offset = table.offsets[sid]
         peak = complex(table.taps[(sid, sid)][offset // sps])

@@ -88,12 +88,16 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class LinkSpec:
-    """One directed stream between two nodes."""
+    """One directed stream between two nodes.
+
+    ``tx_power_w``, its power in watts, is converted once on construction.
+    """
 
     tx_node: str
     rx_node: str
     precoding: str = "tr"
     tx_power_dbm: float = 0.0
+    tx_power_w: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.tx_node == self.rx_node:
@@ -102,7 +106,7 @@ class LinkSpec:
             raise ValueError(f"precoding must be one of {_PRECODINGS}, got {self.precoding!r}")
         if not math.isfinite(self.tx_power_dbm):
             raise ValueError("tx_power_dbm must be finite")
-        dbm_to_watts(self.tx_power_dbm)  # refuses a level whose watts overflow
+        object.__setattr__(self, "tx_power_w", dbm_to_watts(self.tx_power_dbm))  # refuses an overflow
 
     @property
     def stream_id(self) -> str:
@@ -147,9 +151,14 @@ class Scenario:
                     f"{cir.sample_interval!r}, modulation grid is {dt!r}"
                 )
 
-    @property
+    @cached_property
     def receivers(self) -> tuple[str, ...]:
         return tuple(sorted({link.rx_node for link in self.links}))
+
+    @cached_property
+    def ordered_links(self) -> tuple[LinkSpec, ...]:
+        """The links in stream-id order: the one order trials seed and propagation sums streams in."""
+        return tuple(sorted(self.links, key=lambda l: l.stream_id))
 
     def link_for_stream(self, stream_id: str) -> LinkSpec:
         for link in self.links:
@@ -221,9 +230,7 @@ def propagate(
         scenario.link_for_stream(stream_id)  # rejects unknown stream ids
         if not same_grid(waveform.sample_interval, dt):
             raise ValueError(f"grid mismatch: stream {stream_id!r} is off the modulation grid")
-    present = sorted(
-        (link for link in scenario.links if link.stream_id in streams), key=lambda l: l.stream_id
-    )
+    present = [link for link in scenario.ordered_links if link.stream_id in streams]
     rows = [[scenario.channels[(l.tx_node, rx)] for rx in scenario.receivers] for l in present]
     sums = convolve_sum([streams[link.stream_id].samples for link in present], rows)
     received = {}
@@ -414,12 +421,10 @@ def compute_sinr(scenario: Scenario, target_link: LinkSpec) -> SinrReport:
     own = table.taps[(sid, sid)]
     z = table.offsets[sid] // scenario.mod_params.samples_per_symbol
     mags = np.abs(own) ** 2
-    p_own = dbm_to_watts(link.tx_power_dbm)
-    signal_w = p_own * abs(complex(own[z])) ** 2
-    isi_w = p_own * float(mags.sum() - mags[z])
+    signal_w = link.tx_power_w * abs(complex(own[z])) ** 2
+    isi_w = link.tx_power_w * float(mags.sum() - mags[z])
     per_interferer = {
-        other.stream_id: dbm_to_watts(other.tx_power_dbm)
-        * float(np.sum(np.abs(table.taps[(sid, other.stream_id)]) ** 2))
+        other.stream_id: other.tx_power_w * float(np.sum(np.abs(table.taps[(sid, other.stream_id)]) ** 2))
         for other in scenario.links
         if other.stream_id != sid
     }

@@ -10,7 +10,7 @@ so power comparisons between the two are at equal transmit energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -45,14 +45,16 @@ def dbm_to_watts(p_dbm: float) -> float:
 class ModParams:
     """Amplitude-shift-keying parameters on a uniform baseband grid.
 
-    The grid is implied: sample_interval = 1 / (bit_rate * samples_per_symbol).
-    All processing happens in complex baseband.
+    The grid is implied: ``sample_interval`` = 1 / (bit_rate * samples_per_symbol),
+    computed once on construction; it takes no part in equality, hashing or
+    the repr. All processing happens in complex baseband.
     """
 
     bit_rate: float
     samples_per_symbol: int = 4
     level_zero: float = 0.0
     level_one: float = 1.0
+    sample_interval: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_fields(self)
@@ -63,6 +65,7 @@ class ModParams:
                 f"samples_per_symbol must be a positive integer, got {self.samples_per_symbol}"
             )
         object.__setattr__(self, "samples_per_symbol", int(self.samples_per_symbol))
+        object.__setattr__(self, "sample_interval", 1.0 / (self.bit_rate * self.samples_per_symbol))
         if not 0.0 < self.sample_interval < math.inf:
             raise ValueError(f"bit_rate {self.bit_rate!r} gives a sample interval of {self.sample_interval!r}")
         if not 0.0 <= self.level_zero < self.level_one:
@@ -71,10 +74,6 @@ class ModParams:
         # the stream's power overflows or underflows before it is scaled.
         if not 1e-100 <= self.level_one <= 1e100:
             raise ValueError(f"level_one must lie in [1e-100, 1e100], got {self.level_one!r}")
-
-    @property
-    def sample_interval(self) -> float:
-        return 1.0 / (self.bit_rate * self.samples_per_symbol)
 
 
 @dataclass(frozen=True)
@@ -120,10 +119,9 @@ def make_tr_filter(cir: Cir) -> TrFilter:
     filter peak of sqrt(channel energy) at the alignment lag, which is
     what concentrates energy at the intended receiver.
     """
-    energy = cir.energy
-    if energy <= 0.0:
+    if cir.energy <= 0.0:
         raise ValueError(f"degenerate channel {cir.label!r}: zero energy")
-    g = np.conj(cir.samples[::-1]) / math.sqrt(energy)
+    g = np.conj(cir.samples[::-1]) / math.sqrt(cir.energy)
     return TrFilter(g, cir.sample_interval)
 
 

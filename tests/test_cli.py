@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import json
 import math
 import os
 import re
@@ -463,6 +464,7 @@ _THERMAL = MINIMAL.replace("mode = explicit\npower_dbm = -40", "mode = thermal\n
 # Per README row with a stated range: (config, line to replace, its key), and
 # whether a refusal names the section line rather than the key's own.
 _RANGED_ROWS = {
+    ('`[channel "A->B"]`', "`num_taps`"): (MINIMAL, "num_taps = 8", "num_taps", False),
     ('`[channel "A->B"]`', "`total_energy`"): (MINIMAL, "max_delay_s = 200e-12", "total_energy", False),
     ("`[link N]`", "`power_dbm`"): (MINIMAL, "rx = B", "power_dbm", False),
     # ModParams checks level_one, and names its section
@@ -948,29 +950,47 @@ def _channel_error(text, pinned, message):
 
 @pytest.mark.parametrize("command", ["run", "gen-channel"])
 @pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "fresh"])
-def test_main_reports_a_channel_too_large_to_allocate(tmp_path, pinned, command):
-    # numpy refuses the 800 PB draw before it allocates anything. A pinned
-    # seed draws the channel while the config is read, a fresh one in the command.
+def test_main_refuses_a_tap_count_above_the_cap_by_line(tmp_path, pinned, command):
+    # 10^17 taps used to reach the draw, where numpy refused 800 PB with no
+    # line for a fresh channel.
     text = MINIMAL.replace("num_taps = 8", f"num_taps = {10**17}" + ("\nseed = 1" if pinned else ""))
     proc = _run_warnings_as_errors(tmp_path, text, command)
-    message = f'[channel "A->B"]: out of memory drawing {10**17} taps onto 41 samples'
-    assert (proc.returncode, proc.stderr) == (1, _channel_error(text, pinned, message))
+    line = text.splitlines().index(f"num_taps = {10**17}") + 1
+    message = f"error: line {line}: num_taps must lie in [1, 1e+06], got {10**17}\n"
+    assert (proc.returncode, proc.stderr) == (1, message)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "delay, modulation, count, grid",
+    [
+        # 2.5 s on the 5 ps grid: 5e11 + 1 complex samples, 8 TB
+        ("2.5", "", "500000000001", "5e-12"),
+        # 200 ps on the grid of 1e18 b/s at 4 samples per bit: 8e8 + 1 samples, 12.8 GB
+        ("200e-12", "\n[modulation]\nbit_rate_bps = 1e18\n", "800000001", "2.5e-19"),
+    ],
+    ids=["long-delay", "fine-grid"],
+)
 @pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "fresh"])
-def test_main_names_the_sample_count_of_a_channel_too_large_to_allocate(tmp_path, monkeypatch, capsys, pinned):
-    # 2.5 s on the 5 ps grid is 5e11 + 1 complex samples, 8 TB: the draw
-    # is never attempted, numpy's refusal of it stands in.
-    def refuse(*args, **kwargs):
-        raise MemoryError
-
-    monkeypatch.setattr(chanmodel, "synth_reverberant", refuse)
-    text = MINIMAL.replace("max_delay_s = 200e-12", "max_delay_s = 2.5" + ("\nseed = 1" if pinned else ""))
+def test_main_refuses_a_sample_count_above_the_cap_by_line(tmp_path, capsys, pinned, delay, modulation, count, grid):
+    # Either used to reach the draw, and ran out of memory there.
+    seed = "\nseed = 1" if pinned else ""
+    text = MINIMAL.replace("max_delay_s = 200e-12", f"max_delay_s = {delay}{seed}") + modulation
     assert main(["run", "--config", _write(tmp_path, "m.cfg", text), "--out", str(tmp_path / "out")]) == 1
-    message = '[channel "A->B"]: out of memory drawing 8 taps onto 500000000001 samples'
-    assert capsys.readouterr().err == _channel_error(text, pinned, message)
+    line = text.splitlines().index(f"max_delay_s = {delay}") + 1
+    assert capsys.readouterr().err == (
+        f"error: line {line}: max_delay_s = {delay} is {count} samples on the {grid} s grid, "
+        "above the cap of 1000000\n"
+    )
     assert not (tmp_path / "out").exists()
+
+
+def test_the_sample_cap_admits_its_own_count():
+    # On the 5 ps grid, max_delay_s / grid + 1 is the cap at 5e-6 - 5e-12 s and one more at 5e-6 s.
+    at_cap = parse_config(MINIMAL.replace("max_delay_s = 200e-12", "max_delay_s = 4.999995e-6"))
+    assert at_cap.channels[("A", "B")].num_samples == 10**6
+    with pytest.raises(ConfigError, match=r"is 1000001 samples on the 5e-12 s grid, above the cap of 1000000$"):
+        parse_config(MINIMAL.replace("max_delay_s = 200e-12", "max_delay_s = 5e-6"))
 
 
 @pytest.mark.parametrize("command", ["run", "focusing"])
@@ -1041,21 +1061,52 @@ def test_readme_demo_unknown_names_are_refused_at_the_added_line(tmp_path, capsy
     assert "unrecognized arguments: --no-strict" in capsys.readouterr().err
 
 
-def test_readme_demo_bad_values_parse_or_are_refused_at_a_line():
-    # Through parse_config only: realizing or running some of these values
-    # (max_delay_s = 2.5, bit_rate_bps = 1e18) would allocate terabytes.
+# Runs each config it is given through ``main run`` at 100 bits and one trial,
+# in a process of at most 3 GiB of address space, and prints each exit status
+# with its ``error:`` lines.
+_CAPPED_RUNS = """
+import contextlib, io, json, resource, sys
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+limit = 3 << 30 if hard == resource.RLIM_INFINITY else min(3 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+from trlinksim.cli import main
+results = []
+for cfg, out in json.load(sys.stdin):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", "--config", cfg, "--out", out, "--n-bits", "100", "--trials", "1"])
+    results.append([code, [line for line in err.getvalue().splitlines() if line.startswith("error:")]])
+json.dump(results, sys.stdout)
+"""
+
+
+def test_readme_demo_bad_values_run_or_are_refused_at_a_line(tmp_path):
+    # Before the tap and sample caps, 13 of these ran out of memory drawing a
+    # channel, with no line: num_taps = 1e18, max_delay_s = 2.5 and 1_0, and
+    # bit_rate_bps = 1e18.
     lines, kept = _demo_lines()
-    cases = 0
+    cases = []
     for i in (i for i in kept if "=" in lines[i]):
         key = lines[i].split("=")[0].strip()
         for value in _BAD_VALUES:
-            mutated = lines[:i] + [f"{key} = {value}\n"] + lines[i + 1 :]
-            try:
-                parse_config("".join(mutated))
-            except ConfigError as exc:
-                assert re.match(r"line \d+: ", str(exc)), (key, value, str(exc))
-            cases += 1
-    assert cases == 31 * 15
+            path = tmp_path / f"{len(cases)}.cfg"
+            path.write_text("".join(lines[:i] + [f"{key} = {value}\n"] + lines[i + 1 :]), encoding="utf-8")
+            cases.append((key, value, str(path)))
+    assert len(cases) == 31 * 15
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", _CAPPED_RUNS],
+        input=json.dumps([(path, str(tmp_path / "out")) for _, _, path in cases]),
+        env=dict(_child_env(), OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    for (key, value, _), (code, errors) in zip(cases, results, strict=True):
+        if code:
+            assert code == 1 and len(errors) == 1, (key, value, errors)
+            assert re.match(r"error: line \d+: ", errors[0]), (key, value, errors)
+        else:
+            assert not errors, (key, value, errors)
+    assert Counter(code for code, _ in results) == {0: 40, 1: 425}
 
 
 @pytest.mark.parametrize("command", ["run", "gen-channel"])
@@ -1094,15 +1145,16 @@ def test_main_refuses_a_count_flag_of_2_to_the_63_or_more(tmp_path, flag):
 
 def test_counts_just_below_2_to_the_63_are_read():
     largest = 2**63 - 1
-    # 10 ps on the grid of 2^63 - 1 samples per 20 ps bit is below 2^63 samples.
-    channel = f"num_taps = {largest}\nrms_delay_spread_s = 2e-12\nmax_delay_s = 10e-12"
+    # num_taps has the sample cap of its own. 2e-24 s on the grid of
+    # 2^63 - 1 samples per 20 ps bit is 922,338 samples, below that cap.
+    channel = f"num_taps = {10**6}\nrms_delay_spread_s = 2e-25\nmax_delay_s = 2e-24"
     text = MINIMAL.replace("num_taps = 8\nrms_delay_spread_s = 50e-12\nmax_delay_s = 200e-12", channel) + (
         f"\n[modulation]\nsamples_per_symbol = {largest}\n"
         f"\n[sweep]\nn_bits = {largest}\nn_trials = {largest}\npilot_bits = {largest}\n"
     )
     cfg = parse_config(text)
-    assert cfg.channels[("A", "B")].num_taps == cfg.mod.samples_per_symbol == largest
-    assert cfg.n_bits == cfg.n_trials == cfg.pilot_len == largest
+    assert cfg.channels[("A", "B")].num_taps == 10**6 and cfg.channels[("A", "B")].num_samples == 922338
+    assert cfg.mod.samples_per_symbol == cfg.n_bits == cfg.n_trials == cfg.pilot_len == largest
 
 
 @pytest.mark.parametrize("rate, interval", [("1e308", "0.0"), ("1e-320", "inf")])

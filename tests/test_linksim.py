@@ -20,7 +20,7 @@ from trlinksim.chanmodel import (
     same_grid,
     synth_reverberant,
 )
-from trlinksim.experiments import build_multi_tx_scenario, build_scatter_scenario, synth_channel_set
+from trlinksim.experiments import build_multi_tx_scenario, build_scatter_scenario, run_trial, synth_channel_set
 from trlinksim.linksim import (
     BOLTZMANN_J_PER_K,
     LinkSpec,
@@ -1194,3 +1194,55 @@ def test_results_do_not_depend_on_link_or_channel_order(case):
     assert list(got) == list(again)
     for rx in got:
         assert got[rx].samples.tobytes() == again[rx].samples.tobytes()
+    # Trials seed each stream by its place in the scenario's one stream order.
+    assert reordered.ordered_links == scenario.ordered_links
+    assert run_trial(reordered, 4, 100) == run_trial(scenario, 4, 100)
+
+
+# Each value a record computes once when it is made: (a record, the value's
+# name, a fresh computation of it, and a change that moves it).
+_OWNED = {
+    "Cir.energy": (
+        lambda: Cir(np.array([3.0 - 4.0j]), DT, "h"),
+        "energy",
+        lambda cir: float(np.sum(np.abs(cir.samples) ** 2)),
+        {"samples": np.array([0.1, 2.0 + 1j, -3e-5j])},
+    ),
+    "LinkSpec.tx_power_w": (
+        lambda: LinkSpec("A", "B", "tr", 7.3),
+        "tx_power_w",
+        lambda link: dbm_to_watts(link.tx_power_dbm),
+        {"tx_power_dbm": -12.5},
+    ),
+    "ModParams.sample_interval": (
+        lambda: ModParams(3e9, 7),
+        "sample_interval",
+        lambda mod: 1.0 / (mod.bit_rate * mod.samples_per_symbol),
+        {"samples_per_symbol": 3},
+    ),
+    "ReverbParams.num_samples": (
+        lambda: ReverbParams(5e-12, 8, 50e-12, 200e-12),
+        "num_samples",
+        lambda params: int(np.rint(params.max_delay / params.sample_interval)) + 1,
+        {"max_delay": 300e-12},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _OWNED)
+def test_owned_values_are_fresh_and_stay_out_of_equality_hash_and_repr(name):
+    make, attr, fresh, change = _OWNED[name]
+    record = make()
+    # A float's repr tells every value apart, so equal reprs are equal bits.
+    assert repr(getattr(record, attr)) == repr(fresh(record))
+    (spec,) = [f for f in dataclasses.fields(record) if f.name == attr]
+    assert not (spec.init or spec.repr or spec.compare)
+    # Another stored value changes neither the repr, nor equality, nor the hash.
+    twin = make()
+    object.__setattr__(twin, attr, 2.0 * getattr(twin, attr))
+    assert attr not in repr(twin) and repr(twin) == repr(record)
+    assert twin == record
+    if name != "Cir.energy":  # a Cir holds an array, so it has no hash
+        assert hash(twin) == hash(record) and {record: 1}[twin] == 1
+    replaced = dataclasses.replace(twin, **change)
+    assert repr(getattr(replaced, attr)) == repr(fresh(replaced)) != repr(getattr(record, attr))
