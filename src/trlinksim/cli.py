@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import chanmodel, experiments, linksim, sigchain
+from .experiments import realize_channels
 
 __all__ = [
     "ConfigError",
@@ -27,7 +28,6 @@ __all__ = [
     "RunConfig",
     "SCHEMA",
     "parse_config",
-    "realize_channels",
     "main",
 ]
 
@@ -352,8 +352,7 @@ def _grid_point(
     if variable == "aggregate_rate_bps":
         if not value > 0.0:
             raise ValueError(f"aggregate_rate_bps sweep value {value!r} must be positive")
-        fit = experiments.mod_params_for_rate(value / len(links), mod.sample_interval)
-        return links, dataclasses.replace(mod, bit_rate=fit.bit_rate, samples_per_symbol=fit.samples_per_symbol)
+        return links, experiments.mod_params_for_rate(value / len(links), mod)
     if not (value.is_integer() and 1 <= value <= len(links)):
         raise ValueError(f"n_links sweep value {value!r} must be an integer in [1, {len(links)}]")
     return links[: int(value)], mod
@@ -494,24 +493,6 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     return RunConfig(channels, tuple(links), mod, noise, **sweep, **output)
 
 
-def realize_channels(cfg: RunConfig, channel_seed: int) -> dict[tuple[str, str], chanmodel.Cir]:
-    """The configured channels, each fresh synthetic one drawn anew.
-
-    A fresh channel derives its seed from ``channel_seed`` and its
-    position in sorted order over all configured pairs, so sweeps can
-    hand each trial a fresh set. Files and pinned channels were realized
-    when the config was read and come back as they are.
-    """
-    out = {}
-    for index, pair in enumerate(sorted(cfg.channels)):
-        channel = cfg.channels[pair]
-        if isinstance(channel, chanmodel.ReverbParams):
-            seed = experiments.derive_seed(channel_seed, index)
-            channel = chanmodel.synth_reverberant(seed, channel, "->".join(pair))
-        out[pair] = channel
-    return out
-
-
 def _sweep_rows(cfg: RunConfig, variable: str, points: list) -> list[experiments.SweepRow]:
     """The sweep over ``points``: (value, its ``_grid_point``) pairs, in grid order."""
     at_value = dict(points)
@@ -530,10 +511,10 @@ def _sweep_rows(cfg: RunConfig, variable: str, points: list) -> list[experiments
         return scenario
 
     if any(isinstance(c, chanmodel.ReverbParams) for c in cfg.channels.values()):
-        template = lambda value, seed: at_realization(realize_channels(cfg, seed))(value)
+        template = lambda value, seed: at_realization(realize_channels(cfg.channels, seed))(value)
     else:
         # One realization serves every trial: one scenario per grid value.
-        build = functools.cache(at_realization(realize_channels(cfg, cfg.master_seed)))
+        build = functools.cache(at_realization(realize_channels(cfg.channels, cfg.master_seed)))
         template = lambda value, seed: build(value)
     counts = (cfg.n_bits, cfg.n_trials, cfg.master_seed, cfg.pilot_len)
     return experiments.sweep(variable, [value for value, _ in points], template, *counts)
@@ -585,7 +566,7 @@ def cmd_focusing(cfg: RunConfig, path: Path) -> list[Path]:
     out rather than demanded.
     """
     probe = cfg.links[0]
-    channels = realize_channels(cfg, cfg.master_seed).items()
+    channels = realize_channels(cfg.channels, cfg.master_seed).items()
     node_map = {rx: cir for (tx, rx), cir in channels if tx == probe.tx_node}
     write_focusing_csv(experiments.focusing_report(node_map, probe.rx_node, probe.tx_power_dbm), path)
     return [path]
@@ -593,7 +574,7 @@ def cmd_focusing(cfg: RunConfig, path: Path) -> list[Path]:
 
 def cmd_gen_channel(cfg: RunConfig, pattern: Path) -> list[Path]:
     """Write every configured channel realization as a CIR CSV, named by its endpoints."""
-    channels = realize_channels(cfg, cfg.master_seed)
+    channels = realize_channels(cfg.channels, cfg.master_seed)
     written = []
     for pair in sorted(channels):
         written.append(pattern.with_name(pattern.name.format(*pair)))
@@ -669,8 +650,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
-        # numpy refuses an allocation the machine cannot give before it makes it.
-        what = "reading the config" if cfg is None else f"running {args.command} at n_bits = {cfg.n_bits}"
+        # numpy refuses an allocation the machine cannot give before it makes it,
+        # and run_trial streams of 2^63 bytes or more, which no machine can.
+        what = (
+            "reading the config"
+            if cfg is None
+            else f"running {args.command} at pilot_bits = {cfg.pilot_len} and n_bits = {cfg.n_bits}"
+        )
         print(f"error: out of memory {what}", file=sys.stderr)
         return 1
 

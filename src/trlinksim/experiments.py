@@ -1,16 +1,18 @@
-"""Scenario builders, seeded Monte Carlo trials, and sweep orchestration.
+"""Channel realization, seeded Monte Carlo trials, and sweep orchestration.
 
-Two canonical topologies are provided. The multi-transmitter layout runs
-disjoint node pairs simultaneously (A->B, C->D, E->F), one independently
-precoded stream each. The scatter layout sends several streams from one
-transmitter to distinct receivers, splitting a total power budget
-equally; each stream is shaped by the time-reversal filter of its own
+A scenario is built one way, ``linksim.Scenario(channels, links, noise,
+mod)``; this module draws its channels, fits its modulation to a bit
+rate, splits a scatter transmitter's power budget, runs its trials and
+sweeps it. In a scatter layout one transmitter sends several streams to
+distinct receivers, each shaped by the time-reversal filter of its own
 receiver's channel, so superposing them is how one transmitter addresses
-many receivers at once.
+many receivers at once; ``split_power_dbm`` gives each stream its equal
+share of the total.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -20,13 +22,7 @@ import numpy as np
 
 from .chanmodel import Cir, ReverbParams, _shift_add_conv, same_grid, synth_reverberant
 from .detector import BerResult, count_errors, demodulate, train_threshold, wilson_interval
-from .linksim import (
-    LinkSpec,
-    NoiseSpec,
-    Scenario,
-    propagate,
-    sinr_from_powers,
-)
+from .linksim import LinkSpec, Scenario, propagate, sinr_from_powers
 from .sigchain import (
     ModParams,
     TrFilter,
@@ -39,21 +35,16 @@ from .sigchain import (
 )
 
 __all__ = [
-    "DEFAULT_PAIRS",
     "SweepRow",
     "FocusEntry",
     "derive_seed",
-    "synth_channel_set",
+    "realize_channels",
     "mod_params_for_rate",
     "split_power_dbm",
-    "build_multi_tx_scenario",
-    "build_scatter_scenario",
     "run_trial",
     "sweep",
     "focusing_report",
 ]
-
-DEFAULT_PAIRS = (("A", "B"), ("C", "D"), ("E", "F"))
 
 
 def derive_seed(*parts: int) -> int:
@@ -62,121 +53,44 @@ def derive_seed(*parts: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def synth_channel_set(
-    seed: int,
-    params: ReverbParams,
-    pairs: Iterable[tuple[str, str]],
+def realize_channels(
+    channels: Mapping[tuple[str, str], Cir | ReverbParams], seed: int
 ) -> dict[tuple[str, str], Cir]:
-    """One independent reverberant realization per directed node pair.
+    """One realization of ``channels``: each ``ReverbParams`` drawn, each ``Cir`` as it is.
 
-    Pairs are sub-seeded in sorted order, so the mapping from (seed, pair)
-    to realization does not depend on the iteration order of ``pairs``.
+    A fresh channel derives its seed from ``seed`` and its place in sorted
+    order over all the pairs, and is labelled "TX->RX". So the realization
+    does not depend on the mapping's order, and a sweep hands each trial a
+    fresh set by handing it a fresh seed.
     """
-    out: dict[tuple[str, str], Cir] = {}
-    for index, pair in enumerate(sorted({(str(a), str(b)) for a, b in pairs})):
-        out[pair] = synth_reverberant(
-            derive_seed(seed, index), params, label=f"{pair[0]}->{pair[1]}"
-        )
+    out = {}
+    for index, pair in enumerate(sorted(channels)):
+        channel = channels[pair]
+        if isinstance(channel, ReverbParams):
+            channel = synth_reverberant(derive_seed(seed, index), channel, "->".join(pair))
+        out[pair] = channel
     return out
 
 
-def mod_params_for_rate(rate_bps: float, sample_interval: float) -> ModParams:
-    """Modulation parameters whose symbol grid rides on an existing channel grid.
+def mod_params_for_rate(rate_bps: float, mod: ModParams) -> ModParams:
+    """``mod`` at ``rate_bps`` on the same sample grid, its levels kept.
 
     The bit rate must divide the grid: samples_per_symbol has to come out
     an integer, because channels stay fixed while the symbol rate moves.
-    Levels keep their defaults; ``dataclasses.replace`` sets others.
     """
-    sps = 1.0 / (rate_bps * sample_interval)
+    sps = 1.0 / (rate_bps * mod.sample_interval)
     sps_int = int(round(sps))
     if sps_int < 1 or abs(sps - sps_int) > 1e-6 * sps:
         raise ValueError(
-            f"bit rate {rate_bps:g} b/s does not fit the grid of {sample_interval:g} s "
+            f"bit rate {rate_bps:g} b/s does not fit the grid of {mod.sample_interval:g} s "
             f"(samples per symbol would be {sps:g})"
         )
-    return ModParams(bit_rate=rate_bps, samples_per_symbol=sps_int)
+    return dataclasses.replace(mod, bit_rate=rate_bps, samples_per_symbol=sps_int)
 
 
 def split_power_dbm(total_dbm: float, n_streams: int) -> float:
     """Per-stream dBm when ``n_streams`` streams share a ``total_dbm`` budget equally."""
     return total_dbm - 10.0 * math.log10(n_streams)
-
-
-def _scenario(
-    channels: Mapping[tuple[str, str], Cir],
-    pairs: Iterable[tuple[str, str]],
-    mode: str,
-    power_dbm: float,
-    rate_bps: float,
-    noise: NoiseSpec | None,
-) -> Scenario:
-    """One ``mode`` link per (tx, rx) pair, each at ``power_dbm`` and ``rate_bps``.
-
-    ``channels`` must cover every transmitter toward every receiver.
-    Noise defaults to thermal at 300 K over a bandwidth equal to the bit
-    rate.
-    """
-    if mode not in ("tr", "none"):
-        raise ValueError(f"mode must be 'tr' or 'none', got {mode!r}")
-    pairs = tuple(pairs)
-    required = list(dict.fromkeys((tx, rx) for tx, _ in pairs for _, rx in pairs))
-    for tx, rx in required:
-        if (tx, rx) not in channels:
-            raise ValueError(f"missing channel {tx}->{rx}")
-    # The first channel sets the grid; Scenario rejects any channel off it.
-    mod = mod_params_for_rate(rate_bps, channels[required[0]].sample_interval)
-    if noise is None:
-        noise = NoiseSpec.thermal(300.0, rate_bps)
-    links = tuple(LinkSpec(tx, rx, mode, power_dbm) for tx, rx in pairs)
-    return Scenario(channels, links, noise, mod)
-
-
-def build_multi_tx_scenario(
-    channels: Mapping[tuple[str, str], Cir],
-    n_links: int,
-    mode: str,
-    power_dbm: float,
-    rate_bps: float,
-    noise: NoiseSpec | None = None,
-    pairs: tuple[tuple[str, str], ...] = DEFAULT_PAIRS,
-) -> Scenario:
-    """Scenario with ``n_links`` disjoint pairs transmitting simultaneously.
-
-    ``rate_bps`` is the per-link bit rate and ``power_dbm`` applies per
-    transmitter. ``channels`` must cover every active transmitter toward
-    every active receiver. Noise defaults to thermal at 300 K over a
-    bandwidth equal to the bit rate.
-    """
-    if not 1 <= n_links <= len(pairs):
-        raise ValueError(f"n_links must lie in [1, {len(pairs)}], got {n_links}")
-    return _scenario(channels, pairs[:n_links], mode, power_dbm, rate_bps, noise)
-
-
-def build_scatter_scenario(
-    channels: Mapping[tuple[str, str], Cir],
-    tx_node: str,
-    rx_nodes: Iterable[str],
-    total_power_dbm: float,
-    rate_bps: float,
-    noise: NoiseSpec | None = None,
-    mode: str = "tr",
-) -> Scenario:
-    """One transmitter, one precoded stream per receiver, equal power split.
-
-    ``total_power_dbm`` bounds the transmitted sum; each of the S streams
-    gets total/S. ``rate_bps`` is the per-stream bit rate. A single
-    receiver degenerates to an ordinary point-to-point link at the full
-    budget.
-    """
-    rx_list = [str(r) for r in rx_nodes]
-    if not rx_list:
-        raise ValueError("scatter needs at least one receiver")
-    if len(set(rx_list)) != len(rx_list):
-        raise ValueError("duplicate receivers in scatter scenario")
-    if tx_node in rx_list:
-        raise ValueError("receivers must differ from the transmitter")
-    per_stream_dbm = split_power_dbm(total_power_dbm, len(rx_list))
-    return _scenario(channels, [(tx_node, rx) for rx in rx_list], mode, per_stream_dbm, rate_bps, noise)
 
 
 def _transmit(
@@ -216,7 +130,8 @@ def run_trial(
 
     Each stream is seeded by its place in stream-id order. Returns
     {stream_id: BerResult}. The same (scenario, seed, n_bits, pilot_len)
-    reproduces identical results.
+    reproduces identical results. Streams of 2^63 bytes or more, which no
+    machine can allocate, are refused with a MemoryError.
     """
     if int(seed) != seed or seed < 0:
         raise ValueError("seed must be a non-negative integer")
@@ -227,9 +142,10 @@ def run_trial(
     mod = scenario.mod_params
     sps = mod.samples_per_symbol
     if (pilot_len + int(n_bits)) * sps * 16 >= 2**63:
-        raise ValueError(
-            f"n_bits = {n_bits} is too large: {pilot_len} + n_bits symbols of {sps} complex "
-            "samples reach 2^63 bytes, more than numpy can index"
+        # More memory than any machine has: refused like an allocation numpy cannot make.
+        raise MemoryError(
+            f"pilot_len + n_bits = {pilot_len} + {n_bits} symbols of {sps} complex samples "
+            "reach 2^63 bytes, more than numpy can index"
         )
     table = scenario.responses
     n_symbols = pilot_len + n_bits
@@ -299,14 +215,14 @@ def sweep(
     """Run ``scenario_template`` at every value of ``grid``; ``variable`` labels the rows.
 
     ``scenario_template(value, channel_seed)`` must build the scenario
-    for one grid value; templates backed by synthetic channels should use
-    ``channel_seed`` so every trial sees a fresh realization, while
-    imported channels simply ignore it. Per grid point each trial's SINR
-    component powers (its scenario's ``Scenario.sinr``) are averaged
-    linearly over ``n_trials`` trials of ``n_bits`` bits each, and its
-    ``run_trial`` bit errors are pooled. All sub-seeds derive from
-    (master_seed, point index, trial index), so the output is a pure
-    function of the arguments.
+    for one grid value; templates backed by synthetic channels should draw
+    them with ``realize_channels(channels, channel_seed)`` so every trial
+    sees a fresh realization, while imported channels simply ignore it.
+    Per grid point each trial's SINR component powers (its scenario's
+    ``Scenario.sinr``) are averaged linearly over ``n_trials`` trials of
+    ``n_bits`` bits each, and its ``run_trial`` bit errors are pooled.
+    All sub-seeds derive from (master_seed, point index, trial index), so
+    the output is a pure function of the arguments.
     """
     grid = tuple(grid)
     if not grid:

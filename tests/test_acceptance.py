@@ -20,17 +20,19 @@ from trlinksim.chanmodel import (
     synth_correlated_pair,
     synth_reverberant,
 )
-from trlinksim.cli import main
+from trlinksim.cli import _grid_point, main
 from trlinksim.experiments import (
-    build_multi_tx_scenario,
-    build_scatter_scenario,
     derive_seed,
+    mod_params_for_rate,
+    realize_channels,
     run_trial,
+    split_power_dbm,
     sweep,
-    synth_channel_set,
 )
 from trlinksim.linksim import (
+    LinkSpec,
     NoiseSpec,
+    Scenario,
     compute_sinr,
     effective_response,
     full_rate_response,
@@ -74,15 +76,8 @@ def test_criterion_02_awgn_closed_form():
     details = []
     for i, target in enumerate((1e-1, 1e-2, 1e-3)):
         power_dbm = noise_dbm + 20.0 * math.log10(float(norm.isf(target)))
-        scenario = build_multi_tx_scenario(
-            channels,
-            1,
-            "tr",
-            power_dbm,
-            50e9,
-            noise=NoiseSpec.explicit(noise_dbm),
-            pairs=(("A", "B"),),
-        )
+        link = LinkSpec("A", "B", "tr", power_dbm)
+        scenario = Scenario(channels, (link,), NoiseSpec.explicit(noise_dbm), ModParams(50e9, 1))
         bers = run_trial(scenario, derive_seed(99, i), n_bits=1_000_000, pilot_len=1024)
         lo, hi = bers["A->B"].wilson_ci95
         details.append(f"target {target:g} measured {bers['A->B'].ber:.3e} ci [{lo:.3e},{hi:.3e}]")
@@ -100,8 +95,6 @@ def test_criterion_02_awgn_closed_form():
 def test_criterion_03_hand_computed_sinr():
     mod = ModParams(bit_rate=50e9, samples_per_symbol=1)
     h = Cir(np.array([1.0, 0.5]), mod.sample_interval, "A->B")
-    from trlinksim.linksim import LinkSpec, Scenario
-
     link = LinkSpec("A", "B", "tr", 0.0)
     scenario = Scenario({("A", "B"): h}, (link,), NoiseSpec.off(), mod)
     got = compute_sinr(scenario, link).sinr_db
@@ -123,14 +116,13 @@ def test_criterion_04_tr_versus_unprecoded_gap():
     gaps = {p: [] for p in powers}
     spreads = []
     for seed in range(20):
-        channels = synth_channel_set(seed, params, (("A", "B"),))
+        channels = realize_channels({("A", "B"): params}, seed)
         spreads.append(rms_delay_spread(channels[("A", "B")]))
         for power in powers:
             by_mode = {}
             for mode in ("tr", "none"):
-                scenario = build_multi_tx_scenario(
-                    channels, 1, mode, power, 50e9, pairs=(("A", "B"),)
-                )
+                link = LinkSpec("A", "B", mode, power)
+                scenario = Scenario(channels, (link,), NoiseSpec.thermal(300.0, 50e9), ModParams(50e9, 4))
                 by_mode[mode] = compute_sinr(scenario, scenario.links[0]).sinr_db
             gaps[power].append(by_mode["tr"] - by_mode["none"])
     elapsed = time.perf_counter() - start
@@ -152,12 +144,13 @@ def test_criterion_04_tr_versus_unprecoded_gap():
 def test_criterion_05_more_links_never_help():
     params = ReverbParams(5e-12, 192, 220e-12, 1000e-12)
     all_pairs = [(tx, rx) for tx in "ACE" for rx in "BDF"]
+    links = (LinkSpec("A", "B"), LinkSpec("C", "D"), LinkSpec("E", "F"))
     violations = 0
     for seed in range(20):
-        channels = synth_channel_set(seed, params, all_pairs)
+        channels = realize_channels(dict.fromkeys(all_pairs, params), seed)
         sinrs = []
         for n_links in (1, 2, 3):
-            scenario = build_multi_tx_scenario(channels, n_links, "tr", 0.0, 50e9)
+            scenario = Scenario(channels, links[:n_links], NoiseSpec.thermal(300.0, 50e9), ModParams(50e9, 4))
             victim = scenario.link_for_stream("A->B")
             sinrs.append(compute_sinr(scenario, victim).sinr_db)
         violations += sum(1 for a, b in zip(sinrs, sinrs[1:]) if b > a + 1e-12)
@@ -183,9 +176,8 @@ def test_criterion_06_sinr_saturates_with_power():
     def sinr_curve(n_links):
         out = []
         for power in powers:
-            scenario = build_multi_tx_scenario(
-                channels, n_links, "tr", power, 50e9, noise=NoiseSpec.explicit(-40.0)
-            )
+            links = tuple(LinkSpec(tx, rx, "tr", power) for tx, rx in ("AB", "CD", "EF")[:n_links])
+            scenario = Scenario(channels, links, NoiseSpec.explicit(-40.0), ModParams(50e9, 1))
             out.append(compute_sinr(scenario, scenario.links[0]).sinr_db)
         return out
 
@@ -221,15 +213,8 @@ def test_criterion_07_correlation_drives_interference():
                 ("C", "D"): own,
                 ("C", "B"): leak,
             }
-            scenario = build_multi_tx_scenario(
-                channels,
-                2,
-                "tr",
-                0.0,
-                125e9,
-                noise=NoiseSpec.off(),
-                pairs=(("A", "B"), ("C", "D")),
-            )
+            links = (LinkSpec("A", "B"), LinkSpec("C", "D"))
+            scenario = Scenario(channels, links, NoiseSpec.off(), ModParams(125e9, 8))
             victim_link = scenario.link_for_stream("A->B")
             cochannel[rho].append(compute_sinr(scenario, victim_link).cochannel_w)
     means = [float(np.mean(cochannel[rho])) for rho in rhos]
@@ -258,18 +243,16 @@ def test_criterion_08_scatter_matches_multi_tx():
     hb = synth_reverberant(11, params)
     hc = synth_reverberant(12, params)
     noise = NoiseSpec.explicit(-50.0)
-    scatter = build_scatter_scenario(
-        {("S", "B"): hb, ("S", "C"): hc}, "S", ("B", "C"), 3.0, 50e9, noise=noise
-    )
+    mod = ModParams(50e9, 4)
+    # The scatter side's per-stream powers are the ones the CLI's power sweep gives a 3 dBm budget.
+    scatter_links, _ = _grid_point("tx_power_dbm", 3.0, (LinkSpec("S", "B"), LinkSpec("S", "C")), mod)
+    scatter = Scenario({("S", "B"): hb, ("S", "C"): hc}, scatter_links, noise, mod)
     per_tx = 3.0 - 10.0 * math.log10(2)
-    multi = build_multi_tx_scenario(
+    multi = Scenario(
         {("T1", "B"): hb, ("T1", "C"): hc, ("T2", "B"): hb, ("T2", "C"): hc},
-        2,
-        "tr",
-        per_tx,
-        50e9,
-        noise=noise,
-        pairs=(("T1", "B"), ("T2", "C")),
+        (LinkSpec("T1", "B", "tr", per_tx), LinkSpec("T2", "C", "tr", per_tx)),
+        noise,
+        mod,
     )
     worst = 0.0
     for rx in ("B", "C"):
@@ -299,12 +282,13 @@ def _stream_waveforms(scenario, seed):
 def test_criterion_09_superposition_is_exact():
     params = ReverbParams(5e-12, 64, 100e-12, 600e-12)
     worst = 0.0
-    channels = synth_channel_set(3, params, [(tx, rx) for tx in "ACE" for rx in "BDF"])
-    multi = build_multi_tx_scenario(channels, 3, "tr", 0.0, 50e9, noise=NoiseSpec.off())
-    scatter_channels = synth_channel_set(4, params, (("S", "B"), ("S", "D"), ("S", "F")))
-    scatter = build_scatter_scenario(
-        scatter_channels, "S", ("B", "D", "F"), 3.0, 50e9, noise=NoiseSpec.off()
-    )
+    mod = ModParams(50e9, 4)
+    channels = realize_channels(dict.fromkeys([(tx, rx) for tx in "ACE" for rx in "BDF"], params), 3)
+    links = (LinkSpec("A", "B"), LinkSpec("C", "D"), LinkSpec("E", "F"))
+    multi = Scenario(channels, links, NoiseSpec.off(), mod)
+    scatter_channels = realize_channels(dict.fromkeys([("S", "B"), ("S", "D"), ("S", "F")], params), 4)
+    scatter_links = tuple(LinkSpec("S", rx, "tr", split_power_dbm(3.0, 3)) for rx in "BDF")
+    scatter = Scenario(scatter_channels, scatter_links, NoiseSpec.off(), mod)
     for scenario in (multi, scatter):
         streams = _stream_waveforms(scenario, seed=17)
         together = propagate(scenario, streams, seed=0)
@@ -326,12 +310,13 @@ def test_criterion_09_superposition_is_exact():
 
 def test_criterion_10_ber_grows_with_aggregate_rate():
     params = ReverbParams(0.25e-12, 96, 30e-12, 300e-12)
-    channels = synth_channel_set(8, params, (("A", "B"),))
+    channels = realize_channels({("A", "B"): params}, 8)
+    # A 10 Gb/s modulation on the channels' 0.25 ps grid, refitted to each rate.
+    grid_mod = ModParams(10e9, 400)
 
     def template(value, channel_seed):
-        return build_multi_tx_scenario(
-            channels, 1, "tr", 10.0, float(value), pairs=(("A", "B"),)
-        )
+        link = LinkSpec("A", "B", "tr", 10.0)
+        return Scenario(channels, (link,), NoiseSpec.thermal(300.0, value), mod_params_for_rate(value, grid_mod))
 
     rows = sweep(
         "aggregate_rate_bps",

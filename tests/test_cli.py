@@ -1,6 +1,7 @@
 """Config parsing, channel realization, and the command line front end."""
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -27,8 +28,8 @@ from trlinksim.cli import (
     ConfigError,
     main,
     parse_config,
-    realize_channels,
 )
+from trlinksim.experiments import realize_channels
 
 MINIMAL = """\
 [nodes]
@@ -103,24 +104,26 @@ def test_package_reexports_the_working_surface():
 
 # The names the package listed one by one before it took its modules' __all__ lists,
 # less SweepSpec, whose fields became sweep's arguments, noise_power, which
-# only returned NoiseSpec.watts, and EffectiveResponse, whose taps and offset
-# the response table holds.
+# only returned NoiseSpec.watts, EffectiveResponse, whose taps and offset
+# the response table holds, the two scenario builders, whose scenarios are
+# built as Scenario(channels, links, noise, mod), and the channel-set drawer,
+# whose seeding rule realize_channels now holds.
 _LISTED_NAMES = """
 BOLTZMANN_J_PER_K BerResult Cir FocusEntry LinkSpec ModParams NoiseSpec
 ResponseTable ReverbParams Scenario SinrReport SweepRow TrFilter Waveform
-build_multi_tx_scenario build_scatter_scenario channel_correlation compute_sinr count_errors
+channel_correlation compute_sinr count_errors
 dbm_to_watts demodulate derive_seed effective_response focusing_report full_rate_response
 import_frequency_response link_filter make_identity_filter make_tr_filter mod_params_for_rate
 modulate_ask precode propagate read_cir_csv rms_delay_spread run_trial
-scale_to_power sinr_from_powers sweep synth_channel_set synth_correlated_pair
+scale_to_power sinr_from_powers sweep synth_correlated_pair
 synth_reverberant train_threshold wilson_interval write_cir_csv
 """.split()
 
 
 def test_package_exports_the_union_of_its_modules_names():
-    assert len(_LISTED_NAMES) == 45 and set(_LISTED_NAMES) <= set(trlinksim.__all__)
+    assert len(_LISTED_NAMES) == 42 and set(_LISTED_NAMES) <= set(trlinksim.__all__)
     # Besides those, two experiment names; the FFT engine's helpers stay module internals.
-    assert set(trlinksim.__all__) - set(_LISTED_NAMES) == {"DEFAULT_PAIRS", "split_power_dbm"}
+    assert set(trlinksim.__all__) - set(_LISTED_NAMES) == {"realize_channels", "split_power_dbm"}
     modules = (chanmodel, detector, experiments, linksim, sigchain)
     assert trlinksim.__all__ == sorted({name for m in modules for name in m.__all__})
     assert all(getattr(trlinksim, name) is getattr(m, name) for m in modules for name in m.__all__)
@@ -514,12 +517,12 @@ def test_realize_channels_pins_and_refreshes(tmp_path):
     pinned_cfg = parse_config(
         MINIMAL.replace("max_delay_s = 200e-12", "max_delay_s = 200e-12\nseed = 7")
     )
-    a = realize_channels(pinned_cfg, 0)[("A", "B")]
-    b = realize_channels(pinned_cfg, 99)[("A", "B")]
+    a = realize_channels(pinned_cfg.channels, 0)[("A", "B")]
+    b = realize_channels(pinned_cfg.channels, 99)[("A", "B")]
     assert np.array_equal(a.samples, b.samples)
     fresh_cfg = parse_config(MINIMAL)
-    c = realize_channels(fresh_cfg, 0)[("A", "B")]
-    d = realize_channels(fresh_cfg, 99)[("A", "B")]
+    c = realize_channels(fresh_cfg.channels, 0)[("A", "B")]
+    d = realize_channels(fresh_cfg.channels, 99)[("A", "B")]
     assert not np.array_equal(c.samples, d.samples)
     assert c.label == "A->B"
 
@@ -752,6 +755,16 @@ def test_rate_sweep_refuses_a_default_grid_that_does_not_fit_before_any_trial(
     assert (out / "sweep_rate.csv").is_file()
 
 
+def test_power_sweep_splits_only_a_shared_transmitters_budget():
+    # Three streams from A share the value; one link, or links from distinct
+    # transmitters, each take all of it.
+    for text, power in ((_SCATTER_3, 10.0 - 10.0 * math.log10(3)), (MINIMAL, 10.0), (TWO_LINK, 10.0)):
+        cfg = parse_config(text)
+        links, mod = cli._grid_point("tx_power_dbm", 10.0, cfg.links, cfg.mod)
+        assert mod == cfg.mod and [link.tx_power_dbm for link in links] == [power] * len(cfg.links)
+        assert [dataclasses.replace(link, tx_power_dbm=0.0) for link in links] == list(cfg.links)
+
+
 def test_rate_sweep_keeps_the_configured_levels():
     text = TWO_LINK + "\n[modulation]\nlevel_zero = 0.1\nlevel_one = 0.7\n"
     cfg = parse_config(text)
@@ -766,7 +779,7 @@ def test_gen_channel_files_are_write_cir_csv_output(tmp_path):
     cfg_path = _write(tmp_path, "g.cfg", TWO_LINK)
     out = tmp_path / "chans"
     assert main(["gen-channel", "--config", cfg_path, "--out", str(out)]) == 0
-    channels = realize_channels(parse_config(TWO_LINK), 0)
+    channels = realize_channels(parse_config(TWO_LINK).channels, 0)
     assert sorted(p.name for p in out.iterdir()) == [f"cir_{tx}_to_{rx}.csv" for tx, rx in sorted(channels)]
     for (tx, rx), cir in channels.items():
         written = (out / f"cir_{tx}_to_{rx}.csv").read_bytes()
@@ -919,13 +932,10 @@ def test_main_refuses_a_count_of_2_to_the_63_or_more_by_line(tmp_path, old, new)
     "n_bits, message",
     [
         # numpy refuses the allocation of the bits before it makes it
-        (10**17, f"out of memory running run at n_bits = {10**17}"),
-        # used to stop with numpy's "array is too big", which names no key
-        (
-            2**63 - 1,
-            f"n_bits = {2**63 - 1} is too large: 64 + n_bits symbols of 4 complex samples "
-            "reach 2^63 bytes, more than numpy can index",
-        ),
+        (10**17, f"out of memory running run at pilot_bits = 64 and n_bits = {10**17}"),
+        # used to stop with numpy's "array is too big", which names no key; run_trial
+        # refuses streams of 2^63 bytes or more as the allocation no machine can make
+        (2**63 - 1, f"out of memory running run at pilot_bits = 64 and n_bits = {2**63 - 1}"),
     ],
     ids=["1e17", "2^63-1"],
 )
@@ -1107,6 +1117,27 @@ def test_readme_demo_bad_values_run_or_are_refused_at_a_line(tmp_path):
         else:
             assert not errors, (key, value, errors)
     assert Counter(code for code, _ in results) == {0: 40, 1: 425}
+
+
+def test_readme_demo_with_a_pilot_too_large_to_run_names_pilot_bits(tmp_path):
+    # Each used to blame n_bits alone: 1e18 pilot bits reach 2^63 bytes, and
+    # numpy cannot allocate 1e15 of them.
+    demo = _readme_demo()
+    paths = []
+    for pilot_bits in ("1e18", "1e15"):
+        paths.append(tmp_path / f"pilot-{pilot_bits}.cfg")
+        paths[-1].write_text(demo.replace("[sweep]\n", f"[sweep]\npilot_bits = {pilot_bits}\n"), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", _CAPPED_RUNS],
+        input=json.dumps([(str(path), str(tmp_path / "out")) for path in paths]),
+        env=dict(_child_env(), OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        [1, [f"error: out of memory running run at pilot_bits = {pilot} and n_bits = 100"]]
+        for pilot in (10**18, 10**15)
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "gen-channel"])
@@ -1494,8 +1525,9 @@ def test_power_sweep_draws_fresh_channels_only_when_unpinned(tmp_path, monkeypat
     if pinned:
         text = text.replace("max_delay_s = 200e-12", "max_delay_s = 200e-12\nseed = 5")
     cfg_path = _write(tmp_path, "synth.cfg", text + _SWEEP_3x2)
+    # A pinned channel is drawn through chanmodel, a fresh one through experiments' binding.
     draws = _counting(
-        monkeypatch, chanmodel, "synth_reverberant", lambda seed, params, label="": (seed, label)
+        monkeypatch, (chanmodel, experiments), "synth_reverberant", lambda seed, params, label="": (seed, label)
     )
     assert main(["sweep-power", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
     assert sum(draws.values()) == expected
@@ -1582,7 +1614,10 @@ def test_run_transforms_each_stream_once_per_trial(tmp_path, monkeypatch):
 def test_power_sweep_solves_decay_constant_once_per_params(tmp_path, monkeypatch):
     cfg_path = _write(tmp_path, "synth.cfg", TWO_LINK.split("[sweep]")[0] + _SWEEP_3x2)
     solves = _counting(monkeypatch, chanmodel, "_solve_decay_constant", lambda params: id(params))
-    draws = _counting(monkeypatch, chanmodel, "synth_reverberant", lambda seed, params, label: id(params))
+    # experiments.realize_channels draws through its own binding of synth_reverberant.
+    draws = _counting(
+        monkeypatch, (chanmodel, experiments), "synth_reverberant", lambda seed, params, label: id(params)
+    )
     assert main(["sweep-power", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
     # Each of the four channel sections' parameters solves once, when the
     # config is read, equal ones too; 3 values x 2 trials x 4 draws read it.

@@ -1,4 +1,4 @@
-"""Scenario builders, trials, sweeps, and the focusing audit."""
+"""Channel realization, the rate fit, trials, sweeps, and the focusing audit."""
 
 import math
 import tracemalloc
@@ -6,21 +6,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trlinksim import chanmodel, cli, detector, experiments, linksim
-from trlinksim.chanmodel import Cir, ReverbParams
+from trlinksim import chanmodel, detector, experiments, linksim
+from trlinksim.chanmodel import Cir, ReverbParams, synth_reverberant
 from trlinksim.experiments import (
-    DEFAULT_PAIRS,
     FocusEntry,
-    build_multi_tx_scenario,
-    build_scatter_scenario,
     derive_seed,
     focusing_report,
     mod_params_for_rate,
+    realize_channels,
     run_trial,
     sweep,
-    synth_channel_set,
 )
-from trlinksim.linksim import BOLTZMANN_J_PER_K, NoiseSpec
+from trlinksim.linksim import LinkSpec, NoiseSpec, Scenario
+from trlinksim.sigchain import ModParams
 
 REVERB = ReverbParams(
     sample_interval=5e-12,
@@ -37,90 +35,43 @@ def test_derive_seed_is_stable_and_coordinate_sensitive():
     assert all(s >= 0 for s in seen)
 
 
-def test_synth_channel_set_is_order_independent():
-    pairs = [("C", "D"), ("A", "B")]
-    fwd = synth_channel_set(5, REVERB, pairs)
-    rev = synth_channel_set(5, REVERB, list(reversed(pairs)))
-    assert set(fwd) == {("A", "B"), ("C", "D")}
-    for pair in fwd:
+def test_realize_channels_draws_each_fresh_pair_by_its_sorted_slot():
+    fixed = Cir(np.array([1.0, 0.5]), REVERB.sample_interval, "fixed")
+    channels = {("C", "D"): REVERB, ("B", "A"): fixed, ("A", "B"): REVERB, ("A", "D"): REVERB}
+    fwd = realize_channels(channels, 5)
+    rev = realize_channels(dict(reversed(channels.items())), 5)
+    assert fwd[("B", "A")] is fixed and rev[("B", "A")] is fixed
+    for slot, pair in enumerate(sorted(channels)):
         assert np.array_equal(fwd[pair].samples, rev[pair].samples)
-    assert fwd[("A", "B")].label == "A->B"
+        if pair != ("B", "A"):
+            expected = synth_reverberant(derive_seed(5, slot), REVERB, f"{pair[0]}->{pair[1]}")
+            assert np.array_equal(fwd[pair].samples, expected.samples)
+            assert (fwd[pair].sample_interval, fwd[pair].label) == (expected.sample_interval, expected.label)
     assert not np.array_equal(fwd[("A", "B")].samples, fwd[("C", "D")].samples)
 
 
 def test_mod_params_for_rate_fits_the_grid():
-    mod = mod_params_for_rate(50e9, 5e-12)
-    assert mod.samples_per_symbol == 4
-    assert mod.bit_rate == 50e9
-    mod2 = mod_params_for_rate(100e9, 5e-12)
-    assert mod2.samples_per_symbol == 2
-    assert (mod2.level_zero, mod2.level_one) == (0.0, 1.0)
+    base = ModParams(bit_rate=50e9, samples_per_symbol=4, level_zero=0.1, level_one=0.7)
+    assert mod_params_for_rate(50e9, base) == base
+    mod2 = mod_params_for_rate(100e9, base)
+    assert (mod2.bit_rate, mod2.samples_per_symbol) == (100e9, 2)
+    assert (mod2.level_zero, mod2.level_one) == (0.1, 0.7)
     with pytest.raises(ValueError, match="does not fit the grid"):
-        mod_params_for_rate(30e9, 5e-12)
+        mod_params_for_rate(30e9, base)
     with pytest.raises(ValueError, match="does not fit the grid"):
-        mod_params_for_rate(400e9, 5e-12)
+        mod_params_for_rate(400e9, base)
 
 
-def _channel_set(seed=0, pairs=None):
-    if pairs is None:
-        pairs = [
-            (tx, rx)
-            for tx, _ in DEFAULT_PAIRS
-            for _, rx in DEFAULT_PAIRS
-        ]
-    return synth_channel_set(seed, REVERB, pairs)
-
-
-def test_build_multi_tx_wires_active_pairs():
-    channels = _channel_set()
-    scn = build_multi_tx_scenario(channels, 2, "tr", 3.0, 50e9)
-    assert [l.stream_id for l in scn.links] == ["A->B", "C->D"]
-    assert all(l.tx_power_dbm == 3.0 for l in scn.links)
-    assert all(l.precoding == "tr" for l in scn.links)
-    assert scn.mod_params.samples_per_symbol == 4
-    # default noise: thermal at 300 K over the bit rate
-    assert scn.noise.watts == pytest.approx(
-        BOLTZMANN_J_PER_K * 300.0 * 50e9, rel=1e-12
-    )
-    assert set(scn.channels) == {
-        (tx, rx) for tx in ("A", "C") for rx in ("B", "D")
-    }
-
-
-def test_build_multi_tx_validation():
-    channels = _channel_set()
-    with pytest.raises(ValueError, match="n_links"):
-        build_multi_tx_scenario(channels, 0, "tr", 0.0, 50e9)
-    with pytest.raises(ValueError, match="n_links"):
-        build_multi_tx_scenario(channels, 4, "tr", 0.0, 50e9)
-    with pytest.raises(ValueError, match="mode"):
-        build_multi_tx_scenario(channels, 1, "zf", 0.0, 50e9)
-    with pytest.raises(ValueError, match="missing channel"):
-        build_multi_tx_scenario({}, 1, "tr", 0.0, 50e9)
-
-
-def test_build_scatter_splits_the_budget():
-    channels = synth_channel_set(1, REVERB, [("A", "B"), ("A", "C")])
-    scn = build_scatter_scenario(channels, "A", ["B", "C"], 10.0, 50e9)
-    expected = 10.0 - 10.0 * math.log10(2)
-    assert all(l.tx_power_dbm == pytest.approx(expected, abs=1e-12) for l in scn.links)
-    assert {l.stream_id for l in scn.links} == {"A->B", "A->C"}
-    single = build_scatter_scenario(channels, "A", ["B"], 10.0, 50e9)
-    assert single.links[0].tx_power_dbm == pytest.approx(10.0)
-
-
-def test_build_scatter_validation():
-    channels = synth_channel_set(1, REVERB, [("A", "B")])
-    with pytest.raises(ValueError, match="at least one receiver"):
-        build_scatter_scenario(channels, "A", [], 0.0, 50e9)
-    with pytest.raises(ValueError, match="duplicate receivers"):
-        build_scatter_scenario(channels, "A", ["B", "B"], 0.0, 50e9)
-    with pytest.raises(ValueError, match="differ from the transmitter"):
-        build_scatter_scenario(channels, "A", ["A", "B"], 0.0, 50e9)
+def _two_link_scenario(seed):
+    """A->B and C->D under TR at 0 dBm and 50 Gb/s, thermal noise at 300 K over
+    the bit rate, over channels drawn for every pair of A, C, E toward B, D, F."""
+    channels = realize_channels(dict.fromkeys([(tx, rx) for tx in "ACE" for rx in "BDF"], REVERB), seed)
+    links = (LinkSpec("A", "B", "tr", 0.0), LinkSpec("C", "D", "tr", 0.0))
+    return Scenario(channels, links, NoiseSpec.thermal(300.0, 50e9), ModParams(50e9, 4))
 
 
 def test_run_trial_computes_no_sinr_and_sweep_pools_the_scenarios_reports(monkeypatch):
-    scn = build_multi_tx_scenario(_channel_set(), 2, "tr", 0.0, 50e9)
+    scn = _two_link_scenario(0)
     calls = []
     original = linksim.compute_sinr
     monkeypatch.setattr(
@@ -143,30 +94,15 @@ def test_run_trial_computes_no_sinr_and_sweep_pools_the_scenarios_reports(monkey
         )
 
 
-def test_cli_and_builder_split_a_scatter_budget_alike():
-    channels = _channel_set(pairs=[("A", rx) for rx in "BCD"])
-    scenario = build_scatter_scenario(channels, "A", "BCD", 10.0, 50e9)
-    links = scenario.links
-    assert {l.tx_power_dbm for l in links} == {experiments.split_power_dbm(10.0, 3)}
-    assert cli._grid_point("tx_power_dbm", 10.0, links, scenario.mod_params) == (links, scenario.mod_params)
-
-
 def _single_tap_scenario(power_dbm, noise_dbm=-30.0):
     dt = 2e-11  # 50 Gb/s at one sample per symbol
     channels = {("A", "B"): Cir(np.array([1.0]), dt, "A->B")}
-    return build_multi_tx_scenario(
-        channels,
-        1,
-        "tr",
-        power_dbm,
-        50e9,
-        noise=NoiseSpec.explicit(noise_dbm),
-        pairs=(("A", "B"),),
-    )
+    links = (LinkSpec("A", "B", "tr", power_dbm),)
+    return Scenario(channels, links, NoiseSpec.explicit(noise_dbm), ModParams(50e9, 1))
 
 
 def test_run_trial_is_deterministic():
-    scn = build_multi_tx_scenario(_channel_set(3), 2, "tr", 0.0, 50e9)
+    scn = _two_link_scenario(3)
     b1 = run_trial(scn, seed=7, n_bits=300)
     b2 = run_trial(scn, seed=7, n_bits=300)
     assert b1 == b2
@@ -191,6 +127,9 @@ def test_run_trial_validation():
         run_trial(scn, seed=0, n_bits=0)
     with pytest.raises(ValueError, match="pilot"):
         run_trial(scn, seed=0, n_bits=100, pilot_len=1)
+    # 2^61 + 100 symbols of one 16-byte sample: refused before anything is allocated
+    with pytest.raises(MemoryError, match=r"^pilot_len \+ n_bits = 2305843009213693952 \+ 100 symbols"):
+        run_trial(scn, seed=0, n_bits=100, pilot_len=2**61)
 
 
 def _recording(monkeypatch, module, name, log):
@@ -212,7 +151,7 @@ LONG_BITS = 1 << 14
 def test_long_trial_makes_ten_transforms(monkeypatch):
     # On the overlap-add path, each stream before and after precoding, each
     # pre-filter and each of the 4 channels is transformed once.
-    scn = build_multi_tx_scenario(_channel_set(3), 2, "tr", 0.0, 50e9)
+    scn = _two_link_scenario(3)
     transforms = []
     _recording(monkeypatch, chanmodel, "block_spectra", transforms)
     run_trial(scn, 11, LONG_BITS)
@@ -224,7 +163,7 @@ def test_long_trial_holds_few_stream_size_buffers():
     # peak, propagation holds the two sent streams and their two block
     # spectra, which become the received waveforms. The sent streams are let
     # go before detection.
-    scn = build_multi_tx_scenario(_channel_set(3), 2, "tr", 0.0, 50e9)
+    scn = _two_link_scenario(3)
     n_bits = 100_000
     run_trial(scn, 0, n_bits)
     taps = max(f.samples.size for f in scn.responses.filters.values())
@@ -239,7 +178,7 @@ def test_long_trial_holds_few_stream_size_buffers():
 
 
 def test_run_trial_derotates_decision_samples_as_the_whole_waveform(monkeypatch):
-    scn = build_multi_tx_scenario(_channel_set(3), 2, "tr", 0.0, 50e9)
+    scn = _two_link_scenario(3)
     sps = scn.mod_params.samples_per_symbol
     propagations, trainings, slicings = [], [], []
     _recording(monkeypatch, experiments, "propagate", propagations)
@@ -313,13 +252,11 @@ def test_sweep_offers_fresh_channel_seeds():
 
 
 def test_sweep_orders_rows_by_point_then_link():
-    channels = _channel_set(9)
+    scn = _two_link_scenario(9)
     rows = sweep(
         "n_links",
         (1, 2),
-        lambda value, channel_seed: build_multi_tx_scenario(
-            channels, int(value), "tr", 0.0, 50e9
-        ),
+        lambda value, channel_seed: Scenario(scn.channels, scn.links[: int(value)], scn.noise, scn.mod_params),
         n_bits=100,
         n_trials=1,
     )

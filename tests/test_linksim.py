@@ -20,7 +20,7 @@ from trlinksim.chanmodel import (
     same_grid,
     synth_reverberant,
 )
-from trlinksim.experiments import build_multi_tx_scenario, build_scatter_scenario, run_trial, synth_channel_set
+from trlinksim.experiments import realize_channels, run_trial, split_power_dbm
 from trlinksim.linksim import (
     BOLTZMANN_J_PER_K,
     LinkSpec,
@@ -260,9 +260,9 @@ def test_unit_power_energies_at_one_sample_per_symbol_are_exact(precoding):
     energy = _DEMO_AT_ONE_SPS.total_energy
     worst = 0.0
     for seed in range(100):
-        channels = synth_channel_set(seed, _DEMO_AT_ONE_SPS, [(tx, rx) for tx in "AC" for rx in "BD"])
-        scenario = build_multi_tx_scenario(channels, 2, precoding, 0.0, 50e9)
-        assert scenario.mod_params.samples_per_symbol == 1
+        channels = realize_channels(dict.fromkeys([(tx, rx) for tx in "AC" for rx in "BD"], _DEMO_AT_ONE_SPS), seed)
+        links = (LinkSpec("A", "B", precoding, 0.0), LinkSpec("C", "D", precoding, 0.0))
+        scenario = Scenario(channels, links, NoiseSpec.thermal(300.0, 50e9), ModParams(50e9, 1))
         table = scenario.responses
         for (victim, stream), taps in table.taps.items():
             mags = np.abs(taps) ** 2
@@ -314,11 +314,12 @@ def test_mean_cochannel_energy_on_the_decision_phase_is_total_energy(precoding, 
     # independent channel, or the identity), E sum|taps|^2 = E||c||^2 =
     # total_energy. Without precoding at one sample per symbol it holds per
     # draw (test_unit_power_energies_at_one_sample_per_symbol_are_exact).
+    mod = ModParams(bit_rate=1.0 / (_DEMO_ON_ITS_GRID.sample_interval * sps), samples_per_symbol=sps)
     energies = np.empty(draws)
     for i in range(draws):
-        channels = synth_channel_set(i, _DEMO_ON_ITS_GRID, [(tx, rx) for tx in "AC" for rx in "BD"])
-        scenario = build_multi_tx_scenario(channels, 2, precoding, 0.0, 1.0 / (_DEMO_ON_ITS_GRID.sample_interval * sps))
-        assert scenario.mod_params.samples_per_symbol == sps
+        channels = realize_channels(dict.fromkeys([(tx, rx) for tx in "AC" for rx in "BD"], _DEMO_ON_ITS_GRID), i)
+        links = (LinkSpec("A", "B", precoding, 0.0), LinkSpec("C", "D", precoding, 0.0))
+        scenario = Scenario(channels, links, NoiseSpec.thermal(300.0, mod.bit_rate), mod)
         taps = scenario.responses.taps
         # Each link is the victim of the other once; their mean is one sample per draw.
         energies[i] = np.mean([np.sum(np.abs(taps[pair]) ** 2) for pair in (("A->B", "C->D"), ("C->D", "A->B"))])
@@ -467,14 +468,18 @@ def _orthogonal_scenario():
     return Scenario(channels, links, NoiseSpec.off(), mod2)
 
 
-def _table_cases():
+def _oracle_cases():
     for n_links in (1, 2, 3):
         for precoding in ("tr", "none"):
             yield f"{n_links}-link-{precoding}", _multi_link_scenario(n_links, precoding)
+    # One transmitter's 6 dBm budget split over three receivers.
     scatter_channels = {("S", rx): _chan(20 + i, f"S->{rx}") for i, rx in enumerate("BCD")}
-    yield "scatter", build_scatter_scenario(
-        scatter_channels, "S", "BCD", 6.0, 50e9, noise=NoiseSpec.thermal(300.0, 50e9)
-    )
+    scatter_links = tuple(LinkSpec("S", rx, "tr", split_power_dbm(6.0, 3)) for rx in "BCD")
+    yield "scatter", Scenario(scatter_channels, scatter_links, NoiseSpec.thermal(300.0, 50e9), MOD)
+
+
+def _table_cases():
+    yield from _oracle_cases()
     yield "orthogonal", _orthogonal_scenario()
 
 
@@ -497,14 +502,6 @@ def _symbol_rate_decisions(scenario, symbols, amplitudes, victim, count):
         part = amplitudes[sid] * np.convolve(sym, table.taps[(victim, sid)])[z : z + count]
         d[: part.size] += part
     return d
-
-
-def _oracle_cases():
-    for n_links in (1, 2, 3):
-        for precoding in ("tr", "none"):
-            yield f"{n_links}-link-{precoding}", _multi_link_scenario(n_links, precoding)
-    scatter_channels = {("S", rx): _chan(20 + i, f"S->{rx}") for i, rx in enumerate("BCD")}
-    yield "scatter", build_scatter_scenario(scatter_channels, "S", "BCD", 6.0, 50e9)
 
 
 # Streams of 150 symbols fit one transform; streams of 1500 go in blocks.
@@ -634,15 +631,6 @@ def test_off_grid_channels_and_streams_are_rejected(factor, which):
         Scenario(channels, scn.links, scn.noise, MOD)
     with pytest.raises(ValueError, match="grid mismatch"):
         propagate(scn, {scn.links[which % 2].stream_id: Waveform(np.ones(16), factor * DT)}, 0)
-    # The builders take the grid from the first channel they need; an
-    # off-grid channel fails either that grid's rate fit or the mismatch.
-    with pytest.raises(ValueError, match="grid"):
-        build_multi_tx_scenario(channels, 2, "tr", 0.0, 50e9, pairs=(("A", "B"), ("C", "D")))
-    scatter = dict(scn.channels)
-    scatter_pair = (("A", "B"), ("A", "D"))[which % 2]
-    scatter[scatter_pair] = Cir(scatter[scatter_pair].samples, factor * DT, "off-grid")
-    with pytest.raises(ValueError, match="grid"):
-        build_scatter_scenario(scatter, "A", ["B", "D"], 0.0, 50e9)
 
 
 def _direct_propagate(scenario, streams, seed):
@@ -899,7 +887,8 @@ def _three_link_scenario(precoding, noise):
 
 def _scatter_scenario(precoding, noise):
     channels = {("A", rx): _chan(30 + i) for i, rx in enumerate("BCD")}
-    return build_scatter_scenario(channels, "A", "BCD", 0.0, MOD.bit_rate, noise, precoding)
+    links = tuple(LinkSpec("A", rx, precoding, split_power_dbm(0.0, 3)) for rx in "BCD")
+    return Scenario(channels, links, noise, MOD)
 
 
 # (scenario, blocks per present stream, in stream-id order); a block count
