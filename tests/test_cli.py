@@ -335,6 +335,7 @@ def test_sweep_section_rules():
         ("aggregate_rate_bps", "100e9, 0", "aggregate_rate_bps sweep value 0.0 must be positive"),
         ("n_links", "1.5", "n_links sweep value 1.5 must be an integer in [1, 2]"),
         ("n_links", "1, 3", "n_links sweep value 3.0 must be an integer in [1, 2]"),
+        ("n_links", "0, 1", "n_links sweep value 0.0 must be an integer in [1, 2]"),
     ],
 )
 def test_bad_sweep_values_name_their_line(variable, values, message):

@@ -62,6 +62,14 @@ def test_mod_params_for_rate_fits_the_grid():
         mod_params_for_rate(400e9, base)
 
 
+def test_split_power_dbm_shares_the_budget_equally():
+    assert experiments.split_power_dbm(10.0, 1) == 10.0
+    assert experiments.split_power_dbm(10.0, 2) == pytest.approx(10.0 - 10.0 * math.log10(2), abs=1e-12)
+    for n in (2, 3, 7):
+        share = experiments.split_power_dbm(10.0, n)
+        assert n * 10.0 ** (share / 10.0) == pytest.approx(10.0, rel=1e-12)
+
+
 def _two_link_scenario(seed):
     """A->B and C->D under TR at 0 dBm and 50 Gb/s, thermal noise at 300 K over
     the bit rate, over channels drawn for every pair of A, C, E toward B, D, F."""

@@ -125,6 +125,15 @@ def test_scenario_validation():
         Scenario(bad, scn.links, scn.noise, MOD)
 
 
+def test_scenario_keeps_the_channels_its_links_need_and_drops_the_rest():
+    scn = _two_link_scenario()
+    extra = {("A", "F"): _chan(5, "A->F"), ("E", "B"): _chan(6, "E->B")}
+    kept = Scenario({**extra, **scn.channels}, scn.links, scn.noise, MOD)
+    assert set(kept.channels) == {(tx, rx) for tx in "AC" for rx in "BD"}
+    assert all(kept.channels[pair] is scn.channels[pair] for pair in kept.channels)
+    assert [link.stream_id for link in kept.links] == ["A->B", "C->D"]
+
+
 def test_scenario_receivers_and_lookup():
     scn = _two_link_scenario()
     assert scn.receivers == ("B", "D")
