@@ -166,12 +166,13 @@ def _shift_add_conv(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[np.n
     Per pair, the shorter input (the second on a tie) supplies the
     coefficients. All pairs run in one pass, side by side along the last
     axis and zero-padded to the longest: ``out[k : k + n] += y[k] * x``
-    with x of shape (n, P) and y of shape (k, P). The padding only adds
-    signed zeros to sums that start at +0.0, and so are never -0.0, which
-    leaves every sum as its pair alone would make it. Each coefficient row
-    keeps a leading axis of one: numpy multiplies a bare (P,) row into a
-    one-element stack without the fused multiply-add its other complex
-    products use, which would move last bits.
+    with x of shape (n, P) and y of shape (k, P), each product written
+    into one reused (n, P) buffer. The padding only adds signed zeros to
+    sums that start at +0.0, and so are never -0.0, which leaves every sum
+    as its pair alone would make it. Each coefficient row keeps a leading
+    axis of one: numpy multiplies a bare (P,) row into a one-element stack
+    without the fused multiply-add its other complex products use, which
+    would move last bits.
     """
     if not pairs:
         return []
@@ -182,8 +183,10 @@ def _shift_add_conv(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[np.n
         x[: a.size, p] = a
         y[: b.size, p] = b
     out = np.zeros((len(x) + len(y) - 1, len(spans)), dtype=np.complex128)
+    buf = np.empty_like(x)
     for k, coeff in enumerate(y[:, np.newaxis]):
-        out[k : k + len(x)] += coeff * x
+        np.multiply(coeff, x, out=buf)
+        out[k : k + len(x)] += buf
     return [out[: a.size + b.size - 1, p].copy() for p, (a, b) in enumerate(spans)]
 
 
@@ -488,30 +491,17 @@ def _uniform_grid(rows: np.ndarray, where: str, name: str) -> tuple[float, np.nd
     return step, samples
 
 
-def import_frequency_response(
-    records: Sequence[tuple[float, float, float]],
-    window: str = "rectangular",
-    label: str = "",
-) -> Cir:
+def import_frequency_response(records: Sequence[tuple[float, float, float]], label: str = "") -> Cir:
     """Build a CIR from a uniformly sampled complex frequency response.
 
     ``records`` holds (frequency_hz, real, imag) rows with strictly
-    increasing, uniformly spaced frequencies (within 1e-6 relative). The
-    chosen window ("rectangular" or "hann") is applied across the band
-    before the inverse DFT. The returned grid has
+    increasing, uniformly spaced frequencies (within 1e-6 relative); their
+    inverse DFT is the CIR. The returned grid has
     sample_interval = 1 / (N * spacing).
     """
     rows = np.array([(float(r[0]), float(r[1]), float(r[2])) for r in records]).reshape(-1, 3)
     step, resp = _uniform_grid(rows, "", "frequency")
-    n = len(rows)
-    if window == "rectangular":
-        w = np.ones(n)
-    elif window == "hann":
-        w = np.hanning(n)
-    else:
-        raise ValueError(f"unknown window {window!r}")
-    cir = np.fft.ifft(resp * w)
-    return Cir(cir, 1.0 / (n * step), label)
+    return Cir(np.fft.ifft(resp), 1.0 / (len(rows) * step), label)
 
 
 def _bad_line(lines: Iterable[str], what: str) -> ValueError:

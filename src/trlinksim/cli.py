@@ -451,9 +451,13 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
             channels[pair] = chanmodel.ReverbParams(sample_interval=mod.sample_interval, **params)
         if channels[pair].num_samples > _MAX_SAMPLES:
             entry = body["max_delay_s"]
+            source = "that is the default grid"
+            if "modulation" in sections:
+                at = sections["modulation"][0]
+                source = f"bit_rate_bps and samples_per_symbol in [modulation] at line {at} set that grid"
             raise ConfigError(
                 f"line {entry.lineno}: max_delay_s = {entry.value} is {channels[pair].num_samples} samples "
-                f"on the {mod.sample_interval:g} s grid, above the cap of {_MAX_SAMPLES}"
+                f"on the {mod.sample_interval:g} s grid, above the cap of {_MAX_SAMPLES}; {source}"
             )
         if seed is not None:
             # A pinned seed fixes the realization for every trial.

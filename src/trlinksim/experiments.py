@@ -160,13 +160,12 @@ def run_trial(
     for link in scenario.ordered_links:
         sid = link.stream_id
         offset = table.offsets[sid]
-        peak = complex(table.taps[(sid, sid)][offset // sps])
         y = received[link.rx_node]
         # The detector reads one sample per symbol, so only those are derotated.
         # Contiguous like the whole waveform was, so numpy multiplies them
         # the same way and every derotated sample is bit for bit the old one.
         decisions = np.ascontiguousarray(y.samples[offset :: sps][:n_symbols])
-        rotated = (decisions * np.exp(-1j * np.angle(peak))).real
+        rotated = (decisions * np.exp(-1j * np.angle(table.peaks[sid]))).real
         pilot, payload = bits[sid]
         threshold = train_threshold(rotated[:pilot_len], pilot)
         errors[sid] = count_errors(payload, demodulate(rotated[pilot_len:], threshold))

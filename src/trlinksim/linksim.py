@@ -324,10 +324,12 @@ class ResponseTable:
     (victim, stream) pair, the own pair (v, v) included, to a read-only
     complex array: the stream's full-rate response filter * channel *
     symbol pulse at the victim's receiver, sampled on the victim's
-    decision phase (``r[offset % sps :: sps]``). The victim's decision tap
-    is ``taps[(v, v)][offsets[v] // sps]``. Every SINR component is a link
-    power times a sum over these taps, so the table serves every power
-    setting.
+    decision phase (``r[offset % sps :: sps]``). ``peaks`` maps each
+    victim to its decision tap, ``taps[(v, v)][offsets[v] // sps]``, and
+    ``energies`` each pair to the energy of its taps outside that tap:
+    the ISI of the own pair, the co-channel energy of any other. Each is
+    summed once, here; every SINR component is a link power times one of
+    them, so the table serves every power setting.
 
     The table holds responses only: propagation takes each channel's
     spectra from the channel itself (``Cir.spectra``).
@@ -336,6 +338,8 @@ class ResponseTable:
     filters: Mapping[str, TrFilter]
     offsets: Mapping[str, int]
     taps: Mapping[tuple[str, str], np.ndarray]
+    peaks: Mapping[str, complex]
+    energies: Mapping[tuple[str, str], float]
 
     @classmethod
     def build(cls, scenario: Scenario) -> "ResponseTable":
@@ -362,11 +366,17 @@ class ResponseTable:
             ],
             mod,
         )
+        sps = mod.samples_per_symbol
         for (victim, other), r in zip(crossings, cross):
-            taps[(victim.stream_id, other.stream_id)] = _decision_taps(
-                r, offsets[victim.stream_id], mod.samples_per_symbol
-            )
-        return cls(MappingProxyType(filters), MappingProxyType(offsets), MappingProxyType(taps))
+            taps[(victim.stream_id, other.stream_id)] = _decision_taps(r, offsets[victim.stream_id], sps)
+        peaks = {sid: complex(taps[(sid, sid)][offset // sps]) for sid, offset in offsets.items()}
+        energies = {}
+        for (victim, stream), t in taps.items():
+            mags = np.abs(t) ** 2
+            total = mags.sum()
+            # The own pair leaves out its decision tap: the rest is its ISI.
+            energies[(victim, stream)] = float(total - mags[offsets[victim] // sps] if victim == stream else total)
+        return cls(*map(MappingProxyType, (filters, offsets, taps, peaks, energies)))
 
 
 @dataclass(frozen=True)
@@ -410,21 +420,18 @@ def compute_sinr(scenario: Scenario, target_link: LinkSpec) -> SinrReport:
     sampled on the victim's symbol grid at the victim's decision offset.
     Per-symbol powers equal each stream's transmit power target in watts,
     so all interference terms scale with the interferer's dBm setting. The
-    taps come from the scenario's response table; their energies are
-    summed and the powers applied here.
+    scenario's response table holds the decision tap and every unit-power
+    energy; this only weights them by the powers.
     """
     link = scenario.link_for_stream(target_link.stream_id)
     if link != target_link:
         raise ValueError(f"link not found: {target_link!r} is not part of the scenario")
     table = scenario.responses
     sid = link.stream_id
-    own = table.taps[(sid, sid)]
-    z = table.offsets[sid] // scenario.mod_params.samples_per_symbol
-    mags = np.abs(own) ** 2
-    signal_w = link.tx_power_w * abs(complex(own[z])) ** 2
-    isi_w = link.tx_power_w * float(mags.sum() - mags[z])
+    signal_w = link.tx_power_w * abs(table.peaks[sid]) ** 2
+    isi_w = link.tx_power_w * table.energies[(sid, sid)]
     per_interferer = {
-        other.stream_id: other.tx_power_w * float(np.sum(np.abs(table.taps[(sid, other.stream_id)]) ** 2))
+        other.stream_id: other.tx_power_w * table.energies[(sid, other.stream_id)]
         for other in scenario.links
         if other.stream_id != sid
     }

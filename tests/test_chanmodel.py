@@ -359,22 +359,11 @@ def test_import_linear_phase_is_shifted_impulse():
     assert cir.samples[shift] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_import_hann_window_matches_direct_ifft():
-    rng = np.random.default_rng(9)
-    spectrum = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    records = [(k * 2e9, float(v.real), float(v.imag)) for k, v in enumerate(spectrum)]
-    cir = import_frequency_response(records, window="hann")
-    expected = np.fft.ifft(spectrum * np.hanning(16))
-    assert np.max(np.abs(cir.samples - expected)) < 1e-12
-
-
 def test_import_validates_input():
     with pytest.raises(ValueError, match="insufficient data"):
         import_frequency_response([(0.0, 1.0, 0.0)])
     with pytest.raises(ValueError, match="irregular grid"):
         import_frequency_response([(0.0, 1, 0), (1e9, 1, 0), (3e9, 1, 0)])
-    with pytest.raises(ValueError, match="unknown window"):
-        import_frequency_response([(0.0, 1, 0), (1e9, 1, 0)], window="kaiser")
 
 
 def test_cir_csv_round_trip(tmp_path):

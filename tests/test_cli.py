@@ -989,10 +989,29 @@ def test_main_refuses_a_sample_count_above_the_cap_by_line(tmp_path, capsys, pin
     text = MINIMAL.replace("max_delay_s = 200e-12", f"max_delay_s = {delay}{seed}") + modulation
     assert main(["run", "--config", _write(tmp_path, "m.cfg", text), "--out", str(tmp_path / "out")]) == 1
     line = text.splitlines().index(f"max_delay_s = {delay}") + 1
+    source = "that is the default grid"
+    if modulation:
+        at = text.splitlines().index("[modulation]") + 1
+        source = f"bit_rate_bps and samples_per_symbol in [modulation] at line {at} set that grid"
     assert capsys.readouterr().err == (
         f"error: line {line}: max_delay_s = {delay} is {count} samples on the {grid} s grid, "
-        "above the cap of 1000000\n"
+        f"above the cap of 1000000; {source}\n"
     )
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_demo_with_a_grid_too_fine_names_bit_rate_bps(tmp_path, capsys):
+    # 1e18 b/s puts the first channel's 500 ps on 2e9 + 1 samples: refused at
+    # that max_delay_s line, naming the keys that set the grid as well.
+    demo = _readme_demo()
+    text = demo.replace("bit_rate_bps = 50e9", "bit_rate_bps = 1e18")
+    assert text != demo
+    assert main(["run", "--config", _write(tmp_path, "fine.cfg", text), "--out", str(tmp_path / "out")]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: line 8: max_delay_s = 500e-12 is 2000000001 samples"), errors
+    at = text.splitlines().index("[modulation]") + 1
+    assert errors[0].endswith(f"bit_rate_bps and samples_per_symbol in [modulation] at line {at} set that grid")
     assert not (tmp_path / "out").exists()
 
 
@@ -1000,7 +1019,8 @@ def test_the_sample_cap_admits_its_own_count():
     # On the 5 ps grid, max_delay_s / grid + 1 is the cap at 5e-6 - 5e-12 s and one more at 5e-6 s.
     at_cap = parse_config(MINIMAL.replace("max_delay_s = 200e-12", "max_delay_s = 4.999995e-6"))
     assert at_cap.channels[("A", "B")].num_samples == 10**6
-    with pytest.raises(ConfigError, match=r"is 1000001 samples on the 5e-12 s grid, above the cap of 1000000$"):
+    refusal = r"is 1000001 samples on the 5e-12 s grid, above the cap of 1000000; that is the default grid$"
+    with pytest.raises(ConfigError, match=refusal):
         parse_config(MINIMAL.replace("max_delay_s = 200e-12", "max_delay_s = 5e-6"))
 
 

@@ -447,6 +447,58 @@ def _loop_sinr(scenario, link):
     return SinrReport(signal_w, isi_w, scenario.noise.watts, per_interferer)
 
 
+def _tap_sum_sinr(scenario, link):
+    """compute_sinr as it was when it summed the table's taps itself, at every call."""
+    table = scenario.responses
+    sid = link.stream_id
+    own = table.taps[(sid, sid)]
+    z = table.offsets[sid] // scenario.mod_params.samples_per_symbol
+    mags = np.abs(own) ** 2
+    signal_w = link.tx_power_w * abs(complex(own[z])) ** 2
+    isi_w = link.tx_power_w * float(mags.sum() - mags[z])
+    per_interferer = {
+        other.stream_id: other.tx_power_w * float(np.sum(np.abs(table.taps[(sid, other.stream_id)]) ** 2))
+        for other in scenario.links
+        if other.stream_id != sid
+    }
+    return SinrReport(signal_w, isi_w, scenario.noise.watts, per_interferer)
+
+
+_DBM_ROWS = st.lists(st.floats(-30.0, 30.0), min_size=3, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    scatter=st.booleans(),
+    n_links=st.integers(1, 3),
+    precoding=st.sampled_from(["tr", "none"]),
+    sps=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    powers=st.lists(_DBM_ROWS, min_size=1, max_size=4),
+)
+def test_weighted_reports_equal_the_tap_sums_bitwise(scatter, n_links, precoding, sps, seed, powers):
+    # The first row of powers builds the scenario; each later one re-powers the last.
+    mod = ModParams(bit_rate=50e9 * 4 / sps, samples_per_symbol=sps)
+    txs = "S" * n_links if scatter else "ACE"[:n_links]
+    rxs = "BDF"[:n_links]
+    params = ReverbParams(DT, 24, 50e-12, 400e-12)
+    channels = realize_channels({(tx, rx): params for tx in set(txs) for rx in rxs}, seed)
+    links = tuple(LinkSpec(tx, rx, precoding, p) for tx, rx, p in zip(txs, rxs, powers[0]))
+    chain = [Scenario(channels, links, NoiseSpec.explicit(-45.0), mod)]
+    for row in powers[1:]:
+        chain.append(chain[-1].with_powers({link.stream_id: p for link, p in zip(links, row)}))
+    table = chain[0].responses
+    for link in links:
+        sid = link.stream_id
+        assert table.peaks[sid] == complex(table.taps[(sid, sid)][table.offsets[sid] // sps])
+    for scenario in chain:
+        assert scenario.responses.energies is table.energies
+        for link in scenario.links:
+            got, want = compute_sinr(scenario, link), _tap_sum_sinr(scenario, link)
+            assert (got.signal_w, got.isi_w, got.noise_w) == (want.signal_w, want.isi_w, want.noise_w)
+            assert list(got.per_interferer_w.items()) == list(want.per_interferer_w.items())
+
+
 def _multi_link_scenario(n_links, precoding):
     txs, rxs = "ACE"[:n_links], "BDF"[:n_links]
     channels = {
@@ -825,15 +877,17 @@ def test_propagate_through_unit_tap_returns_the_stream():
 def test_response_table_holds_responses_only():
     scenario = _two_link_scenario()
     table = scenario.responses
-    assert [f.name for f in dataclasses.fields(table)] == ["filters", "offsets", "taps"]
+    assert [f.name for f in dataclasses.fields(table)] == ["filters", "offsets", "taps", "peaks", "energies"]
     ids = [link.stream_id for link in scenario.links]
     assert set(table.taps) == {(victim, stream) for victim in ids for stream in ids}
     for taps in table.taps.values():
         assert not taps.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             taps[0] = 0.0
-    # Power is not in the table: a repowered scenario shares this one.
-    assert scenario.with_powers({"A->B": 7.0}).responses is table
+    # Power is not in the table: a repowered scenario shares this one, energies included.
+    repowered = scenario.with_powers({"A->B": 7.0})
+    assert repowered.responses is table
+    assert repowered.responses.energies is table.energies
 
 
 def test_propagate_reads_each_channels_own_spectra(monkeypatch):
@@ -1018,6 +1072,37 @@ def test_stacked_shift_add_equals_each_pair_alone_bitwise(pairs):
     for (x, y), r in zip(pairs, got):
         alone = chanmodel._shift_add_conv([(x, y)])[0]
         assert r.tobytes() == alone.tobytes() == _one_pair_shift_add(x, y).tobytes()
+
+
+def _fresh_product_shift_add(pairs):
+    """The stacked shift-add pass as it was, with a fresh product array for each coefficient row."""
+    spans = [(a, b) if b.size <= a.size else (b, a) for a, b in pairs]
+    x = np.zeros((max(a.size for a, _ in spans), len(spans)), dtype=np.complex128)
+    y = np.zeros((max(b.size for _, b in spans), len(spans)), dtype=np.complex128)
+    for p, (a, b) in enumerate(spans):
+        x[: a.size, p] = a
+        y[: b.size, p] = b
+    out = np.zeros((len(x) + len(y) - 1, len(spans)), dtype=np.complex128)
+    for k, coeff in enumerate(y[:, np.newaxis]):
+        out[k : k + len(x)] += coeff * x
+    return [out[: a.size + b.size - 1, p].copy() for p, (a, b) in enumerate(spans)]
+
+
+def _random_taps(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+# Random taps of up to 500 samples, mixed with the short hand-picked ones.
+_MIXED_TAPS = _TAPS | st.builds(_random_taps, st.integers(1, 500), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_MIXED_TAPS, _MIXED_TAPS), min_size=1, max_size=8))
+@example([_FMA_PAIR])
+def test_shift_add_into_one_product_buffer_equals_fresh_products_bitwise(pairs):
+    got = chanmodel._shift_add_conv(pairs)
+    assert [r.tobytes() for r in got] == [r.tobytes() for r in _fresh_product_shift_add(pairs)]
 
 
 def _response_pairs():
