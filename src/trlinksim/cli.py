@@ -406,6 +406,14 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
             link = linksim.LinkSpec(**spec)
         if any(other.stream_id == link.stream_id for other in links):
             raise ConfigError(f"line {lineno}: duplicate link {link.stream_id}")
+        # A node that transmits and receives would need a channel to itself, which no section can be.
+        for other in links:
+            for end, node, clash in (("tx", link.tx_node, other.rx_node), ("rx", link.rx_node, other.tx_node)):
+                if node == clash:
+                    raise ConfigError(
+                        f"line {body[end].lineno}: node {node!r} cannot both transmit and receive "
+                        f"(links {other.stream_id} and {link.stream_id})"
+                    )
         links.append(link)
     if not links:
         raise ConfigError("config defines no [link N] sections")
@@ -497,33 +505,6 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     return RunConfig(channels, tuple(links), mod, noise, **sweep, **output)
 
 
-def _sweep_rows(cfg: RunConfig, variable: str, points: list) -> list[experiments.SweepRow]:
-    """The sweep over ``points``: (value, its ``_grid_point``) pairs, in grid order."""
-    at_value = dict(points)
-
-    def at_realization(channels) -> Callable[[float], linksim.Scenario]:
-        """Scenario per grid value over one channel realization."""
-        bases = {}  # one per link count and modulation: power leaves the response table alone
-
-        def scenario(value: float) -> linksim.Scenario:
-            links, mod = at_value[value]
-            key = len(links), mod
-            if key not in bases:
-                bases[key] = linksim.Scenario(channels, links, cfg.noise, mod)
-            return bases[key].with_powers({link.stream_id: link.tx_power_dbm for link in links})
-
-        return scenario
-
-    if any(isinstance(c, chanmodel.ReverbParams) for c in cfg.channels.values()):
-        template = lambda value, seed: at_realization(realize_channels(cfg.channels, seed))(value)
-    else:
-        # One realization serves every trial: one scenario per grid value.
-        build = functools.cache(at_realization(realize_channels(cfg.channels, cfg.master_seed)))
-        template = lambda value, seed: build(value)
-    counts = (cfg.n_bits, cfg.n_trials, cfg.master_seed, cfg.pilot_len)
-    return experiments.sweep(variable, [value for value, _ in points], template, *counts)
-
-
 def _sweep_csv(command: str, cfg: RunConfig, path: Path) -> list[Path]:
     """Sweep ``command``'s variable over the config's values, or its default grid.
 
@@ -543,22 +524,20 @@ def _sweep_csv(command: str, cfg: RunConfig, path: Path) -> list[Path]:
     points = []
     for value in cfg.sweep_values or default:
         try:
-            points.append((value, _grid_point(variable, value, cfg.links, cfg.mod)))
+            points.append((value, *_grid_point(variable, value, cfg.links, cfg.mod)))
         except ValueError as exc:
             fix = "name a grid that fits with [sweep] variable and values"
             raise ConfigError(f"default {command} grid value {value:g}: {exc}; {fix}") from None
-    write_sweep_csv(_sweep_rows(cfg, variable, points), path)
+    counts = cfg.n_bits, cfg.n_trials, cfg.master_seed, cfg.pilot_len
+    write_sweep_csv(experiments.sweep(variable, points, cfg.channels, cfg.noise, *counts), path)
     return [path]
 
 
 def cmd_run(cfg: RunConfig, path: Path) -> list[Path]:
-    """Monte Carlo over the configured links exactly as written.
-
-    That is the link-count sweep's point at every link, written as the
-    one row per link labelled ``config,0``.
-    """
-    rows = _sweep_rows(cfg, "n_links", [(float(len(cfg.links)), (cfg.links, cfg.mod))])
-    write_sweep_csv([dataclasses.replace(row, variable="config", value=0.0) for row in rows], path)
+    """Monte Carlo over the configured links exactly as written: one row per link, labelled ``config,0``."""
+    counts = cfg.n_bits, cfg.n_trials, cfg.master_seed, cfg.pilot_len
+    rows = experiments.sweep("config", [(0.0, cfg.links, cfg.mod)], cfg.channels, cfg.noise, *counts)
+    write_sweep_csv(rows, path)
     return [path]
 
 

@@ -3,11 +3,14 @@
 A scenario is built one way, ``linksim.Scenario(channels, links, noise,
 mod)``; this module draws its channels, fits its modulation to a bit
 rate, splits a scatter transmitter's power budget, runs its trials and
-sweeps it. In a scatter layout one transmitter sends several streams to
-distinct receivers, each shaped by the time-reversal filter of its own
-receiver's channel, so superposing them is how one transmitter addresses
-many receivers at once; ``split_power_dbm`` gives each stream its equal
-share of the total.
+sweeps it. ``sweep`` takes the channels and the grid points, and owns
+which scenarios a sweep builds: a fresh realization per trial when any
+channel is synthetic, else one response table per link set and
+modulation, re-powered at each point. In a scatter layout one
+transmitter sends several streams to distinct receivers, each shaped by
+the time-reversal filter of its own receiver's channel, so superposing
+them is how one transmitter addresses many receivers at once;
+``split_power_dbm`` gives each stream its equal share of the total.
 """
 
 from __future__ import annotations
@@ -16,13 +19,13 @@ import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .chanmodel import Cir, ReverbParams, _shift_add_conv, same_grid, synth_reverberant
 from .detector import BerResult, count_errors, demodulate, train_threshold, wilson_interval
-from .linksim import LinkSpec, Scenario, propagate, sinr_from_powers
+from .linksim import LinkSpec, NoiseSpec, Scenario, propagate, sinr_from_powers
 from .sigchain import (
     ModParams,
     TrFilter,
@@ -204,27 +207,32 @@ class SweepRow:
 
 def sweep(
     variable: str,
-    grid: Iterable[float],
-    scenario_template: Callable[[float, int], Scenario],
+    points: Iterable[tuple[float, Sequence[LinkSpec], ModParams]],
+    channels: Mapping[tuple[str, str], Cir | ReverbParams],
+    noise: NoiseSpec,
     n_bits: int = 1000,
     n_trials: int = 10,
     master_seed: int = 0,
     pilot_len: int = 64,
 ) -> list[SweepRow]:
-    """Run ``scenario_template`` at every value of ``grid``; ``variable`` labels the rows.
+    """Run every ``(value, links, mod)`` of ``points`` over ``channels``; ``variable`` labels the rows.
 
-    ``scenario_template(value, channel_seed)`` must build the scenario
-    for one grid value; templates backed by synthetic channels should draw
-    them with ``realize_channels(channels, channel_seed)`` so every trial
-    sees a fresh realization, while imported channels simply ignore it.
-    Per grid point each trial's SINR component powers (its scenario's
+    ``channels`` maps each (tx, rx) pair to a ``Cir`` or a ``ReverbParams``,
+    as a config's channels do. When any is a ``ReverbParams``, every trial
+    of every point draws a fresh realization with
+    ``realize_channels(channels, derive_seed(master_seed, point, trial, 0))``
+    and builds its own scenario. Otherwise the channels are fixed: one base
+    scenario per link set (each link's tx, rx and precoding) and modulation
+    holds the response table, each point re-powers it once
+    (``Scenario.with_powers``), and all of the point's trials share that
+    scenario. Per point each trial's SINR component powers (its scenario's
     ``Scenario.sinr``) are averaged linearly over ``n_trials`` trials of
-    ``n_bits`` bits each, and its ``run_trial`` bit errors are pooled.
-    All sub-seeds derive from (master_seed, point index, trial index), so
-    the output is a pure function of the arguments.
+    ``n_bits`` bits each, and its ``run_trial`` bit errors are pooled. Trial
+    seeds are ``derive_seed(master_seed, point, trial, 1)``, so the output
+    is a pure function of the arguments.
     """
-    grid = tuple(grid)
-    if not grid:
+    points = tuple(points)
+    if not points:
         raise ValueError("sweep grid must not be empty")
     if n_bits < 100:
         raise ValueError("n_bits must be at least 100")
@@ -232,15 +240,25 @@ def sweep(
         raise ValueError("n_trials must be at least 1")
     if int(master_seed) != master_seed or master_seed < 0:
         raise ValueError("master_seed must be a non-negative integer")
+    fresh = any(isinstance(c, ReverbParams) for c in channels.values())
+    if not fresh:
+        fixed = realize_channels(channels, master_seed)
+        bases: dict[tuple, Scenario] = {}  # power leaves the response table alone
     rows: list[SweepRow] = []
-    for p_index, value in enumerate(grid):
+    for p_index, (value, links, mod) in enumerate(points):
+        if not fresh:
+            key = tuple((link.tx_node, link.rx_node, link.precoding) for link in links), mod
+            if key not in bases:
+                bases[key] = Scenario(fixed, links, noise, mod)
+            scenario = bases[key].with_powers({link.stream_id: link.tx_power_dbm for link in links})
         watts: dict[str, np.ndarray] = {}
         errors: Counter[str] = Counter()
         bits: Counter[str] = Counter()
         for t_index in range(n_trials):
-            channel_seed = derive_seed(master_seed, p_index, t_index, 0)
+            if fresh:
+                channel_seed = derive_seed(master_seed, p_index, t_index, 0)
+                scenario = Scenario(realize_channels(channels, channel_seed), links, noise, mod)
             trial_seed = derive_seed(master_seed, p_index, t_index, 1)
-            scenario = scenario_template(value, channel_seed)
             bers = run_trial(scenario, trial_seed, n_bits, pilot_len=pilot_len)
             for sid, report in scenario.sinr.items():
                 acc = watts.setdefault(sid, np.zeros(4))

@@ -280,6 +280,28 @@ def test_links_demand_full_channel_coverage():
         )
 
 
+@pytest.mark.parametrize(
+    "links, named, message",
+    [
+        # A transmits on link 1, then receives on link 2.
+        (("tx = A\nrx = B", "tx = C\nrx = A"), "rx = A", "node 'A' cannot both transmit and receive (links A->B and C->A)"),
+        # A receives on link 1, then transmits on link 2.
+        (("tx = C\nrx = A", "tx = A\nrx = B"), "tx = A", "node 'A' cannot both transmit and receive (links C->A and A->B)"),
+    ],
+)
+def test_a_node_that_transmits_and_receives_is_refused_at_the_later_link(tmp_path, capsys, links, named, message):
+    # Its channel to itself is a section the parser refuses, so the refusal names the links.
+    text = _readme_demo().replace("[link 1]\ntx = A\nrx = B", f"[link 1]\n{links[0]}")
+    text = text.replace("[link 2]\ntx = C\nrx = D", f"[link 2]\n{links[1]}")
+    lines = text.splitlines()
+    line = lines.index(named, lines.index("[link 2]")) + 1
+    cfg_path = _write(tmp_path, "self.cfg", text)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    errors = [e for e in capsys.readouterr().err.splitlines() if e.startswith("error:")]
+    assert errors == [f"error: line {line}: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_noise_section_rules():
     thermal = MINIMAL.replace(
         "mode = explicit\npower_dbm = -40",
@@ -1512,17 +1534,20 @@ def test_power_sweep_computes_each_sinr_report_once_per_point(tmp_path, monkeypa
     assert set(reports.values()) == {1}
 
 
-# A pinned scatter builds one table per link count; the README demo's fresh
-# channels build one per trial and grid point (5 trials; 16 powers, 2 link counts).
+# A pinned scatter builds one table per link count and rate; the README demo's
+# fresh channels build one per trial and grid point (5 trials; 16 powers, 4
+# rates, 2 link counts).
 @pytest.mark.parametrize(
     "pinned, command, tables",
     [
         (True, "run", 1),
         (True, "sweep-power", 1),
         (True, "sweep-links", 3),
+        (True, "sweep-rate", 3),
         (False, "run", 5),
         (False, "sweep-power", 16 * 5),
         (False, "sweep-links", 2 * 5),
+        (False, "sweep-rate", 4 * 5),
     ],
 )
 def test_each_command_builds_one_response_table_per_realization_and_link_count(
@@ -1532,6 +1557,9 @@ def test_each_command_builds_one_response_table_per_realization_and_link_count(
         text = _SCATTER_3
         for seed, rx in enumerate("BCD", 1):
             text = text.replace(f'[channel "A->{rx}"]\n{_CHANNEL}', f'[channel "A->{rx}"]\n{_CHANNEL}seed = {seed}\n')
+        if command == "sweep-rate":
+            # The default rates do not split three ways onto the 5 ps grid; these give 40, 20 and 10 samples per symbol.
+            text += "\n[sweep]\nvariable = aggregate_rate_bps\nvalues = 15e9, 30e9, 60e9\n"
     else:
         text = _readme_demo()
     builds = _counting(monkeypatch, linksim.ResponseTable, "build", lambda scenario: len(scenario.links))

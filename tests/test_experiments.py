@@ -1,7 +1,9 @@
 """Channel realization, the rate fit, trials, sweeps, and the focusing audit."""
 
+import dataclasses
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -88,8 +90,8 @@ def test_run_trial_computes_no_sinr_and_sweep_pools_the_scenarios_reports(monkey
     for seed in (1, 2):
         assert list(run_trial(scn, seed, 200)) == ["A->B", "C->D"]
     assert calls == []
-    # Every trial runs the same scenario, so each row's watts are its own report's.
-    rows = sweep("x", [0.0], lambda value, channel_seed: scn, n_bits=200, n_trials=2)
+    # Fixed channels: every trial runs one scenario, so each row's watts are its report's.
+    rows = sweep("x", [(0.0, scn.links, scn.mod_params)], scn.channels, scn.noise, n_bits=200, n_trials=2)
     assert calls == list(scn.links)
     assert [row.link for row in rows] == ["A->B", "C->D"]
     for row in rows:
@@ -102,11 +104,19 @@ def test_run_trial_computes_no_sinr_and_sweep_pools_the_scenarios_reports(monkey
         )
 
 
+# One unit tap from A to B, 50 Gb/s at one sample per symbol, and noise at -30 dBm.
+_TAP = {("A", "B"): Cir(np.array([1.0]), 2e-11, "A->B")}
+_TAP_NOISE = NoiseSpec.explicit(-30.0)
+
+
+def _single_tap_points(powers_dbm):
+    """Sweep points over ``_TAP``: the link A->B at each power."""
+    return [(power, (LinkSpec("A", "B", "tr", power),), ModParams(50e9, 1)) for power in powers_dbm]
+
+
 def _single_tap_scenario(power_dbm, noise_dbm=-30.0):
-    dt = 2e-11  # 50 Gb/s at one sample per symbol
-    channels = {("A", "B"): Cir(np.array([1.0]), dt, "A->B")}
-    links = (LinkSpec("A", "B", "tr", power_dbm),)
-    return Scenario(channels, links, NoiseSpec.explicit(noise_dbm), ModParams(50e9, 1))
+    ((_, links, mod),) = _single_tap_points([power_dbm])
+    return Scenario(_TAP, links, NoiseSpec.explicit(noise_dbm), mod)
 
 
 def test_run_trial_is_deterministic():
@@ -212,23 +222,23 @@ def test_run_trial_derotates_decision_samples_as_the_whole_waveform(monkeypatch)
 def test_sweep_argument_validation():
     # The variable is only a row label here; test_cli's test_sweep_section_rules
     # covers the refusal of an unknown [sweep] variable.
-    template = lambda value, channel_seed: _single_tap_scenario(value)
+    points = _single_tap_points([0.0])
     with pytest.raises(ValueError, match="grid"):
-        sweep("tx_power_dbm", (), template)
+        sweep("tx_power_dbm", (), _TAP, _TAP_NOISE)
     with pytest.raises(ValueError, match="n_bits"):
-        sweep("tx_power_dbm", (0.0,), template, n_bits=50)
+        sweep("tx_power_dbm", points, _TAP, _TAP_NOISE, n_bits=50)
     with pytest.raises(ValueError, match="n_trials"):
-        sweep("tx_power_dbm", (0.0,), template, n_trials=0)
+        sweep("tx_power_dbm", points, _TAP, _TAP_NOISE, n_trials=0)
     with pytest.raises(ValueError, match="master_seed"):
-        sweep("tx_power_dbm", (0.0,), template, master_seed=-1)
+        sweep("tx_power_dbm", points, _TAP, _TAP_NOISE, master_seed=-1)
     with pytest.raises(ValueError, match="master_seed"):
-        sweep("tx_power_dbm", (0.0,), template, master_seed=0.5)
+        sweep("tx_power_dbm", points, _TAP, _TAP_NOISE, master_seed=0.5)
 
 
 def test_sweep_noise_dominated_gains_one_db_per_dbm():
     # single unit tap, noise far above ISI: SINR in dB tracks power in dBm
-    template = lambda value, channel_seed: _single_tap_scenario(value)
-    rows = sweep("tx_power_dbm", (-10.0, -9.0, -8.0, -7.0), template, n_bits=100, n_trials=1)
+    points = _single_tap_points((-10.0, -9.0, -8.0, -7.0))
+    rows = sweep("tx_power_dbm", points, _TAP, _TAP_NOISE, n_bits=100, n_trials=1)
     sinrs = [row.sinr_db for row in rows]
     diffs = np.diff(sinrs)
     assert np.allclose(diffs, 1.0, atol=1e-9)
@@ -236,9 +246,9 @@ def test_sweep_noise_dominated_gains_one_db_per_dbm():
 
 
 def test_sweep_pools_bits_and_is_pure():
-    template = lambda value, channel_seed: _single_tap_scenario(value)
-    rows = sweep("tx_power_dbm", (-5.0, 0.0), template, n_bits=150, n_trials=3)
-    again = sweep("tx_power_dbm", (-5.0, 0.0), template, n_bits=150, n_trials=3)
+    points = _single_tap_points((-5.0, 0.0))
+    rows = sweep("tx_power_dbm", points, _TAP, _TAP_NOISE, n_bits=150, n_trials=3)
+    again = sweep("tx_power_dbm", points, _TAP, _TAP_NOISE, n_bits=150, n_trials=3)
     assert rows == again
     assert len(rows) == 2
     for row in rows:
@@ -247,27 +257,72 @@ def test_sweep_pools_bits_and_is_pure():
         assert row.ber_ci[0] <= row.ber <= row.ber_ci[1]
 
 
-def test_sweep_offers_fresh_channel_seeds():
-    seen = []
+def test_sweep_draws_each_fresh_realization_from_its_point_and_trial(monkeypatch):
+    # A->B is drawn fresh, C->D is fixed: every trial of every point gets its own realization.
+    fixed = Cir(np.array([1.0, 0.5]), REVERB.sample_interval, "C->D")
+    channels = {("A", "B"): REVERB, ("A", "D"): REVERB, ("C", "B"): REVERB, ("C", "D"): fixed}
+    links = (LinkSpec("A", "B", "tr", 0.0), LinkSpec("C", "D", "tr", 0.0))
+    points = [(p, links, ModParams(50e9, 4)) for p in (0.0, 1.0)]
+    trials = []
+    original = experiments.run_trial
 
-    def template(value, channel_seed):
-        seen.append(channel_seed)
-        return _single_tap_scenario(value)
+    def recorded(scenario, seed, *args, **kwargs):
+        trials.append((scenario, seed))
+        return original(scenario, seed, *args, **kwargs)
 
-    sweep("tx_power_dbm", (0.0, 1.0), template, n_bits=100, n_trials=3)
-    assert len(seen) == 6
-    assert len(set(seen)) == 6
+    monkeypatch.setattr(experiments, "run_trial", recorded)
+    sweep("tx_power_dbm", points, channels, NoiseSpec.off(), n_bits=100, n_trials=3, master_seed=4)
+    assert len(trials) == 6
+    coordinates = [(p, t) for p in range(2) for t in range(3)]
+    for (scenario, seed), (p, t) in zip(trials, coordinates):
+        assert seed == derive_seed(4, p, t, 1)
+        expected = realize_channels(channels, derive_seed(4, p, t, 0))
+        assert scenario.channels.keys() == expected.keys()
+        for pair, cir in scenario.channels.items():
+            assert np.array_equal(cir.samples, expected[pair].samples)
+            assert (cir.sample_interval, cir.label) == (expected[pair].sample_interval, expected[pair].label)
+        assert scenario.channels[("C", "D")] is fixed
+    assert len({scenario.channels[("A", "B")].samples.tobytes() for scenario, _ in trials}) == 6
+
+
+def test_sweep_over_fixed_channels_builds_one_table_per_link_set_and_modulation(monkeypatch):
+    channels = _two_link_scenario(5).channels
+    ab, cd = LinkSpec("A", "B", "tr", 0.0), LinkSpec("C", "D", "tr", 0.0)
+    power = lambda link, dbm: dataclasses.replace(link, tx_power_dbm=dbm)
+    mod4, mod2 = ModParams(50e9, 4), ModParams(100e9, 2)
+    points = [
+        (0.0, (ab,), mod4),
+        (1.0, (power(ab, 5.0),), mod4),  # the same link set at another power: no new table
+        (2.0, (cd,), mod4),  # another one-link set at the same modulation
+        (3.0, (power(ab, 3.0), power(cd, 3.0)), mod4),
+        (4.0, (ab,), mod2),
+        (5.0, (dataclasses.replace(ab, precoding="none"),), mod4),
+    ]
+    builds, reports = Counter(), Counter()
+    build, compute_sinr = linksim.ResponseTable.build, linksim.compute_sinr
+
+    def counted_build(scenario):
+        builds[tuple((l.stream_id, l.precoding) for l in scenario.links), scenario.mod_params] += 1
+        return build(scenario)
+
+    def counted_sinr(scenario, link):
+        reports[link, scenario.mod_params] += 1
+        return compute_sinr(scenario, link)
+
+    monkeypatch.setattr(linksim.ResponseTable, "build", counted_build)
+    monkeypatch.setattr(linksim, "compute_sinr", counted_sinr)
+    rows = sweep("x", points, channels, NoiseSpec.thermal(300.0, 50e9), n_bits=100, n_trials=3)
+    assert len(rows) == 7
+    assert len(builds) == 5 and set(builds.values()) == {1}
+    # once per link per point, although every point runs three trials
+    assert reports == Counter((link, mod) for _, links, mod in points for link in links)
+    assert len(reports) == 7
 
 
 def test_sweep_orders_rows_by_point_then_link():
     scn = _two_link_scenario(9)
-    rows = sweep(
-        "n_links",
-        (1, 2),
-        lambda value, channel_seed: Scenario(scn.channels, scn.links[: int(value)], scn.noise, scn.mod_params),
-        n_bits=100,
-        n_trials=1,
-    )
+    points = [(n, scn.links[:n], scn.mod_params) for n in (1, 2)]
+    rows = sweep("n_links", points, scn.channels, scn.noise, n_bits=100, n_trials=1)
     assert [(r.value, r.link) for r in rows] == [
         (1, "A->B"),
         (2, "A->B"),
@@ -278,12 +333,13 @@ def test_sweep_orders_rows_by_point_then_link():
 def test_sinr_ranking_matches_ber_ranking():
     # over an AWGN-limited link, any two grid points whose pooled error
     # intervals do not overlap must rank the same way by SINR and by BER
-    grid = (-27.85, -24.51, -22.67, -21.22)
+    points = _single_tap_points((-27.85, -24.51, -22.67, -21.22))
     for master_seed in (0, 1, 2):
         rows = sweep(
             "tx_power_dbm",
-            grid,
-            lambda value, channel_seed: _single_tap_scenario(value),
+            points,
+            _TAP,
+            _TAP_NOISE,
             n_bits=2000,
             n_trials=2,
             master_seed=master_seed,
