@@ -165,6 +165,12 @@ def _names(text: str, key: str) -> tuple[str, ...]:
         raise ValueError(f"[nodes] {key} is empty")
     if len(set(names)) != len(names):
         raise ValueError("duplicate node names")
+    # Each name must fit a [channel "TX->RX"] section and a cir_TX_to_RX.csv file name.
+    for name in names:
+        if bad := re.search(r'->|["/]', name):
+            raise ValueError(
+                f"node name {name!r} contains {bad[0]!r}: no channel section or CIR file could carry it"
+            )
     return names
 
 
@@ -231,8 +237,6 @@ SCHEMA: dict[str, tuple[Key, ...]] = {
     "modulation": (
         Key("bit_rate_bps", _number, "50e9", field="bit_rate"),
         Key("samples_per_symbol", _count_from(1), "4"),
-        Key("level_zero", _number, "0"),
-        Key("level_one", _number, "1"),
     ),
     "noise": (
         Key("mode", _one_of(_MODES, "noise mode must be 'thermal' or 'explicit', got {!r}"), required=True),
@@ -339,8 +343,8 @@ def _grid_point(
     ``tx_power_dbm`` is per-transmitter power, except for scatter-style
     configs (several links sharing one transmitter), where it is the total
     budget split equally across streams. ``aggregate_rate_bps`` is split
-    equally across the links; each stream's rate must fit the channel grid,
-    and the configured levels are kept. ``n_links`` keeps the first N links.
+    equally across the links; each stream's rate must fit the channel grid.
+    ``n_links`` keeps the first N links.
     """
     if variable == "tx_power_dbm":
         if not math.isfinite(value):
@@ -368,6 +372,14 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     and sections together follow here.
     """
     sections = _parse_sections(text)
+
+    def read(name: str, keys: tuple[Key, ...], when: str | None = None) -> dict[str, object]:
+        return _read(name, *sections.get(name, (0, {})), keys, when)
+
+    if "nodes" not in sections:
+        raise ConfigError("missing required section [nodes]")
+    # Names first: one that a channel section cannot carry would otherwise be refused as that section.
+    nodes = read("nodes", SCHEMA["nodes"])["names"]
     for name, (lineno, body) in sections.items():
         kind = _kind(name)
         if kind is None:
@@ -375,13 +387,6 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         for key, entry in body.items():
             if key not in {k.name for k in SCHEMA[kind]}:
                 raise ConfigError(f"line {entry.lineno}: unknown key {key!r} in [{name}]")
-
-    def read(name: str, keys: tuple[Key, ...], when: str | None = None) -> dict[str, object]:
-        return _read(name, *sections.get(name, (0, {})), keys, when)
-
-    if "nodes" not in sections:
-        raise ConfigError("missing required section [nodes]")
-    nodes = read("nodes", SCHEMA["nodes"])["names"]
 
     # Modulation first: synthetic channels are drawn on its sample grid.
     with _at_line(sections.get("modulation", (0,))[0], "invalid [modulation]: "):

@@ -76,7 +76,7 @@ def realize_channels(
 
 
 def mod_params_for_rate(rate_bps: float, mod: ModParams) -> ModParams:
-    """``mod`` at ``rate_bps`` on the same sample grid, its levels kept.
+    """``mod`` at ``rate_bps`` on the same sample grid.
 
     The bit rate must divide the grid: samples_per_symbol has to come out
     an integer, because channels stay fixed while the symbol rate moves.

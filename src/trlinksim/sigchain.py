@@ -1,10 +1,11 @@
-"""ASK modulation, time-reversal precoding filters, and power scaling.
+"""On-off keying, time-reversal precoding filters, and power scaling.
 
-A transmit chain is: bits -> rectangular NRZ ASK waveform -> convolution
-with a unit-energy pre-filter -> rescaling to the requested mean power.
-The pre-filter is either the conjugate time-reverse of the link's own
-channel (time-reversal precoding) or a single unit tap (no precoding),
-so power comparisons between the two are at equal transmit energy.
+A transmit chain is: bits -> rectangular NRZ on-off keyed waveform ->
+convolution with a unit-energy pre-filter -> rescaling to the requested
+mean power. The pre-filter is either the conjugate time-reverse of the
+link's own channel (time-reversal precoding) or a single unit tap (no
+precoding), so power comparisons between the two are at equal transmit
+energy.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def dbm_to_watts(p_dbm: float) -> float:
 
 @dataclass(frozen=True)
 class ModParams:
-    """Amplitude-shift-keying parameters on a uniform baseband grid.
+    """On-off keying parameters on a uniform baseband grid: a 1 bit has amplitude 1, a 0 bit 0.
 
     The grid is implied: ``sample_interval`` = 1 / (bit_rate * samples_per_symbol),
     computed once on construction; it takes no part in equality, hashing or
@@ -52,8 +53,6 @@ class ModParams:
 
     bit_rate: float
     samples_per_symbol: int = 4
-    level_zero: float = 0.0
-    level_one: float = 1.0
     sample_interval: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -68,12 +67,6 @@ class ModParams:
         object.__setattr__(self, "sample_interval", 1.0 / (self.bit_rate * self.samples_per_symbol))
         if not 0.0 < self.sample_interval < math.inf:
             raise ValueError(f"bit_rate {self.bit_rate!r} gives a sample interval of {self.sample_interval!r}")
-        if not 0.0 <= self.level_zero < self.level_one:
-            raise ValueError("need 0 <= level_zero < level_one")
-        # Power scaling keeps only level_zero / level_one; past these bounds
-        # the stream's power overflows or underflows before it is scaled.
-        if not 1e-100 <= self.level_one <= 1e100:
-            raise ValueError(f"level_one must lie in [1e-100, 1e100], got {self.level_one!r}")
 
 
 @dataclass(frozen=True)
@@ -131,14 +124,13 @@ def make_identity_filter(cir: Cir) -> TrFilter:
 
 
 def modulate_ask(bits: Sequence[int] | np.ndarray, params: ModParams) -> Waveform:
-    """Rectangular NRZ ASK: each bit holds its level for samples_per_symbol samples."""
+    """Rectangular NRZ on-off keying: each bit holds its value, 0 or 1, for samples_per_symbol samples."""
     b = np.asarray(bits, dtype=np.int64).reshape(-1)
     if b.size == 0:
         raise ValueError("empty bit sequence")
     if np.any((b != 0) & (b != 1)):
         raise ValueError("bits must be 0 or 1")
-    levels = np.where(b == 1, params.level_one, params.level_zero).astype(np.complex128)
-    return Waveform._wrap(np.repeat(levels, params.samples_per_symbol), params.sample_interval)
+    return Waveform._wrap(np.repeat(b.astype(np.complex128), params.samples_per_symbol), params.sample_interval)
 
 
 def precode(waveform: Waveform, tx_filter: TrFilter) -> Waveform:

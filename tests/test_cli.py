@@ -132,7 +132,6 @@ def test_package_exports_the_union_of_its_modules_names():
 def test_parse_minimal_config_applies_defaults():
     cfg = parse_config(MINIMAL)
     assert (cfg.mod.bit_rate, cfg.mod.samples_per_symbol) == (50e9, 4)
-    assert (cfg.mod.level_zero, cfg.mod.level_one) == (0.0, 1.0)
     link = cfg.links[0]
     assert (link.precoding, link.tx_power_dbm) == ("tr", 0.0)
     # a fresh synthetic channel: 10 trials
@@ -409,19 +408,6 @@ _SHORT_RUN = MINIMAL + "\n[sweep]\nn_bits = 100\nn_trials = 1\n"
             "temperature_k = inf", "temperature_k must lie in [0.001, 1e+06], got inf", id="thermal-noise",
         ),
         pytest.param(
-            "run", "[sweep]", "[modulation]\nlevel_one = inf\n\n[sweep]", "[modulation]",
-            "invalid [modulation]: level_one must be finite, got inf", id="level_one",
-        ),
-        *(
-            pytest.param(
-                "run", "[sweep]", f"[modulation]\nlevel_one = {level}\n\n[sweep]", "[modulation]",
-                f"invalid [modulation]: level_one must lie in [1e-100, 1e100], got {float(level)!r}",
-                id=f"level_one-{level}",
-            )
-            # stream powers that overflow or underflow
-            for level in ("1e153", "1e-158", "1e-200")
-        ),
-        pytest.param(
             "run", "max_delay_s = 200e-12", "max_delay_s = inf", '[channel "A->B"]',
             'invalid [channel "A->B"]: max_delay must be finite, got inf', id="max_delay_s",
         ),
@@ -443,17 +429,6 @@ def test_main_refuses_non_finite_values_by_line(tmp_path, capsys, command, old, 
     assert main([command, "--config", _write(tmp_path, "inf.cfg", text), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: line {line}: {message}\n"
     assert not out.exists()
-
-
-def test_level_one_within_its_bounds_leaves_the_error_counts_alone(tmp_path):
-    # Power scaling keeps only level_zero / level_one.
-    errors = []
-    for level_one in ("1e-100", "1", "1e100"):
-        text = _SHORT_RUN.replace("[sweep]", f"[modulation]\nlevel_one = {level_one}\n\n[sweep]")
-        out = tmp_path / level_one
-        assert main(["run", "--config", _write(tmp_path, "level.cfg", text), "--out", str(out)]) == 0
-        errors.append([row[-1] for row in _read_rows(out / "run.csv")[1]])
-    assert errors[0] == errors[1] == errors[2]
 
 
 def _readme_config_reference():
@@ -487,17 +462,14 @@ def test_readme_config_reference_equals_the_schema():
 
 _THERMAL = MINIMAL.replace("mode = explicit\npower_dbm = -40", "mode = thermal\ntemperature_k = 300\nbandwidth_hz = 10e9")
 
-# Per README row with a stated range: (config, line to replace, its key), and
-# whether a refusal names the section line rather than the key's own.
+# Per README row with a stated range: (config, line to replace, its key).
 _RANGED_ROWS = {
-    ('`[channel "A->B"]`', "`num_taps`"): (MINIMAL, "num_taps = 8", "num_taps", False),
-    ('`[channel "A->B"]`', "`total_energy`"): (MINIMAL, "max_delay_s = 200e-12", "total_energy", False),
-    ("`[link N]`", "`power_dbm`"): (MINIMAL, "rx = B", "power_dbm", False),
-    # ModParams checks level_one, and names its section
-    ("`[modulation]`", "`level_one`"): (MINIMAL + "\n[modulation]\nlevel_one = 1\n", "level_one = 1", "level_one", True),
-    ("`[noise]`", "`temperature_k`"): (_THERMAL, "temperature_k = 300", "temperature_k", False),
-    ("`[noise]`", "`bandwidth_hz`"): (_THERMAL, "bandwidth_hz = 10e9", "bandwidth_hz", False),
-    ("`[noise]`", "`power_dbm`"): (MINIMAL, "power_dbm = -40", "power_dbm", False),
+    ('`[channel "A->B"]`', "`num_taps`"): (MINIMAL, "num_taps = 8", "num_taps"),
+    ('`[channel "A->B"]`', "`total_energy`"): (MINIMAL, "max_delay_s = 200e-12", "total_energy"),
+    ("`[link N]`", "`power_dbm`"): (MINIMAL, "rx = B", "power_dbm"),
+    ("`[noise]`", "`temperature_k`"): (_THERMAL, "temperature_k = 300", "temperature_k"),
+    ("`[noise]`", "`bandwidth_hz`"): (_THERMAL, "bandwidth_hz = 10e9", "bandwidth_hz"),
+    ("`[noise]`", "`power_dbm`"): (MINIMAL, "power_dbm = -40", "power_dbm"),
 }
 
 
@@ -508,7 +480,7 @@ def test_readme_stated_ranges_match_the_parser():
             ranges[row] = (float(match[1]), float(match[2]))
     assert set(ranges) == set(_RANGED_ROWS)
     for row, (low, high) in ranges.items():
-        base, old, key, names_section = _RANGED_ROWS[row]
+        base, old, key = _RANGED_ROWS[row]
 
         def config(value):
             # keeps the old line when it is not the key's own
@@ -519,8 +491,7 @@ def test_readme_stated_ranges_match_the_parser():
             parse_config(config(value))
         for value in (np.nextafter(low, -np.inf), np.nextafter(high, np.inf)):
             text = config(value)
-            lines = text.splitlines()
-            named = lines.index("[modulation]" if names_section else f"{key} = {float(value)!r}") + 1
+            named = text.splitlines().index(f"{key} = {float(value)!r}") + 1
             with pytest.raises(ConfigError, match=f"^line {named}: "):
                 parse_config(text)
 
@@ -534,6 +505,11 @@ def test_unknown_names_are_refused_at_their_line():
     line = unknown_key.splitlines().index("color = red") + 1
     with pytest.raises(ConfigError, match=rf"^line {line}: unknown key 'color' in \[link 1\]$"):
         parse_config(unknown_key)
+    # On-off keying at amplitudes 0 and 1 is the one modulation: no key sets a level.
+    level_key = MINIMAL + "\n[modulation]\nlevel_zero = 0\n"
+    line = level_key.splitlines().index("level_zero = 0") + 1
+    with pytest.raises(ConfigError, match=rf"^line {line}: unknown key 'level_zero' in \[modulation\]$"):
+        parse_config(level_key)
 
 
 def test_realize_channels_pins_and_refreshes(tmp_path):
@@ -786,16 +762,6 @@ def test_power_sweep_splits_only_a_shared_transmitters_budget():
         links, mod = cli._grid_point("tx_power_dbm", 10.0, cfg.links, cfg.mod)
         assert mod == cfg.mod and [link.tx_power_dbm for link in links] == [power] * len(cfg.links)
         assert [dataclasses.replace(link, tx_power_dbm=0.0) for link in links] == list(cfg.links)
-
-
-def test_rate_sweep_keeps_the_configured_levels():
-    text = TWO_LINK + "\n[modulation]\nlevel_zero = 0.1\nlevel_one = 0.7\n"
-    cfg = parse_config(text)
-    # 50 Gb/s over the two links is 25 Gb/s a stream
-    links, mod = cli._grid_point("aggregate_rate_bps", 50e9, cfg.links, cfg.mod)
-    assert links == cfg.links
-    assert (mod.bit_rate, mod.samples_per_symbol) == (25e9, 8)
-    assert (mod.level_zero, mod.level_one) == (0.1, 0.7)
 
 
 def test_gen_channel_files_are_write_cir_csv_output(tmp_path):
@@ -1112,6 +1078,89 @@ def test_readme_demo_unknown_names_are_refused_at_the_added_line(tmp_path, capsy
         main(argv + ["--no-strict"])
     assert usage.value.code == 2
     assert "unrecognized arguments: --no-strict" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "gen-channel"])
+@pytest.mark.parametrize("renamed, bad", [("D/E", "/"), ("D->E", "->"), ('D"E', '"')])
+def test_readme_demo_node_names_a_channel_cannot_carry_are_refused_at_the_names_line(
+    tmp_path, capsys, command, renamed, bad
+):
+    # Each name breaks a [channel "TX->RX"] section or a cir_TX_to_RX.csv file name, so the
+    # names line is refused before any section that uses the name.
+    text = re.sub(r"\bD\b", renamed, _readme_demo())
+    line = text.splitlines().index(f"names = A, B, C, {renamed}") + 1
+    argv = [command, "--config", _write(tmp_path, "renamed.cfg", text), "--out", str(tmp_path / "out")]
+    assert main(argv + ["--n-bits", "100", "--trials", "1"]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [
+        f"error: line {line}: node name {renamed!r} contains {bad!r}: no channel section or CIR file could carry it"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+# The SCHEMA keys that choose the run's structure or select what runs, rather than set a value.
+_STRUCTURAL_KEYS = (
+    ("nodes", "names"),  # names the nodes that links and channels refer to
+    ("link", "tx"),  # picks a node; moving it moves which channels the link needs
+    ("link", "rx"),  # picks a node, as tx does
+    ("channel", "file"),  # selects a channel source; the file's samples are the values
+    ("channel", "model"),  # selects a channel source; "reverberant" is its only value
+    ("noise", "mode"),  # selects which noise keys apply
+    ("sweep", "variable"),  # selects the sweep command a config serves
+    ("sweep", "values"),  # the grid of a sweep command, which run does not read
+    ("output", "dir"),  # where the files go, not what they hold
+)
+
+# Every other SCHEMA key: an edit of the README demo config (its thermal noise made
+# explicit for a key that applies to explicit noise) that sets the key to another value.
+_EXPLICIT_NOISE = ("mode = thermal\ntemperature_k = 300\nbandwidth_hz = 50e9", "mode = explicit\npower_dbm = -90")
+_ALTERNATES = {
+    ("channel", "num_taps"): ("num_taps = 64", "num_taps = 32"),
+    ("channel", "rms_delay_spread_s"): ("rms_delay_spread_s = 100e-12", "rms_delay_spread_s = 50e-12"),
+    ("channel", "max_delay_s"): ("max_delay_s = 500e-12", "max_delay_s = 400e-12"),
+    ("channel", "rician_k"): ("max_delay_s = 500e-12", "max_delay_s = 500e-12\nrician_k = 5"),
+    ("channel", "total_energy"): ("max_delay_s = 500e-12", "max_delay_s = 500e-12\ntotal_energy = 2"),
+    ("channel", "seed"): ("max_delay_s = 500e-12", "max_delay_s = 500e-12\nseed = 7"),
+    ("link", "precoding"): ("rx = B", "rx = B\nprecoding = none"),
+    ("link", "power_dbm"): ("power_dbm = 10", "power_dbm = 5"),
+    ("modulation", "bit_rate_bps"): ("bit_rate_bps = 50e9", "bit_rate_bps = 25e9"),
+    ("modulation", "samples_per_symbol"): ("samples_per_symbol = 4", "samples_per_symbol = 8"),
+    ("noise", "temperature_k"): ("temperature_k = 300", "temperature_k = 600"),
+    ("noise", "bandwidth_hz"): ("bandwidth_hz = 50e9", "bandwidth_hz = 100e9"),
+    ("noise", "power_dbm"): ("power_dbm = -90", "power_dbm = -80"),
+    ("sweep", "n_bits"): ("n_bits = 300", "n_bits = 200"),
+    ("sweep", "n_trials"): ("n_trials = 2", "n_trials = 3"),
+    ("sweep", "master_seed"): ("n_trials = 2", "n_trials = 2\nmaster_seed = 1"),
+    ("sweep", "pilot_bits"): ("n_trials = 2", "n_trials = 2\npilot_bits = 32"),
+}
+
+
+def test_every_config_key_moves_an_output_or_is_structural(tmp_path):
+    # A key whose every value gives the same run.csv and CIR files is a knob no output needs.
+    keys = {(kind, key.name): key for kind, keys in SCHEMA.items() for key in keys}
+    unassigned = [k for k in keys if (k in _ALTERNATES) == (k in _STRUCTURAL_KEYS)]
+    assert not unassigned, "each key needs exactly one of an alternate value or a structural reason"
+    assert len(keys) == len(_ALTERNATES) + len(_STRUCTURAL_KEYS)
+    # The demo at --n-bits 300 --trials 2, written in the config so that those two keys can move.
+    demo = _readme_demo().replace("n_bits = 2000\nn_trials = 5", "n_bits = 300\nn_trials = 2")
+    outputs = {}
+
+    def run(text):
+        if text not in outputs:
+            out = tmp_path / str(len(outputs))
+            cfg_path = _write(tmp_path, f"{len(outputs)}.cfg", text)
+            for command in ("run", "gen-channel"):
+                assert main([command, "--config", cfg_path, "--out", str(out)]) == 0, text
+            outputs[text] = {path.name: path.read_bytes() for path in out.iterdir()}
+        return outputs[text]
+
+    dead = []
+    for name, (old, new) in _ALTERNATES.items():
+        base = demo.replace(*_EXPLICIT_NOISE) if keys[name].when == "explicit" else demo
+        assert old in base, name
+        if run(base) == run(base.replace(old, new, 1)):
+            dead.append(name)
+    assert not dead
 
 
 # Runs each config it is given through ``main run`` at 100 bits and one trial,

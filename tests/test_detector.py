@@ -59,8 +59,8 @@ def _decisions(bits, mod, offset=0):
 
 def test_train_threshold_is_class_midpoint():
     pilot = [0, 1, 1, 0, 1, 0]
-    mod = ModParams(bit_rate=50e9, samples_per_symbol=4, level_zero=0.2, level_one=0.8)
-    assert train_threshold(_decisions(pilot, mod), pilot) == pytest.approx(0.5, rel=1e-12)
+    # Offset on-off decisions sit at 0.2 and 1.2: the midpoint is 0.7, not 0.5.
+    assert train_threshold(_decisions(pilot, MOD) + 0.2, pilot) == pytest.approx(0.7, rel=1e-12)
 
 
 def test_train_threshold_ignores_imaginary_part():

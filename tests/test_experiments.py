@@ -53,11 +53,10 @@ def test_realize_channels_draws_each_fresh_pair_by_its_sorted_slot():
 
 
 def test_mod_params_for_rate_fits_the_grid():
-    base = ModParams(bit_rate=50e9, samples_per_symbol=4, level_zero=0.1, level_one=0.7)
+    base = ModParams(bit_rate=50e9, samples_per_symbol=4)
     assert mod_params_for_rate(50e9, base) == base
     mod2 = mod_params_for_rate(100e9, base)
     assert (mod2.bit_rate, mod2.samples_per_symbol) == (100e9, 2)
-    assert (mod2.level_zero, mod2.level_one) == (0.1, 0.7)
     with pytest.raises(ValueError, match="does not fit the grid"):
         mod_params_for_rate(30e9, base)
     with pytest.raises(ValueError, match="does not fit the grid"):

@@ -38,6 +38,8 @@ from statistics import median
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNS = 7
+# The functions whose cProfile entries split a warm trial, by the name cProfile records.
+PROFILED = {"_add_noise": "trlinksim.linksim._add_noise", "_raw_fft": "numpy.fft._pocketfft._raw_fft"}
 
 
 def _timed(owner, name: str, spent: dict[str, float], key: str) -> None:
@@ -71,6 +73,10 @@ def warm_trial(work: Path) -> dict[str, float]:
         profile = cProfile.Profile()
         profile.runcall(experiments.run_trial, scenario, seed, cfg.n_bits)
         stats = pstats.Stats(profile).stats
+        # A renamed or bypassed function would read 0 ms, and "rest" would take its time.
+        silent = [full for name, full in PROFILED.items() if not any(k[2] == name for k in stats)]
+        if silent:
+            sys.exit(f"no calls recorded for {', '.join(silent)}: the warm trial's split needs them")
         profiled = sum(v[2] for v in stats.values())
         noise = sum(v[3] for k, v in stats.items() if k[2] == "_add_noise")
         fft = sum(v[2] for k, v in stats.items() if k[2] == "_raw_fft")
@@ -142,8 +148,9 @@ def _children(step: str, work: Path, src: Path) -> dict[str, float]:
             env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
             capture_output=True,
             text=True,
-            check=True,
         )
+        if child.returncode:
+            sys.exit(f"{step}: {child.stderr.strip()}")
         runs.append(json.loads(child.stdout.splitlines()[-1]))
     return {key: median(run[key] for run in runs) for key in runs[0]}
 
