@@ -412,6 +412,15 @@ _SHORT_RUN = MINIMAL + "\n[sweep]\nn_bits = 100\nn_trials = 1\n"
             'invalid [channel "A->B"]: max_delay must be finite, got inf', id="max_delay_s",
         ),
         pytest.param(
+            # ModParams checks the rate, and names its section
+            "run", "[sweep]", "[modulation]\nbit_rate_bps = inf\n\n[sweep]", "[modulation]",
+            "invalid [modulation]: bit_rate must be finite, got inf", id="bit_rate_bps",
+        ),
+        pytest.param(
+            "run", "[sweep]", "[modulation]\nsamples_per_symbol = inf\n\n[sweep]", "samples_per_symbol = inf",
+            "samples_per_symbol must be an integer, got 'inf'", id="samples_per_symbol",
+        ),
+        pytest.param(
             # not a key: synthetic channels are drawn on the modulation grid
             "run", "max_delay_s = 200e-12", "max_delay_s = 200e-12\nsample_interval_s = inf", "sample_interval_s = inf",
             'unknown key \'sample_interval_s\' in [channel "A->B"]', id="sample_interval_s",
@@ -510,6 +519,17 @@ def test_unknown_names_are_refused_at_their_line():
     line = level_key.splitlines().index("level_zero = 0") + 1
     with pytest.raises(ConfigError, match=rf"^line {line}: unknown key 'level_zero' in \[modulation\]$"):
         parse_config(level_key)
+
+
+@pytest.mark.parametrize("key", ["level_zero", "level_one"])
+def test_main_refuses_a_level_key_at_its_line(tmp_path, capsys, key):
+    # The levels are fixed at 0 and 1, so a config that sets either is refused, not ignored.
+    text = _SHORT_RUN.replace("[sweep]", f"[modulation]\n{key} = 1\n\n[sweep]")
+    line = text.splitlines().index(f"{key} = 1") + 1
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, "level.cfg", text), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: line {line}: unknown key {key!r} in [modulation]\n"
+    assert not out.exists()
 
 
 def test_realize_channels_pins_and_refreshes(tmp_path):
@@ -762,6 +782,14 @@ def test_power_sweep_splits_only_a_shared_transmitters_budget():
         links, mod = cli._grid_point("tx_power_dbm", 10.0, cfg.links, cfg.mod)
         assert mod == cfg.mod and [link.tx_power_dbm for link in links] == [power] * len(cfg.links)
         assert [dataclasses.replace(link, tx_power_dbm=0.0) for link in links] == list(cfg.links)
+
+
+def test_rate_sweep_splits_the_aggregate_rate_and_keeps_the_links():
+    cfg = parse_config(TWO_LINK)
+    # 50 Gb/s over the two links is 25 Gb/s a stream
+    links, mod = cli._grid_point("aggregate_rate_bps", 50e9, cfg.links, cfg.mod)
+    assert links == cfg.links
+    assert (mod.bit_rate, mod.samples_per_symbol) == (25e9, 8)
 
 
 def test_gen_channel_files_are_write_cir_csv_output(tmp_path):

@@ -46,7 +46,10 @@ def test_mod_params_grid():
     "kwargs",
     [
         {"bit_rate": 0.0},
+        {"bit_rate": -50e9},
+        {"bit_rate": float("nan")},
         {"bit_rate": 50e9, "samples_per_symbol": 0},
+        {"bit_rate": 50e9, "samples_per_symbol": -4},
         {"bit_rate": 50e9, "samples_per_symbol": 2.5},
         {"bit_rate": float("inf")},
         {"bit_rate": 50e9, "samples_per_symbol": float("inf")},
