@@ -46,6 +46,9 @@ _ENERGY = (1e-50, 1e50)
 # at 16 bytes a sample its CIR takes at most 16 MB and each cached spectrum
 # (up to 8 times as long) 128 MB. The README's config reference derives it.
 _MAX_SAMPLES = 10**6
+# The longest CIR file name gen-channel writes, in UTF-8 bytes: the 255 a file name
+# holds, less the 13 its temporary file adds (".", 8 random characters, ".tmp").
+_MAX_FILE_NAME = 242
 
 
 class ConfigError(Exception):
@@ -167,7 +170,7 @@ def _names(text: str, key: str) -> tuple[str, ...]:
         raise ValueError("duplicate node names")
     # Each name must fit a [channel "TX->RX"] section and a cir_TX_to_RX.csv file name.
     for name in names:
-        if bad := re.search(r'->|["/]', name):
+        if bad := re.search(r'->|["/\0]', name):
             raise ValueError(
                 f"node name {name!r} contains {bad[0]!r}: no channel section or CIR file could carry it"
             )
@@ -432,6 +435,10 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
             continue
         pair = _parse_pair(match.group(1), nodes, lineno)
         label = f"{pair[0]}->{pair[1]}"
+        file_name = _COMMANDS["gen-channel"][1].format(*pair)
+        if (size := len(file_name.encode())) > _MAX_FILE_NAME:
+            limit = f"over the {_MAX_FILE_NAME} gen-channel can write"
+            raise ConfigError(f"line {lineno}: CIR file name {file_name} is {size} UTF-8 bytes, {limit}")
         if pair in channels:
             raise ConfigError(f"line {lineno}: duplicate channel {label}")
         if ("file" in body) == ("model" in body):

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "BerResult",
     "train_threshold",
     "demodulate",
     "count_errors",
@@ -18,22 +16,6 @@ __all__ = [
 
 # Two-sided 95% normal quantile used by the Wilson score interval.
 Z_95 = 1.959963984540054
-
-
-@dataclass(frozen=True)
-class BerResult:
-    """Bit errors over a count of bits; ``ber`` and ``wilson_ci95`` follow from the two."""
-
-    bits_total: int
-    bit_errors: int
-
-    @property
-    def ber(self) -> float:
-        return self.bit_errors / self.bits_total
-
-    @property
-    def wilson_ci95(self) -> tuple[float, float]:
-        return wilson_interval(self.bit_errors, self.bits_total)
 
 
 def wilson_interval(errors: int, total: int) -> tuple[float, float]:
@@ -75,11 +57,11 @@ def demodulate(decisions: np.ndarray, threshold: float) -> np.ndarray:
     return (decisions > threshold).astype(np.int64)
 
 
-def count_errors(tx_bits: Sequence[int] | np.ndarray, rx_bits: Sequence[int] | np.ndarray) -> BerResult:
+def count_errors(tx_bits: Sequence[int] | np.ndarray, rx_bits: Sequence[int] | np.ndarray) -> int:
     tx = np.asarray(tx_bits).reshape(-1)
     rx = np.asarray(rx_bits).reshape(-1)
     if tx.size != rx.size:
         raise ValueError("length mismatch between transmitted and received bits")
     if tx.size == 0:
         raise ValueError("empty bit sequence")
-    return BerResult(int(tx.size), int(np.count_nonzero(tx != rx)))
+    return int(np.count_nonzero(tx != rx))

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .chanmodel import Cir, ReverbParams, _shift_add_conv, same_grid, synth_reverberant
-from .detector import BerResult, count_errors, demodulate, train_threshold, wilson_interval
+from .detector import count_errors, demodulate, train_threshold, wilson_interval
 from .linksim import LinkSpec, NoiseSpec, Scenario, propagate, sinr_from_powers
 from .sigchain import (
     ModParams,
@@ -120,7 +120,7 @@ def run_trial(
     seed: int,
     n_bits: int,
     pilot_len: int = 64,
-) -> dict[str, BerResult]:
+) -> dict[str, int]:
     """One seeded end-to-end realization of every link in the scenario.
 
     Per stream: draw pilot and payload bits, modulate, precode with the
@@ -131,10 +131,10 @@ def run_trial(
     samples are derotated by the phase of the link's decision tap
     before slicing.
 
-    Each stream is seeded by its place in stream-id order. Returns
-    {stream_id: BerResult}. The same (scenario, seed, n_bits, pilot_len)
-    reproduces identical results. Streams of 2^63 bytes or more, which no
-    machine can allocate, are refused with a MemoryError.
+    Each stream is seeded by its place in stream-id order, the scenario's
+    link order. Returns {stream_id: payload bit errors}, the same for the
+    same (scenario, seed, n_bits, pilot_len). Streams of 2^63 bytes or
+    more, which no machine can allocate, are refused with a MemoryError.
     """
     if int(seed) != seed or seed < 0:
         raise ValueError("seed must be a non-negative integer")
@@ -153,14 +153,14 @@ def run_trial(
     table = scenario.responses
     n_symbols = pilot_len + n_bits
     streams, bits = {}, {}
-    for s_index, link in enumerate(scenario.ordered_links):
+    for s_index, link in enumerate(scenario.links):
         sid = link.stream_id
         streams[sid], bits[sid] = _transmit(link, s_index, seed, n_bits, pilot_len, table.filters[sid], mod)
     received = propagate(scenario, streams, derive_seed(seed, 1))
     # Detection needs only the bits: the sent streams go before it starts.
     del streams
-    errors: dict[str, BerResult] = {}
-    for link in scenario.ordered_links:
+    errors: dict[str, int] = {}
+    for link in scenario.links:
         sid = link.stream_id
         offset = table.offsets[sid]
         y = received[link.rx_node]
@@ -227,9 +227,10 @@ def sweep(
     (``Scenario.with_powers``), and all of the point's trials share that
     scenario. Per point each trial's SINR component powers (its scenario's
     ``Scenario.sinr``) are averaged linearly over ``n_trials`` trials of
-    ``n_bits`` bits each, and its ``run_trial`` bit errors are pooled. Trial
-    seeds are ``derive_seed(master_seed, point, trial, 1)``, so the output
-    is a pure function of the arguments.
+    ``n_bits`` bits each, and its ``run_trial`` bit errors are pooled over
+    ``n_bits * n_trials`` bits. Trial seeds are
+    ``derive_seed(master_seed, point, trial, 1)``, so the output is a pure
+    function of the arguments.
     """
     points = tuple(points)
     if not points:
@@ -253,21 +254,18 @@ def sweep(
             scenario = bases[key].with_powers({link.stream_id: link.tx_power_dbm for link in links})
         watts: dict[str, np.ndarray] = {}
         errors: Counter[str] = Counter()
-        bits: Counter[str] = Counter()
         for t_index in range(n_trials):
             if fresh:
                 channel_seed = derive_seed(master_seed, p_index, t_index, 0)
                 scenario = Scenario(realize_channels(channels, channel_seed), links, noise, mod)
             trial_seed = derive_seed(master_seed, p_index, t_index, 1)
-            bers = run_trial(scenario, trial_seed, n_bits, pilot_len=pilot_len)
+            errors.update(run_trial(scenario, trial_seed, n_bits, pilot_len=pilot_len))
             for sid, report in scenario.sinr.items():
                 acc = watts.setdefault(sid, np.zeros(4))
                 acc += (report.signal_w, report.isi_w, report.cochannel_w, report.noise_w)
-                errors[sid] += bers[sid].bit_errors
-                bits[sid] += bers[sid].bits_total
         for sid in sorted(watts):
             watt_means = map(float, watts[sid] / n_trials)
-            rows.append(SweepRow(variable, value, sid, *watt_means, bits[sid], errors[sid]))
+            rows.append(SweepRow(variable, value, sid, *watt_means, n_bits * n_trials, errors[sid]))
     return rows
 
 

@@ -118,6 +118,8 @@ class LinkSpec:
 class Scenario:
     """Immutable description of one simultaneous-transmission setup.
 
+    ``links`` are kept in stream-id order, the one order trials seed and
+    propagation and SINR sum streams in: any permutation of them is equal.
     Every transmitter must have a channel to every receiver appearing in
     the scenario, on the modulation grid; the scenario keeps those
     channels and drops any others it is given.
@@ -132,7 +134,7 @@ class Scenario:
     mod_params: ModParams
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "links", tuple(self.links))
+        object.__setattr__(self, "links", tuple(sorted(self.links, key=lambda l: l.stream_id)))
         if not self.links:
             raise ValueError("scenario needs at least one link")
         ids = [link.stream_id for link in self.links]
@@ -154,11 +156,6 @@ class Scenario:
     @cached_property
     def receivers(self) -> tuple[str, ...]:
         return tuple(sorted({link.rx_node for link in self.links}))
-
-    @cached_property
-    def ordered_links(self) -> tuple[LinkSpec, ...]:
-        """The links in stream-id order: the one order trials seed and propagation sums streams in."""
-        return tuple(sorted(self.links, key=lambda l: l.stream_id))
 
     def link_for_stream(self, stream_id: str) -> LinkSpec:
         for link in self.links:
@@ -217,8 +214,8 @@ def propagate(
     with per-sample power ``scenario.noise.watts``, i.e. variance N/2
     per real dimension, drawn from a sub-seed derived from
     (seed, receiver index) so the result does not depend on evaluation
-    order; streams are summed in stream-id order, so it does not depend on
-    the order of the links either.
+    order; streams are summed in the scenario's one link order, stream-id
+    order, so it does not depend on the order the links were given in either.
     ``streams`` may cover a subset of the scenario's links.
     """
     if not streams:
@@ -230,7 +227,7 @@ def propagate(
         scenario.link_for_stream(stream_id)  # rejects unknown stream ids
         if not same_grid(waveform.sample_interval, dt):
             raise ValueError(f"grid mismatch: stream {stream_id!r} is off the modulation grid")
-    present = [link for link in scenario.ordered_links if link.stream_id in streams]
+    present = [link for link in scenario.links if link.stream_id in streams]
     rows = [[scenario.channels[(l.tx_node, rx)] for rx in scenario.receivers] for l in present]
     sums = convolve_sum([streams[link.stream_id].samples for link in present], rows)
     received = {}

@@ -21,6 +21,7 @@ from trlinksim.chanmodel import (
     synth_reverberant,
 )
 from trlinksim.cli import _grid_point, main
+from trlinksim.detector import wilson_interval
 from trlinksim.experiments import (
     derive_seed,
     mod_params_for_rate,
@@ -78,9 +79,9 @@ def test_criterion_02_awgn_closed_form():
         power_dbm = noise_dbm + 20.0 * math.log10(float(norm.isf(target)))
         link = LinkSpec("A", "B", "tr", power_dbm)
         scenario = Scenario(channels, (link,), NoiseSpec.explicit(noise_dbm), ModParams(50e9, 1))
-        bers = run_trial(scenario, derive_seed(99, i), n_bits=1_000_000, pilot_len=1024)
-        lo, hi = bers["A->B"].wilson_ci95
-        details.append(f"target {target:g} measured {bers['A->B'].ber:.3e} ci [{lo:.3e},{hi:.3e}]")
+        errors = run_trial(scenario, derive_seed(99, i), n_bits=1_000_000, pilot_len=1024)["A->B"]
+        lo, hi = wilson_interval(errors, 1_000_000)
+        details.append(f"target {target:g} measured {errors / 1_000_000:.3e} ci [{lo:.3e},{hi:.3e}]")
         ok = ok and lo <= target <= hi
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 30.0

@@ -106,10 +106,11 @@ def test_package_reexports_the_working_surface():
 # less SweepSpec, whose fields became sweep's arguments, noise_power, which
 # only returned NoiseSpec.watts, EffectiveResponse, whose taps and offset
 # the response table holds, the two scenario builders, whose scenarios are
-# built as Scenario(channels, links, noise, mod), and the channel-set drawer,
-# whose seeding rule realize_channels now holds.
+# built as Scenario(channels, links, noise, mod), the channel-set drawer,
+# whose seeding rule realize_channels now holds, and the bit-error record,
+# whose bit count the caller already knows: count_errors returns the errors.
 _LISTED_NAMES = """
-BOLTZMANN_J_PER_K BerResult Cir FocusEntry LinkSpec ModParams NoiseSpec
+BOLTZMANN_J_PER_K Cir FocusEntry LinkSpec ModParams NoiseSpec
 ResponseTable ReverbParams Scenario SinrReport SweepRow TrFilter Waveform
 channel_correlation compute_sinr count_errors
 dbm_to_watts demodulate derive_seed effective_response focusing_report full_rate_response
@@ -121,7 +122,7 @@ synth_reverberant train_threshold wilson_interval write_cir_csv
 
 
 def test_package_exports_the_union_of_its_modules_names():
-    assert len(_LISTED_NAMES) == 42 and set(_LISTED_NAMES) <= set(trlinksim.__all__)
+    assert len(_LISTED_NAMES) == 41 and set(_LISTED_NAMES) <= set(trlinksim.__all__)
     # Besides those, two experiment names; the FFT engine's helpers stay module internals.
     assert set(trlinksim.__all__) - set(_LISTED_NAMES) == {"realize_channels", "split_power_dbm"}
     modules = (chanmodel, detector, experiments, linksim, sigchain)
@@ -1109,7 +1110,7 @@ def test_readme_demo_unknown_names_are_refused_at_the_added_line(tmp_path, capsy
 
 
 @pytest.mark.parametrize("command", ["run", "gen-channel"])
-@pytest.mark.parametrize("renamed, bad", [("D/E", "/"), ("D->E", "->"), ('D"E', '"')])
+@pytest.mark.parametrize("renamed, bad", [("D/E", "/"), ("D->E", "->"), ('D"E', '"'), ("D\0E", "\0")])
 def test_readme_demo_node_names_a_channel_cannot_carry_are_refused_at_the_names_line(
     tmp_path, capsys, command, renamed, bad
 ):
@@ -1124,6 +1125,33 @@ def test_readme_demo_node_names_a_channel_cannot_carry_are_refused_at_the_names_
         f"error: line {line}: node name {renamed!r} contains {bad!r}: no channel section or CIR file could carry it"
     ]
     assert not (tmp_path / "out").exists()
+
+
+# cir_A_to_{name}.csv is 13 bytes besides the name: a 230-byte name makes a
+# 243-byte file name, one past what gen-channel can write.
+@pytest.mark.parametrize("command", ["run", "gen-channel"])
+@pytest.mark.parametrize("renamed", ["D" * 230, "\u00c9" * 115])
+def test_readme_demo_channel_whose_cir_file_name_is_too_long_is_refused_at_its_section(
+    tmp_path, capsys, command, renamed
+):
+    text = re.sub(r"\bD\b", renamed, _readme_demo())
+    line = text.splitlines().index(f'[channel "A->{renamed}"]') + 1
+    assert line == 10
+    argv = [command, "--config", _write(tmp_path, "renamed.cfg", text), "--out", str(tmp_path / "out")]
+    assert main(argv + ["--n-bits", "100", "--trials", "1"]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [
+        f"error: line 10: CIR file name cir_A_to_{renamed}.csv is 243 UTF-8 bytes, over the 242 gen-channel can write"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_demo_with_the_longest_cir_file_names_writes_every_channel(tmp_path, capsys):
+    text = re.sub(r"\bD\b", "D" * 229, _readme_demo())
+    out = tmp_path / "out"
+    assert main(["gen-channel", "--config", _write(tmp_path, "renamed.cfg", text), "--out", str(out)]) == 0
+    names = sorted(len(path.name.encode()) for path in out.iterdir())
+    assert names == [14, 14, 242, 242]
 
 
 # The SCHEMA keys that choose the run's structure or select what runs, rather than set a value.

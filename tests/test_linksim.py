@@ -719,7 +719,8 @@ def _direct_propagate(scenario, streams, seed):
 def _random_scenario(n_links, channel_lengths, seed, noise):
     """n_links disjoint pairs over channels of the given lengths; length 1 is a unit tap."""
     rng = np.random.default_rng(seed)
-    txs, rxs = "ACE"[:n_links], "BDF"[:n_links]
+    txs, rxs = "ACEGI"[:n_links], "BDFHJ"[:n_links]
+    assert len(txs) == n_links, "at most five links"
     lengths = iter(channel_lengths)
     channels = {}
     for tx in txs:
@@ -1242,7 +1243,7 @@ def test_propagate_in_one_transform_receives_as_each_receiver_alone(
 @st.composite
 def _reordered_scenarios(draw):
     """A scenario, and the same scenario with its links and channel dict permuted."""
-    n_links = draw(st.integers(1, 3))
+    n_links = draw(st.integers(1, 5))
     lengths = draw(st.lists(st.integers(1, 80), min_size=n_links**2, max_size=n_links**2))
     precodings = draw(st.lists(st.sampled_from(["tr", "none"]), min_size=n_links, max_size=n_links))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -1277,9 +1278,15 @@ def test_results_do_not_depend_on_link_or_channel_order(case):
     assert list(got) == list(again)
     for rx in got:
         assert got[rx].samples.tobytes() == again[rx].samples.tobytes()
-    # Trials seed each stream by its place in the scenario's one stream order.
-    assert reordered.ordered_links == scenario.ordered_links
+    # The scenario keeps one link order: trials seed each stream by its place in it.
+    assert reordered.links == scenario.links
     assert run_trial(reordered, 4, 100) == run_trial(scenario, 4, 100)
+    # The SINR path sums the interferers in that order, so every field matches bit for bit.
+    for sid, report in scenario.sinr.items():
+        other = reordered.sinr[sid]
+        for name in ("signal_w", "isi_w", "noise_w", "cochannel_w", "sinr_db"):
+            assert getattr(other, name) == getattr(report, name), name
+        assert list(other.per_interferer_w.items()) == list(report.per_interferer_w.items())
 
 
 # Each value a record computes once when it is made: (a record, the value's

@@ -95,8 +95,10 @@ def cold_run(work: Path) -> dict[str, float]:
     _timed(linksim.ResponseTable, "build", spent, "table")
     _timed(experiments, "run_trial", spent, "trials")
     start = time.perf_counter()
-    cli.main(["sweep-power", "--config", str(work / "workload.cfg"), "--out", str(work / "out")])
+    status = cli.main(["sweep-power", "--config", str(work / "workload.cfg"), "--out", str(work / "out")])
     spent["main"] = time.perf_counter() - start
+    if status:
+        sys.exit(status)  # a failed run's times are no figures; the CLI printed why
     spent["rest"] = spent["main"] - spent["reads"] - spent["table"] - spent["trials"]
     spent["conversion"] = 0.0
     for path in sorted(work.glob("*.csv")):
