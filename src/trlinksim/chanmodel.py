@@ -274,18 +274,15 @@ class ReverbParams:
     once, when the parameters are made, so that the profile's RMS delay
     spread matches ``rms_delay_spread_target``, and so is ``num_samples``,
     the length of a draw: the grid from 0 to max_delay. Neither takes part
-    in equality, hashing or the repr. When ``rician_k`` is positive a
-    deterministic tap at zero delay carries the fraction k/(1+k) of the
-    power. The realization is rescaled so its energy equals
-    ``total_energy`` exactly, which tilts the mean profile of many draws
-    slightly toward the tail.
+    in equality, hashing or the repr. The realization is rescaled so its
+    energy equals ``total_energy`` exactly, which tilts the mean profile of
+    many draws slightly toward the tail.
     """
 
     sample_interval: float
     num_taps: int
     rms_delay_spread_target: float
     max_delay: float
-    rician_k: float = 0.0
     total_energy: float = 1.0
     decay: float = field(init=False, repr=False, compare=False)
     num_samples: int = field(init=False, repr=False, compare=False)
@@ -305,21 +302,16 @@ class ReverbParams:
                 f"{self.max_delay / self.sample_interval:g}"
             )
         object.__setattr__(self, "num_samples", int(np.rint(self.max_delay / self.sample_interval)) + 1)
-        if not self.rician_k >= 0.0:
-            raise ValueError("rician_k must be >= 0")
         if not self.total_energy > 0.0:
             raise ValueError("total_energy must be positive")
         if not 0.0 < self.rms_delay_spread_target < self.max_delay:
             raise ValueError("rms_delay_spread_target must lie in (0, max_delay)")
-        # The profile family cannot exceed the spread of its flat limit;
-        # a dominant zero-delay tap lowers the ceiling further.
-        diffuse = 1.0 / (1.0 + self.rician_k)
-        ceiling = self.max_delay * math.sqrt(diffuse / 3.0 - diffuse * diffuse / 4.0)
+        # The profile family cannot exceed the spread of its flat limit.
+        ceiling = self.max_delay * math.sqrt(1.0 / 3.0 - 1.0 / 4.0)
         if not self.rms_delay_spread_target < ceiling:
             raise ValueError(
                 "rms_delay_spread_target unreachable: must be below "
-                f"{ceiling:.6e} s for max_delay={self.max_delay:.6e} s "
-                f"and rician_k={self.rician_k}"
+                f"{ceiling:.6e} s for max_delay={self.max_delay:.6e} s"
             )
         # Refuses a target whose decay constant underflows.
         object.__setattr__(self, "decay", _solve_decay_constant(self))
@@ -344,11 +336,8 @@ def _truncated_exp_moments(decay: float, t_max: float) -> tuple[float, float]:
 
 def _ensemble_delay_spread(decay: float, params: ReverbParams) -> float:
     """Ensemble RMS delay spread of the generator's power-delay profile."""
-    diffuse = 1.0 / (1.0 + params.rician_k)
     m1, m2 = _truncated_exp_moments(decay, params.max_delay)
-    mean = diffuse * m1
-    var = diffuse * m2 - mean * mean
-    return math.sqrt(max(var, 0.0))
+    return math.sqrt(max(m2 - m1 * m1, 0.0))
 
 
 def _solve_decay_constant(params: ReverbParams) -> float:
@@ -379,9 +368,6 @@ def _synth_reverberant(rng: np.random.Generator, params: ReverbParams, label: st
     dt = params.sample_interval
     h = np.zeros(params.num_samples, dtype=np.complex128)
     np.add.at(h, np.rint(delays / dt).astype(np.intp), gains)
-    if params.rician_k > 0.0:
-        diffuse_energy = float(np.sum(np.abs(gains) ** 2))
-        h[0] += math.sqrt(params.rician_k * diffuse_energy)
     energy = float(np.sum(np.abs(h) ** 2))
     scale = math.sqrt(params.total_energy / energy) if energy > 0.0 else math.inf
     if math.isinf(scale):

@@ -227,7 +227,6 @@ SCHEMA: dict[str, tuple[Key, ...]] = {
         Key("num_taps", _count_from(1, _MAX_SAMPLES), required=True, when="model"),
         Key("rms_delay_spread_s", _number, required=True, when="model", field="rms_delay_spread_target"),
         Key("max_delay_s", _number, required=True, when="model", field="max_delay"),
-        Key("rician_k", _number, "0", when="model"),
         Key("total_energy", _in_range(*_ENERGY), "1", when="model"),
         Key("seed", _at_least(0), when="model"),
     ),
@@ -257,7 +256,6 @@ SCHEMA: dict[str, tuple[Key, ...]] = {
         Key("n_bits", _count_from(100), "1000"),
         Key("n_trials", _count_from(1)),
         Key("master_seed", _at_least(0), "0"),
-        Key("pilot_bits", _count_from(2), "64", field="pilot_len"),
     ),
     "output": (Key("dir", default="out", field="out_dir"),),
 }
@@ -321,7 +319,6 @@ class RunConfig:
     n_bits: int
     n_trials: int
     master_seed: int
-    pilot_len: int
     out_dir: str
 
 
@@ -540,14 +537,14 @@ def _sweep_csv(command: str, cfg: RunConfig, path: Path) -> list[Path]:
         except ValueError as exc:
             fix = "name a grid that fits with [sweep] variable and values"
             raise ConfigError(f"default {command} grid value {value:g}: {exc}; {fix}") from None
-    counts = cfg.n_bits, cfg.n_trials, cfg.master_seed, cfg.pilot_len
+    counts = cfg.n_bits, cfg.n_trials, cfg.master_seed
     write_sweep_csv(experiments.sweep(variable, points, cfg.channels, cfg.noise, *counts), path)
     return [path]
 
 
 def cmd_run(cfg: RunConfig, path: Path) -> list[Path]:
     """Monte Carlo over the configured links exactly as written: one row per link, labelled ``config,0``."""
-    counts = cfg.n_bits, cfg.n_trials, cfg.master_seed, cfg.pilot_len
+    counts = cfg.n_bits, cfg.n_trials, cfg.master_seed
     rows = experiments.sweep("config", [(0.0, cfg.links, cfg.mod)], cfg.channels, cfg.noise, *counts)
     write_sweep_csv(rows, path)
     return [path]
@@ -647,11 +644,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         # numpy refuses an allocation the machine cannot give before it makes it,
         # and run_trial streams of 2^63 bytes or more, which no machine can.
-        what = (
-            "reading the config"
-            if cfg is None
-            else f"running {args.command} at pilot_bits = {cfg.pilot_len} and n_bits = {cfg.n_bits}"
-        )
+        what = "reading the config" if cfg is None else f"running {args.command} at n_bits = {cfg.n_bits}"
         print(f"error: out of memory {what}", file=sys.stderr)
         return 1
 

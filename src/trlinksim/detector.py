@@ -36,13 +36,13 @@ def wilson_interval(errors: int, total: int) -> tuple[float, float]:
     return (lo, hi)
 
 
-def train_threshold(decisions: np.ndarray, pilot_bits: Sequence[int] | np.ndarray) -> float:
+def train_threshold(decisions: np.ndarray, pilot: Sequence[int] | np.ndarray) -> float:
     """Midpoint of the two classes' mean decision values over the pilot.
 
     ``decisions`` holds one real, phase-derotated decision value per pilot
     bit.
     """
-    pilot = np.asarray(pilot_bits, dtype=np.int64).reshape(-1)
+    pilot = np.asarray(pilot, dtype=np.int64).reshape(-1)
     if pilot.size == 0 or not (np.any(pilot == 0) and np.any(pilot == 1)):
         raise ValueError("pilot lacks both symbols")
     if decisions.shape != pilot.shape:

@@ -189,19 +189,16 @@ def test_pooled_power_delay_profile_has_the_target_delay_spread(demo_powers):
     assert abs(standard_errors_off()) <= 4.0
 
 
-def test_rician_tap_carries_requested_power_fraction():
-    p = ReverbParams(DT, 32, 40e-12, 400e-12, rician_k=4.0)
-    fracs = [
-        abs(synth_reverberant(s, p).samples[0]) ** 2 / 1.0 for s in range(50)
-    ]
-    # k=4 puts k/(1+k) = 0.8 of the power at zero delay on average
-    assert 0.75 < np.mean(fracs) < 0.85
-
-
 def test_spread_target_must_be_reachable():
     # flat-profile ceiling is max_delay/sqrt(12) ~ 115 ps here
     with pytest.raises(ValueError, match="unreachable"):
         ReverbParams(DT, 24, 150e-12, 400e-12)
+    # The ceiling is max_delay * sqrt(1/3 - 1/4), one ulp below max_delay / sqrt(12) here.
+    ceiling = 400e-12 * math.sqrt(1.0 / 3.0 - 1.0 / 4.0)
+    ReverbParams(DT, 24, np.nextafter(ceiling, 0.0), 400e-12)
+    for target in (ceiling, 400e-12 / math.sqrt(12.0)):
+        with pytest.raises(ValueError, match="^rms_delay_spread_target unreachable: must be below 1.154701e-10 s "):
+            ReverbParams(DT, 24, target, 400e-12)
     with pytest.raises(ValueError, match="lie in"):
         ReverbParams(DT, 24, 500e-12, 400e-12)
 
@@ -238,7 +235,7 @@ def test_reverb_params_refuse_a_grid_of_2_to_the_63_samples_or_more():
 
 
 @pytest.mark.parametrize(
-    "field", ["sample_interval", "num_taps", "rms_delay_spread_target", "max_delay", "rician_k", "total_energy"]
+    "field", ["sample_interval", "num_taps", "rms_delay_spread_target", "max_delay", "total_energy"]
 )
 def test_reverb_params_refuse_non_finite_values(field):
     good = {"sample_interval": DT, "num_taps": 24, "rms_delay_spread_target": 50e-12, "max_delay": 400e-12}

@@ -136,7 +136,7 @@ def test_parse_minimal_config_applies_defaults():
     link = cfg.links[0]
     assert (link.precoding, link.tx_power_dbm) == ("tr", 0.0)
     # a fresh synthetic channel: 10 trials
-    assert (cfg.n_bits, cfg.n_trials, cfg.master_seed, cfg.pilot_len) == (1000, 10, 0, 64)
+    assert (cfg.n_bits, cfg.n_trials, cfg.master_seed) == (1000, 10, 0)
     assert cfg.out_dir == "out"
     assert cfg.sweep_variable is None and cfg.sweep_values is None
     # synthetic channel inherits the modulation sample grid; no pinned seed keeps it unrealized
@@ -345,8 +345,6 @@ def test_sweep_section_rules():
         parse_config(MINIMAL + "\n[sweep]\nn_trials = 0\n")
     with pytest.raises(ConfigError, match="master_seed must be non-negative"):
         parse_config(MINIMAL + "\n[sweep]\nmaster_seed = -1\n")
-    with pytest.raises(ConfigError, match="pilot_bits must be at least 2"):
-        parse_config(MINIMAL + "\n[sweep]\npilot_bits = 1\n")
 
 
 @pytest.mark.parametrize(
@@ -522,14 +520,25 @@ def test_unknown_names_are_refused_at_their_line():
         parse_config(level_key)
 
 
-@pytest.mark.parametrize("key", ["level_zero", "level_one"])
-def test_main_refuses_a_level_key_at_its_line(tmp_path, capsys, key):
-    # The levels are fixed at 0 and 1, so a config that sets either is refused, not ignored.
-    text = _SHORT_RUN.replace("[sweep]", f"[modulation]\n{key} = 1\n\n[sweep]")
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        # On-off keying at amplitudes 0 and 1 is the one modulation.
+        ("modulation", "level_zero"),
+        ("modulation", "level_one"),
+        # The pilot is always 64 bits, and a reverberant channel has no zero-delay tap.
+        ("sweep", "pilot_bits"),
+        ('channel "A->B"', "rician_k"),
+    ],
+)
+def test_main_refuses_a_removed_key_at_its_line(tmp_path, capsys, section, key):
+    # A config that sets a removed key is refused at its line, not run as if the key still applied.
+    text = _SHORT_RUN if f"[{section}]\n" in _SHORT_RUN else _SHORT_RUN + f"\n[{section}]\n"
+    text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n")
     line = text.splitlines().index(f"{key} = 1") + 1
     out = tmp_path / "out"
-    assert main(["run", "--config", _write(tmp_path, "level.cfg", text), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: line {line}: unknown key {key!r} in [modulation]\n"
+    assert main(["run", "--config", _write(tmp_path, "removed.cfg", text), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: line {line}: unknown key {key!r} in [{section}]\n"
     assert not out.exists()
 
 
@@ -931,7 +940,6 @@ _HUGE = "1" + "0" * 400  # 10^400, too large for a float
         # each used to stop with the lineless "Maximum allowed dimension exceeded"
         ("rx = B", "rx = B\n\n[modulation]\nsamples_per_symbol = 1e20"),
         ("rx = B", "rx = B\n\n[sweep]\nn_bits = 1e20"),
-        ("rx = B", "rx = B\n\n[sweep]\npilot_bits = 1e20"),
         ("rx = B", f"rx = B\n\n[sweep]\nn_trials = {2**63}"),
     ],
 )
@@ -950,10 +958,10 @@ def test_main_refuses_a_count_of_2_to_the_63_or_more_by_line(tmp_path, old, new)
     "n_bits, message",
     [
         # numpy refuses the allocation of the bits before it makes it
-        (10**17, f"out of memory running run at pilot_bits = 64 and n_bits = {10**17}"),
+        (10**17, f"out of memory running run at n_bits = {10**17}"),
         # used to stop with numpy's "array is too big", which names no key; run_trial
         # refuses streams of 2^63 bytes or more as the allocation no machine can make
-        (2**63 - 1, f"out of memory running run at pilot_bits = 64 and n_bits = {2**63 - 1}"),
+        (2**63 - 1, f"out of memory running run at n_bits = {2**63 - 1}"),
     ],
     ids=["1e17", "2^63-1"],
 )
@@ -1109,8 +1117,27 @@ def test_readme_demo_unknown_names_are_refused_at_the_added_line(tmp_path, capsy
     assert "unrecognized arguments: --no-strict" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, section, anchor",
+    [("pilot_bits", "sweep", "[sweep]\n"), ("rician_k", 'channel "A->B"', "max_delay_s = 500e-12\n")],
+    ids=["pilot_bits", "rician_k"],
+)
+def test_readme_demo_with_a_removed_key_is_refused_at_its_line(tmp_path, capsys, key, section, anchor):
+    # The demo as written runs; with a deleted key added it used to run as before, and now
+    # stops with one unknown-key error at the added line and writes nothing.
+    demo = _readme_demo()
+    assert anchor in demo
+    text = demo.replace(anchor, f"{anchor}{key} = 1\n", 1)
+    line = text.splitlines().index(f"{key} = 1") + 1
+    out = tmp_path / "out"
+    argv = ["run", "--config", _write(tmp_path, "removed.cfg", text), "--out", str(out)]
+    assert main(argv + ["--n-bits", "100", "--trials", "1"]) == 1
+    assert capsys.readouterr().err == f"error: line {line}: unknown key {key!r} in [{section}]\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "gen-channel"])
-@pytest.mark.parametrize("renamed, bad", [("D/E", "/"), ("D->E", "->"), ('D"E', '"'), ("D\0E", "\0")])
+@pytest.mark.parametrize("renamed, bad",[("D/E", "/"), ("D->E", "->"), ('D"E', '"'), ("D\0E", "\0")])
 def test_readme_demo_node_names_a_channel_cannot_carry_are_refused_at_the_names_line(
     tmp_path, capsys, command, renamed, bad
 ):
@@ -1174,7 +1201,6 @@ _ALTERNATES = {
     ("channel", "num_taps"): ("num_taps = 64", "num_taps = 32"),
     ("channel", "rms_delay_spread_s"): ("rms_delay_spread_s = 100e-12", "rms_delay_spread_s = 50e-12"),
     ("channel", "max_delay_s"): ("max_delay_s = 500e-12", "max_delay_s = 400e-12"),
-    ("channel", "rician_k"): ("max_delay_s = 500e-12", "max_delay_s = 500e-12\nrician_k = 5"),
     ("channel", "total_energy"): ("max_delay_s = 500e-12", "max_delay_s = 500e-12\ntotal_energy = 2"),
     ("channel", "seed"): ("max_delay_s = 500e-12", "max_delay_s = 500e-12\nseed = 7"),
     ("link", "precoding"): ("rx = B", "rx = B\nprecoding = none"),
@@ -1187,7 +1213,6 @@ _ALTERNATES = {
     ("sweep", "n_bits"): ("n_bits = 300", "n_bits = 200"),
     ("sweep", "n_trials"): ("n_trials = 2", "n_trials = 3"),
     ("sweep", "master_seed"): ("n_trials = 2", "n_trials = 2\nmaster_seed = 1"),
-    ("sweep", "pilot_bits"): ("n_trials = 2", "n_trials = 2\npilot_bits = 32"),
 }
 
 
@@ -1267,27 +1292,6 @@ def test_readme_demo_bad_values_run_or_are_refused_at_a_line(tmp_path):
     assert Counter(code for code, _ in results) == {0: 40, 1: 425}
 
 
-def test_readme_demo_with_a_pilot_too_large_to_run_names_pilot_bits(tmp_path):
-    # Each used to blame n_bits alone: 1e18 pilot bits reach 2^63 bytes, and
-    # numpy cannot allocate 1e15 of them.
-    demo = _readme_demo()
-    paths = []
-    for pilot_bits in ("1e18", "1e15"):
-        paths.append(tmp_path / f"pilot-{pilot_bits}.cfg")
-        paths[-1].write_text(demo.replace("[sweep]\n", f"[sweep]\npilot_bits = {pilot_bits}\n"), encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error", "-c", _CAPPED_RUNS],
-        input=json.dumps([(str(path), str(tmp_path / "out")) for path in paths]),
-        env=dict(_child_env(), OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [
-        [1, [f"error: out of memory running run at pilot_bits = {pilot} and n_bits = 100"]]
-        for pilot in (10**18, 10**15)
-    ]
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("command", ["run", "gen-channel"])
 @pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "fresh"])
 def test_main_refuses_a_synthetic_draw_whose_every_tap_underflows(tmp_path, pinned, command):
@@ -1329,11 +1333,11 @@ def test_counts_just_below_2_to_the_63_are_read():
     channel = f"num_taps = {10**6}\nrms_delay_spread_s = 2e-25\nmax_delay_s = 2e-24"
     text = MINIMAL.replace("num_taps = 8\nrms_delay_spread_s = 50e-12\nmax_delay_s = 200e-12", channel) + (
         f"\n[modulation]\nsamples_per_symbol = {largest}\n"
-        f"\n[sweep]\nn_bits = {largest}\nn_trials = {largest}\npilot_bits = {largest}\n"
+        f"\n[sweep]\nn_bits = {largest}\nn_trials = {largest}\n"
     )
     cfg = parse_config(text)
     assert cfg.channels[("A", "B")].num_taps == 10**6 and cfg.channels[("A", "B")].num_samples == 922338
-    assert cfg.mod.samples_per_symbol == cfg.n_bits == cfg.n_trials == cfg.pilot_len == largest
+    assert cfg.mod.samples_per_symbol == cfg.n_bits == cfg.n_trials == largest
 
 
 @pytest.mark.parametrize("rate, interval", [("1e308", "0.0"), ("1e-320", "inf")])
